@@ -97,13 +97,18 @@ def _sha256(path: Path) -> str:
 
 
 def _build_datasets(config):
+    """(train, test); train is None when the run neither trains nor retrains."""
     ds = config["dataset"]
+    needs_train = (config["experiment"] in ("train", "fault-train")
+                   or not config["model"]["checkpoint"])
     if ds["kind"] == "idx":
-        train = load_idx(ds["train_images"], ds["train_labels"])
+        train = (load_idx(ds["train_images"], ds["train_labels"])
+                 if needs_train else None)
         test = load_idx(ds["test_images"], ds["test_labels"])
         return train, test
     kwargs = dict(classes=ds["classes"], size=ds["size"], **ds["params"])
-    train = synthetic_blobs(ds["train"], seed=ds["seed"], **kwargs)
+    train = (synthetic_blobs(ds["train"], seed=ds["seed"], **kwargs)
+             if needs_train else None)
     test = synthetic_blobs(ds["test"], seed=ds["test_seed"], **kwargs)
     return train, test
 

@@ -10,6 +10,30 @@ PE stays active, the active-faulty rate is within FR_max_non_crit, and no
 two active faulty PEs are 4-neighbour adjacent. The adjacency part is a
 minimum vertex cover, solved exactly per connected component by branch
 and bound (components beyond a size cap fall back to max-degree greedy).
+
+Faulty inference adds, per output column, the difference between the
+faulty and the exact products of every fault site (a weight hosted by an
+active faulty PE) onto the exact matmul of the pruned weights. Each layer
+keeps its sites in flat arrays sorted by column, built once per factory.
+
+int8 sites use a residue-class table, which is exact: let m - 1 be the
+highest stuck bit among a layer's sites. A fault rewrites only magnitude
+bits below m, so for p = a*w != 0 its error is
+sign(p) * (((|p| mod 2^m) & and_mask | or_mask) - |p| mod 2^m), and
+|p| mod 2^m = ((|a| mod 2^m) * |w|) mod 2^m. The error therefore depends
+on a only through sign(a) and |a| mod 2^m; a = 0 is a class of its own,
+and a zero product becomes +or_mask. Per call, one operand per class gives
+a (sites x classes) table of errors; the correction is a table lookup per
+product, summed per column. There are at most 2^(m+1) + 1 classes, and
+never more than the 256 int8 values. In worst mode the carry (sign of the
+stuck-bit error, + on a tie) is folded into the table.
+
+Sim-mode carry signs are random and drawn from the caller's rng exactly as
+``apply_fault_to_products`` draws them: one ``rng.integers(0, 2,
+size=(N, S))`` per signature with a carry fault, over that signature's S
+sites, in the order each signature first appears among the sorted active
+faulty PEs that host a weight of the layer; a PE lists its sites row tile
+by row tile. A drawn 1 adds the carry weight, a 0 subtracts it.
 """
 
 from __future__ import annotations
@@ -22,12 +46,14 @@ import numpy as np
 from ..netcore.data import LabeledDataset
 from ..netcore.inference import exact_int_matmul, quant_forward
 from ..netcore.mlp import MlpModel
+from ..quantnum import int8_scale, quantize_int8
 from .faults import (
     CRITICAL,
-    NON_CRITICAL,
-    NON_CRITICAL_LSBS,
     PRODUCT_WIDTH,
+    SIM,
+    WORST,
     LogicConeFault,
+    _check_width,
     apply_fault_to_products,
     classify,
 )
@@ -292,68 +318,224 @@ def deactivate(state: ArrayState, fsr: FaultStatusRegister) -> np.ndarray:
 
 # --- faulty inference -------------------------------------------------------
 
+# products gathered per site block of the int8 correction (256 kB of int32)
+_BLOCK_PRODUCTS = 1 << 16
 
-def _layer_plan(shape, state: ArrayState):
-    """Pruning mask and per-signature fault sites for one weight matrix."""
+
+def _column_runs(sorted_cols):
+    """Start offsets and values of the runs of equal entries."""
+    starts = np.flatnonzero(np.diff(sorted_cols, prepend=-1))
+    return starts, sorted_cols[starts]
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The sites of one fault signature in a layer, in PE order."""
+
+    fault: LogicConeFault
+    ii: np.ndarray
+    jj: np.ndarray
+    order: np.ndarray  # stable sort of the sites by column
+    starts: np.ndarray  # column runs of the sorted sites
+    cols: np.ndarray
+
+
+@dataclass(frozen=True)
+class _LayerPlan:
+    """Where one weight matrix meets the array: pruning and fault sites."""
+
+    mask: np.ndarray  # weights hosted by active PEs
+    disabled: np.ndarray  # flat indices of weights on deactivated PEs
+    ii: np.ndarray  # every fault site, sorted by column
+    jj: np.ndarray
+    and_mask: np.ndarray  # clears the stuck-at-0 bits
+    or_mask: np.ndarray  # sets the stuck-at-1 bits
+    carry: np.ndarray  # 2^(max_bit+1) where the site has a carry fault, else 0
+    starts: np.ndarray  # column runs of the sites
+    cols: np.ndarray
+    lut: np.ndarray  # residue class of each int8 operand, indexed by its byte
+    reps: np.ndarray  # one operand value per residue class
+    offsets: np.ndarray  # start of each site's row in the flat delta table
+    carry_bias: np.ndarray  # per column, the carry weights of its sites
+    groups: tuple  # one _Group per signature, in order of first appearance
+
+
+def _fault_table(state: ArrayState) -> dict:
+    """Active faulty PEs in sorted order, as parallel arrays."""
+    pes = [pe for pe in sorted(state.faults) if state.active[pe]]
+    faults = [state.faults[pe] for pe in pes]
+    sig_ids, by_sig = {}, []
+    for fault in faults:
+        if fault.signature not in sig_ids:
+            _check_width(fault, state.config.fmt)
+            sig_ids[fault.signature] = len(by_sig)
+            ones = sum(1 << b for b, v in fault.cone_bits if v)
+            zeros = sum(1 << b for b, v in fault.cone_bits if not v)
+            carry = 1 << (fault.max_bit + 1) if fault.carry_fault else 0
+            by_sig.append((~zeros, ones, carry, fault.max_bit))
+    sig = np.array([sig_ids[f.signature] for f in faults], dtype=np.intp)
+    per_pe = np.array(by_sig, dtype=np.int64).reshape(-1, 4)[sig]
+    table = dict(zip(("and_mask", "or_mask", "carry", "max_bit"), per_pe.T))
+    table.update(row=np.array([r for r, _ in pes], dtype=np.intp),
+                 col=np.array([c for _, c in pes], dtype=np.intp),
+                 sig=sig, faults=faults)
+    return table
+
+
+def _layer_plan(shape, state: ArrayState, pes: dict) -> _LayerPlan:
+    """Pruning mask and fault sites of one weight matrix on the array."""
     fan_in, fan_out = shape
     n_row, n_col = state.config.n_row, state.config.n_col
     tiles_r = -(-fan_in // n_row)
     tiles_c = -(-fan_out // n_col)
     mask = np.tile(state.active, (tiles_r, tiles_c))[:fan_in, :fan_out]
+    # each PE's sites, row tile major, in the order PEs are listed
+    rows, cols = np.broadcast_arrays(
+        pes["row"][:, None, None] + n_row * np.arange(tiles_r)[:, None],
+        pes["col"][:, None, None] + n_col * np.arange(tiles_c),
+    )
+    hosted = (rows < fan_in) & (cols < fan_out)
+    pe_of = np.nonzero(hosted)[0]
+    ii, jj = rows[hosted], cols[hosted]
 
-    groups = {}
-    for pe in sorted(state.faults):
-        if not state.active[pe]:
-            continue
-        r, c = pe
-        rows = np.arange(r, fan_in, n_row)
-        cols = np.arange(c, fan_out, n_col)
-        if not len(rows) or not len(cols):
-            continue
-        fault = state.faults[pe]
-        ii, jj = np.meshgrid(rows, cols, indexing="ij")
-        entry = groups.setdefault(fault.signature, (fault, [], []))
-        entry[1].append(ii.ravel())
-        entry[2].append(jj.ravel())
-    plans = []
-    for fault, i_parts, j_parts in groups.values():
-        plans.append((fault, np.concatenate(i_parts), np.concatenate(j_parts)))
-    return mask, plans
+    groups = []
+    if len(pe_of):
+        # group order: first appearance among the PEs hosting this layer
+        _, first, inverse = np.unique(pes["sig"][pe_of], return_index=True,
+                                      return_inverse=True)
+        gid = np.argsort(np.argsort(first))[inverse.ravel()]
+        by_gid = np.argsort(gid, kind="stable")
+        for sel in np.split(by_gid, np.cumsum(np.bincount(gid))[:-1]):
+            order = np.argsort(jj[sel], kind="stable")
+            starts, gcols = _column_runs(jj[sel][order])
+            groups.append(_Group(pes["faults"][pe_of[sel[0]]], ii[sel], jj[sel],
+                                 order, starts, gcols))
+
+    by_col = np.argsort(jj, kind="stable")
+    site_pe = pe_of[by_col]
+    starts, run_cols = _column_runs(jj[by_col])
+    # residue classes of the operand: its sign, and |a| mod 2^m below the
+    # highest stuck bit m-1 of the layer; m >= 8 leaves every int8 value apart
+    m = int(pes["max_bit"][pe_of].max()) + 1 if len(pe_of) else 0
+    values = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
+    key = np.sign(values) * (1 + np.abs(values) % (1 << m))
+    _, first, lut = np.unique(key, return_index=True, return_inverse=True)
+    n_flat = len(ii) * len(first)
+    offsets = np.arange(0, n_flat, len(first),
+                        dtype=np.int32 if n_flat < 2**31 else np.int64)
+    return _LayerPlan(
+        mask=mask, disabled=np.flatnonzero(~mask), ii=ii[by_col], jj=jj[by_col],
+        and_mask=pes["and_mask"][site_pe], or_mask=pes["or_mask"][site_pe],
+        carry=pes["carry"][site_pe], starts=starts, cols=run_cols,
+        lut=lut.ravel().astype(np.uint8), reps=values[first], offsets=offsets,
+        carry_bias=np.bincount(jj, weights=pes["carry"][pe_of],
+                               minlength=fan_out).astype(np.int64),
+        groups=tuple(groups),
+    )
 
 
-def _scatter_columns(acc, cols, contrib):
-    order = np.argsort(cols, kind="stable")
-    sorted_cols = cols[order]
-    sorted_contrib = contrib[:, order]
-    starts = np.flatnonzero(np.r_[True, sorted_cols[1:] != sorted_cols[:-1]])
-    sums = np.add.reduceat(sorted_contrib, starts, axis=1)
-    acc[:, sorted_cols[starts]] += sums
+def _delta_table(plan: _LayerPlan, w_sites, mode: str):
+    """delta[s, c]: the error of site s on any operand of residue class c.
+
+    Flattened row-major; worst mode folds in the carry, whose sign is the
+    sign of the stuck-bit error (+ on a tie).
+    """
+    n_cls = len(plan.reps)
+    table = np.empty((len(w_sites), n_cls), dtype=np.int32)
+    step = max(1, _BLOCK_PRODUCTS // n_cls)
+    for b0 in range(0, len(w_sites), step):
+        blk = slice(b0, b0 + step)
+        p = w_sites[blk, None] * plan.reps
+        mag = np.abs(p)
+        stuck = (mag & plan.and_mask[blk, None]) | plan.or_mask[blk, None]
+        delta = np.where(p < 0, -stuck, stuck) - p
+        if mode == WORST:
+            carry = plan.carry[blk, None]
+            delta += np.where(delta < 0, -carry, carry)
+        table[blk] = delta
+    return table.ravel()
 
 
-def faulty_matmul_factory(state: ArrayState, weight_shapes, mode: str, rng):
-    """Matmul callback for quant_forward that routes through faulty PEs."""
+def _int8_correction(plan: _LayerPlan, aq, w_sites, mode: str, rng):
+    """Sum of (faulty - exact) products per output column, shape (fan_out, N).
+
+    ``w_sites`` holds the int8 weight of every site of ``plan`` in its order.
+    """
+    n = aq.shape[0]
+    corr = np.zeros((plan.mask.shape[1], n), dtype=np.int64)
+    if not len(plan.ii):
+        return corr
+    table = _delta_table(plan, w_sites, mode)
+    classes = plan.lut[np.asarray(aq, dtype=np.int8).view(np.uint8).T]
+    step = max(1, _BLOCK_PRODUCTS // max(n, 1))
+    for b0 in range(0, len(plan.ii), step):
+        blk = slice(b0, b0 + step)
+        products = table.take(classes[plan.ii[blk]] + plan.offsets[blk, None])
+        k0 = np.searchsorted(plan.starts, b0, side="right") - 1
+        k1 = np.searchsorted(plan.starts, b0 + step)
+        local = np.maximum(plan.starts[k0:k1] - b0, 0)
+        corr[plan.cols[k0:k1]] += np.add.reduceat(products, local, axis=0,
+                                                  dtype=np.int64)
+    if mode == SIM and plan.carry_bias.any():
+        if rng is None:
+            raise ValueError("simulation mode needs an rng for the carry sign")
+        # a carry of weight c adds c * (2 * up - 1); draws as apply_fault_to_products
+        for g in plan.groups:
+            if g.fault.carry_fault:
+                ups = rng.integers(0, 2, size=(n, len(g.ii)))[:, g.order]
+                ups = np.add.reduceat(ups, g.starts, axis=1)
+                corr[g.cols] += (2 << (g.fault.max_bit + 1)) * ups.T
+        corr -= plan.carry_bias[:, None]
+    return corr
+
+
+def faulty_matmul_factory(state: ArrayState, weight_shapes, mode: str, rng,
+                          error_only: bool = False):
+    """Matmul callback for quant_forward that routes through faulty PEs.
+
+    With ``error_only`` (int8 only) the callback takes float weights ``w``
+    and returns ``(err, scale)``: ``scale`` is ``quantize_int8(w).scale``
+    and ``err`` is the array's accumulator minus the exact
+    ``aq @ quantize_int8(w).raw``. Only the weights at fault sites and on
+    deactivated PEs are quantized.
+    """
     fmt = state.config.fmt
-    plans = {}
-    for idx, shape in enumerate(weight_shapes):
-        plans[idx] = _layer_plan(shape, state)
+    if mode not in (SIM, WORST):
+        raise ValueError(f"mode must be '{SIM}' or '{WORST}'")
+    if error_only and fmt != "int8":
+        raise ValueError("error_only needs the int8 format")
+    pes = _fault_table(state)
+    plans = [_layer_plan(shape, state, pes) for shape in weight_shapes]
+    # error_only: the weights on deactivated PEs, refilled on each call
+    w_offs = [np.zeros(shape) for shape in weight_shapes] if error_only else None
 
     def matmul(idx, aq, wq):
-        mask, fault_plans = plans[idx]
-        w_eff = np.where(mask, wq, 0)
+        plan = plans[idx]
+        w_eff = np.where(plan.mask, wq, 0) if len(plan.disabled) else wq
         if fmt == "int8":
-            acc = exact_int_matmul(aq, w_eff)
-        else:
-            acc = aq @ w_eff
-        for fault, ii, jj in fault_plans:
-            if fmt == "int8":
-                products = aq[:, ii].astype(np.int64) * w_eff[ii, jj].astype(np.int64)
-            else:
-                products = aq[:, ii] * w_eff[ii, jj]
-            faulty = apply_fault_to_products(products, fault, fmt, mode, rng)
-            _scatter_columns(acc, jj, (faulty - products).astype(np.float64))
+            w_sites = wq[plan.ii, plan.jj].astype(np.int64)
+            corr = _int8_correction(plan, aq, w_sites, mode, rng)
+            return exact_int_matmul(aq, w_eff) + corr.T
+        acc = aq @ w_eff
+        for g in plan.groups:
+            products = aq[:, g.ii] * wq[g.ii, g.jj]
+            faulty = apply_fault_to_products(products, g.fault, fmt, mode, rng)
+            contrib = (faulty - products).astype(np.float64)
+            acc[:, g.cols] += np.add.reduceat(contrib[:, g.order], g.starts, axis=1)
         return acc
 
-    return matmul
+    def error(idx, aq, w):
+        plan = plans[idx]
+        scale = int8_scale(w)
+        w_sites = quantize_int8(w[plan.ii, plan.jj], scale).raw.astype(np.int64)
+        err = _int8_correction(plan, aq, w_sites, mode, rng).T.astype(np.float64)
+        if len(plan.disabled):
+            off = quantize_int8(w.take(plan.disabled), scale).raw
+            np.put(w_offs[idx], plan.disabled, off)
+            err -= exact_int_matmul(aq, w_offs[idx])
+        return err, scale
+
+    return error if error_only else matmul
 
 
 def run_array(model, state: ArrayState, dataset: LabeledDataset, mode: str = "sim",

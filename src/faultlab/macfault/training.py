@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..netcore.data import LabeledDataset
-from ..netcore.inference import exact_int_matmul, quantize_activations
+from ..netcore.inference import quantize_activations
 from ..netcore.train import train_sgd
-from ..quantnum import bf16_round_array, quantize_int8
+from ..quantnum import bf16_round_array
 from .array import ArrayState, faulty_matmul_factory
 
 
@@ -37,16 +37,17 @@ def fault_aware_train(
     if not has_faults:
         return train_sgd(model, train, epochs=epochs, lr=lr, seed=seed,
                          batch_size=batch_size)
-    matmul = faulty_matmul_factory(state, shapes, mode, rng)
+    # int8: the callback returns the array's integer error and the weight scale
+    matmul = faulty_matmul_factory(state, shapes, mode, rng,
+                                   error_only=fmt == "int8")
 
     def linear(live, idx, a):
         w = live.weights[idx]
         exact = a @ w + live.biases[idx]
         if fmt == "int8":
-            wq = quantize_int8(w)
             aq, sa = quantize_activations(a)
-            err = matmul(idx, aq, wq.raw) - exact_int_matmul(aq, wq.raw)
-            return exact + err * (sa * wq.scale)
+            err, sw = matmul(idx, aq, w)
+            return exact + err * (sa * sw)
         ab = bf16_round_array(a).astype(np.float64)
         wb = bf16_round_array(w).astype(np.float64)
         return exact + (matmul(idx, ab, wb) - ab @ wb)

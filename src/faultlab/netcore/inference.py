@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..quantnum import Int8Tensor, bf16_round_array, quantize_int8, round_half_away
+from ..quantnum import (
+    Int8Tensor,
+    bf16_round_array,
+    int8_scale,
+    quantize_int8,
+    round_half_away,
+)
 from .cnn import (
     ConvStage,
     DenseStage,
@@ -40,16 +46,19 @@ def quantize_weights(model) -> list[Int8Tensor]:
 
 
 def quantize_activations(a: np.ndarray):
-    """Symmetric per-tensor int8 quantization of an activation array."""
-    peak = float(np.max(np.abs(a))) if a.size else 0.0
-    scale = peak / 127.0 if peak > 0 else 1.0
+    """Symmetric per-tensor int8 quantization of an activation array.
+
+    Raises ValueError on NaN or infinite activations, which would
+    otherwise cast to arbitrary int8 values.
+    """
+    scale = int8_scale(a)
     raw = np.clip(round_half_away(a / scale), -128, 127).astype(np.int8)
     return raw, scale
 
 
 def exact_int_matmul(aq: np.ndarray, wq: np.ndarray) -> np.ndarray:
     """Exact integer matmul of int8 operands, via float64 (no rounding)."""
-    return aq.astype(np.float64) @ wq.astype(np.float64)
+    return aq.astype(np.float64, copy=False) @ wq.astype(np.float64, copy=False)
 
 
 def forward_float(model, x: np.ndarray) -> np.ndarray:

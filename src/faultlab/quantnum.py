@@ -53,6 +53,15 @@ def round_half_away(x):
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
+def int8_scale(values) -> float:
+    """Symmetric per-tensor scale ``max|v| / 127`` (1.0 when all are zero)."""
+    values = np.asarray(values, dtype=np.float64)
+    peak = float(np.max(np.abs(values))) if values.size else 0.0
+    if not np.isfinite(peak):
+        raise ValueError("cannot quantize non-finite values")
+    return peak / INT8_MAX if peak > 0 else 1.0
+
+
 def quantize_int8(values, scale: float | None = None) -> Int8Tensor:
     """Quantize real values to two's-complement int8.
 
@@ -60,11 +69,10 @@ def quantize_int8(values, scale: float | None = None) -> Int8Tensor:
     chosen. Output raw values are clamped to [-128, 127].
     """
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cannot quantize non-finite values")
     if scale is None:
-        peak = float(np.max(np.abs(values))) if values.size else 0.0
-        scale = peak / INT8_MAX if peak > 0 else 1.0
+        scale = int8_scale(values)
+    elif not np.all(np.isfinite(values)):
+        raise ValueError("cannot quantize non-finite values")
     if not (scale > 0):
         raise ValueError(f"scale must be positive, got {scale}")
     raw = np.clip(round_half_away(values / scale), INT8_MIN, INT8_MAX)

@@ -115,6 +115,40 @@ def test_runs_per_cell_row_count(tmp_path):
     assert len(rows) - 1 == 2 * 2 * 3  # bits x counts x runs
 
 
+@pytest.mark.parametrize("checkpointed, sizes", [(True, [120]), (False, [200, 120])],
+                         ids=["checkpoint", "no-checkpoint"])
+def test_mac_sweep_builds_training_set_only_to_train(tmp_path, monkeypatch,
+                                                     checkpointed, sizes):
+    import faultlab.cli.runner as runner
+
+    calls = []
+    real = runner.synthetic_blobs
+
+    def counting_blobs(n, **kwargs):
+        calls.append(n)
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(runner, "synthetic_blobs", counting_blobs)
+    model = {"layers": [784, 16, 10]}
+    if checkpointed:
+        ckpt = tmp_path / "model.npz"
+        save_model(init_mlp((784, 16, 10), seed=0), ckpt)
+        model["checkpoint"] = str(ckpt)
+    doc = {
+        "experiment": "mac-sweep",
+        "seed": 2,
+        "model": model,
+        "dataset": {"train": 200, "test": 120},
+        "train": {"epochs": 1},
+        "campaign": {"k_values": [2], "fr_grid": [5.0], "runs": 1, "n_row": 16,
+                     "n_col": 16},
+    }
+    cfg, errors = validate(doc)
+    assert not errors
+    run(cfg, output_override=tmp_path / "out")
+    assert calls == sizes
+
+
 def test_failed_run_removes_partial_outputs(tmp_path):
     # checkpoint trained for 784 inputs, dataset images are 12x12=144 wide
     ckpt = tmp_path / "model.npz"

@@ -221,34 +221,99 @@ def test_run_array_bf16_empty_map_equals_bf16_eval(small_mlp, blob_test):
     assert acc == evaluate(small_mlp, blob_test.subset(300), "bfloat16")
 
 
-def test_run_array_matches_scalar_hook_reference(rng):
-    # the vectorized fault path against forward_hooked + faulty_mac
+# (layer sizes, array rows, array cols, {pe: (cone bits, carry)}, disabled
+# PEs, mode, input range, weight sites set to zero)
+_ORACLE_CASES = {
+    # fan_in 9 and fan_out 7 tile with a partial last tile
+    "tiled-worst": ((9, 7, 4), 4, 3, {
+        (0, 0): (((0, 1), (1, 0)), False),
+        (2, 1): (((1, 1),), False),
+        (3, 2): (((0, 0),), False),
+    }, [], "worst", (0, 1), []),
+    # the output layer (fan_out 2) never reaches PE column 2
+    "narrow-output": ((9, 7, 2), 4, 3, {
+        (1, 0): (((0, 1),), True),
+        (1, 2): (((1, 1),), True),
+        (3, 1): (((0, 0), (1, 1)), False),
+    }, [], "worst", (0, 1), []),
+    # signed first-layer operands; zero weights take the +or_mask branch
+    "negative-and-zero": ((6, 5, 3), 4, 4, {
+        (0, 1): (((0, 1), (1, 1)), False),
+        (1, 0): (((0, 0), (1, 1)), False),
+        (2, 2): (((1, 0),), False),
+        (3, 3): (((0, 1),), False),
+    }, [], "sim", (-1, 1), [(0, 0, 1), (0, 1, 0), (0, 4, 1), (1, 0, 1)]),
+    "carry-deactivated-bit3": ((9, 7, 4), 4, 3, {
+        (0, 1): (((3, 1),), True),
+        (1, 1): (((2, 0), (3, 0)), True),
+        (2, 0): (((0, 1), (2, 1)), True),
+        (3, 2): (((1, 0), (3, 1)), False),
+        (0, 2): (((0, 0),), True),
+    }, [(1, 1), (1, 0)], "worst", (-1, 1), [(0, 2, 0)]),
+    "critical-high-bit": ((9, 7, 4), 4, 3, {
+        (0, 0): (((9, 1),), True),
+        (2, 1): (((1, 0), (12, 0)), False),
+        (1, 2): (((0, 1),), False),
+    }, [], "worst", (-1, 1), [(0, 4, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_run_array_matches_scalar_hook_reference(rng, case):
+    # the site-table fault path against forward_hooked + faulty_mac, exactly
     from faultlab.macfault.faults import faulty_mac
     from faultlab.netcore import forward_hooked
-    from faultlab.netcore.data import LabeledDataset
     from faultlab.netcore.inference import quant_forward
     from faultlab.macfault.array import faulty_matmul_factory
 
-    model = init_mlp((9, 7, 4), seed=2)
-    cfg = ArrayConfig(n_row=4, n_col=3)
-    faults = {
-        (0, 0): LogicConeFault(pe=(0, 0), cone_bits=((0, 1), (1, 0))),
-        (2, 1): LogicConeFault(pe=(2, 1), cone_bits=((1, 1),)),
-        (3, 2): LogicConeFault(pe=(3, 2), cone_bits=((0, 0),)),
-    }
+    layers, n_row, n_col, spec, disabled, mode, (lo, hi), zeros = _ORACLE_CASES[case]
+    model = init_mlp(layers, seed=2)
+    for layer, i, j in zeros:
+        model.weights[layer][i, j] = 0.0
+    cfg = ArrayConfig(n_row=n_row, n_col=n_col)
+    faults = {pe: LogicConeFault(pe=pe, cone_bits=bits, carry_fault=carry)
+              for pe, (bits, carry) in spec.items()}
     state = ArrayState(config=cfg, faults=faults)
-    x = rng.uniform(0, 1, size=(6, 9))
+    for pe in disabled:
+        state.active[pe] = False
+    x = rng.uniform(lo, hi, size=(6, layers[0]))
 
     def hook(xo, wo, site):
         layer, i, j = site
         pe = (i % cfg.n_row, j % cfg.n_col)
-        return faulty_mac(xo, wo, faults.get(pe), fmt="int8", mode="worst")
+        if not state.active[pe]:
+            return 0
+        return faulty_mac(xo, wo, faults.get(pe), fmt="int8", mode=mode)
 
     expected = forward_hooked(model, x, hook)
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights],
-                                   "worst", None)
+                                   mode, None)
     got = quant_forward(model, x, fmt="int8", matmul_fn=matmul)
-    assert np.allclose(expected, got)
+    assert np.array_equal(expected, got)
+
+
+@pytest.mark.parametrize("fmt", ["int8", "bfloat16"])
+@pytest.mark.parametrize("mode", ["sim", "worst"])
+def test_faulty_matmul_matches_frozen_per_signature_path(rng, fmt, mode):
+    # same logits and same sim-mode carry draws as the per-signature path
+    from frozen_matmul import faulty_matmul_factory as frozen_factory
+    from faultlab.netcore.inference import quant_forward
+    from faultlab.macfault.array import faulty_matmul_factory
+
+    model = init_mlp((40, 24, 24, 10), seed=4)
+    cfg = ArrayConfig(n_row=16, n_col=12, fmt=fmt)
+    mix = SignatureMix(critical_fraction=0.2, lsb_bits=3, carry_fraction=0.5)
+    faults = seed_fault_map(cfg, 25, mix, seed=8)
+    state = ArrayState(config=cfg, faults=faults)
+    state.active[5, :4] = False
+    x = rng.uniform(-1, 1, size=(50, 40))
+    shapes = [w.shape for w in model.weights]
+    logits = [
+        quant_forward(model, x, fmt=fmt, matmul_fn=factory(
+            state, shapes, mode, np.random.default_rng(3)))
+        for factory in (frozen_factory, faulty_matmul_factory)
+    ]
+    assert np.array_equal(logits[0], logits[1])
 
 
 def test_run_array_deactivated_column_leaves_bias(rng):

@@ -38,6 +38,36 @@ def test_empty_fault_map_is_plain_sgd(blob_train):
         assert np.array_equal(wa, wb)
 
 
+@pytest.mark.parametrize("fmt", ["int8", "bfloat16"])
+def test_fault_aware_train_matches_frozen_per_signature_path(blob_train, fmt):
+    # same weights as the per-signature path, whose sim-mode carry draws
+    # (rng call order and shapes) the error-only path must reproduce
+    from frozen_matmul import fault_aware_train as frozen_fault_aware_train
+
+    model = init_mlp((784, 20, 12), seed=3)
+    cfg = ArrayConfig(n_row=16, n_col=16, fmt=fmt)
+    mix = SignatureMix(critical_fraction=0.0, lsb_bits=3, carry_fraction=0.5)
+    faults = seed_fault_map(cfg, 25, mix, seed=4)
+    state = ArrayState(config=cfg, faults=faults)
+    state.active = deactivate(state, build_fsr(faults, fmt, 0.1))
+    assert state.active_faulty() and not state.active.all()
+    sub = blob_train.subset(200)
+    kw = dict(epochs=1, lr=0.2, seed=6, batch_size=64)
+    got, _ = fault_aware_train(model, state, sub, **kw)
+    want, _ = frozen_fault_aware_train(model, state, sub, **kw)
+    for wa, wb in zip(got.weights, want.weights):
+        assert np.array_equal(wa, wb)
+
+
+def test_fault_aware_train_rejects_non_finite_weights(blob_train):
+    model = init_mlp((784, 12, 10), seed=1)
+    model.weights[1][3, 4] = np.nan
+    state = _deactivated_state(0)
+    with pytest.raises(ValueError, match="cannot quantize non-finite values"):
+        fault_aware_train(model, state, blob_train.subset(64), epochs=1, lr=0.1,
+                          seed=0)
+
+
 def test_fault_aware_training_recovers_mlp(blob_train, blob_test):
     model, _ = train_sgd(init_mlp((784, 48, 10), seed=11), blob_train,
                          epochs=10, lr=0.2, seed=12)

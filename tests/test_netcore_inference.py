@@ -7,7 +7,11 @@ import pytest
 
 from faultlab.netcore import evaluate, forward_hooked, init_mlp
 from faultlab.netcore.data import LabeledDataset
-from faultlab.netcore.inference import argmax_agreement, quant_forward
+from faultlab.netcore.inference import (
+    argmax_agreement,
+    quant_forward,
+    quantize_activations,
+)
 from faultlab.netcore.checkpoint import load_model, save_model
 from faultlab.netcore.mlp import MlpModel
 
@@ -142,3 +146,11 @@ def test_checkpoint_roundtrip_cnn(tmp_path):
     assert [w.shape for w in loaded.weights] == [w.shape for w in model.weights]
     for a, b in zip(model.weights, loaded.weights):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_activations_rejects_non_finite(bad):
+    a = np.linspace(-1, 1, 12).reshape(3, 4)
+    a[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_activations(a)
