@@ -43,6 +43,8 @@ _DEFAULTS = {
     "report": {"svg": True},
 }
 
+_IDX_FILES = ("train_images", "train_labels", "test_images", "test_labels")
+
 _CAMPAIGN_DEFAULTS = {
     "train": {},
     "dram-bitpos": {
@@ -179,25 +181,28 @@ def validate(raw: dict, base_dir: Path | None = None):
             path = _resolve(cfg["model"]["checkpoint"], base_dir)
             if not path.exists():
                 errors.append(f"model.checkpoint: file not found '{path}'")
+            cfg["model"]["checkpoint"] = str(path)
 
-        cfg["dataset"] = _merge(_DEFAULTS["dataset"], raw.get("dataset"), errors,
-                                "dataset")
+        given = raw.get("dataset")
+        ds_defaults = _DEFAULTS["dataset"]
+        if isinstance(given, dict) and given.get("kind") == "idx":
+            ds_defaults = {**ds_defaults, **dict.fromkeys(_IDX_FILES)}
+        cfg["dataset"] = _merge(ds_defaults, given, errors, "dataset")
         ds = cfg["dataset"]
         if ds["kind"] == "synthetic":
             for field in ("train", "test"):
                 if not isinstance(ds[field], int) or ds[field] < 1:
                     errors.append(f"dataset.{field}: must be a positive integer")
         elif ds["kind"] == "idx":
-            for field in ("train_images", "train_labels", "test_images",
-                          "test_labels"):
-                value = ds.get(field) if field in ds else raw.get("dataset", {}).get(field)
-                if not value:
-                    errors.append(f"dataset.{field}: required for idx datasets")
-                else:
-                    path = _resolve(value, base_dir)
-                    if not path.exists():
-                        errors.append(f"dataset.{field}: file not found '{path}'")
-                    ds[field] = str(value)
+            for field in _IDX_FILES:
+                value = ds[field]
+                if not value or not isinstance(value, str):
+                    errors.append(f"dataset.{field}: path required for idx datasets")
+                    continue
+                path = _resolve(value, base_dir)
+                if not path.exists():
+                    errors.append(f"dataset.{field}: file not found '{path}'")
+                ds[field] = str(path)
         else:
             errors.append(f"dataset.kind: {ds['kind']!r} not synthetic or idx")
 
@@ -218,6 +223,7 @@ def validate(raw: dict, base_dir: Path | None = None):
             path = _resolve(wl["path"], base_dir)
             if not path.exists():
                 errors.append(f"workload.path: file not found '{path}'")
+            wl["path"] = str(path)
 
     cfg["campaign"] = _merge(_CAMPAIGN_DEFAULTS[kind], raw.get("campaign"), errors,
                              "campaign")

@@ -60,13 +60,10 @@ from ..neurorel.mapping import (
 )
 from . import svgplot
 from .config import render
+from .report import SCHEMAS
 
 DEFAULT_OUTPUT_ROOT = "faultlab-out"
 OUTPUT_ENV = "FAULTLAB_OUT"
-
-
-class RunError(RuntimeError):
-    pass
 
 
 def derive_seed(master: int, kind: str, tag) -> int:
@@ -129,10 +126,6 @@ def _build_model(config, train, test):
     return model, history
 
 
-def _maybe_subset(dataset, n):
-    return dataset if n is None else dataset.subset(n)
-
-
 def run(config: dict, output_override=None) -> dict:
     """Execute a validated config; returns the manifest dict."""
     kind = config["experiment"]
@@ -184,15 +177,14 @@ def _save_svg(path: Path, files: list, text: str):
 def _run_train(config, out_dir, files):
     train, test = _build_datasets(config)
     model, history = _build_model(config, train, test)
-    _emit(out_dir / "history.csv", files, ("epoch", "accuracy"),
+    _emit(out_dir / "history.csv", files, SCHEMAS["history"],
           [(k + 1, acc) for k, acc in enumerate(history)])
     ckpt = out_dir / "model.npz"
     save_model(model, ckpt)
     files.append(ckpt)
     final = evaluate(model, test, "float")
     int8 = evaluate(model, test, "int8")
-    _emit(out_dir / "summary.csv", files,
-          ("metric", "value"),
+    _emit(out_dir / "summary.csv", files, SCHEMAS["metrics"],
           [("float_accuracy", final), ("int8_accuracy", int8)])
     return {"derived_seeds": {
         "init": derive_seed(config["seed"], "train", "init"),
@@ -208,10 +200,6 @@ def _campaign_rows_to_csv(rows):
     ]
 
 
-DRAM_HEADER = ("campaign", "bit_pos", "column", "fault_count", "run_seed",
-               "accuracy", "drop_pp")
-
-
 def _run_dram_bitpos(config, out_dir, files):
     train, test = _build_datasets(config)
     model, _ = _build_model(config, train, test)
@@ -221,7 +209,7 @@ def _run_dram_bitpos(config, out_dir, files):
         model, test, counts=camp["counts"], bit_positions=tuple(camp["bit_positions"]),
         runs=camp["runs"], seed=seed, eval_samples=camp["eval_samples"],
     )
-    _emit(out_dir / "bitpos.csv", files, DRAM_HEADER, _campaign_rows_to_csv(rows))
+    _emit(out_dir / "bitpos.csv", files, SCHEMAS["dram"], _campaign_rows_to_csv(rows))
     if config["report"]["svg"]:
         series = {
             f"bit {bit}": [(count, table[(bit, count)]) for count in camp["counts"]]
@@ -244,7 +232,7 @@ def _run_dram_column(config, out_dir, files):
         grid_width=camp["grid_width"], eval_samples=camp["eval_samples"],
         track_recall=camp["track_recall"],
     )
-    _emit(out_dir / "column.csv", files, DRAM_HEADER, _campaign_rows_to_csv(rows))
+    _emit(out_dir / "column.csv", files, SCHEMAS["dram"], _campaign_rows_to_csv(rows))
     if config["report"]["svg"]:
         series = {"mean drop": sorted(mean_drops.items())}
         _save_svg(out_dir / "column.svg", files, svgplot.line_chart(
@@ -265,8 +253,7 @@ def _run_mac_sweep(config, out_dir, files):
         carry_fraction=camp["carry_fraction"], stuck_one_bias=camp["stuck_one_bias"],
         eval_samples=camp["eval_samples"],
     )
-    _emit(out_dir / "sweep.csv", files,
-          ("format", "k", "fr", "seed", "accuracy", "drop_pp"),
+    _emit(out_dir / "sweep.csv", files, SCHEMAS["sweep"],
           [(r.fmt, r.k, r.fr, r.seed, r.accuracy, r.drop_pp) for r in rows])
     if config["report"]["svg"]:
         series = {
@@ -287,7 +274,7 @@ def _run_deactivate(config, out_dir, files):
     mix = SignatureMix(critical_fraction=camp["critical_fraction"],
                        lsb_bits=camp["lsb_bits"],
                        carry_fraction=camp["carry_fraction"])
-    data = _maybe_subset(test, camp["eval_samples"])
+    data = test.subset(camp["eval_samples"])
     baseline = evaluate(model, data, camp["fmt"])
     rows, seeds = [], {}
     for k in range(camp["runs"]):
@@ -308,9 +295,7 @@ def _run_deactivate(config, out_dir, files):
         rows.append((run_seed, "deactivated", acc_after,
                      (baseline - acc_after) * 100, int(state.active.sum()),
                      len(live)))
-    _emit(out_dir / "deactivate.csv", files,
-          ("run_seed", "stage", "accuracy", "drop_pp", "active_pes",
-           "active_faulty"), rows)
+    _emit(out_dir / "deactivate.csv", files, SCHEMAS["deactivate"], rows)
     return {"derived_seeds": seeds, "baseline_accuracy": baseline}
 
 
@@ -321,7 +306,7 @@ def _run_fault_train(config, out_dir, files):
     cfg = ArrayConfig(n_row=camp["n_row"], n_col=camp["n_col"], fmt=camp["fmt"])
     mix = SignatureMix(critical_fraction=0.0, lsb_bits=camp["lsb_bits"],
                        carry_fraction=camp["carry_fraction"])
-    data = _maybe_subset(test, camp["eval_samples"])
+    data = test.subset(camp["eval_samples"])
     baseline = evaluate(model, data, camp["fmt"])
     rows, seeds = [], {}
     for k in range(camp["seeds"]):
@@ -344,10 +329,7 @@ def _run_fault_train(config, out_dir, files):
                      if loss_before > 0 else float("nan"))
         rows.append((run_seed, baseline, acc_before, acc_after, loss_before,
                      loss_after, reduction))
-    _emit(out_dir / "fault_train.csv", files,
-          ("run_seed", "baseline_accuracy", "faulty_accuracy",
-           "retrained_accuracy", "loss_before", "loss_after",
-           "relative_reduction"), rows)
+    _emit(out_dir / "fault_train.csv", files, SCHEMAS["fault_train"], rows)
     return {"derived_seeds": seeds, "baseline_accuracy": baseline}
 
 
@@ -361,9 +343,7 @@ def _run_endurance_map(config, out_dir, files):
         for j in range(cfg.n):
             rows.append((i, j, i + j, float(emap.temperature[i, j]),
                          float(emap.endurance[i, j])))
-    _emit(out_dir / "endurance.csv", files,
-          ("row", "col", "path_segments", "temperature_k", "endurance_cycles"),
-          rows)
+    _emit(out_dir / "endurance.csv", files, SCHEMAS["endurance"], rows)
     if config["report"]["svg"]:
         _save_svg(out_dir / "endurance.svg", files, svgplot.heatmap(
             emap.endurance.tolist(),
@@ -408,9 +388,7 @@ def _run_neuro_map(config, out_dir, files):
             act = graph.synapses[syn_idx].activation
             life = endurance / act if act > 0 else float("nan")
             rows.append((ci, tile, syn_idx, r, c, endurance, life))
-    _emit(out_dir / "mapping.csv", files,
-          ("cluster", "tile", "synapse", "cell_row", "cell_col", "endurance",
-           "lifetime"), rows)
+    _emit(out_dir / "mapping.csv", files, SCHEMAS["mapping"], rows)
     owned = owned_synapses(graph, mapping.clusters)
     loads = cluster_loads(graph, owned)
     fitness = mapping_fitness(graph, mapping.clusters, owned, loads, tiles,
@@ -420,7 +398,7 @@ def _run_neuro_map(config, out_dir, files):
         seeds=[derive_seed(config["seed"], "neuro-map", f"baseline{k}")
                for k in range(camp["baseline_seeds"])],
     )
-    _emit(out_dir / "summary.csv", files, ("metric", "value"), [
+    _emit(out_dir / "summary.csv", files, SCHEMAS["metrics"], [
         ("clusters", len(mapping.clusters)),
         ("min_lifetime_windows", mapping.lifetime),
         ("aging_fitness", mapping.fitness),

@@ -15,9 +15,8 @@ import numpy as np
 
 from .netcore.data import LabeledDataset
 from .netcore.inference import quant_forward, quantize_weights
-from .quantnum import Int8Tensor, byte_to_int8, int8_to_byte
-
-SIGN_BIT = 7
+from .quantnum import SIGN_BIT, Int8Tensor, byte_to_int8, int8_to_byte
+from .seeds import derived_seed
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,6 @@ def _int8_accuracy(model, dataset: LabeledDataset, weights_q) -> float:
     return float(np.mean(pred == dataset.labels))
 
 
-def _run_seed(master: int, *tags: int) -> int:
-    return int(np.random.SeedSequence(entropy=[int(master), *map(int, tags)])
-               .generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class CampaignRow:
     campaign: str
@@ -170,11 +164,11 @@ def bitpos_campaign(
     for bit_pos in bit_positions:
         for count in counts:
             for run in range(runs):
-                run_seed = _run_seed(seed, bit_pos, count, run)
+                run_seed = derived_seed(seed, bit_pos, count, run)
                 faulty = []
                 for l, grid in enumerate(grids):
                     plan = InjectionPlan(bit_pos=bit_pos, count=count,
-                                         seed=_run_seed(run_seed, l))
+                                         seed=derived_seed(run_seed, l))
                     mutated, _ = inject(grid, plan)
                     faulty.append(extract(mutated))
                 acc = _int8_accuracy(model, data, faulty)
@@ -224,7 +218,7 @@ def column_campaign(
     for column in range(grid_width):
         per_run_recall = []
         for run in range(runs):
-            run_seed = _run_seed(seed, column, run)
+            run_seed = derived_seed(seed, column, run)
             plan = InjectionPlan(bit_pos=bit_pos, count=faults_per_column,
                                  seed=run_seed, target=column)
             mutated, _ = inject(out_grid, plan)

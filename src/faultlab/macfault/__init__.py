@@ -10,6 +10,7 @@ from .faults import (
     NON_CRITICAL,
     NON_CRITICAL_LSBS,
     PRODUCT_WIDTH,
+    FaultMap,
     LogicConeFault,
     apply_fault_to_products,
     classify,
@@ -21,7 +22,6 @@ from .array import (
     ArrayState,
     DeactivationInfeasible,
     FaultStatusRegister,
-    FsrEntry,
     SignatureMix,
     build_fsr,
     deactivate,
@@ -49,9 +49,9 @@ __all__ = [
     "CRITICAL",
     "Conv2d",
     "DeactivationInfeasible",
+    "FaultMap",
     "FaultStatusRegister",
     "Flatten",
-    "FsrEntry",
     "Linear",
     "LogicConeFault",
     "NON_CRITICAL",

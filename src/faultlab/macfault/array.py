@@ -5,6 +5,13 @@ The array is weight-stationary: weight matrix entry (i, j) lives on PE
 faulty PE corrupts every product it hosts. Deactivated PEs contribute
 nothing (their weights are pruned to zero).
 
+A fault map (``faults.FaultMap``) holds the faulty PEs as parallel
+arrays ``rows, cols, stuck0, stuck1, carry`` in (row, col) order; the
+FSR, deactivation, the map file and the faulty matmul all read these
+arrays. Seeding draws every per-PE random value in bulk, indexed in
+column-major PE order (column by column, rows ascending), so a given
+seed keeps its map; the map is then reordered to row-major storage.
+
 Deactivation finds the fewest PEs to disable such that no critical-faulty
 PE stays active, the active-faulty rate is within FR_max_non_crit, and no
 two active faulty PEs are 4-neighbour adjacent. The adjacency part is a
@@ -44,18 +51,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..netcore.data import LabeledDataset
-from ..netcore.inference import exact_int_matmul, quant_forward
-from ..netcore.mlp import MlpModel
+from ..netcore.inference import exact_int_matmul, model_input, quant_forward
 from ..quantnum import int8_scale, quantize_int8
 from .faults import (
-    CRITICAL,
+    NON_CRITICAL_LSBS,
     PRODUCT_WIDTH,
     SIM,
     WORST,
+    FaultMap,
     LogicConeFault,
     _check_width,
     apply_fault_to_products,
-    classify,
 )
 
 _EXACT_COVER_LIMIT = 36
@@ -100,9 +106,13 @@ def per_column_fault_count(fr_percent: float, n_row: int) -> int:
     return int(math.floor(0.01 * fr_percent * n_row + 0.5))
 
 
-def _sample_signatures(pes, mix: SignatureMix, rng, fmt: str):
-    """Draw one fault signature per PE, with bulk rng draws for speed."""
-    n = len(pes)
+def _sample_signatures(rows, cols, mix: SignatureMix, rng, fmt: str) -> FaultMap:
+    """Draw one fault signature per PE, with bulk rng draws.
+
+    The draws are indexed in the order the PEs are given (column-major);
+    the map is stored in (row, col) order.
+    """
+    n = len(rows)
     width = PRODUCT_WIDTH[fmt]
     lsb = min(mix.lsb_bits, width)
     critical = rng.random(n) < mix.critical_fraction
@@ -114,84 +124,81 @@ def _sample_signatures(pes, mix: SignatureMix, rng, fmt: str):
     stuck = rng.random((n, width)) < mix.stuck_one_bias
     carry = rng.random(n) < mix.carry_fraction
 
-    faults = {}
-    for i, pe in enumerate(pes):
-        if critical[i] and lsb < width:
-            bits = [int(high_bits[i])]
-            if extra_low[i]:
-                bits.append(int(low_bits[i]))
-        else:
-            bits = [int(b) for b in bit_order[i, : counts[i]]]
-        cone = tuple((b, int(stuck[i, b])) for b in sorted(set(bits)))
-        faults[pe] = LogicConeFault(pe=pe, cone_bits=cone, carry_fault=bool(carry[i]))
-    return faults
+    # non-critical: the first counts[i] bits of a random order of the window;
+    # critical: one bit above the window, plus one inside it half the time
+    window = np.where(np.arange(lsb) < counts[:, None], 1 << bit_order, 0).sum(axis=1)
+    above = (1 << high_bits) | np.where(extra_low, 1 << low_bits, 0)
+    bits = np.where(critical & (lsb < width), above, window)
+    ones = (stuck << np.arange(width)).sum(axis=1)
+    order = np.lexsort((cols, rows))
+    return FaultMap(rows=rows[order], cols=cols[order], stuck0=(bits & ~ones)[order],
+                    stuck1=(bits & ones)[order], carry=carry[order])
 
 
 def seed_fault_map(config: ArrayConfig, fr_percent: float, mix: SignatureMix,
-                   seed: int) -> dict:
+                   seed: int) -> FaultMap:
     """Exactly round(0.01*FR*N_Row) faulty PEs per column at random rows."""
     if not 0.0 <= fr_percent <= 100.0:
         raise ValueError("fault rate must be a percentage in [0, 100]")
     k = per_column_fault_count(fr_percent, config.n_row)
     if k == 0:
-        return {}
+        return FaultMap.from_faults(())
     rng = np.random.default_rng(seed)
     # the k smallest of iid uniforms per column = a uniform k-subset of rows
     scores = rng.random((config.n_col, config.n_row))
-    picked = np.argpartition(scores, k - 1, axis=1)[:, :k]
-    pes = [
-        (int(row), int(col))
-        for col in range(config.n_col)
-        for row in sorted(picked[col])
-    ]
-    return _sample_signatures(pes, mix, rng, config.fmt)
+    picked = np.sort(np.argpartition(scores, k - 1, axis=1)[:, :k], axis=1)
+    cols = np.repeat(np.arange(config.n_col), k)
+    return _sample_signatures(picked.ravel(), cols, mix, rng, config.fmt)
 
 
-@dataclass(frozen=True)
-class FsrEntry:
-    pe: tuple
-    criticality: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaultStatusRegister:
-    entries: tuple
+    """Criticality of each faulty PE, in the fault map's order."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    critical: np.ndarray
     fr_max_non_crit: float
 
     def __post_init__(self):
         if not 0.0 <= self.fr_max_non_crit <= 1.0:
             raise ValueError("FR_max_non_crit must be in [0, 1]")
 
+    def __eq__(self, other):
+        return (isinstance(other, FaultStatusRegister)
+                and self.fr_max_non_crit == other.fr_max_non_crit
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("rows", "cols", "critical")))
 
-def build_fsr(fault_map: dict, fmt: str, fr_max_non_crit: float) -> FaultStatusRegister:
-    entries = tuple(
-        FsrEntry(pe=pe, criticality=classify(fault, fmt))
-        for pe, fault in sorted(fault_map.items())
-    )
-    return FaultStatusRegister(entries=entries, fr_max_non_crit=fr_max_non_crit)
+
+def build_fsr(fault_map: FaultMap, fmt: str,
+              fr_max_non_crit: float) -> FaultStatusRegister:
+    return FaultStatusRegister(rows=fault_map.rows, cols=fault_map.cols,
+                               critical=fault_map.max_bit >= NON_CRITICAL_LSBS[fmt],
+                               fr_max_non_crit=fr_max_non_crit)
 
 
 @dataclass
 class ArrayState:
     config: ArrayConfig
-    faults: dict
+    faults: FaultMap
     active: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.active is None:
             self.active = np.ones((self.config.n_row, self.config.n_col), dtype=bool)
-        for (r, c) in self.faults:
-            if not (0 <= r < self.config.n_row and 0 <= c < self.config.n_col):
-                raise ValueError(f"fault site {(r, c)} outside the array")
+        f, cfg = self.faults, self.config
+        outside = np.flatnonzero((f.rows < 0) | (f.rows >= cfg.n_row)
+                                 | (f.cols < 0) | (f.cols >= cfg.n_col))
+        if len(outside):
+            raise ValueError(f"fault site {list(f)[outside[0]]} outside the array")
+        if len(f):
+            _check_width(int(f.max_bit.max()), cfg.fmt)
 
     def active_faulty(self) -> list:
-        return [pe for pe in sorted(self.faults) if self.active[pe]]
-
-    def rate_active_faulty(self) -> float:
-        total = int(self.active.sum())
-        if total == 0:
-            return 0.0
-        return len(self.active_faulty()) / total
+        live = self.active[self.faults.rows, self.faults.cols]
+        rows, cols = self.faults.rows[live], self.faults.cols[live]
+        return list(zip(rows.tolist(), cols.tolist()))
 
 
 class DeactivationInfeasible(RuntimeError):
@@ -283,28 +290,26 @@ def deactivate(state: ArrayState, fsr: FaultStatusRegister) -> np.ndarray:
     Returns a new mask; the input state is not modified. Raises
     DeactivationInfeasible when the constraints would disable every PE.
     """
-    fault_pes = set(state.faults)
-    fsr_pes = {e.pe for e in fsr.entries}
-    if fsr_pes != fault_pes:
+    faults = state.faults
+    if not (np.array_equal(fsr.rows, faults.rows)
+            and np.array_equal(fsr.cols, faults.cols)):
         raise ValueError("FSR entries do not match the fault map")
 
     active = state.active.copy()
-    critical = {e.pe for e in fsr.entries if e.criticality == CRITICAL}
-    for pe in critical:
-        active[pe] = False
+    active[fsr.rows[fsr.critical], fsr.cols[fsr.critical]] = False
 
     shape = (state.config.n_row, state.config.n_col)
-    live_faulty = [pe for pe in sorted(fault_pes) if active[pe]]
+    live = active[faults.rows, faults.cols]
+    live_faulty = zip(faults.rows[live].tolist(), faults.cols[live].tolist())
     for pe in min_adjacency_cover(live_faulty, shape):
         active[pe] = False
 
-    live_faulty = [pe for pe in sorted(fault_pes) if active[pe]]
+    live = np.flatnonzero(active[faults.rows, faults.cols])
     n_active = int(active.sum())
-    n_faulty = len(live_faulty)
+    n_faulty = len(live)
     idx = 0
     while n_active > 0 and n_faulty / n_active > fsr.fr_max_non_crit:
-        pe = live_faulty[idx]
-        active[pe] = False
+        active[faults.rows[live[idx]], faults.cols[live[idx]]] = False
         idx += 1
         n_active -= 1
         n_faulty -= 1
@@ -332,7 +337,8 @@ def _column_runs(sorted_cols):
 class _Group:
     """The sites of one fault signature in a layer, in PE order."""
 
-    fault: LogicConeFault
+    fault: LogicConeFault | None  # bfloat16 only
+    carry: int  # 2^(max_bit+1) if the signature has a carry fault, else 0
     ii: np.ndarray
     jj: np.ndarray
     order: np.ndarray  # stable sort of the sites by column
@@ -360,63 +366,50 @@ class _LayerPlan:
     groups: tuple  # one _Group per signature, in order of first appearance
 
 
-def _fault_table(state: ArrayState) -> dict:
-    """Active faulty PEs in sorted order, as parallel arrays."""
-    pes = [pe for pe in sorted(state.faults) if state.active[pe]]
-    faults = [state.faults[pe] for pe in pes]
-    sig_ids, by_sig = {}, []
-    for fault in faults:
-        if fault.signature not in sig_ids:
-            _check_width(fault, state.config.fmt)
-            sig_ids[fault.signature] = len(by_sig)
-            ones = sum(1 << b for b, v in fault.cone_bits if v)
-            zeros = sum(1 << b for b, v in fault.cone_bits if not v)
-            carry = 1 << (fault.max_bit + 1) if fault.carry_fault else 0
-            by_sig.append((~zeros, ones, carry, fault.max_bit))
-    sig = np.array([sig_ids[f.signature] for f in faults], dtype=np.intp)
-    per_pe = np.array(by_sig, dtype=np.int64).reshape(-1, 4)[sig]
-    table = dict(zip(("and_mask", "or_mask", "carry", "max_bit"), per_pe.T))
-    table.update(row=np.array([r for r, _ in pes], dtype=np.intp),
-                 col=np.array([c for _, c in pes], dtype=np.intp),
-                 sig=sig, faults=faults)
-    return table
-
-
-def _layer_plan(shape, state: ArrayState, pes: dict) -> _LayerPlan:
+def _layer_plan(shape, state: ArrayState) -> _LayerPlan:
     """Pruning mask and fault sites of one weight matrix on the array."""
     fan_in, fan_out = shape
     n_row, n_col = state.config.n_row, state.config.n_col
     tiles_r = -(-fan_in // n_row)
     tiles_c = -(-fan_out // n_col)
     mask = np.tile(state.active, (tiles_r, tiles_c))[:fan_in, :fan_out]
-    # each PE's sites, row tile major, in the order PEs are listed
+    faults = state.faults
+    live = np.flatnonzero(state.active[faults.rows, faults.cols])
+    # each active faulty PE's sites, row tile major, in the map's order
     rows, cols = np.broadcast_arrays(
-        pes["row"][:, None, None] + n_row * np.arange(tiles_r)[:, None],
-        pes["col"][:, None, None] + n_col * np.arange(tiles_c),
+        faults.rows[live, None, None] + n_row * np.arange(tiles_r)[:, None],
+        faults.cols[live, None, None] + n_col * np.arange(tiles_c),
     )
     hosted = (rows < fan_in) & (cols < fan_out)
-    pe_of = np.nonzero(hosted)[0]
+    pe_of = live[np.nonzero(hosted)[0]]  # the map index of each site
     ii, jj = rows[hosted], cols[hosted]
+    max_bit = faults.max_bit
+    carry = np.where(faults.carry, 1 << (max_bit + 1), 0)
 
     groups = []
     if len(pe_of):
         # group order: first appearance among the PEs hosting this layer
-        _, first, inverse = np.unique(pes["sig"][pe_of], return_index=True,
+        # stuck bits lie below 16, the widest product (ArrayState checks it)
+        signature = faults.stuck0 << 17 | faults.stuck1 << 1 | faults.carry
+        _, first, inverse = np.unique(signature[pe_of], return_index=True,
                                       return_inverse=True)
         gid = np.argsort(np.argsort(first))[inverse.ravel()]
         by_gid = np.argsort(gid, kind="stable")
         for sel in np.split(by_gid, np.cumsum(np.bincount(gid))[:-1]):
             order = np.argsort(jj[sel], kind="stable")
             starts, gcols = _column_runs(jj[sel][order])
-            groups.append(_Group(pes["faults"][pe_of[sel[0]]], ii[sel], jj[sel],
-                                 order, starts, gcols))
+            i = pe_of[sel[0]]
+            fault = (faults[faults.rows[i], faults.cols[i]]
+                     if state.config.fmt == "bfloat16" else None)
+            groups.append(_Group(fault, int(carry[i]), ii[sel], jj[sel], order,
+                                 starts, gcols))
 
     by_col = np.argsort(jj, kind="stable")
     site_pe = pe_of[by_col]
     starts, run_cols = _column_runs(jj[by_col])
     # residue classes of the operand: its sign, and |a| mod 2^m below the
     # highest stuck bit m-1 of the layer; m >= 8 leaves every int8 value apart
-    m = int(pes["max_bit"][pe_of].max()) + 1 if len(pe_of) else 0
+    m = int(max_bit[pe_of].max()) + 1 if len(pe_of) else 0
     values = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.int64)
     key = np.sign(values) * (1 + np.abs(values) % (1 << m))
     _, first, lut = np.unique(key, return_index=True, return_inverse=True)
@@ -425,10 +418,10 @@ def _layer_plan(shape, state: ArrayState, pes: dict) -> _LayerPlan:
                         dtype=np.int32 if n_flat < 2**31 else np.int64)
     return _LayerPlan(
         mask=mask, disabled=np.flatnonzero(~mask), ii=ii[by_col], jj=jj[by_col],
-        and_mask=pes["and_mask"][site_pe], or_mask=pes["or_mask"][site_pe],
-        carry=pes["carry"][site_pe], starts=starts, cols=run_cols,
+        and_mask=~faults.stuck0[site_pe], or_mask=faults.stuck1[site_pe],
+        carry=carry[site_pe], starts=starts, cols=run_cols,
         lut=lut.ravel().astype(np.uint8), reps=values[first], offsets=offsets,
-        carry_bias=np.bincount(jj, weights=pes["carry"][pe_of],
+        carry_bias=np.bincount(jj, weights=carry[pe_of],
                                minlength=fan_out).astype(np.int64),
         groups=tuple(groups),
     )
@@ -481,10 +474,10 @@ def _int8_correction(plan: _LayerPlan, aq, w_sites, mode: str, rng):
             raise ValueError("simulation mode needs an rng for the carry sign")
         # a carry of weight c adds c * (2 * up - 1); draws as apply_fault_to_products
         for g in plan.groups:
-            if g.fault.carry_fault:
+            if g.carry:
                 ups = rng.integers(0, 2, size=(n, len(g.ii)))[:, g.order]
                 ups = np.add.reduceat(ups, g.starts, axis=1)
-                corr[g.cols] += (2 << (g.fault.max_bit + 1)) * ups.T
+                corr[g.cols] += 2 * g.carry * ups.T
         corr -= plan.carry_bias[:, None]
     return corr
 
@@ -504,8 +497,7 @@ def faulty_matmul_factory(state: ArrayState, weight_shapes, mode: str, rng,
         raise ValueError(f"mode must be '{SIM}' or '{WORST}'")
     if error_only and fmt != "int8":
         raise ValueError("error_only needs the int8 format")
-    pes = _fault_table(state)
-    plans = [_layer_plan(shape, state, pes) for shape in weight_shapes]
+    plans = [_layer_plan(shape, state) for shape in weight_shapes]
     # error_only: the weights on deactivated PEs, refilled on each call
     w_offs = [np.zeros(shape) for shape in weight_shapes] if error_only else None
 
@@ -546,9 +538,6 @@ def run_array(model, state: ArrayState, dataset: LabeledDataset, mode: str = "si
         raise ValueError("cannot evaluate on an empty dataset")
     rng = np.random.default_rng(seed)
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights], mode, rng)
-    if isinstance(model, MlpModel):
-        x = data.flat_float()
-    else:
-        x = data.images.astype(np.float64)[..., None] / 255.0
-    logits = quant_forward(model, x, fmt=state.config.fmt, matmul_fn=matmul)
+    logits = quant_forward(model, model_input(model, data), fmt=state.config.fmt,
+                           matmul_fn=matmul)
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))

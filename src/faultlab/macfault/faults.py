@@ -13,6 +13,7 @@ product (7 stored mantissa bits).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,73 @@ class LogicConeFault:
         return (self.cone_bits, self.carry_fault)
 
 
+def cone_bits(stuck0: int, stuck1: int) -> tuple:
+    """((bit, stuck value), ...) of the bits set in two disjoint masks."""
+    bits = stuck0 | stuck1
+    return tuple((b, stuck1 >> b & 1) for b in range(bits.bit_length()) if bits >> b & 1)
+
+
+@dataclass(frozen=True, eq=False)
+class FaultMap(Mapping):
+    """The faulty PEs of one array, as parallel arrays in (row, col) order.
+
+    PE i sticks the product bits set in ``stuck0[i]`` at 0 and those in
+    ``stuck1[i]`` at 1 (disjoint masks, not both empty); ``carry[i]``
+    flags a carry fault one bit above its highest stuck bit. As a mapping
+    it reads ``(row, col) -> LogicConeFault``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    stuck0: np.ndarray
+    stuck1: np.ndarray
+    carry: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.rows, self.cols, self.stuck0, self.stuck1, self.carry):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_faults(cls, faults) -> "FaultMap":
+        """The map of scalar faults, each keyed by its ``pe``."""
+        faults = sorted(faults, key=lambda f: f.pe)
+        for a, b in zip(faults, faults[1:]):
+            if a.pe == b.pe:
+                raise ValueError(f"duplicate fault for PE {a.pe}")
+        widest = max(PRODUCT_WIDTH.values())
+        for f in faults:
+            if f.max_bit >= widest:
+                raise ValueError(f"cone bit {f.max_bit} outside every product width")
+        pes = np.array([f.pe for f in faults], dtype=np.intp).reshape(-1, 2)
+        masks = np.array([[sum((v == s) << b for b, v in f.cone_bits) for s in (0, 1)]
+                          for f in faults], dtype=np.int64).reshape(-1, 2)
+        return cls(rows=pes[:, 0], cols=pes[:, 1], stuck0=masks[:, 0],
+                   stuck1=masks[:, 1],
+                   carry=np.array([f.carry_fault for f in faults], dtype=bool))
+
+    @property
+    def max_bit(self) -> np.ndarray:
+        """Highest stuck bit of each PE."""
+        return np.frexp(self.stuck0 | self.stuck1)[1].astype(np.int64) - 1
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return zip(self.rows.tolist(), self.cols.tolist())
+
+    def __getitem__(self, pe) -> LogicConeFault:
+        hit = np.flatnonzero((self.rows == pe[0]) & (self.cols == pe[1]))
+        if not len(hit):
+            raise KeyError(pe)
+        i = hit[0]
+        return LogicConeFault(
+            pe=(int(pe[0]), int(pe[1])),
+            cone_bits=cone_bits(int(self.stuck0[i]), int(self.stuck1[i])),
+            carry_fault=bool(self.carry[i]),
+        )
+
+
 def worst_case_error(k: int) -> int:
     """Error bound for faults on bits <= k with carry: 2^(k+2) - 1."""
     if k < 0:
@@ -70,12 +138,10 @@ def worst_case_error(k: int) -> int:
     return (1 << (k + 2)) - 1
 
 
-def _check_width(fault: LogicConeFault, fmt: str):
+def _check_width(max_bit: int, fmt: str):
     width = PRODUCT_WIDTH[fmt]
-    if fault.max_bit >= width:
-        raise ValueError(
-            f"cone bit {fault.max_bit} outside {fmt} product width {width}"
-        )
+    if max_bit >= width:
+        raise ValueError(f"cone bit {max_bit} outside {fmt} product width {width}")
 
 
 def classify(fault: LogicConeFault, fmt: str = "int8") -> str:
@@ -86,7 +152,7 @@ def classify(fault: LogicConeFault, fmt: str = "int8") -> str:
     stays within the next bit's bound, so carry does not make a fault
     critical on its own.
     """
-    _check_width(fault, fmt)
+    _check_width(fault.max_bit, fmt)
     return NON_CRITICAL if fault.max_bit < NON_CRITICAL_LSBS[fmt] else CRITICAL
 
 
@@ -95,7 +161,7 @@ def apply_fault_to_products(products, fault: LogicConeFault, fmt: str = "int8",
     """Vectorized faulty product values for an array of exact products."""
     if mode not in (SIM, WORST):
         raise ValueError(f"mode must be '{SIM}' or '{WORST}'")
-    _check_width(fault, fmt)
+    _check_width(fault.max_bit, fmt)
     if fmt == "int8":
         return _apply_int8(np.asarray(products), fault, mode, rng)
     return _apply_bf16(np.asarray(products, dtype=np.float64), fault, mode, rng)

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from .array import ArrayConfig, FaultStatusRegister, FsrEntry
-from .faults import LogicConeFault
+from .array import ArrayConfig, FaultStatusRegister
+from .faults import CRITICAL, NON_CRITICAL, FaultMap, LogicConeFault, cone_bits
 
 FORMAT_TAG = "faultlab-faultmap/1"
 
 
-def save_fault_map(path, config: ArrayConfig, fault_map: dict,
+def save_fault_map(path, config: ArrayConfig, fault_map: FaultMap,
                    fsr: FaultStatusRegister | None = None, seed: int | None = None):
     doc = {
         "format": FORMAT_TAG,
@@ -29,19 +30,18 @@ def save_fault_map(path, config: ArrayConfig, fault_map: dict,
         "seed": seed,
         "fr_max_non_crit": None if fsr is None else fsr.fr_max_non_crit,
         "faults": [
-            {
-                "row": pe[0],
-                "col": pe[1],
-                "cone_bits": [[b, v] for b, v in fault.cone_bits],
-                "carry": fault.carry_fault,
-            }
-            for pe, fault in sorted(fault_map.items())
+            {"row": r, "col": c, "cone_bits": [list(b) for b in cone_bits(zeros, ones)],
+             "carry": carry}
+            for r, c, zeros, ones, carry in zip(*(a.tolist() for a in (
+                fault_map.rows, fault_map.cols, fault_map.stuck0, fault_map.stuck1,
+                fault_map.carry)))
         ],
     }
     if fsr is not None:
         doc["fsr"] = [
-            {"row": e.pe[0], "col": e.pe[1], "criticality": e.criticality}
-            for e in fsr.entries
+            {"row": r, "col": c, "criticality": CRITICAL if crit else NON_CRITICAL}
+            for r, c, crit in zip(fsr.rows.tolist(), fsr.cols.tolist(),
+                                  fsr.critical.tolist())
         ]
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
 
@@ -53,20 +53,22 @@ def load_fault_map(path):
         raise ValueError(f"{path}: not a {FORMAT_TAG} document")
     cfg = doc["config"]
     config = ArrayConfig(n_row=cfg["n_row"], n_col=cfg["n_col"], fmt=cfg["fmt"])
-    fault_map = {}
-    for item in doc.get("faults", []):
-        pe = (int(item["row"]), int(item["col"]))
-        fault_map[pe] = LogicConeFault(
-            pe=pe,
+    fault_map = FaultMap.from_faults(
+        LogicConeFault(
+            pe=(int(item["row"]), int(item["col"])),
             cone_bits=tuple((int(b), int(v)) for b, v in item["cone_bits"]),
             carry_fault=bool(item["carry"]),
         )
+        for item in doc.get("faults", [])
+    )
     fsr = None
     if "fsr" in doc:
-        entries = tuple(
-            FsrEntry(pe=(int(e["row"]), int(e["col"])), criticality=e["criticality"])
-            for e in doc["fsr"]
+        entries = doc["fsr"]
+        pes = np.array([(int(e["row"]), int(e["col"])) for e in entries],
+                       dtype=np.intp).reshape(-1, 2)
+        fsr = FaultStatusRegister(
+            rows=pes[:, 0], cols=pes[:, 1],
+            critical=np.array([e["criticality"] == CRITICAL for e in entries], bool),
+            fr_max_non_crit=float(doc["fr_max_non_crit"]),
         )
-        fsr = FaultStatusRegister(entries=entries,
-                                  fr_max_non_crit=float(doc["fr_max_non_crit"]))
     return config, fault_map, fsr, doc.get("seed")

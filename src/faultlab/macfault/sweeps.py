@@ -8,6 +8,7 @@ import numpy as np
 
 from ..netcore.data import LabeledDataset
 from ..netcore.inference import evaluate
+from ..seeds import derived_seed
 from .array import ArrayConfig, ArrayState, SignatureMix, run_array, seed_fault_map
 
 
@@ -19,11 +20,6 @@ class SweepRow:
     seed: int
     accuracy: float
     drop_pp: float
-
-
-def _derived_seed(master: int, *tags) -> int:
-    return int(np.random.SeedSequence(entropy=[int(master), *map(int, tags)])
-               .generate_state(1)[0])
 
 
 def lsb_sensitivity_sweep(
@@ -54,7 +50,7 @@ def lsb_sensitivity_sweep(
                            stuck_one_bias=stuck_one_bias)
         for fr in fr_grid:
             for run in range(runs):
-                run_seed = _derived_seed(seed, k, round(fr * 100), run)
+                run_seed = derived_seed(seed, k, round(fr * 100), run)
                 faults = seed_fault_map(config, fr, mix, seed=run_seed)
                 state = ArrayState(config=config, faults=faults)
                 acc = run_array(model, state, data, mode=mode, seed=run_seed)

@@ -10,7 +10,6 @@ from .data import (
     TruncatedError,
     WrongMagicError,
     load_idx,
-    load_idx_pair,
     synthetic_blobs,
 )
 from .mlp import MlpModel, init_mlp
@@ -34,7 +33,6 @@ __all__ = [
     "init_lenet5",
     "init_mlp",
     "load_idx",
-    "load_idx_pair",
     "load_model",
     "quant_forward",
     "save_model",

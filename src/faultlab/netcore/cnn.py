@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import softmax  # noqa: F401  (re-exported for symmetry)
+from .mlp import softmax
 
 
 @dataclass(frozen=True)

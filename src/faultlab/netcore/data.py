@@ -58,15 +58,12 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def num_pixels(self) -> int:
-        return int(self.images.shape[1] * self.images.shape[2])
-
     def flat_float(self) -> np.ndarray:
         """Images flattened to (N, H*W) floats in [0, 1]."""
         return self.images.reshape(len(self), -1).astype(np.float64) / 255.0
 
-    def subset(self, n: int) -> "LabeledDataset":
+    def subset(self, n: int | None) -> "LabeledDataset":
+        """The first n samples (all of them when n is None)."""
         return LabeledDataset(self.images[:n], self.labels[:n])
 
     def class_frequency(self, label: int) -> float:
@@ -112,10 +109,6 @@ def load_idx(image_path, label_path) -> LabeledDataset:
         raise CountMismatchError(f"{n_img} images but {n_lbl} labels")
     images = pixels.reshape(n_img, h, w)
     return LabeledDataset(images=images, labels=labels.astype(np.int64))
-
-
-def load_idx_pair(train_images, train_labels, test_images, test_labels):
-    return load_idx(train_images, train_labels), load_idx(test_images, test_labels)
 
 
 def synthetic_blobs(

@@ -25,15 +25,7 @@ from ..quantnum import (
     quantize_int8,
     round_half_away,
 )
-from .cnn import (
-    ConvStage,
-    DenseStage,
-    FlattenStage,
-    PoolStage,
-    SmallCnnModel,
-    cnn_forward,
-    im2col,
-)
+from .cnn import cnn_forward
 from .data import LabeledDataset
 from .mlp import MlpModel, mlp_forward
 
@@ -67,7 +59,7 @@ def forward_float(model, x: np.ndarray) -> np.ndarray:
     return cnn_forward(model, x)[0]
 
 
-def _model_input(model, dataset: LabeledDataset) -> np.ndarray:
+def model_input(model, dataset: LabeledDataset) -> np.ndarray:
     if isinstance(model, MlpModel):
         return dataset.flat_float()
     return dataset.images.astype(np.float64)[..., None] / 255.0
@@ -115,7 +107,7 @@ def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    x = _model_input(model, dataset)
+    x = model_input(model, dataset)
     if mode == "float":
         logits = forward_float(model, x)
     else:
@@ -153,26 +145,20 @@ def argmax_agreement(model, dataset: LabeledDataset, mode_a: str, mode_b: str) -
     """Fraction of samples where two numeric modes agree on the argmax."""
     if len(dataset) == 0:
         raise ValueError("cannot compare on an empty dataset")
-    x = _model_input(model, dataset)
+    x = model_input(model, dataset)
     la = forward_float(model, x) if mode_a == "float" else quant_forward(model, x, mode_a)
     lb = forward_float(model, x) if mode_b == "float" else quant_forward(model, x, mode_b)
     return float(np.mean(np.argmax(la, axis=1) == np.argmax(lb, axis=1)))
 
 
-# Re-exported names used by fault modules when tiling conv layers.
 __all__ = [
-    "ConvStage",
-    "DenseStage",
-    "FlattenStage",
-    "PoolStage",
-    "SmallCnnModel",
     "MODES",
     "argmax_agreement",
     "evaluate",
     "exact_int_matmul",
     "forward_float",
     "forward_hooked",
-    "im2col",
+    "model_input",
     "quant_forward",
     "quantize_activations",
     "quantize_weights",

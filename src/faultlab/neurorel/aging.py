@@ -88,18 +88,6 @@ def isi(spike_times, window: float) -> float:
     return window / len(spikes)
 
 
-def mttf_hci(v: float, t: float):
-    """Hot-carrier injection lifetime — intentionally unimplemented.
-
-    Silicon-characterized HCI models for scaled nodes are not yet
-    available the way TDDB/BTI models are; this placeholder keeps the
-    failure-mechanism surface explicit instead of inventing constants.
-    """
-    raise NotImplementedError(
-        "no silicon-characterized HCI model is available; use TDDB/BTI"
-    )
-
-
 def aging_fitness(stresses, tddb: TddbParams, bti: BtiParams) -> float:
     """Series-system failure-rate aggregate over tile stress profiles.
 

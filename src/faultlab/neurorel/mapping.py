@@ -16,7 +16,7 @@ import numpy as np
 from .aging import BtiParams, StressProfile, TddbParams, aging_fitness
 from .crossbar import EnduranceMap
 from .placement import effective_lifetime, place_synapses
-from .partition import cut_cost, kl_partition
+from .partition import cluster_owner, cut_cost, kl_partition
 from .pso import PsoConfig, pso_assign
 from .workload import SnnWorkloadGraph
 
@@ -42,10 +42,7 @@ class TileMapping:
 
 
 def owned_synapses(graph: SnnWorkloadGraph, clusters) -> list:
-    owner = {}
-    for k, cluster in enumerate(clusters):
-        for nid in cluster:
-            owner[nid] = k
+    owner = cluster_owner(clusters)
     out = [[] for _ in clusters]
     for idx, s in enumerate(graph.synapses):
         out[owner[s.dst]].append(idx)
@@ -73,10 +70,7 @@ def mapping_fitness(graph: SnnWorkloadGraph, clusters, owned, loads, tiles,
     """Fitness callable over cluster->tile assignments (lower is better)."""
     inter = None
     if comm_weight > 0:
-        owner = {}
-        for k, cluster in enumerate(clusters):
-            for nid in cluster:
-                owner[nid] = k
+        owner = cluster_owner(clusters)
         inter = [
             (owner[s.src], owner[s.dst], s.activation)
             for s in graph.synapses

@@ -24,12 +24,14 @@ def _weight_matrix(graph: SnnWorkloadGraph):
     return ids, w
 
 
+def cluster_owner(clusters) -> dict:
+    """Neuron id -> index of the cluster holding it."""
+    return {nid: k for k, cluster in enumerate(clusters) for nid in cluster}
+
+
 def cut_cost(graph: SnnWorkloadGraph, clusters) -> float:
     """Total activation on synapses whose endpoints sit in different clusters."""
-    owner = {}
-    for k, cluster in enumerate(clusters):
-        for nid in cluster:
-            owner[nid] = k
+    owner = cluster_owner(clusters)
     return float(
         sum(s.activation for s in graph.synapses if owner[s.src] != owner[s.dst])
     )

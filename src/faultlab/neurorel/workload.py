@@ -8,7 +8,7 @@ workload; spiking dynamics are not simulated here. File format
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

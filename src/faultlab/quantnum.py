@@ -79,10 +79,6 @@ def quantize_int8(values, scale: float | None = None) -> Int8Tensor:
     return Int8Tensor(raw=raw.astype(np.int8), scale=float(scale))
 
 
-def dequantize_int8(tensor: Int8Tensor) -> np.ndarray:
-    return tensor.dequantize()
-
-
 def _check_pos(pos: int, width: int):
     if not 0 <= pos < width:
         raise ValueError(f"bit position {pos} out of range for {width}-bit word")

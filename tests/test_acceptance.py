@@ -21,6 +21,7 @@ from faultlab import dramfault
 from faultlab.macfault import (
     ArrayConfig,
     ArrayState,
+    FaultMap,
     LogicConeFault,
     SignatureMix,
     alexnet_descriptor,
@@ -330,10 +331,9 @@ def test_c6_deactivation_protocol():
             fault_mask = 0
             for b in cells:
                 fault_mask |= 1 << b
-            faults = {
-                divmod(b, 4): LogicConeFault(pe=divmod(b, 4), cone_bits=((0, 1),))
-                for b in cells
-            }
+            faults = FaultMap.from_faults(
+                LogicConeFault(pe=divmod(b, 4), cone_bits=((0, 1),)) for b in cells
+            )
             state = ArrayState(config=cfg, faults=faults)
             mask = deactivate(state, build_fsr(faults, "int8", fr_max))
             got = 16 - int(mask.sum())
@@ -349,7 +349,7 @@ def test_c6_deactivation_protocol():
     state = ArrayState(config=big, faults=faults)
     fsr = build_fsr(faults, "int8", fr_max_non_crit=0.03)
     mask = deactivate(state, fsr)
-    crit = {e.pe for e in fsr.entries if e.criticality == "critical"}
+    crit = set(zip(fsr.rows[fsr.critical].tolist(), fsr.cols[fsr.critical].tolist()))
     live = {pe for pe in faults if mask[pe]}
     assert not (live & crit)
     assert len(live) / mask.sum() <= 0.03

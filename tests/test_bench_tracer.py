@@ -1,0 +1,75 @@
+"""The benchmark tracer's contract with the program.
+
+``perfbench/spans.py`` wraps faultlab functions by module and name, and its
+counters read their arguments and results: ``len(faults)``, ``for pe in
+state.faults``, ``state.active[pe]`` and the parameter names ``state``,
+``weight_shapes``, ``dataset`` and ``eval_samples``. A change that breaks
+any of these fails here instead of in a benchmark run.
+"""
+
+import functools
+import sys
+from pathlib import Path
+
+import pytest
+
+from faultlab.cli.config import validate
+from faultlab.cli.runner import run
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+ARRAY = {"n_row": 16, "n_col": 16, "eval_samples": 200}
+CAMPAIGNS = {
+    "mac-sweep": {"k_values": [2], "fr_grid": [7.5, 25.0], "runs": 1,
+                  "carry_fraction": 0.5, **ARRAY},
+    "deactivate": {"fr": 25.0, "runs": 2, **ARRAY},
+    "fault-train": {"fr": 25.0, "seeds": 1, "retrain_epochs": 1, **ARRAY},
+}
+
+
+def _record(monkeypatch, module: str, attr: str) -> list:
+    """Results of every call to a faultlab function, at each module binding it."""
+    original = getattr(sys.modules[module], attr)
+    results = []
+
+    @functools.wraps(original)
+    def recorder(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for name, m in list(sys.modules.items()):
+        if name.startswith("faultlab") and getattr(m, attr, None) is original:
+            monkeypatch.setattr(m, attr, recorder)
+    return results
+
+
+def _count(tracer, name: str, key: str) -> int:
+    return sum(s.counts.get(key, 0) for s in tracer.spans if s.name == name)
+
+
+@pytest.mark.parametrize("kind", sorted(CAMPAIGNS))
+def test_traced_run_counts_match_returned_maps(tmp_path, monkeypatch, kind):
+    maps = _record(monkeypatch, "faultlab.macfault.array", "seed_fault_map")
+    masks = _record(monkeypatch, "faultlab.macfault.array", "deactivate")
+    cfg, errors = validate({
+        "experiment": kind,
+        "seed": 3,
+        "model": {"layers": [64, 16, 10]},
+        "dataset": {"train": 200, "test": 200, "size": 8},
+        "train": {"epochs": 1},
+        "campaign": CAMPAIGNS[kind],
+        "report": {"svg": False},
+    })
+    assert not errors
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        run(cfg, output_override=tmp_path / "out")
+
+    assert maps and all(len(m) for m in maps)
+    assert _count(tracer, "macfault.array.seed_fault_map", "faulty_pes") == sum(
+        len(m) for m in maps)
+    assert _count(tracer, "macfault.array.deactivate", "pes_disabled") == sum(
+        int(mask.size - mask.sum()) for mask in masks)
+    assert len(masks) == {"mac-sweep": 0, "deactivate": 2, "fault-train": 1}[kind]
+    assert _count(tracer, "macfault.array.faulty_matmul.L0", "corrupted_products") > 0

@@ -1,6 +1,7 @@
 """CLI tests: validation, determinism, cleanup, reporting, exit codes."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,46 @@ def test_validate_missing_dataset_file_names_path(tmp_path):
     assert cfg is None
     assert any("nope-images.idx" in e for e in errors)
     assert sum("file not found" in e for e in errors) == 4
+
+
+def test_run_idx_dataset_from_config_file(tmp_path, monkeypatch, rng):
+    # relative IDX paths resolve against the config file, not the cwd
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for split, n in (("train", 60), ("test", 30)):
+        images = rng.integers(0, 256, size=(n, 8, 8)).astype(np.uint8)
+        labels = rng.integers(0, 10, size=n).astype(np.uint8)
+        (data_dir / f"{split}-images.idx").write_bytes(
+            struct.pack(">iiii", 0x803, n, 8, 8) + images.tobytes())
+        (data_dir / f"{split}-labels.idx").write_bytes(
+            struct.pack(">ii", 0x801, n) + labels.tobytes())
+    doc = {
+        "experiment": "train",
+        "seed": 4,
+        "model": {"layers": [64, 8, 10]},
+        "dataset": {"kind": "idx", **{
+            f"{split}_{part}": f"data/{split}-{part}.idx"
+            for split in ("train", "test") for part in ("images", "labels")}},
+        "train": {"epochs": 1},
+        "report": {"svg": False},
+    }
+    path = _write_config(tmp_path, doc)
+    cfg, errors = load_config(path)
+    assert not errors
+    assert cfg["dataset"]["test_images"] == str(data_dir / "test-images.idx")
+    monkeypatch.chdir(data_dir)
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "history.csv").read_text().strip().splitlines()
+    assert len(rows) == 2
+
+
+def test_validate_stores_checkpoint_path_resolved(tmp_path):
+    save_model(init_mlp((784, 16, 10), seed=0), tmp_path / "model.npz")
+    path = _write_config(tmp_path, {"experiment": "mac-sweep",
+                                    "model": {"checkpoint": "model.npz"}})
+    cfg, errors = load_config(path)
+    assert not errors
+    assert cfg["model"]["checkpoint"] == str(tmp_path / "model.npz")
 
 
 def test_config_roundtrip():

@@ -10,8 +10,8 @@ from faultlab.macfault import (
     ArrayConfig,
     ArrayState,
     DeactivationInfeasible,
+    FaultMap,
     FaultStatusRegister,
-    FsrEntry,
     LogicConeFault,
     SignatureMix,
     build_fsr,
@@ -83,19 +83,66 @@ def test_signature_mix_confinement():
         assert not fault.carry_fault
 
 
+@pytest.mark.parametrize("lsb_bits", [1, 2, 4, 7, 20])
+@pytest.mark.parametrize("fmt", ["int8", "bfloat16"])
+def test_seed_fault_map_matches_frozen_per_pe_seeding(fmt, lsb_bits):
+    # same PEs, signatures and carry flags as the per-PE loop, stored row-major;
+    # lsb_bits 7 and 20 reach or pass the product width of one or both formats
+    from frozen_seeding import seed_fault_map as frozen_seed
+
+    cfg = ArrayConfig(n_row=40, n_col=24, fmt=fmt)
+    for fr, crit, carry, seed in itertools.product(
+            (2.5, 7.5, 25), (0.0, 0.1, 1.0), (0.0, 0.5), range(3)):
+        mix = SignatureMix(critical_fraction=crit, lsb_bits=lsb_bits,
+                           carry_fraction=carry)
+        faults = seed_fault_map(cfg, fr, mix, seed=seed)
+        expected = frozen_seed(cfg, fr, mix, seed=seed)
+        assert faults == expected
+        assert list(faults) == sorted(expected)
+
+
+def test_fault_map_reads_as_a_mapping():
+    faults = FaultMap.from_faults([_crit((2, 1)), _non_crit((0, 3), carry=True)])
+    assert list(faults) == [(0, 3), (2, 1)]
+    assert faults[2, 1] == _crit((2, 1))
+    assert faults.get((1, 1)) is None and (0, 3) in faults
+    assert faults.max_bit.tolist() == [0, 7]
+    assert faults.carry.tolist() == [True, False]
+
+
+def test_fault_map_rejects_duplicate_pe():
+    with pytest.raises(ValueError, match=r"duplicate fault for PE \(1, 2\)"):
+        FaultMap.from_faults([_non_crit((1, 2)), _crit((1, 2))])
+
+
+def test_array_state_rejects_cone_bit_beyond_product_width():
+    faults = FaultMap.from_faults([_non_crit((0, 0)), _crit((1, 1))])
+    ArrayState(config=ArrayConfig(n_row=4, n_col=4), faults=faults)
+    with pytest.raises(ValueError, match="cone bit 7 outside bfloat16 product width 7"):
+        ArrayState(config=ArrayConfig(n_row=4, n_col=4, fmt="bfloat16"), faults=faults)
+    with pytest.raises(ValueError, match="outside every product width"):
+        FaultMap.from_faults([LogicConeFault(pe=(0, 0), cone_bits=((16, 1),))])
+
+
+def test_array_state_rejects_fault_outside_array():
+    with pytest.raises(ValueError, match=r"fault site \(4, 0\) outside the array"):
+        ArrayState(config=ArrayConfig(n_row=4, n_col=4),
+                   faults=FaultMap.from_faults([_non_crit((4, 0))]))
+
+
 # --- FSR and deactivation ----------------------------------------------------
 
 
 def test_build_fsr_classifies_each_entry():
-    faults = {(0, 0): _non_crit((0, 0)), (1, 1): _crit((1, 1))}
+    faults = FaultMap.from_faults([_non_crit((0, 0)), _crit((1, 1))])
     fsr = build_fsr(faults, "int8", fr_max_non_crit=0.5)
-    by_pe = {e.pe: e.criticality for e in fsr.entries}
-    assert by_pe == {(0, 0): "non-critical", (1, 1): "critical"}
+    by_pe = dict(zip(zip(fsr.rows.tolist(), fsr.cols.tolist()), fsr.critical.tolist()))
+    assert by_pe == {(0, 0): False, (1, 1): True}
 
 
 def test_deactivate_already_satisfied_is_noop():
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = {(0, 0): _non_crit((0, 0)), (2, 2): _non_crit((2, 2))}
+    faults = FaultMap.from_faults([_non_crit((0, 0)), _non_crit((2, 2))])
     state = ArrayState(config=cfg, faults=faults)
     mask = deactivate(state, build_fsr(faults, "int8", 0.5))
     assert mask.all()
@@ -103,7 +150,7 @@ def test_deactivate_already_satisfied_is_noop():
 
 def test_deactivate_fr_max_zero_disables_every_fault():
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = {(0, 0): _non_crit((0, 0)), (2, 3): _non_crit((2, 3))}
+    faults = FaultMap.from_faults([_non_crit((0, 0)), _non_crit((2, 3))])
     state = ArrayState(config=cfg, faults=faults)
     mask = deactivate(state, build_fsr(faults, "int8", 0.0))
     assert not mask[0, 0] and not mask[2, 3]
@@ -112,7 +159,7 @@ def test_deactivate_fr_max_zero_disables_every_fault():
 
 def test_deactivate_critical_always_disabled():
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = {(1, 1): _crit((1, 1)), (3, 0): _non_crit((3, 0))}
+    faults = FaultMap.from_faults([_crit((1, 1)), _non_crit((3, 0))])
     state = ArrayState(config=cfg, faults=faults)
     mask = deactivate(state, build_fsr(faults, "int8", 1.0))
     assert not mask[1, 1]
@@ -123,7 +170,7 @@ def test_deactivate_2x2_block_example():
     # four non-critical faults in a 2x2 block, FR_max 20%: breaking the
     # adjacency costs exactly two PEs and already satisfies the rate
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = {pe: _non_crit(pe) for pe in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+    faults = FaultMap.from_faults(_non_crit(pe) for pe in [(0, 0), (0, 1), (1, 0), (1, 1)])
     state = ArrayState(config=cfg, faults=faults)
     mask = deactivate(state, build_fsr(faults, "int8", 0.2))
     assert mask.sum() == 14
@@ -136,7 +183,7 @@ def test_deactivate_2x2_block_example():
 
 def test_deactivate_infeasible_when_everything_faulty():
     cfg = ArrayConfig(n_row=2, n_col=2)
-    faults = {pe: _non_crit(pe) for pe in itertools.product(range(2), range(2))}
+    faults = FaultMap.from_faults(_non_crit(pe) for pe in itertools.product(range(2), range(2)))
     state = ArrayState(config=cfg, faults=faults)
     with pytest.raises(DeactivationInfeasible):
         deactivate(state, build_fsr(faults, "int8", 0.0))
@@ -144,12 +191,22 @@ def test_deactivate_infeasible_when_everything_faulty():
 
 def test_deactivate_rejects_mismatched_fsr():
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = {(0, 0): _non_crit((0, 0))}
+    faults = FaultMap.from_faults([_non_crit((0, 0))])
     state = ArrayState(config=cfg, faults=faults)
-    bad = FaultStatusRegister(entries=(FsrEntry((3, 3), "critical"),),
-                              fr_max_non_crit=0.2)
+    bad = FaultStatusRegister(rows=np.array([3]), cols=np.array([3]),
+                              critical=np.array([True]), fr_max_non_crit=0.2)
     with pytest.raises(ValueError):
         deactivate(state, bad)
+
+
+def test_deactivate_rejects_fsr_of_another_map():
+    # same number of PEs, one of them different
+    cfg = ArrayConfig(n_row=4, n_col=4)
+    faults = FaultMap.from_faults([_non_crit((0, 0)), _non_crit((2, 2))])
+    other = FaultMap.from_faults([_non_crit((0, 0)), _non_crit((2, 3))])
+    state = ArrayState(config=cfg, faults=faults)
+    with pytest.raises(ValueError, match="FSR entries do not match the fault map"):
+        deactivate(state, build_fsr(other, "int8", 0.5))
 
 
 def brute_force_min_deactivations(fault_set, fr_max, n=4):
@@ -182,7 +239,7 @@ def test_deactivation_matches_brute_force_on_samples(rng, fr_max):
         k = int(rng.integers(1, 7))
         picks = rng.choice(16, size=k, replace=False)
         fault_set = {cells[i] for i in picks}
-        faults = {pe: _non_crit(pe) for pe in fault_set}
+        faults = FaultMap.from_faults(_non_crit(pe) for pe in fault_set)
         state = ArrayState(config=cfg, faults=faults)
         expected = brute_force_min_deactivations(fault_set, fr_max)
         mask = deactivate(state, build_fsr(faults, "int8", fr_max))
@@ -196,7 +253,7 @@ def test_deactivation_protocol_invariants_at_scale():
     state = ArrayState(config=cfg, faults=faults)
     fsr = build_fsr(faults, "int8", fr_max_non_crit=0.05)
     mask = deactivate(state, fsr)
-    crit = {e.pe for e in fsr.entries if e.criticality == "critical"}
+    crit = set(zip(fsr.rows[fsr.critical].tolist(), fsr.cols[fsr.critical].tolist()))
     live = [pe for pe in faults if mask[pe]]
     assert not any(pe in crit for pe in live)
     assert len(live) / mask.sum() <= 0.05
@@ -210,13 +267,13 @@ def test_deactivation_protocol_invariants_at_scale():
 
 
 def test_run_array_empty_map_equals_quantized_eval(small_mlp, blob_test):
-    state = ArrayState(config=ArrayConfig(), faults={})
+    state = ArrayState(config=ArrayConfig(), faults=FaultMap.from_faults([]))
     acc = run_array(small_mlp, state, blob_test)
     assert acc == evaluate(small_mlp, blob_test, "int8")
 
 
 def test_run_array_bf16_empty_map_equals_bf16_eval(small_mlp, blob_test):
-    state = ArrayState(config=ArrayConfig(fmt="bfloat16"), faults={})
+    state = ArrayState(config=ArrayConfig(fmt="bfloat16"), faults=FaultMap.from_faults([]))
     acc = run_array(small_mlp, state, blob_test.subset(300))
     assert acc == evaluate(small_mlp, blob_test.subset(300), "bfloat16")
 
@@ -271,8 +328,8 @@ def test_run_array_matches_scalar_hook_reference(rng, case):
     for layer, i, j in zeros:
         model.weights[layer][i, j] = 0.0
     cfg = ArrayConfig(n_row=n_row, n_col=n_col)
-    faults = {pe: LogicConeFault(pe=pe, cone_bits=bits, carry_fault=carry)
-              for pe, (bits, carry) in spec.items()}
+    faults = FaultMap.from_faults(LogicConeFault(pe=pe, cone_bits=bits, carry_fault=carry)
+                                  for pe, (bits, carry) in spec.items())
     state = ArrayState(config=cfg, faults=faults)
     for pe in disabled:
         state.active[pe] = False
@@ -323,7 +380,7 @@ def test_run_array_deactivated_column_leaves_bias(rng):
 
     model = init_mlp((8, 6, 4), seed=1)
     cfg = ArrayConfig(n_row=8, n_col=6)
-    state = ArrayState(config=cfg, faults={})
+    state = ArrayState(config=cfg, faults=FaultMap.from_faults([]))
     state.active[:, 2] = False  # PE column 2 hosts matrix column 2 of each layer
     x = rng.uniform(0, 1, size=(5, 8))
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights], "sim",
@@ -355,3 +412,13 @@ def test_fault_map_file_roundtrip(tmp_path):
     assert faults2 == faults
     assert fsr2 == fsr
     assert seed2 == 9
+
+
+def test_fault_map_file_rejects_duplicate_pe(tmp_path):
+    path = tmp_path / "map.yaml"
+    save_fault_map(path, ArrayConfig(n_row=4, n_col=4),
+                   FaultMap.from_faults([_non_crit((1, 2)), _crit((3, 0))]))
+    text = path.read_text().replace("row: 3\n  col: 0", "row: 1\n  col: 2")
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"duplicate fault for PE \(1, 2\)"):
+        load_fault_map(path)

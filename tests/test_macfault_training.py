@@ -6,6 +6,7 @@ import pytest
 from faultlab.macfault import (
     ArrayConfig,
     ArrayState,
+    FaultMap,
     SignatureMix,
     build_fsr,
     deactivate,
@@ -29,7 +30,7 @@ def _deactivated_state(seed, fr=7.5, fr_max=0.02, fmt="int8"):
 
 def test_empty_fault_map_is_plain_sgd(blob_train):
     model = init_mlp((784, 24, 10), seed=2)
-    state = ArrayState(config=ArrayConfig(), faults={})
+    state = ArrayState(config=ArrayConfig(), faults=FaultMap.from_faults([]))
     sub = blob_train.subset(500)
     a, hist_a = fault_aware_train(model, state, sub, epochs=2, lr=0.2, seed=5)
     b, hist_b = train_sgd(model, sub, epochs=2, lr=0.2, seed=5)
