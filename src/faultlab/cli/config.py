@@ -230,15 +230,17 @@ def validate(raw: dict, base_dir: Path | None = None):
     camp = cfg["campaign"]
     if "runs" in camp and (not isinstance(camp["runs"], int) or camp["runs"] < 1):
         errors.append("campaign.runs: must be a positive integer")
-    if "fr" in camp and not 0 <= camp["fr"] <= 100:
+    if "fr" in camp and not _number_in(camp["fr"], 0, 100):
         errors.append("campaign.fr: must be a percentage in [0, 100]")
-    if "fr_max_non_crit" in camp and not 0 <= camp["fr_max_non_crit"] <= 1:
+    if "fr_max_non_crit" in camp and not _number_in(camp["fr_max_non_crit"], 0, 1):
         errors.append("campaign.fr_max_non_crit: must be in [0, 1]")
     if "bit_positions" in camp:
-        if any(not isinstance(b, int) or not 0 <= b <= 7
-               for b in camp["bit_positions"]):
-            errors.append("campaign.bit_positions: bits must be in [0, 7]")
-    if "bit_pos" in camp and not 0 <= camp["bit_pos"] <= 7:
+        if not isinstance(camp["bit_positions"], list) or any(
+                not isinstance(b, int) or not _number_in(b, 0, 7)
+                for b in camp["bit_positions"]):
+            errors.append("campaign.bit_positions: need a list of bits in [0, 7]")
+    if "bit_pos" in camp and not (isinstance(camp["bit_pos"], int)
+                                  and _number_in(camp["bit_pos"], 0, 7)):
         errors.append("campaign.bit_pos: must be in [0, 7]")
     if "fmt" in camp and camp["fmt"] not in ("int8", "bfloat16"):
         errors.append(f"campaign.fmt: {camp['fmt']!r} not int8 or bfloat16")
@@ -248,6 +250,12 @@ def validate(raw: dict, base_dir: Path | None = None):
 
     cfg["report"] = _merge(_DEFAULTS["report"], raw.get("report"), errors, "report")
     return (cfg if not errors else None), errors
+
+
+def _number_in(value, lo, hi) -> bool:
+    """A real number (not a bool) in [lo, hi]."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and lo <= value <= hi)
 
 
 def _resolve(path_str: str, base_dir: Path | None) -> Path:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .netcore.data import LabeledDataset
-from .netcore.inference import quant_forward, quantize_weights
+from .netcore.inference import model_input, quant_forward, quantize_weights
 from .quantnum import SIGN_BIT, Int8Tensor, byte_to_int8, int8_to_byte
 from .seeds import derived_seed
 
@@ -23,8 +23,8 @@ from .seeds import derived_seed
 class WeightGrid:
     """Stored bytes of one layer: (fan_in rows) x (width columns).
 
-    Columns beyond ``n_neurons`` are padding cells that never map back to a
-    weight; ``column_map()`` reports which neuron a column feeds.
+    Column c holds neuron c; columns from ``n_neurons`` on are padding
+    cells that never map back to a weight.
     """
 
     cells: np.ndarray  # uint8, shape (rows, width)
@@ -42,11 +42,6 @@ class WeightGrid:
     @property
     def shape(self):
         return self.cells.shape
-
-    def column_map(self, column: int):
-        if not 0 <= column < self.cells.shape[1]:
-            raise ValueError(f"column {column} out of range")
-        return column if column < self.n_neurons else None
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,7 @@ def model_grids(model, width: int | None = None) -> list[WeightGrid]:
 
 
 def _int8_predictions(model, dataset: LabeledDataset, weights_q) -> np.ndarray:
-    logits = quant_forward(model, dataset.flat_float(), fmt="int8", weights_q=weights_q)
+    logits = quant_forward(model, model_input(dataset), fmt="int8", weights_q=weights_q)
     return np.argmax(logits, axis=1)
 
 

@@ -13,7 +13,6 @@ from .faults import (
     FaultMap,
     LogicConeFault,
     apply_fault_to_products,
-    classify,
     faulty_mac,
     worst_case_error,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "alexnet_descriptor",
     "apply_fault_to_products",
     "build_fsr",
-    "classify",
     "deactivate",
     "fault_aware_train",
     "faulty_mac",

@@ -173,6 +173,13 @@ class FaultStatusRegister:
 
 def build_fsr(fault_map: FaultMap, fmt: str,
               fr_max_non_crit: float) -> FaultStatusRegister:
+    """Each PE is critical unless all its cone bits sit in the tolerated LSBs.
+
+    int8 tolerates bits {0,1}, bfloat16 the 4 mantissa LSBs; the carry
+    term of a tolerated fault perturbs one bit above the window, which
+    stays within the next bit's bound, so carry does not make a fault
+    critical on its own.
+    """
     return FaultStatusRegister(rows=fault_map.rows, cols=fault_map.cols,
                                critical=fault_map.max_bit >= NON_CRITICAL_LSBS[fmt],
                                fr_max_non_crit=fr_max_non_crit)
@@ -399,8 +406,7 @@ def _layer_plan(shape, state: ArrayState) -> _LayerPlan:
             order = np.argsort(jj[sel], kind="stable")
             starts, gcols = _column_runs(jj[sel][order])
             i = pe_of[sel[0]]
-            fault = (faults[faults.rows[i], faults.cols[i]]
-                     if state.config.fmt == "bfloat16" else None)
+            fault = faults.at(i) if state.config.fmt == "bfloat16" else None
             groups.append(_Group(fault, int(carry[i]), ii[sel], jj[sel], order,
                                  starts, gcols))
 
@@ -538,6 +544,6 @@ def run_array(model, state: ArrayState, dataset: LabeledDataset, mode: str = "si
         raise ValueError("cannot evaluate on an empty dataset")
     rng = np.random.default_rng(seed)
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights], mode, rng)
-    logits = quant_forward(model, model_input(model, data), fmt=state.config.fmt,
+    logits = quant_forward(model, model_input(data), fmt=state.config.fmt,
                            matmul_fn=matmul)
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))

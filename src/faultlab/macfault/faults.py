@@ -123,9 +123,12 @@ class FaultMap(Mapping):
         hit = np.flatnonzero((self.rows == pe[0]) & (self.cols == pe[1]))
         if not len(hit):
             raise KeyError(pe)
-        i = hit[0]
+        return self.at(hit[0])
+
+    def at(self, i: int) -> LogicConeFault:
+        """The fault of the map's i-th PE."""
         return LogicConeFault(
-            pe=(int(pe[0]), int(pe[1])),
+            pe=(int(self.rows[i]), int(self.cols[i])),
             cone_bits=cone_bits(int(self.stuck0[i]), int(self.stuck1[i])),
             carry_fault=bool(self.carry[i]),
         )
@@ -142,18 +145,6 @@ def _check_width(max_bit: int, fmt: str):
     width = PRODUCT_WIDTH[fmt]
     if max_bit >= width:
         raise ValueError(f"cone bit {max_bit} outside {fmt} product width {width}")
-
-
-def classify(fault: LogicConeFault, fmt: str = "int8") -> str:
-    """Critical unless every cone bit sits in the format's tolerated LSBs.
-
-    int8 tolerates bits {0,1}, bfloat16 the 4 mantissa LSBs; the carry
-    term of a tolerated fault perturbs one bit above the window, which
-    stays within the next bit's bound, so carry does not make a fault
-    critical on its own.
-    """
-    _check_width(fault.max_bit, fmt)
-    return NON_CRITICAL if fault.max_bit < NON_CRITICAL_LSBS[fmt] else CRITICAL
 
 
 def apply_fault_to_products(products, fault: LogicConeFault, fmt: str = "int8",

@@ -1,6 +1,10 @@
 """From-scratch neural network engine: training, quantized inference, data.
 
-Provides the fault-free baselines that every fault experiment perturbs.
+One network type, ``Network``, holds both the MLP (a Flatten stage then
+Dense stages) and LeNet-5 (convolution and pooling stages in front), so
+training, inference, checkpoints and every fault model share one forward
+pass, one backward pass and one model-input path. Provides the fault-free
+baselines that every fault experiment perturbs.
 """
 
 from .data import (
@@ -12,8 +16,7 @@ from .data import (
     load_idx,
     synthetic_blobs,
 )
-from .mlp import MlpModel, init_mlp
-from .cnn import SmallCnnModel, init_lenet5
+from .network import Network, init_lenet5, init_mlp
 from .train import TrainingDiverged, train_sgd
 from .inference import evaluate, forward_float, forward_hooked, quant_forward
 from .checkpoint import load_model, save_model
@@ -22,8 +25,7 @@ __all__ = [
     "CountMismatchError",
     "IdxError",
     "LabeledDataset",
-    "MlpModel",
-    "SmallCnnModel",
+    "Network",
     "TrainingDiverged",
     "TruncatedError",
     "WrongMagicError",

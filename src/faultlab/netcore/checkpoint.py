@@ -3,7 +3,9 @@
 Format (documented for external tooling): a zip archive written by
 ``numpy.savez`` containing
   * ``meta``: JSON string with {"format": "faultlab-checkpoint",
-    "version": 1, "kind": "mlp"|"cnn", and the architecture fields}
+    "version": 1, "kind": "mlp"|"cnn", and the architecture fields: an
+    MLP (a network without ``input_hw``) stores its ``layer_sizes``, any
+    other network its ``input_hw`` and ``stages``}
   * ``w0..wN`` / ``b0..bN``: float64 weight and bias arrays in layer order.
 """
 
@@ -13,8 +15,7 @@ import json
 
 import numpy as np
 
-from .cnn import ConvStage, DenseStage, FlattenStage, PoolStage, SmallCnnModel
-from .mlp import MlpModel
+from .network import ConvStage, DenseStage, FlattenStage, Network, PoolStage, mlp_stages
 
 FORMAT_NAME = "faultlab-checkpoint"
 FORMAT_VERSION = 1
@@ -44,24 +45,24 @@ def _stage_from_json(d):
     return DenseStage(d["weight_idx"], d["in_features"], d["out_features"], d["final"])
 
 
-def save_model(model, path):
+def save_model(model: Network, path):
     arrays = {}
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"w{l}"] = w
         arrays[f"b{l}"] = b
-    if isinstance(model, MlpModel):
-        meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": "mlp",
-                "layer_sizes": list(model.layer_sizes)}
-    elif isinstance(model, SmallCnnModel):
-        meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": "cnn",
-                "input_hw": model.input_hw,
-                "stages": [_stage_to_json(s) for s in model.stages]}
+    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
+    if model.input_hw is None:
+        dense = model.stages[1:]
+        meta |= {"kind": "mlp",
+                 "layer_sizes": [dense[0].in_features] + [s.out_features for s in dense]}
     else:
-        raise TypeError(f"cannot checkpoint {type(model).__name__}")
+        meta |= {"kind": "cnn", "input_hw": model.input_hw,
+                 "stages": [_stage_to_json(s) for s in model.stages]}
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
-def load_model(path):
+def load_model(path) -> Network:
+    """The saved network; ValueError if a weight or bias shape disagrees."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("format") != FORMAT_NAME:
@@ -72,6 +73,6 @@ def load_model(path):
         weights = [data[f"w{l}"] for l in range(n)]
         biases = [data[f"b{l}"] for l in range(n)]
     if meta["kind"] == "mlp":
-        return MlpModel(layer_sizes=tuple(meta["layer_sizes"]), weights=weights, biases=biases)
+        return Network(None, mlp_stages(meta["layer_sizes"]), weights, biases)
     stages = [_stage_from_json(d) for d in meta["stages"]]
-    return SmallCnnModel(input_hw=meta["input_hw"], stages=stages, weights=weights, biases=biases)
+    return Network(meta["input_hw"], stages, weights, biases)

@@ -58,18 +58,9 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def flat_float(self) -> np.ndarray:
-        """Images flattened to (N, H*W) floats in [0, 1]."""
-        return self.images.reshape(len(self), -1).astype(np.float64) / 255.0
-
     def subset(self, n: int | None) -> "LabeledDataset":
         """The first n samples (all of them when n is None)."""
         return LabeledDataset(self.images[:n], self.labels[:n])
-
-    def class_frequency(self, label: int) -> float:
-        if len(self) == 0:
-            raise ValueError("empty dataset has no class frequencies")
-        return float(np.mean(self.labels == label))
 
 
 def _read_bytes(path) -> bytes:

@@ -1,8 +1,11 @@
 """Inference in float, int8-quantized, and bfloat16 numeric modes.
 
-The quantized pipelines expose an injectable integer matmul so the MAC
-fault model can reroute every multiply through a faulty processing
-element; with the default matmul they are the fault-free baselines.
+Every mode runs the one ``Network`` forward pass on the one model input,
+``model_input(dataset)``: images as (N, H, W, 1) floats in [0, 1], which
+an MLP's Flatten stage turns into (N, H*W) rows. The quantized pipelines
+expose an injectable integer matmul so the MAC fault model can reroute
+every multiply through a faulty processing element; with the default
+matmul they are the fault-free baselines.
 
 int8 mode: weights quantized once per tensor, activations re-quantized
 per layer (symmetric, max/127), products and sums accumulated exactly.
@@ -25,9 +28,8 @@ from ..quantnum import (
     quantize_int8,
     round_half_away,
 )
-from .cnn import cnn_forward
 from .data import LabeledDataset
-from .mlp import MlpModel, mlp_forward
+from .network import forward
 
 MODES = ("float", "int8", "bfloat16")
 
@@ -54,15 +56,14 @@ def exact_int_matmul(aq: np.ndarray, wq: np.ndarray) -> np.ndarray:
 
 
 def forward_float(model, x: np.ndarray) -> np.ndarray:
-    if isinstance(model, MlpModel):
-        return mlp_forward(model, x)[0]
-    return cnn_forward(model, x)[0]
+    return forward(model, x)[0]
 
 
-def model_input(model, dataset: LabeledDataset) -> np.ndarray:
-    if isinstance(model, MlpModel):
-        return dataset.flat_float()
-    return dataset.images.astype(np.float64)[..., None] / 255.0
+def model_input(dataset: LabeledDataset) -> np.ndarray:
+    """Images as (N, H, W, 1) floats in [0, 1], the input of every network."""
+    # scaled before the channel axis is added: numpy divides a trailing
+    # length-1 axis about twice as slowly
+    return (dataset.images.astype(np.float64) / 255.0)[..., None]
 
 
 def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
@@ -96,9 +97,7 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
     else:
         raise ValueError(f"unknown quantized mode {fmt!r}, expected int8 or bfloat16")
 
-    if isinstance(model, MlpModel):
-        return mlp_forward(model, x, linear_fn=linear)[0]
-    return cnn_forward(model, x, linear_fn=linear)[0]
+    return forward(model, x, linear_fn=linear)[0]
 
 
 def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:
@@ -107,7 +106,7 @@ def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    x = model_input(model, dataset)
+    x = model_input(dataset)
     if mode == "float":
         logits = forward_float(model, x)
     else:
@@ -141,19 +140,8 @@ def forward_hooked(model, x: np.ndarray, mac_hook, fmt: str = "int8") -> np.ndar
     return quant_forward(model, x, fmt=fmt, matmul_fn=matmul)
 
 
-def argmax_agreement(model, dataset: LabeledDataset, mode_a: str, mode_b: str) -> float:
-    """Fraction of samples where two numeric modes agree on the argmax."""
-    if len(dataset) == 0:
-        raise ValueError("cannot compare on an empty dataset")
-    x = model_input(model, dataset)
-    la = forward_float(model, x) if mode_a == "float" else quant_forward(model, x, mode_a)
-    lb = forward_float(model, x) if mode_b == "float" else quant_forward(model, x, mode_b)
-    return float(np.mean(np.argmax(la, axis=1) == np.argmax(lb, axis=1)))
-
-
 __all__ = [
     "MODES",
-    "argmax_agreement",
     "evaluate",
     "exact_int_matmul",
     "forward_float",

@@ -1,0 +1,250 @@
+"""The one network type: a sequence of stages over im2col matmuls.
+
+An MLP is a Flatten stage followed by Dense stages; LeNet-5 puts
+convolution and pooling stages in front of them. Deliberately minimal:
+valid padding, stride 1, average pooling. Conv weights are stored
+directly in matmul form (k*k*in_ch, out_ch) so the same injectable
+linear operator drives dense and conv layers alike. Every weighted stage
+but the final dense one is followed by a ReLU. Feature maps are
+channels-last (N, H, W, C).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+DEFAULT_LAYERS = (784, 256, 256, 256, 10)
+
+
+@dataclass(frozen=True)
+class ConvStage:
+    weight_idx: int
+    kernel: int
+    in_ch: int
+    out_ch: int
+
+    @property
+    def weight_shape(self) -> tuple:
+        return (self.kernel * self.kernel * self.in_ch, self.out_ch)
+
+
+@dataclass(frozen=True)
+class PoolStage:
+    kernel: int
+
+
+@dataclass(frozen=True)
+class FlattenStage:
+    pass
+
+
+@dataclass(frozen=True)
+class DenseStage:
+    weight_idx: int
+    in_features: int
+    out_features: int
+    final: bool
+
+    @property
+    def weight_shape(self) -> tuple:
+        return (self.in_features, self.out_features)
+
+
+@dataclass
+class Network:
+    """Stages plus one weight matrix and bias per weighted stage, in order.
+
+    ``input_hw`` is the square input size a convolutional network was built
+    for, and None for an MLP, which flattens any input whose per-sample
+    size is its first layer's fan-in.
+    """
+
+    input_hw: int | None
+    stages: list
+    weights: list
+    biases: list
+
+    def __post_init__(self):
+        weighted = [s for s in self.stages if isinstance(s, (ConvStage, DenseStage))]
+        if [s.weight_idx for s in weighted] != list(range(len(self.weights))):
+            raise ValueError(f"{len(self.weights)} weight matrices do not match "
+                             f"the weighted stages {[s.weight_idx for s in weighted]}")
+        for l, stage in enumerate(weighted):
+            if self.weights[l].shape != stage.weight_shape:
+                raise ValueError(f"layer {l}: weight shape {self.weights[l].shape}, "
+                                 f"expected {stage.weight_shape}")
+            if self.biases[l].shape != stage.weight_shape[1:]:
+                raise ValueError(f"layer {l}: bias shape {self.biases[l].shape}")
+
+    def copy(self) -> "Network":
+        return Network(
+            input_hw=self.input_hw,
+            stages=list(self.stages),
+            weights=[w.copy() for w in self.weights],
+            biases=[b.copy() for b in self.biases],
+        )
+
+
+def mlp_stages(layer_sizes) -> list:
+    """Flatten, then one dense stage per pair of adjacent layer sizes."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2:
+        raise ValueError("need at least an input and an output layer")
+    return [FlattenStage()] + [
+        DenseStage(l, fan_in, fan_out, final=l == len(sizes) - 2)
+        for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:]))
+    ]
+
+
+def init_mlp(layer_sizes=DEFAULT_LAYERS, seed: int = 0) -> Network:
+    """ReLU hidden layers and a linear output on the flattened input."""
+    return _he_uniform(None, mlp_stages(layer_sizes), seed)
+
+
+def init_lenet5(input_hw: int = 28, seed: int = 0) -> Network:
+    """LeNet-5 topology: conv5x6, pool, conv5x16, pool, 120-84-10 dense."""
+    plan = [("conv", 5, 6), ("pool", 2), ("conv", 5, 16), ("pool", 2)]
+    return build_cnn(input_hw, plan, dense=(120, 84, 10), seed=seed)
+
+
+def build_cnn(input_hw: int, plan, dense, seed: int = 0) -> Network:
+    stages = []
+    n_weighted, hw, ch = 0, input_hw, 1
+    for item in plan:
+        if item[0] == "conv":
+            _, k, out_ch = item
+            if hw < k:
+                raise ValueError(f"feature map {hw}x{hw} smaller than kernel {k}")
+            stages.append(ConvStage(n_weighted, k, ch, out_ch))
+            n_weighted += 1
+            hw, ch = hw - k + 1, out_ch
+        elif item[0] == "pool":
+            _, k = item
+            if hw % k:
+                raise ValueError(f"pool {k} does not divide map size {hw}")
+            stages.append(PoolStage(k))
+            hw //= k
+        else:
+            raise ValueError(f"unknown stage {item!r}")
+    stages.append(FlattenStage())
+    feats = hw * hw * ch
+    for i, out in enumerate(dense):
+        stages.append(DenseStage(n_weighted + i, feats, out, final=i == len(dense) - 1))
+        feats = out
+    return _he_uniform(input_hw, stages, seed)
+
+
+def _he_uniform(input_hw, stages, seed: int) -> Network:
+    """U(-sqrt(6/fan_in), sqrt(6/fan_in)) weights in stage order, zero biases."""
+    rng = np.random.default_rng(seed)
+    shapes = [s.weight_shape for s in stages if isinstance(s, (ConvStage, DenseStage))]
+    weights = [rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in),
+                           size=(fan_in, fan_out)) for fan_in, fan_out in shapes]
+    return Network(input_hw, stages, weights, [np.zeros(fan_out) for _, fan_out in shapes])
+
+
+def im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(N, H, W, C) -> (N*OH*OW, k*k*C) patches for valid stride-1 conv."""
+    n, h, w, c = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    # (N, OH, OW, C, k, k) -> (N, OH, OW, k, k, C)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(n * (h - k + 1) * (w - k + 1), k * k * c)
+
+
+def col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
+    """Scatter-add gradient patches back to the input feature map."""
+    n, h, w, c = x_shape
+    oh, ow = h - k + 1, w - k + 1
+    d = dcols.reshape(n, oh, ow, k, k, c)
+    dx = np.zeros((n, h, w, c))
+    for ky in range(k):
+        for kx in range(k):
+            dx[:, ky : ky + oh, kx : kx + ow, :] += d[:, :, :, ky, kx, :]
+    return dx
+
+
+def forward(model: Network, x: np.ndarray, linear_fn=None):
+    """Forward pass returning (logits, caches).
+
+    ``x`` is (N, H, W, C), or (N, features) for an MLP. ``linear_fn(model,
+    weight_idx, a2d)`` replaces the default ``a2d @ W + b``; caches hold
+    what backward needs.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    caches = []
+    for stage in model.stages:
+        if isinstance(stage, PoolStage):
+            n, h, w, c = a.shape
+            k = stage.kernel
+            caches.append(("pool", stage, a.shape))
+            a = a.reshape(n, h // k, k, w // k, k, c).mean(axis=(2, 4))
+        elif isinstance(stage, FlattenStage):
+            caches.append(("flatten", stage, a.shape))
+            a = a.reshape(a.shape[0], -1)
+        else:
+            conv = isinstance(stage, ConvStage)
+            a2d = im2col(a, stage.kernel) if conv else a
+            idx = stage.weight_idx
+            z = (
+                a2d @ model.weights[idx] + model.biases[idx]
+                if linear_fn is None
+                else linear_fn(model, idx, a2d)
+            )
+            if conv:
+                n, h, w, _ = a.shape
+                z = z.reshape(n, h - stage.kernel + 1, w - stage.kernel + 1, stage.out_ch)
+            out = z if not conv and stage.final else np.maximum(z, 0.0)
+            caches.append(("conv" if conv else "dense", stage, a.shape, a2d, out))
+            a = out
+    return a, caches
+
+
+def backward(model: Network, caches, labels):
+    """Gradients of mean cross-entropy; ReLU masks from cached activations.
+
+    The masks come from the cached (possibly fault-perturbed) activations,
+    so a substituted forward trains straight-through. The walk stops at the
+    first weighted stage: the network input needs no gradient.
+    """
+    logits = caches[-1][4]
+    n = logits.shape[0]
+    delta = softmax(logits)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.weights)
+    for kind, stage, in_shape, *rest in reversed(caches):
+        if kind == "flatten":
+            delta = delta.reshape(in_shape)
+        elif kind == "pool":
+            k = stage.kernel
+            delta = np.repeat(np.repeat(delta, k, axis=1), k, axis=2) / (k * k)
+        else:
+            a2d, out = rest
+            if kind == "conv" or not stage.final:
+                delta = delta * (out > 0)
+            d2 = delta.reshape(-1, out.shape[-1])
+            grads_w[stage.weight_idx] = a2d.T @ d2
+            grads_b[stage.weight_idx] = d2.sum(axis=0)
+            if stage.weight_idx == 0:
+                break
+            delta = d2 @ model.weights[stage.weight_idx].T
+            if kind == "conv":
+                delta = col2im(delta, in_shape, stage.kernel)
+    return grads_w, grads_b
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy(logits: np.ndarray, labels) -> float:
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(n), labels].mean())

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnn import SmallCnnModel, cnn_backward, cnn_forward
 from .data import LabeledDataset
-from .inference import evaluate
-from .mlp import MlpModel, cross_entropy, mlp_backward, mlp_forward
+from .inference import evaluate, model_input
+from .network import backward, cross_entropy, forward
 
 
 class TrainingDiverged(RuntimeError):
@@ -29,8 +28,8 @@ def train_sgd(
     """Train a copy of the model; returns (trained model, accuracy history).
 
     The history holds one float-mode test accuracy per epoch (on ``test``
-    when given, else on the training set). ``linear_fn(weight_idx, a)`` may
-    replace the per-layer linear operator in the forward pass; gradients
+    when given, else on the training set). ``linear_fn(model, weight_idx, a)``
+    may replace the per-layer linear operator in the forward pass; gradients
     then flow straight-through, which is how fault-aware training plugs in.
     """
     if len(train) == 0:
@@ -38,23 +37,14 @@ def train_sgd(
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     model = model.copy()
-    if isinstance(model, MlpModel):
-        forward, backward = mlp_forward, mlp_backward
-        xs = train.flat_float()
-    elif isinstance(model, SmallCnnModel):
-        forward, backward = cnn_forward, cnn_backward
-        xs = train.images.astype(np.float64)[..., None] / 255.0
-    else:
-        raise TypeError(f"cannot train {type(model).__name__}")
-    ys = train.labels
+    xs, ys = model_input(train), train.labels
     rng = np.random.default_rng(seed)
     history = []
     for epoch in range(epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(train), batch_size):
             idx = order[start : start + batch_size]
-            logits_or_acts = forward(model, xs[idx], linear_fn=linear_fn)
-            logits, caches = logits_or_acts
+            logits, caches = forward(model, xs[idx], linear_fn=linear_fn)
             loss = cross_entropy(logits, ys[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, loss)

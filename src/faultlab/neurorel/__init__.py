@@ -11,7 +11,6 @@ from .aging import (
     StressProfile,
     TddbParams,
     aging_fitness,
-    isi,
     mttf_bti,
     mttf_tddb,
 )
@@ -20,7 +19,6 @@ from .crossbar import (
     EnduranceMap,
     EnduranceModelParams,
     build_endurance_map,
-    cell_path_length,
     default_endurance_params,
 )
 from .workload import SnnWorkloadGraph, Synapse, load_workload, random_workload, save_workload
@@ -44,11 +42,9 @@ __all__ = [
     "TileSpec",
     "aging_fitness",
     "build_endurance_map",
-    "cell_path_length",
     "cut_cost",
     "default_endurance_params",
     "effective_lifetime",
-    "isi",
     "kl_partition",
     "load_workload",
     "map_workload",

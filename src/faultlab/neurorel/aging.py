@@ -76,18 +76,6 @@ def mttf_bti(v: float, t: float, params: BtiParams) -> float:
     return params.a / (v**params.gamma) * math.exp(params.ea / (params.k_b * t))
 
 
-def isi(spike_times, window: float) -> float:
-    """Inter-spike interval: window duration over spike count."""
-    spikes = list(spike_times)
-    if not spikes:
-        raise ValueError("need at least one spike")
-    if window <= 0:
-        raise ValueError("window must be positive")
-    if any(b < a for a, b in zip(spikes, spikes[1:])):
-        raise ValueError("spike times must be ascending")
-    return window / len(spikes)
-
-
 def aging_fitness(stresses, tddb: TddbParams, bti: BtiParams) -> float:
     """Series-system failure-rate aggregate over tile stress profiles.
 

@@ -49,13 +49,6 @@ class CrossbarConfig:
             raise ValueError("charge-pump voltages must be positive")
 
 
-def cell_path_length(i: int, j: int, config: CrossbarConfig) -> int:
-    """Parasitic segments on the current path of cell (i, j): i + j."""
-    if not (0 <= i < config.n and 0 <= j < config.n):
-        raise ValueError(f"cell ({i}, {j}) outside {config.n}x{config.n} crossbar")
-    return i + j
-
-
 @dataclass(frozen=True)
 class EnduranceModelParams:
     r_device: float = 10_000.0  # ohms

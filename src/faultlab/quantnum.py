@@ -1,8 +1,8 @@
 """Numeric formats and bit-level surgery shared by all fault models.
 
-Two's-complement int8 with a symmetric per-tensor scale, bfloat16
-encode/decode, and the single-bit operations (flip, stuck-at) that the
-DRAM and MAC fault models are built on.
+Two's-complement int8 with a symmetric per-tensor scale, the stored-byte
+view of int8 words that the DRAM fault model flips bits in, and bfloat16
+encode/decode.
 
 Conventions fixed here for reproducibility:
   * int8 quantization rounds half away from zero,
@@ -31,7 +31,7 @@ class Int8Tensor:
     """An int8 weight/activation array plus its quantization scale.
 
     ``raw`` is two's-complement int8; ``scale`` is in value units per LSB,
-    so ``dequantize() == raw * scale``.
+    so the tensor stands for ``raw * scale``.
     """
 
     raw: np.ndarray
@@ -42,9 +42,6 @@ class Int8Tensor:
             raise ValueError(f"raw must be int8, got {self.raw.dtype}")
         if not (self.scale > 0):
             raise ValueError(f"scale must be positive, got {self.scale}")
-
-    def dequantize(self) -> np.ndarray:
-        return self.raw.astype(np.float64) * self.scale
 
 
 def round_half_away(x):
@@ -79,28 +76,6 @@ def quantize_int8(values, scale: float | None = None) -> Int8Tensor:
     return Int8Tensor(raw=raw.astype(np.int8), scale=float(scale))
 
 
-def _check_pos(pos: int, width: int):
-    if not 0 <= pos < width:
-        raise ValueError(f"bit position {pos} out of range for {width}-bit word")
-
-
-def flip_bit(word: int, pos: int, width: int = 8) -> int:
-    """Invert exactly bit ``pos`` of an unsigned ``width``-bit word."""
-    _check_pos(pos, width)
-    return (int(word) ^ (1 << pos)) & ((1 << width) - 1)
-
-
-def apply_stuck(word: int, pos: int, value: int, width: int = 8) -> int:
-    """Force bit ``pos`` of an unsigned ``width``-bit word to 0 or 1."""
-    _check_pos(pos, width)
-    if value not in (0, 1):
-        raise ValueError(f"stuck value must be 0 or 1, got {value}")
-    word = int(word) & ((1 << width) - 1)
-    if value:
-        return word | (1 << pos)
-    return word & ~(1 << pos)
-
-
 def int8_to_byte(raw) -> np.ndarray:
     """View int8 values as the unsigned byte stored in memory."""
     return np.asarray(raw, dtype=np.int8).view(np.uint8)
@@ -109,16 +84,6 @@ def int8_to_byte(raw) -> np.ndarray:
 def byte_to_int8(word) -> np.ndarray:
     """View stored bytes back as two's-complement int8."""
     return np.asarray(word, dtype=np.uint8).view(np.int8)
-
-
-def bf16_encode(x: float) -> int:
-    """Encode a real to bfloat16 bits (round to nearest even)."""
-    return int(bf16_encode_array(np.asarray([x]))[0])
-
-
-def bf16_decode(bits: int) -> float:
-    """Decode bfloat16 bits exactly (bfloat16 is a float32 prefix)."""
-    return float(bf16_decode_array(np.asarray([bits], dtype=np.uint16))[0])
 
 
 def bf16_encode_array(x) -> np.ndarray:

@@ -54,6 +54,38 @@ def test_validate_lists_every_offence():
         assert expected in joined, f"missing {expected} in {errors}"
 
 
+@pytest.mark.parametrize("experiment, campaign, field", [
+    ("deactivate", {"fr": "5"}, "campaign.fr:"),
+    ("deactivate", {"fr_max_non_crit": True}, "campaign.fr_max_non_crit:"),
+    ("dram-bitpos", {"bit_positions": 7}, "campaign.bit_positions:"),
+    ("dram-column", {"bit_pos": "7"}, "campaign.bit_pos:"),
+])
+def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
+    cfg, errors = validate({"experiment": experiment, "campaign": campaign})
+    assert cfg is None
+    assert len(errors) == 1 and errors[0].startswith(field), errors
+
+
+@pytest.mark.parametrize("experiment, campaign, csv_name", [
+    ("dram-bitpos", {"counts": [5], "bit_positions": [7], "runs": 1}, "bitpos.csv"),
+    ("dram-column", {"faults_per_column": 3, "runs": 1, "grid_width": 12}, "column.csv"),
+])
+def test_run_dram_campaign_on_lenet5(tmp_path, experiment, campaign, csv_name):
+    doc = {
+        "experiment": experiment,
+        "seed": 2,
+        "model": {"kind": "lenet5"},
+        "dataset": {"train": 60, "test": 40},
+        "train": {"epochs": 1},
+        "campaign": campaign,
+        "report": {"svg": False},
+    }
+    path = _write_config(tmp_path, doc)
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / csv_name).read_text().strip().splitlines()
+    assert len(rows) == 1 + (1 if experiment == "dram-bitpos" else 12)
+
+
 def test_validate_unknown_experiment():
     cfg, errors = validate({"experiment": "melt-cpu"})
     assert cfg is None and len(errors) == 1

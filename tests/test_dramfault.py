@@ -19,8 +19,7 @@ def test_layout_places_neurons_per_column(rng):
     assert grid.shape == (3, 2)
     # column 0 holds neuron 0's fan-in bytes
     assert np.array_equal(grid.cells[:, 0], wq.raw[:, 0].view(np.uint8))
-    assert grid.column_map(0) == 0
-    assert grid.column_map(1) == 1
+    assert np.array_equal(grid.cells[:, 1], wq.raw[:, 1].view(np.uint8))
 
 
 def test_layout_roundtrip_identity(rng):
@@ -34,7 +33,7 @@ def test_layout_with_padding_columns(rng):
     wq = _toy_tensor(rng, rows=5, cols=3)
     grid = df.layout(wq, width=8)
     assert grid.shape == (5, 8)
-    assert grid.column_map(3) is None
+    assert grid.n_neurons == 3
     assert np.all(grid.cells[:, 3:] == 0)
     assert np.array_equal(df.extract(grid).raw, wq.raw)
     with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from faultlab.macfault import (
+    FaultMap,
     LogicConeFault,
     apply_fault_to_products,
-    classify,
+    build_fsr,
     faulty_mac,
     worst_case_error,
 )
@@ -81,17 +82,20 @@ def test_fault_on_zero_product():
 
 
 def test_classification_examples():
+    def critical(fault, fmt):
+        return bool(build_fsr(FaultMap.from_faults([fault]), fmt, 0.0).critical[0])
+
     non_crit = LogicConeFault(pe=(0, 0), cone_bits=((0, 1), (1, 0)))
-    assert classify(non_crit, "int8") == "non-critical"
+    assert not critical(non_crit, "int8")
     crit = LogicConeFault(pe=(0, 0), cone_bits=((7, 1),))
-    assert classify(crit, "int8") == "critical"
+    assert critical(crit, "int8")
     bf_ok = LogicConeFault(pe=(0, 0), cone_bits=((0, 1), (3, 0)))
-    assert classify(bf_ok, "bfloat16") == "non-critical"
+    assert not critical(bf_ok, "bfloat16")
     bf_bad = LogicConeFault(pe=(0, 0), cone_bits=((4, 1),))
-    assert classify(bf_bad, "bfloat16") == "critical"
+    assert critical(bf_bad, "bfloat16")
     # carry alone does not make a tolerated fault critical
     with_carry = LogicConeFault(pe=(0, 0), cone_bits=((1, 1),), carry_fault=True)
-    assert classify(with_carry, "int8") == "non-critical"
+    assert not critical(with_carry, "int8")
 
 
 def test_fault_validation():
@@ -103,10 +107,10 @@ def test_fault_validation():
         LogicConeFault(pe=(0, 0), cone_bits=((0, 1), (0, 0)))
     wide = LogicConeFault(pe=(0, 0), cone_bits=((16, 1),))
     with pytest.raises(ValueError):
-        classify(wide, "int8")
+        apply_fault_to_products(np.zeros(1), wide, "int8")
     bf_wide = LogicConeFault(pe=(0, 0), cone_bits=((7, 1),))
     with pytest.raises(ValueError):
-        classify(bf_wide, "bfloat16")
+        apply_fault_to_products(np.zeros(1), bf_wide, "bfloat16")
 
 
 def test_bf16_fault_touches_only_mantissa(rng):

@@ -15,7 +15,7 @@ from faultlab.macfault import (
     seed_fault_map,
 )
 from faultlab.netcore import evaluate, init_mlp, train_sgd
-from faultlab.netcore.cnn import build_cnn
+from faultlab.netcore.network import build_cnn
 from faultlab.macfault.array import run_array
 
 

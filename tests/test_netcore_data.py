@@ -106,9 +106,3 @@ def test_synthetic_blobs_shapes_and_range():
     assert ds.images.shape == (40, 16, 16)
     assert ds.images.dtype == np.uint8
     assert ds.labels.min() >= 0 and ds.labels.max() < 7
-
-
-def test_class_frequency():
-    ds = synthetic_blobs(500, seed=9)
-    freq = ds.class_frequency(0)
-    assert freq == pytest.approx(np.mean(ds.labels == 0))

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from faultlab.netcore import evaluate, forward_hooked, init_mlp
+import frozen_mlp
+from faultlab.netcore import evaluate, forward_hooked, init_lenet5, init_mlp
+from faultlab.netcore import inference
 from faultlab.netcore.data import LabeledDataset
 from faultlab.netcore.inference import (
-    argmax_agreement,
+    forward_float,
+    model_input,
     quant_forward,
     quantize_activations,
 )
 from faultlab.netcore.checkpoint import load_model, save_model
-from faultlab.netcore.mlp import MlpModel
 
 
 def _round_half_away(x: float) -> float:
@@ -52,13 +54,11 @@ def test_int8_matches_hand_computed_forward():
     oracle = _oracle_int8_logits(images.reshape(4, 3).tolist(), weights, biases)
     expected_argmax = [int(np.argmax(row)) for row in oracle]
 
-    model = MlpModel(
-        layer_sizes=(3, 2),
-        weights=[np.array(weights)],
-        biases=[np.array(biases)],
-    )
+    model = init_mlp((3, 2))
+    model.weights[0][:] = weights
+    model.biases[0][:] = biases
     ds = LabeledDataset(images, np.array(expected_argmax, dtype=np.int64))
-    logits = quant_forward(model, ds.flat_float(), fmt="int8")
+    logits = quant_forward(model, model_input(ds), fmt="int8")
     assert np.allclose(logits, oracle, atol=1e-12)
     assert evaluate(model, ds, "int8") == 1.0
 
@@ -66,12 +66,9 @@ def test_int8_matches_hand_computed_forward():
 def test_all_zero_model_predicts_tiebreak_class(blob_test):
     # all-zero logits: argmax resolves to the lowest class index, so accuracy
     # equals that class's frequency in the dataset (computed here, not assumed)
-    model = MlpModel(
-        layer_sizes=(784, 10),
-        weights=[np.zeros((784, 10))],
-        biases=[np.zeros(10)],
-    )
-    expected = blob_test.class_frequency(0)
+    model = init_mlp((784, 10))
+    model.weights[0][:] = 0.0
+    expected = float(np.mean(blob_test.labels == 0))
     for mode in ("float", "int8", "bfloat16"):
         assert evaluate(model, blob_test, mode) == pytest.approx(expected)
 
@@ -92,9 +89,11 @@ def test_accuracy_in_unit_interval(small_mlp, blob_test):
 
 
 def test_quantized_argmax_agreement(small_mlp, blob_test):
-    sub = blob_test.subset(1000)
-    assert argmax_agreement(small_mlp, sub, "float", "int8") >= 0.99
-    assert argmax_agreement(small_mlp, sub, "float", "bfloat16") >= 0.99
+    x = model_input(blob_test.subset(1000))
+    ref = np.argmax(forward_float(small_mlp, x), axis=1)
+    for fmt in ("int8", "bfloat16"):
+        agree = np.mean(np.argmax(quant_forward(small_mlp, x, fmt), axis=1) == ref)
+        assert agree >= 0.99
 
 
 def test_forward_hooked_identity_is_bit_identical(rng):
@@ -117,11 +116,9 @@ def test_forward_hooked_zero_hook_leaves_biases(rng):
 def test_forward_hooked_negation_is_sign_flip(rng):
     model = init_mlp((6, 5, 3), seed=8)
     x = rng.uniform(0, 1, size=(4, 6))
-    negated = MlpModel(
-        layer_sizes=model.layer_sizes,
-        weights=[-w for w in model.weights],
-        biases=[b.copy() for b in model.biases],
-    )
+    negated = model.copy()
+    for w in negated.weights:
+        w *= -1.0
     hooked = forward_hooked(model, x, lambda xo, wo, site: -(int(xo) * int(wo)))
     assert np.array_equal(hooked, quant_forward(negated, x, fmt="int8"))
 
@@ -130,15 +127,13 @@ def test_checkpoint_roundtrip(tmp_path, small_mlp, blob_test):
     path = tmp_path / "model.npz"
     save_model(small_mlp, path)
     loaded = load_model(path)
-    assert loaded.layer_sizes == small_mlp.layer_sizes
+    assert loaded.stages == small_mlp.stages
     for a, b in zip(small_mlp.weights, loaded.weights):
         assert np.array_equal(a, b)
     assert evaluate(loaded, blob_test, "int8") == evaluate(small_mlp, blob_test, "int8")
 
 
 def test_checkpoint_roundtrip_cnn(tmp_path):
-    from faultlab.netcore import init_lenet5
-
     model = init_lenet5(28, seed=3)
     path = tmp_path / "cnn.npz"
     save_model(model, path)
@@ -146,6 +141,58 @@ def test_checkpoint_roundtrip_cnn(tmp_path):
     assert [w.shape for w in loaded.weights] == [w.shape for w in model.weights]
     for a, b in zip(model.weights, loaded.weights):
         assert np.array_equal(a, b)
+
+
+def test_checkpoint_meta_of_mlp_and_cnn(tmp_path):
+    # the meta strings of the MLP and CNN checkpoint formats, byte for byte
+    save_model(init_mlp((784, 16, 10), seed=0), tmp_path / "mlp.npz")
+    save_model(init_lenet5(28, seed=0), tmp_path / "cnn.npz")
+    with np.load(tmp_path / "mlp.npz") as data:
+        assert str(data["meta"]) == (
+            '{"format": "faultlab-checkpoint", "version": 1, "kind": "mlp", '
+            '"layer_sizes": [784, 16, 10]}')
+    with np.load(tmp_path / "cnn.npz") as data:
+        assert str(data["meta"]) == (
+            '{"format": "faultlab-checkpoint", "version": 1, "kind": "cnn", '
+            '"input_hw": 28, "stages": ['
+            '{"op": "conv", "weight_idx": 0, "kernel": 5, "in_ch": 1, "out_ch": 6}, '
+            '{"op": "pool", "kernel": 2}, '
+            '{"op": "conv", "weight_idx": 1, "kernel": 5, "in_ch": 6, "out_ch": 16}, '
+            '{"op": "pool", "kernel": 2}, {"op": "flatten"}, '
+            '{"op": "dense", "weight_idx": 2, "in_features": 256, "out_features": 120, '
+            '"final": false}, '
+            '{"op": "dense", "weight_idx": 3, "in_features": 120, "out_features": 84, '
+            '"final": false}, '
+            '{"op": "dense", "weight_idx": 4, "in_features": 84, "out_features": 10, '
+            '"final": true}]}')
+
+
+@pytest.mark.parametrize("model", [init_mlp((784, 16, 10), seed=0), init_lenet5(28)],
+                         ids=["mlp", "cnn"])
+@pytest.mark.parametrize("key", ["w1", "b1"])
+def test_checkpoint_with_wrong_shape_rejected(tmp_path, model, key):
+    save_model(model, tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays[key] = arrays[key][:-1]
+    np.savez(tmp_path / "bad.npz", **arrays)
+    with pytest.raises(ValueError, match="layer 1"):
+        load_model(tmp_path / "bad.npz")
+
+
+def test_mlp_logits_match_frozen_mlp_forward(monkeypatch, small_mlp, blob_test):
+    # the Flatten + Dense network against the MLP's own forward pass
+    ds = blob_test.subset(300)
+    x = model_input(ds)
+    flat = frozen_mlp.flat_float(ds)
+    assert np.array_equal(forward_float(small_mlp, x),
+                          frozen_mlp.mlp_forward(small_mlp, flat)[0])
+    got = {fmt: quant_forward(small_mlp, x, fmt) for fmt in ("int8", "bfloat16")}
+    # the same quantized linear layers, run through the frozen pass
+    monkeypatch.setattr(inference, "forward", lambda model, a, linear_fn=None:
+                        frozen_mlp.mlp_forward(model, flat, linear_fn))
+    for fmt in ("int8", "bfloat16"):
+        assert np.array_equal(got[fmt], quant_forward(small_mlp, x, fmt))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import frozen_mlp
 from faultlab.netcore import (
     TrainingDiverged,
     init_lenet5,
@@ -10,9 +11,8 @@ from faultlab.netcore import (
     synthetic_blobs,
     train_sgd,
 )
-from faultlab.netcore.cnn import build_cnn, cnn_backward, cnn_forward
 from faultlab.netcore.data import LabeledDataset
-from faultlab.netcore.mlp import cross_entropy, mlp_backward, mlp_forward, softmax
+from faultlab.netcore.network import backward, build_cnn, cross_entropy, forward, softmax
 
 
 def _numeric_grad(loss_fn, array, indices, eps=1e-6):
@@ -34,13 +34,13 @@ def test_mlp_gradient_matches_central_differences(rng):
     x = rng.normal(0.3, 0.2, size=(6, 2))
     y = rng.integers(0, 2, size=6)
 
-    logits, acts = mlp_forward(model, x)
-    grads_w, grads_b = mlp_backward(model, acts, y)
+    logits, caches = forward(model, x)
+    grads_w, grads_b = backward(model, caches, y)
 
     def loss():
-        return cross_entropy(mlp_forward(model, x)[0], y)
+        return cross_entropy(forward(model, x)[0], y)
 
-    for l in range(model.n_layers):
+    for l in range(len(model.weights)):
         for arr, analytic in ((model.weights[l], grads_w[l]), (model.biases[l], grads_b[l])):
             idxs = list(np.ndindex(arr.shape))
             numeric = _numeric_grad(loss, arr, idxs)
@@ -53,11 +53,11 @@ def test_cnn_gradient_matches_central_differences(rng):
     model = build_cnn(8, [("conv", 3, 2), ("pool", 2)], dense=(3,), seed=5)
     x = rng.uniform(0, 1, size=(4, 8, 8, 1))
     y = rng.integers(0, 3, size=4)
-    _, caches = cnn_forward(model, x)
-    grads_w, grads_b = cnn_backward(model, caches, y)
+    _, caches = forward(model, x)
+    grads_w, grads_b = backward(model, caches, y)
 
     def loss():
-        return cross_entropy(cnn_forward(model, x)[0], y)
+        return cross_entropy(forward(model, x)[0], y)
 
     for l in range(len(model.weights)):
         for arr, analytic in ((model.weights[l], grads_w[l]), (model.biases[l], grads_b[l])):
@@ -67,6 +67,19 @@ def test_cnn_gradient_matches_central_differences(rng):
             for idx in picks:
                 denom = max(abs(numeric[idx]), abs(analytic[idx]), 1e-8)
                 assert abs(numeric[idx] - analytic[idx]) / denom < 1e-4
+
+
+def test_mlp_training_matches_frozen_mlp_loop(blob_train, blob_test):
+    # the Flatten + Dense network trains exactly as the MLP's own passes did
+    train, test = blob_train.subset(600), blob_test.subset(300)
+    got, hist = train_sgd(init_mlp((784, 32, 16, 10), seed=5), train, epochs=2,
+                          lr=0.1, seed=6, batch_size=50, test=test)
+    ref, ref_hist = frozen_mlp.train_sgd(init_mlp((784, 32, 16, 10), seed=5), train,
+                                         epochs=2, lr=0.1, seed=6, batch_size=50,
+                                         test=test)
+    assert hist == ref_hist
+    for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
 
 
 def test_softmax_sums_to_one(rng):

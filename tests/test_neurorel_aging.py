@@ -10,7 +10,6 @@ from faultlab.neurorel import (
     StressProfile,
     TddbParams,
     aging_fitness,
-    isi,
     mttf_bti,
     mttf_tddb,
 )
@@ -68,20 +67,6 @@ def test_mttf_input_validation():
         mttf_bti(1.0, -5.0, BtiParams())
     with pytest.raises(ValueError):
         TddbParams(a=-1.0)
-
-
-def test_isi_examples():
-    assert isi([0.1 * k for k in range(10)], 1.0) == pytest.approx(0.1)
-    assert isi([0.5], 2.0) == 2.0
-    ten = isi(list(range(10)), 100.0)
-    twenty = isi([0.5 * k for k in range(20)], 100.0)
-    assert twenty == pytest.approx(ten / 2)
-    with pytest.raises(ValueError):
-        isi([], 1.0)
-    with pytest.raises(ValueError):
-        isi([0.3, 0.1], 1.0)
-    with pytest.raises(ValueError):
-        isi([0.1], 0.0)
 
 
 def test_aging_fitness_zero_without_stress():

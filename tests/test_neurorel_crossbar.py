@@ -7,32 +7,8 @@ from faultlab.neurorel import (
     CrossbarConfig,
     EnduranceModelParams,
     build_endurance_map,
-    cell_path_length,
     default_endurance_params,
 )
-
-
-def test_path_length_corners():
-    cfg = CrossbarConfig(n=128)
-    assert cell_path_length(0, 0, cfg) == 0
-    assert cell_path_length(127, 127, cfg) == 2 * 127
-
-
-def test_path_length_strictly_increases_stepwise():
-    cfg = CrossbarConfig(n=16)
-    for i in range(15):
-        for j in range(15):
-            here = cell_path_length(i, j, cfg)
-            assert cell_path_length(i + 1, j, cfg) == here + 1
-            assert cell_path_length(i, j + 1, cfg) == here + 1
-
-
-def test_path_length_out_of_range():
-    cfg = CrossbarConfig(n=8)
-    with pytest.raises(ValueError):
-        cell_path_length(8, 0, cfg)
-    with pytest.raises(ValueError):
-        cell_path_length(0, -1, cfg)
 
 
 def test_cp_voltage_defaults():
