@@ -9,6 +9,7 @@ defaults) and returns every offending field at once; ``render`` /
 from __future__ import annotations
 
 import copy
+import math
 from pathlib import Path
 
 import yaml
@@ -153,7 +154,7 @@ def validate(raw: dict, base_dir: Path | None = None):
     cfg["experiment"] = kind
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         errors.append("seed: must be an integer")
         seed = 0
     cfg["seed"] = seed
@@ -219,43 +220,123 @@ def validate(raw: dict, base_dir: Path | None = None):
         cfg["workload"] = _merge(_WORKLOAD_DEFAULTS, raw.get("workload"), errors,
                                  "workload")
         wl = cfg["workload"]
+        _check_fields(wl, _WORKLOAD_RULES, errors, "workload")
+        if (_int_at_least(wl["neurons"], 2) and _int_at_least(wl["synapses"], 0)
+                and wl["synapses"] > wl["neurons"] * (wl["neurons"] - 1)):
+            errors.append("workload.synapses: more than neurons * (neurons - 1) "
+                          "distinct synapses")
         if wl["path"] is not None:
-            path = _resolve(wl["path"], base_dir)
-            if not path.exists():
-                errors.append(f"workload.path: file not found '{path}'")
-            wl["path"] = str(path)
+            if not isinstance(wl["path"], str):
+                errors.append("workload.path: must be a path string")
+            else:
+                path = _resolve(wl["path"], base_dir)
+                if not path.exists():
+                    errors.append(f"workload.path: file not found '{path}'")
+                wl["path"] = str(path)
 
     cfg["campaign"] = _merge(_CAMPAIGN_DEFAULTS[kind], raw.get("campaign"), errors,
                              "campaign")
     camp = cfg["campaign"]
-    if "runs" in camp and (not isinstance(camp["runs"], int) or camp["runs"] < 1):
-        errors.append("campaign.runs: must be a positive integer")
-    if "fr" in camp and not _number_in(camp["fr"], 0, 100):
-        errors.append("campaign.fr: must be a percentage in [0, 100]")
-    if "fr_max_non_crit" in camp and not _number_in(camp["fr_max_non_crit"], 0, 1):
-        errors.append("campaign.fr_max_non_crit: must be in [0, 1]")
-    if "bit_positions" in camp:
-        if not isinstance(camp["bit_positions"], list) or any(
-                not isinstance(b, int) or not _number_in(b, 0, 7)
-                for b in camp["bit_positions"]):
-            errors.append("campaign.bit_positions: need a list of bits in [0, 7]")
-    if "bit_pos" in camp and not (isinstance(camp["bit_pos"], int)
-                                  and _number_in(camp["bit_pos"], 0, 7)):
-        errors.append("campaign.bit_pos: must be in [0, 7]")
-    if "fmt" in camp and camp["fmt"] not in ("int8", "bfloat16"):
-        errors.append(f"campaign.fmt: {camp['fmt']!r} not int8 or bfloat16")
+    _check_fields(camp, _CAMPAIGN_RULES, errors, "campaign")
     if "tiles" in camp:
-        if not isinstance(camp["tiles"], list) or not camp["tiles"]:
-            errors.append("campaign.tiles: need at least one tile")
+        _check_tiles(camp["tiles"], errors)
 
     cfg["report"] = _merge(_DEFAULTS["report"], raw.get("report"), errors, "report")
     return (cfg if not errors else None), errors
 
 
 def _number_in(value, lo, hi) -> bool:
-    """A real number (not a bool) in [lo, hi]."""
+    """A finite real number (not a bool) in [lo, hi]."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and lo <= value <= hi)
+            and math.isfinite(value) and lo <= value <= hi)
+
+
+def _int_at_least(value, lo) -> bool:
+    """An integer (not a bool) of at least ``lo``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= lo
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(check(v) for v in value)
+
+
+_POSITIVE_INT = (lambda v: _int_at_least(v, 1), "must be a positive integer")
+_FRACTION = (lambda v: _number_in(v, 0, 1), "must be in [0, 1]")
+_PERCENT = (lambda v: _number_in(v, 0, 100), "must be a percentage in [0, 100]")
+_BIT = (lambda v: isinstance(v, int) and _number_in(v, 0, 7), "must be in [0, 7]")
+
+# field -> (check, what the error says); a field is checked where present
+_CAMPAIGN_RULES = {
+    "runs": _POSITIVE_INT,
+    "seeds": _POSITIVE_INT,
+    "fr": _PERCENT,
+    "fr_grid": (_list_of(_PERCENT[0]), "need a list of percentages in [0, 100]"),
+    "fr_max_non_crit": _FRACTION,
+    "critical_fraction": _FRACTION,
+    "carry_fraction": _FRACTION,
+    "stuck_one_bias": _FRACTION,
+    "bit_positions": (_list_of(_BIT[0]), "need a list of bits in [0, 7]"),
+    "bit_pos": _BIT,
+    "counts": (_list_of(lambda v: _int_at_least(v, 0)),
+               "need a list of non-negative integers"),
+    "k_values": (_list_of(_POSITIVE_INT[0]), "need a list of positive integers"),
+    "lsb_bits": _POSITIVE_INT,
+    "faults_per_column": (lambda v: _int_at_least(v, 0),
+                          "must be a non-negative integer"),
+    "grid_width": (lambda v: _int_at_least(v, 10),
+                   "must be an integer >= 10, the output layer's neuron count"),
+    "n_row": _POSITIVE_INT,
+    "n_col": _POSITIVE_INT,
+    "fmt": (lambda v: v in ("int8", "bfloat16"), "must be int8 or bfloat16"),
+    "mode": (lambda v: v in ("sim", "worst"), "must be sim or worst"),
+    "eval_samples": (lambda v: v is None or _int_at_least(v, 1),
+                     "must be a positive integer or null"),
+    "retrain_epochs": (lambda v: _int_at_least(v, 0), "must be a non-negative integer"),
+    "retrain_lr": (lambda v: _number_in(v, 0, math.inf) and v > 0, "must be positive"),
+    "track_recall": (lambda v: isinstance(v, bool), "must be true or false"),
+    "capacity": _POSITIVE_INT,
+    "crossbar_n": _POSITIVE_INT,
+    "particles": _POSITIVE_INT,
+    "iterations": _POSITIVE_INT,
+    "comm_weight": (lambda v: _number_in(v, 0, math.inf),
+                    "must be a non-negative number"),
+    "baseline_seeds": _POSITIVE_INT,
+}
+
+_WORKLOAD_RULES = {
+    "neurons": (lambda v: _int_at_least(v, 2), "must be an integer >= 2"),
+    "synapses": (lambda v: _int_at_least(v, 0), "must be a non-negative integer"),
+    "seed": (lambda v: _int_at_least(v, 0), "must be a non-negative integer"),
+    "max_activation": (lambda v: _number_in(v, 0, math.inf),
+                       "must be a non-negative number"),
+}
+
+_TILE_KEYS = ("voltage", "temperature")
+
+
+def _check_fields(section: dict, rules: dict, errors, prefix) -> None:
+    for key, (check, message) in rules.items():
+        if key in section and not check(section[key]):
+            errors.append(f"{prefix}.{key}: {message}")
+
+
+def _check_tiles(tiles, errors) -> None:
+    """Each tile needs a voltage > 0 and may give a temperature > 0 (kelvin)."""
+    if not isinstance(tiles, list) or not tiles:
+        errors.append("campaign.tiles: need at least one tile")
+        return
+    for k, tile in enumerate(tiles):
+        where = f"campaign.tiles[{k}]"
+        if not isinstance(tile, dict):
+            errors.append(f"{where}: expected a mapping with voltage and temperature")
+            continue
+        errors.extend(f"{where}.{key}: unknown key" for key in tile
+                      if key not in _TILE_KEYS)
+        if "voltage" not in tile:
+            errors.append(f"{where}.voltage: required")
+        for key in _TILE_KEYS:
+            if key in tile and not (_number_in(tile[key], 0, math.inf) and tile[key] > 0):
+                errors.append(f"{where}.{key}: must be a number > 0")
 
 
 def _resolve(path_str: str, base_dir: Path | None) -> Path:

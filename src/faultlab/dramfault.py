@@ -111,14 +111,13 @@ def model_grids(model, width: int | None = None) -> list[WeightGrid]:
     return [layout(wq, width=width) for wq in quantize_weights(model)]
 
 
-def _int8_predictions(model, dataset: LabeledDataset, weights_q) -> np.ndarray:
-    logits = quant_forward(model, model_input(dataset), fmt="int8", weights_q=weights_q)
+def _int8_predictions(model, x: np.ndarray, weights_q) -> np.ndarray:
+    logits = quant_forward(model, x, fmt="int8", weights_q=weights_q)
     return np.argmax(logits, axis=1)
 
 
-def _int8_accuracy(model, dataset: LabeledDataset, weights_q) -> float:
-    pred = _int8_predictions(model, dataset, weights_q)
-    return float(np.mean(pred == dataset.labels))
+def _int8_accuracy(model, x: np.ndarray, labels, weights_q) -> float:
+    return float(np.mean(_int8_predictions(model, x, weights_q) == labels))
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,10 @@ def bitpos_campaign(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     data = dataset if eval_samples is None else dataset.subset(eval_samples)
+    x = model_input(data)
     grids = model_grids(model)
     baseline_wq = [extract(g) for g in grids]
-    baseline = _int8_accuracy(model, data, baseline_wq)
+    baseline = _int8_accuracy(model, x, data.labels, baseline_wq)
 
     rows = []
     for bit_pos in bit_positions:
@@ -166,7 +166,7 @@ def bitpos_campaign(
                                          seed=derived_seed(run_seed, l))
                     mutated, _ = inject(grid, plan)
                     faulty.append(extract(mutated))
-                acc = _int8_accuracy(model, data, faulty)
+                acc = _int8_accuracy(model, x, data.labels, faulty)
                 rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
                                         acc, (baseline - acc) * 100.0))
     mean_table = {}
@@ -202,10 +202,10 @@ def column_campaign(
     if n_classes != 10:
         raise ValueError(f"column campaign expects a 10-class output, got {n_classes}")
     data = dataset if eval_samples is None else dataset.subset(eval_samples)
-    grids = model_grids(model)
-    out_grid = layout(quantize_weights(model)[-1], width=grid_width)
-    baseline_wq = [extract(g) for g in grids]
-    base_pred = _int8_predictions(model, data, baseline_wq)
+    x = model_input(data)
+    baseline_wq = [extract(g) for g in model_grids(model)]
+    out_grid = layout(baseline_wq[-1], width=grid_width)
+    base_pred = _int8_predictions(model, x, baseline_wq)
     baseline = float(np.mean(base_pred == data.labels))
     baseline_recall = _recall_from(base_pred, data.labels, n_classes)
 
@@ -218,7 +218,7 @@ def column_campaign(
                                  seed=run_seed, target=column)
             mutated, _ = inject(out_grid, plan)
             faulty = baseline_wq[:-1] + [extract(mutated)]
-            pred = _int8_predictions(model, data, faulty)
+            pred = _int8_predictions(model, x, faulty)
             acc = float(np.mean(pred == data.labels))
             rows.append(CampaignRow("column", bit_pos, column, faults_per_column,
                                     run_seed, acc, (baseline - acc) * 100.0))

@@ -11,11 +11,9 @@ Schema (faultlab-faultmap/1):
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
-import yaml
 
+from ..yamlio import read_document, write_document
 from .array import ArrayConfig, FaultStatusRegister
 from .faults import CRITICAL, NON_CRITICAL, FaultMap, LogicConeFault, cone_bits
 
@@ -43,14 +41,12 @@ def save_fault_map(path, config: ArrayConfig, fault_map: FaultMap,
             for r, c, crit in zip(fsr.rows.tolist(), fsr.cols.tolist(),
                                   fsr.critical.tolist())
         ]
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
+    write_document(path, doc)
 
 
 def load_fault_map(path):
     """Returns (config, fault_map, fsr_or_None, seed_or_None)."""
-    doc = yaml.safe_load(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
-        raise ValueError(f"{path}: not a {FORMAT_TAG} document")
+    doc = read_document(path, FORMAT_TAG)
     cfg = doc["config"]
     config = ArrayConfig(n_row=cfg["n_row"], n_col=cfg["n_col"], fmt=cfg["fmt"])
     fault_map = FaultMap.from_faults(

@@ -9,8 +9,9 @@ matmul they are the fault-free baselines.
 
 int8 mode: weights quantized once per tensor, activations re-quantized
 per layer (symmetric, max/127), products and sums accumulated exactly.
-Integer matmuls run in float64, which is exact for these magnitudes
-(|acc| < 2**53), so results are bit-stable regardless of BLAS order.
+Integer matmuls run in floating point with every partial sum an integer
+the format holds exactly, so results are bit-stable regardless of BLAS
+order (see ``exact_int_matmul``).
 
 bfloat16 mode: weights and activations rounded to bfloat16; products of
 two bfloat16 values are exact in float64, accumulation stays in full
@@ -46,13 +47,25 @@ def quantize_activations(a: np.ndarray):
     otherwise cast to arbitrary int8 values.
     """
     scale = int8_scale(a)
-    raw = np.clip(round_half_away(a / scale), -128, 127).astype(np.int8)
+    q = round_half_away(a / scale)
+    raw = np.clip(q, -128, 127, out=q).astype(np.int8)
     return raw, scale
 
 
+# Each int8 product has magnitude at most 128 * 128 = 2**14, so a sum over
+# at most 2**10 of them stays within float32's 2**24 exact-integer range.
+FLOAT32_EXACT_FAN_IN = 2**10
+
+
 def exact_int_matmul(aq: np.ndarray, wq: np.ndarray) -> np.ndarray:
-    """Exact integer matmul of int8 operands, via float64 (no rounding)."""
-    return aq.astype(np.float64, copy=False) @ wq.astype(np.float64, copy=False)
+    """Exact integer matmul of int8-valued operands, returned as float64.
+
+    Runs in float32 up to ``FLOAT32_EXACT_FAN_IN`` inputs and in float64
+    (exact below 2**53) beyond; no partial sum is ever rounded.
+    """
+    dtype = np.float32 if aq.shape[-1] <= FLOAT32_EXACT_FAN_IN else np.float64
+    acc = aq.astype(dtype, copy=False) @ wq.astype(dtype, copy=False)
+    return acc.astype(np.float64, copy=False)
 
 
 def forward_float(model, x: np.ndarray) -> np.ndarray:

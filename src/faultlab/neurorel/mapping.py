@@ -57,25 +57,28 @@ def cluster_loads(graph: SnnWorkloadGraph, owned) -> np.ndarray:
 
 def tile_duties(loads: np.ndarray, assignment, n_tiles: int) -> np.ndarray:
     total = loads.sum()
-    duties = np.zeros(n_tiles)
     if total <= 0:
-        return duties
-    for k, tile in enumerate(assignment):
-        duties[tile] += loads[k]
-    return duties / total
+        return np.zeros(n_tiles)
+    # bincount adds the loads in cluster order, as a loop over clusters would
+    return np.bincount(assignment, weights=loads, minlength=n_tiles) / total
 
 
 def mapping_fitness(graph: SnnWorkloadGraph, clusters, owned, loads, tiles,
                     tddb: TddbParams, bti: BtiParams, comm_weight: float = 0.0):
-    """Fitness callable over cluster->tile assignments (lower is better)."""
-    inter = None
+    """Fitness callable over cluster->tile assignments (lower is better).
+
+    The endpoint clusters and activations of the inter-cluster synapses are
+    gathered once; each call sums, in synapse order, the activations of
+    those whose clusters sit on different tiles.
+    """
+    act = None
     if comm_weight > 0:
         owner = cluster_owner(clusters)
-        inter = [
-            (owner[s.src], owner[s.dst], s.activation)
-            for s in graph.synapses
-            if owner[s.src] != owner[s.dst]
-        ]
+        ends = np.array([(owner[s.src], owner[s.dst]) for s in graph.synapses],
+                        dtype=np.intp).reshape(-1, 2)
+        inter = ends[:, 0] != ends[:, 1]
+        src, dst = ends[inter, 0], ends[inter, 1]
+        act = np.array([s.activation for s in graph.synapses], dtype=np.float64)[inter]
         total = graph.total_activation or 1.0
 
     def fitness(assignment):
@@ -85,9 +88,13 @@ def mapping_fitness(graph: SnnWorkloadGraph, clusters, owned, loads, tiles,
             for t, d in zip(tiles, duties)
         ]
         value = aging_fitness(stresses, tddb, bti)
-        if inter:
-            crossing = sum(a for ka, kb, a in inter if assignment[ka] != assignment[kb])
-            value += comm_weight * crossing / total
+        if act is not None:
+            assignment = np.asarray(assignment)
+            crossing = act[assignment[src] != assignment[dst]]
+            if len(crossing):
+                # a running sum, not np.sum: pairwise summation would round
+                # non-integer activations differently
+                value += comm_weight * float(np.cumsum(crossing)[-1]) / total
         return value
 
     return fitness

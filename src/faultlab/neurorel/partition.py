@@ -38,28 +38,31 @@ def cut_cost(graph: SnnWorkloadGraph, clusters) -> float:
 
 
 def _kl_pass(w, in_a):
-    """One Kernighan-Lin improvement pass; mutates nothing, returns new in_a."""
-    n = len(in_a)
+    """One Kernighan-Lin improvement pass; mutates nothing, returns new in_a.
+
+    Both sides keep fixed index arrays and a swapped vertex's gain turns
+    -inf, so the first maximum of the whole gain matrix in row-major order
+    is the first maximum over the live pairs: ties break as they would in
+    a gather of the live pairs.
+    """
     to_a = w @ in_a
     to_b = w @ (1.0 - in_a)
     d = np.where(in_a > 0, to_b - to_a, to_a - to_b)
-    a_live = [v for v in range(n) if in_a[v]]
-    b_live = [v for v in range(n) if not in_a[v]]
+    side_a, side_b = np.flatnonzero(in_a), np.flatnonzero(in_a == 0)
+    d_a, d_b = d[side_a], d[side_b]
+    w2_ab = 2.0 * w[np.ix_(side_a, side_b)]
+    gain = np.empty_like(w2_ab)
     swaps, gains = [], []
-    d = d.copy()
-    while a_live and b_live:
-        gain_matrix = (
-            d[a_live][:, None] + d[b_live][None, :] - 2.0 * w[np.ix_(a_live, b_live)]
-        )
-        flat = int(np.argmax(gain_matrix))
-        ai, bi = divmod(flat, len(b_live))
-        a, b = a_live[ai], b_live[bi]
+    for _ in range(min(len(side_a), len(side_b))):
+        np.add(d_a[:, None], d_b[None, :], out=gain)
+        gain -= w2_ab
+        ai, bi = divmod(int(np.argmax(gain)), len(side_b))
+        a, b = side_a[ai], side_b[bi]
         swaps.append((a, b))
-        gains.append(float(gain_matrix[ai, bi]))
-        a_live.pop(ai)
-        b_live.pop(bi)
-        d[a_live] += 2.0 * w[a_live, a] - 2.0 * w[a_live, b]
-        d[b_live] += 2.0 * w[b_live, b] - 2.0 * w[b_live, a]
+        gains.append(float(gain[ai, bi]))
+        d_a[ai] = d_b[bi] = -np.inf
+        d_a += 2.0 * w[side_a, a] - 2.0 * w[side_a, b]
+        d_b += 2.0 * w[side_b, b] - 2.0 * w[side_b, a]
     prefix = np.cumsum(gains)
     best = int(np.argmax(prefix))
     if prefix[best] <= 1e-12:

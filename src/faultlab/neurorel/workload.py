@@ -8,13 +8,15 @@ workload; spiking dynamics are not simulated here. File format
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import yaml
+
+from ..yamlio import read_document, write_document
 
 FORMAT_TAG = "faultlab-workload/1"
+_SYNAPSE_KEYS = ("src", "dst", "weight", "activation")
 
 
 @dataclass(frozen=True)
@@ -27,8 +29,10 @@ class Synapse:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError(f"self-loop synapse on neuron {self.src}")
-        if self.activation < 0:
-            raise ValueError("activation count must be non-negative")
+        if not math.isfinite(self.weight):
+            raise ValueError(f"weight {self.weight} is not finite")
+        if not (math.isfinite(self.activation) and self.activation >= 0):
+            raise ValueError("activation count must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -58,19 +62,35 @@ def save_workload(path, graph: SnnWorkloadGraph):
             for s in graph.synapses
         ],
     }
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
+    write_document(path, doc)
 
 
 def load_workload(path) -> SnnWorkloadGraph:
-    doc = yaml.safe_load(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
-        raise ValueError(f"{path}: not a {FORMAT_TAG} document")
-    synapses = tuple(
-        Synapse(src=int(s["src"]), dst=int(s["dst"]), weight=float(s["weight"]),
-                activation=float(s["activation"]))
-        for s in doc.get("synapses", [])
-    )
-    return SnnWorkloadGraph(neurons=tuple(doc["neurons"]), synapses=synapses)
+    """Read a workload file; a malformed entry raises ValueError naming it."""
+    doc = read_document(path, FORMAT_TAG)
+    if not isinstance(doc.get("neurons"), list):
+        raise ValueError(f"{path}: neurons: expected a list of neuron ids")
+    entries = doc.get("synapses", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: synapses: expected a list")
+    synapses = []
+    for i, s in enumerate(entries):
+        where = f"{path}: synapses[{i}]"
+        if not isinstance(s, dict):
+            raise ValueError(f"{where}: expected a mapping of {', '.join(_SYNAPSE_KEYS)}")
+        missing = [key for key in _SYNAPSE_KEYS if key not in s]
+        if missing:
+            raise ValueError(f"{where}: missing key {missing[0]!r}")
+        try:
+            synapses.append(Synapse(src=int(s["src"]), dst=int(s["dst"]),
+                                    weight=float(s["weight"]),
+                                    activation=float(s["activation"])))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{where}: {err}") from None
+    try:
+        return SnnWorkloadGraph(neurons=tuple(doc["neurons"]), synapses=tuple(synapses))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def random_workload(n_neurons: int, n_synapses: int, seed: int = 0,

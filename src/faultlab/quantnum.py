@@ -47,13 +47,18 @@ class Int8Tensor:
 def round_half_away(x):
     """Round to nearest integer, halves away from zero."""
     x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    # one buffer for every step; empty_like keeps a 0-d input an array
+    out = np.abs(x, out=np.empty_like(x))
+    out += 0.5
+    np.floor(out, out=out)
+    return np.copysign(out, x, out=out)
 
 
 def int8_scale(values) -> float:
     """Symmetric per-tensor scale ``max|v| / 127`` (1.0 when all are zero)."""
     values = np.asarray(values, dtype=np.float64)
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
+    # max(max, -min) is max|v| without an |v| temporary; np.maximum keeps NaN
+    peak = float(np.maximum(values.max(), -values.min())) if values.size else 0.0
     if not np.isfinite(peak):
         raise ValueError("cannot quantize non-finite values")
     return peak / INT8_MAX if peak > 0 else 1.0

@@ -3,8 +3,10 @@
 ``perfbench/spans.py`` wraps faultlab functions by module and name, and its
 counters read their arguments and results: ``len(faults)``, ``for pe in
 state.faults``, ``state.active[pe]`` and the parameter names ``state``,
-``weight_shapes``, ``dataset`` and ``eval_samples``. A change that breaks
-any of these fails here instead of in a benchmark run.
+``weight_shapes``, ``dataset``, ``eval_samples`` and ``x``; the SNN mapper's
+fitness is a callable that ``pso_assign`` calls once per particle and
+iteration, and every DRAM trial makes its own ``quant_forward`` call. A
+change that breaks any of these fails here instead of in a benchmark run.
 """
 
 import functools
@@ -73,3 +75,41 @@ def test_traced_run_counts_match_returned_maps(tmp_path, monkeypatch, kind):
         int(mask.size - mask.sum()) for mask in masks)
     assert len(masks) == {"mac-sweep": 0, "deactivate": 2, "fault-train": 1}[kind]
     assert _count(tracer, "macfault.array.faulty_matmul.L0", "corrupted_products") > 0
+
+
+def _traced_run(tmp_path, doc):
+    cfg, errors = validate({"seed": 3, "report": {"svg": False}, **doc})
+    assert not errors
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        run(cfg, output_override=tmp_path / "out")
+    return tracer
+
+
+def test_traced_neuro_map_counts_one_fitness_call_per_particle(tmp_path):
+    pso = {"particles": 4, "iterations": 3}
+    tracer = _traced_run(tmp_path, {
+        "experiment": "neuro-map",
+        "workload": {"neurons": 24, "synapses": 120},
+        "campaign": {"capacity": 6, "comm_weight": 0.5, "baseline_seeds": 2, **pso},
+    })
+    assert _count(tracer, "neurorel.pso.pso_assign", "fitness_evals") == (
+        pso["particles"] * (pso["iterations"] + 1))
+    assert _count(tracer, "neurorel.mapping.random_baseline_fitness",
+                  "fitness_evals") == 2
+
+
+def test_traced_dram_column_makes_one_forward_per_trial(tmp_path):
+    camp = {"faults_per_column": 3, "runs": 2, "grid_width": 12, "eval_samples": 100}
+    tracer = _traced_run(tmp_path, {
+        "experiment": "dram-column",
+        "model": {"layers": [64, 16, 10]},
+        "dataset": {"train": 200, "test": 200, "size": 8},
+        "train": {"epochs": 1},
+        "campaign": camp,
+    })
+    forwards = camp["runs"] * camp["grid_width"] + 1  # trials plus the baseline
+    assert sum(s.name == "netcore.inference.quant_forward"
+               for s in tracer.spans) == forwards
+    assert _count(tracer, "netcore.inference.quant_forward", "samples") == (
+        forwards * camp["eval_samples"])

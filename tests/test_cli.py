@@ -59,11 +59,52 @@ def test_validate_lists_every_offence():
     ("deactivate", {"fr_max_non_crit": True}, "campaign.fr_max_non_crit:"),
     ("dram-bitpos", {"bit_positions": 7}, "campaign.bit_positions:"),
     ("dram-column", {"bit_pos": "7"}, "campaign.bit_pos:"),
+    ("dram-bitpos", {"counts": 5}, "campaign.counts:"),
+    ("mac-sweep", {"k_values": 3}, "campaign.k_values:"),
+    ("mac-sweep", {"fr_grid": "x"}, "campaign.fr_grid:"),
+    ("dram-column", {"faults_per_column": "3"}, "campaign.faults_per_column:"),
+    ("mac-sweep", {"n_row": "8"}, "campaign.n_row:"),
+    ("deactivate", {"carry_fraction": "a"}, "campaign.carry_fraction:"),
+    ("dram-column", {"grid_width": 0}, "campaign.grid_width:"),
+    ("neuro-map", {"capacity": "a"}, "campaign.capacity:"),
+    ("neuro-map", {"iterations": 1.5}, "campaign.iterations:"),
+    ("neuro-map", {"comm_weight": "x"}, "campaign.comm_weight:"),
+    ("neuro-map", {"comm_weight": -1}, "campaign.comm_weight:"),
+    ("neuro-map", {"baseline_seeds": 0}, "campaign.baseline_seeds:"),
+    ("neuro-map", {"tiles": [{"temperature": 300}]}, "campaign.tiles[0].voltage:"),
+    ("neuro-map", {"tiles": [5]}, "campaign.tiles[0]:"),
+    ("neuro-map", {"tiles": [{"voltage": 1.8, "temperature": "hot"}]},
+     "campaign.tiles[0].temperature:"),
+    ("neuro-map", {"tiles": [{"voltage": 0}]}, "campaign.tiles[0].voltage:"),
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
     cfg, errors = validate({"experiment": experiment, "campaign": campaign})
     assert cfg is None
     assert len(errors) == 1 and errors[0].startswith(field), errors
+
+
+@pytest.mark.parametrize("workload, field", [
+    ({"synapses": "5"}, "workload.synapses:"),
+    ({"max_activation": -1}, "workload.max_activation:"),
+    ({"neurons": 3, "synapses": 7}, "workload.synapses:"),
+    ({"neurons": 1.5}, "workload.neurons:"),
+])
+def test_validate_names_wrong_workload_field(workload, field):
+    cfg, errors = validate({"experiment": "neuro-map", "workload": workload})
+    assert cfg is None
+    assert len(errors) == 1 and errors[0].startswith(field), errors
+
+
+def test_validate_rejects_bool_seed():
+    cfg, errors = validate({"experiment": "endurance-map", "seed": True})
+    assert cfg is None and errors == ["seed: must be an integer"]
+
+
+def test_validate_accepts_tile_without_temperature():
+    cfg, errors = validate({"experiment": "neuro-map",
+                            "campaign": {"tiles": [{"voltage": 2.0}]}})
+    assert errors == []
+    assert cfg["campaign"]["tiles"] == [{"voltage": 2.0}]
 
 
 @pytest.mark.parametrize("experiment, campaign, csv_name", [

@@ -5,7 +5,7 @@ import pytest
 
 from faultlab import dramfault as df
 from faultlab.netcore import evaluate, init_mlp
-from faultlab.netcore.inference import quantize_weights
+from faultlab.netcore.inference import model_input
 from faultlab.quantnum import Int8Tensor, quantize_int8
 
 
@@ -108,7 +108,7 @@ def test_restoring_flips_recovers_baseline(small_mlp, blob_test):
     restored = [Int8Tensor(raw=cells.view(np.int8), scale=grids[0].scale)] + [
         df.extract(g) for g in grids[1:]
     ]
-    acc = df._int8_accuracy(small_mlp, blob_test, restored)
+    acc = df._int8_accuracy(small_mlp, model_input(blob_test), blob_test.labels, restored)
     assert acc == base
 
 
@@ -142,3 +142,24 @@ def test_column_campaign_padding_columns_exact_zero(small_mlp, blob_test):
     )
     for col in range(10, 12):
         assert mean_drops[col] == 0.0
+
+
+@pytest.mark.parametrize("campaign, kwargs", [
+    (df.bitpos_campaign, {"counts": [10], "bit_positions": (7, 6), "runs": 2}),
+    (df.column_campaign, {"runs": 1, "grid_width": 10}),
+])
+def test_campaign_converts_input_and_quantizes_weights_once(
+        monkeypatch, small_mlp, blob_test, campaign, kwargs):
+    calls = {"model_input": 0, "quantize_weights": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(df, "model_input", counted("model_input", df.model_input))
+    monkeypatch.setattr(df, "quantize_weights",
+                        counted("quantize_weights", df.quantize_weights))
+    campaign(small_mlp, blob_test, seed=1, eval_samples=100, **kwargs)
+    assert calls == {"model_input": 1, "quantize_weights": 1}

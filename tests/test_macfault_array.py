@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import yaml
 from scipy import stats
 
 from faultlab.macfault import (
@@ -412,6 +413,18 @@ def test_fault_map_file_roundtrip(tmp_path):
     assert faults2 == faults
     assert fsr2 == fsr
     assert seed2 == 9
+
+
+def test_fault_map_file_bytes_equal_pure_python_dumper(tmp_path):
+    cfg = ArrayConfig(n_row=8, n_col=8)
+    faults = seed_fault_map(cfg, 25, SignatureMix(critical_fraction=0.3,
+                                                  carry_fraction=0.5), seed=9)
+    path = tmp_path / "map.yaml"
+    save_fault_map(path, cfg, faults, fsr=build_fsr(faults, "int8", 0.1), seed=9)
+    text = path.read_text()
+    doc = yaml.safe_load(text)
+    assert text == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
+    assert len(doc["faults"]) == len(faults) and "fsr" in doc
 
 
 def test_fault_map_file_rejects_duplicate_pe(tmp_path):

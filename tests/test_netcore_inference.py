@@ -201,3 +201,29 @@ def test_quantize_activations_rejects_non_finite(bad):
     a[2, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         quantize_activations(a)
+
+
+def _int8_operands(rng, n, fan_in, fan_out):
+    aq = rng.integers(-128, 128, size=(n, fan_in)).astype(np.int8)
+    wq = rng.integers(-128, 128, size=(fan_in, fan_out)).astype(np.int8)
+    aq[0], wq[:, 0] = -128, -128  # the largest product, 2**14, on every input
+    return aq, wq
+
+
+@pytest.mark.parametrize("fan_in", [1024, 2048])
+def test_exact_int_matmul_equals_int64_matmul(rng, fan_in):
+    aq, wq = _int8_operands(rng, 5, fan_in, 7)
+    acc = inference.exact_int_matmul(aq, wq)
+    assert acc.dtype == np.float64
+    assert np.array_equal(acc, aq.astype(np.int64) @ wq.astype(np.int64))
+
+
+def test_exact_int_matmul_past_float32_range():
+    # 2047 products 127*127 and one 127*126 sum to 33032065: odd and above
+    # 2**24, so no float32 accumulation can hold it
+    aq = np.full((3, 2048), 127, dtype=np.int8)
+    wq = np.full((2048, 2), 127, dtype=np.int8)
+    wq[5, 1] = 126
+    acc = inference.exact_int_matmul(aq, wq)
+    assert acc[0, 1] == 33032065
+    assert np.array_equal(acc, aq.astype(np.int64) @ wq.astype(np.int64))

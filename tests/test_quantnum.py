@@ -48,6 +48,12 @@ def test_quantize_rounds_half_away_from_zero():
     assert list(t.raw) == [1, -1, 2, -2]
 
 
+def test_round_half_away_takes_scalars_and_keeps_the_sign_of_zero():
+    assert qn.round_half_away(2.5) == 3.0 and qn.round_half_away(-2.5) == -3.0
+    assert qn.round_half_away(-0.4) == 0 and np.signbit(qn.round_half_away(-0.4))
+    assert qn.quantize_int8(0.5, scale=1.0).raw == 1
+
+
 def test_int8_byte_views():
     raw = np.array([-128, -1, 0, 127], dtype=np.int8)
     as_bytes = qn.int8_to_byte(raw)
