@@ -1,5 +1,6 @@
 """CLI tests: validation, determinism, cleanup, reporting, exit codes."""
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -371,3 +372,93 @@ def test_fault_train_experiment_csv(tmp_path):
     rows = (tmp_path / "out" / "fault_train.csv").read_text().strip().splitlines()
     assert rows[0].startswith("run_seed,baseline_accuracy")
     assert len(rows) == 2
+
+
+# One tiny config per experiment kind, run with charts on. Its digests pin
+# every CSV and YAML output and the manifest less its wall clock, so a change
+# to how the CLI is organised must reproduce each run byte for byte.
+_TINY_MODEL = {"model": {"layers": [144, 24, 10]},
+               "dataset": {"train": 400, "test": 60, "size": 12, "classes": 4},
+               "train": {"epochs": 6, "lr": 0.3, "batch": 32}}
+_TINY_ARRAY = {"n_row": 8, "n_col": 8, "eval_samples": 40}
+GOLDEN_CONFIGS = {
+    kind: {"experiment": kind, "seed": 7, **base, "campaign": campaign}
+    for kind, base, campaign in [
+        ("train", _TINY_MODEL, {}),
+        ("dram-bitpos", _TINY_MODEL, {"counts": [3, 9], "bit_positions": [7, 6],
+                                      "runs": 2}),
+        ("dram-column", _TINY_MODEL, {"faults_per_column": 2, "grid_width": 12,
+                                      "runs": 2}),
+        ("mac-sweep", _TINY_MODEL, {"k_values": [8, 12], "fr_grid": [30.0, 60.0],
+                                    "carry_fraction": 0.5, "runs": 2,
+                                    **_TINY_ARRAY}),
+        ("deactivate", _TINY_MODEL, {"fr": 25.0, "runs": 2, **_TINY_ARRAY}),
+        ("fault-train", _TINY_MODEL, {"fr": 25.0, "seeds": 2, "retrain_epochs": 1,
+                                      **_TINY_ARRAY}),
+        ("endurance-map", {}, {"n": 6}),
+        ("neuro-map", {"workload": {"neurons": 12, "synapses": 30}},
+         {"capacity": 4, "crossbar_n": 8, "particles": 4, "iterations": 3,
+          "baseline_seeds": 2}),
+    ]
+}
+
+
+def _golden_digests(out_dir: Path) -> dict:
+    """sha256 of each CSV and YAML output and of the manifest without its clock."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    del manifest["wall_clock_s"]
+    digests = {"manifest": hashlib.sha256(
+        json.dumps(manifest, sort_keys=True).encode()).hexdigest()}
+    for name in sorted(manifest["outputs"]):
+        if name.endswith((".csv", ".yaml")):
+            digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    return digests
+
+
+GOLDEN_DIGESTS = {
+    "train": {
+        "manifest": "d61e735b9f105ef215e3c41fa09cad39a8a2ca27ebd0e88bf109e26eb64d2241",
+        "history.csv": "db0cfbec384f4ef3b8ea6d3cb0dca3ce178e3ee92bb03fc2e29e00820e8a37f3",
+        "summary.csv": "de0ae9d9604050859927e177c175c62b7cfc3c29b5e9e0a002575a65c2c3e98e",
+    },
+    "dram-bitpos": {
+        "manifest": "79ee625651b7af443b82e69d6696f8b051c38a7dd23fb00e5ee3ac83e2007663",
+        "bitpos.csv": "5554636520aa3603f698098b010f569df0a152ff70eb5ccd697249c760929952",
+    },
+    "dram-column": {
+        "manifest": "53ed690a3f11d710c662bb46326011d23f8d72c54d20911dac2dbe6ec31ef672",
+        "column.csv": "0c4bff1b1fdbf155495f6fb35b0a37db6645782efdedbecf0e693bd07ed5d754",
+    },
+    "mac-sweep": {
+        "manifest": "39861fa7568e23758f85a3473af6d542195838763f260a2d80fbcfe4b7b85bf0",
+        "sweep.csv": "f9194b88d24a399c45a2b0bcb76e82616ee79203808926498778797fa789cca8",
+    },
+    "deactivate": {
+        "manifest": "9e3231a9dcd027b5331d53ed1e00a6cb9f120475c08f0fb961a1918273de02b4",
+        "deactivate.csv": "c6983e3d5a944d38c9ecb44a3678e0b7e51af1fe05c9193b0b0a3d2d31ccdd9c",
+        "faultmap_run0.yaml": "49f67f165fbbaaac2a842caa1e511e5ea4c4c4a23557daa0bde3eeb81fe8b443",
+        "faultmap_run1.yaml": "c6320c16e9e29ffc7e599576cc18c6b9a358db3d3701caaa49d9052386e42509",
+    },
+    "fault-train": {
+        "manifest": "28f7e021b5945fd283317200f0e482bd4981beaf1e9fcbf0c02c62ace370a88a",
+        "fault_train.csv": "41bfa042a620d74d2d567fa5b0df88e69cffb757f30af0426312744be7a1115a",
+    },
+    "endurance-map": {
+        "manifest": "e45fa1449ab861c53e0942d30f0f144eaa561e24a4d2e9b2f6bbb412322d373d",
+        "endurance.csv": "dc65f3c126e56b2c58456da0698552656a7a5204949152799f0c3cd370a687b7",
+    },
+    "neuro-map": {
+        "manifest": "1b4474077e746964b148ad4c7569c611c873c4320e31fd7cf67d4369c6b18f55",
+        "mapping.csv": "e6b7334ee14be7aec8b42556331c0aa3ebaad968a0d70d3d5a60219ce9938d38",
+        "summary.csv": "033a7315131f997875d93f1c069ddda1c920eb7a1b1e5d8f915c832691141f74",
+        "workload.yaml": "33c53c533956be5e9fda9a2926817e871d9fb9f4c8a051dfe1d58bec2ef0dc47",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_CONFIGS))
+def test_run_reproduces_golden_outputs(tmp_path, kind):
+    cfg, errors = validate(GOLDEN_CONFIGS[kind])
+    assert not errors
+    run(cfg, output_override=tmp_path)
+    assert _golden_digests(tmp_path) == GOLDEN_DIGESTS[kind]
