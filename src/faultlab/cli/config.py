@@ -1,9 +1,12 @@
 """Experiment configuration: YAML schema, validation, canonical form.
 
-A config is a YAML mapping with an ``experiment`` kind, a master ``seed``,
-and per-kind sections. ``validate`` normalizes (filling documented
-defaults) and returns every offending field at once; ``render`` /
-``parse`` round-trip the normalized form byte-stably.
+A config is a YAML mapping with an ``experiment`` kind, a master ``seed``
+and sections. Each field is declared once, with its default and its rule:
+the fixed sections in ``SECTIONS``, a campaign section in its kind's record
+of the experiment table (``runner.KINDS``), which also says which sections
+the kind reads. ``validate`` fills every default, checks every field and
+returns every offending field at once; ``render`` / ``parse`` round-trip the
+normalized form byte-stably.
 """
 
 from __future__ import annotations
@@ -14,310 +17,192 @@ from pathlib import Path
 
 import yaml
 
-EXPERIMENTS = (
-    "train",
-    "dram-bitpos",
-    "dram-column",
-    "mac-sweep",
-    "deactivate",
-    "fault-train",
-    "endurance-map",
-    "neuro-map",
-)
 
-_NEEDS_MODEL = {"train", "dram-bitpos", "dram-column", "mac-sweep", "deactivate",
-                "fault-train"}
+# A rule is (check, what the error says when the check fails).
 
-_DEFAULTS = {
-    "model": {"kind": "mlp", "layers": [784, 256, 256, 256, 10], "checkpoint": None},
-    "dataset": {
-        "kind": "synthetic",
-        "train": 6000,
-        "test": 2000,
-        "seed": 1,
-        "test_seed": 2,
-        "classes": 10,
-        "size": 28,
-        "params": {},
+def _range(lo, hi, open_lo, open_hi) -> str:
+    if hi == math.inf:
+        return "" if lo == -math.inf else f" {'>' if open_lo else '>='} {lo:g}"
+    return f" in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+
+
+def integer(lo=-math.inf, hi=math.inf):
+    """Rule: an integer (not a bool) in [lo, hi]."""
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi,
+            "must be an integer" + _range(lo, hi, False, False))
+
+
+def number(lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False):
+    """Rule: a finite real number (not a bool) between lo and hi."""
+    return (lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and math.isfinite(v) and lo <= v <= hi
+                       and not (open_lo and v == lo) and not (open_hi and v == hi)),
+            "must be a number" + _range(lo, hi, open_lo, open_hi))
+
+
+def one_of(*choices):
+    return (lambda v: isinstance(v, str) and v in choices,
+            f"must be {' or '.join(choices)}")
+
+
+def list_of(rule, min_len=1):
+    return (lambda v: (isinstance(v, list) and len(v) >= min_len
+                       and all(rule[0](x) for x in v)),
+            f"need a list of at least {min_len}, each of which {rule[1]}")
+
+
+def optional(rule):
+    return (lambda v: v is None or rule[0](v)), f"{rule[1]} or null"
+
+
+BOOL = (lambda v: isinstance(v, bool), "must be true or false")
+PATH = optional((lambda v: isinstance(v, str) and bool(v), "must be a path string"))
+POSITIVE = number(0, open_lo=True)
+FRACTION = number(0, 1)
+PERCENT = number(0, 100)
+
+_TOP = {"seed": integer(), "output_dir": PATH}
+
+# section -> field -> (default, rule); None marks a field checked on its own
+SECTIONS = {
+    "model": {
+        "kind": ("mlp", one_of("mlp", "lenet5")),
+        "layers": ([784, 256, 256, 256, 10], list_of(integer(1), min_len=2)),
+        "checkpoint": (None, PATH),
     },
-    "train": {"epochs": 12, "lr": 0.15, "batch": 64},
-    "report": {"svg": True},
+    "dataset": {
+        "kind": ("synthetic", one_of("synthetic", "idx")),
+        "train": (6000, integer(1)),
+        "test": (2000, integer(1)),
+        "seed": (1, integer(0)),
+        "test_seed": (2, integer(0)),
+        "classes": (10, integer(1, 10)),
+        "size": (28, integer(1)),
+        "params": ({}, None),
+    },
+    "train": {"epochs": (12, integer(0)), "lr": (0.15, POSITIVE),
+              "batch": (64, integer(1))},
+    "report": {"svg": (True, BOOL)},
+    "workload": {
+        "path": (None, PATH),
+        "neurons": (40, integer(2)),
+        "synapses": (250, integer(1)),
+        "seed": (11, integer(0)),
+        "max_activation": (1000.0, number(0)),
+    },
 }
 
 _IDX_FILES = ("train_images", "train_labels", "test_images", "test_labels")
+_IDX_PATH = (lambda v: isinstance(v, str) and bool(v), "path required for idx datasets")
 
-_CAMPAIGN_DEFAULTS = {
-    "train": {},
-    "dram-bitpos": {
-        "counts": [40, 250],
-        "bit_positions": [7, 6, 5],
-        "runs": 10,
-        "eval_samples": None,
-    },
-    "dram-column": {
-        "faults_per_column": 20,
-        "bit_pos": 7,
-        "runs": 10,
-        "grid_width": 16,
-        "eval_samples": None,
-        "track_recall": False,
-    },
-    "mac-sweep": {
-        "k_values": [2, 3, 4],
-        "fr_grid": [0.0, 5.0, 10.0],
-        "runs": 10,
-        "fmt": "int8",
-        "mode": "sim",
-        "carry_fraction": 0.0,
-        "stuck_one_bias": 0.5,
-        "n_row": 128,
-        "n_col": 128,
-        "eval_samples": None,
-    },
-    "deactivate": {
-        "fr": 7.5,
-        "fr_max_non_crit": 0.05,
-        "critical_fraction": 0.1,
-        "lsb_bits": 2,
-        "carry_fraction": 0.5,
-        "fmt": "int8",
-        "n_row": 128,
-        "n_col": 128,
-        "runs": 5,
-        "eval_samples": None,
-    },
-    "fault-train": {
-        "fr": 7.5,
-        "fr_max_non_crit": 0.02,
-        "lsb_bits": 2,
-        "carry_fraction": 0.5,
-        "fmt": "int8",
-        "n_row": 128,
-        "n_col": 128,
-        "seeds": 5,
-        "retrain_epochs": 8,
-        "retrain_lr": 0.15,
-        "eval_samples": None,
-    },
-    "endurance-map": {
-        "n": 128,
-        "r_seg": 25.0,
-        "access_device": "diode",
-        "t_amb": 298.0,
-    },
-    "neuro-map": {
-        "capacity": 10,
-        "crossbar_n": 16,
-        "tiles": [
-            {"voltage": 3.0, "temperature": 298.0},
-            {"voltage": 1.8, "temperature": 298.0},
-        ],
-        "particles": 20,
-        "iterations": 50,
-        "comm_weight": 0.0,
-        "baseline_seeds": 10,
-    },
+# keyword arguments of netcore.synthetic_blobs that dataset.params may set
+_BLOB_RULES = {
+    "template_seed": integer(0),
+    "blobs_per_class": integer(1),
+    "center_jitter": number(0),
+    "amplitude_jitter": number(0),
+    "pixel_noise": number(0),
+    "sigma_min_frac": POSITIVE,
+    "sigma_max_frac": POSITIVE,
+    "weak_fraction": FRACTION,
+    "weak_gain": number(0),
 }
 
-_WORKLOAD_DEFAULTS = {"path": None, "neurons": 40, "synapses": 250, "seed": 11,
-                      "max_activation": 1000.0}
+_TILE_RULES = {"voltage": POSITIVE, "temperature": POSITIVE}
 
 
-def _merge(defaults: dict, given, errors, prefix) -> dict:
-    out = copy.deepcopy(defaults)
-    if given is None:
-        return out
-    if not isinstance(given, dict):
-        errors.append(f"{prefix}: expected a mapping")
-        return out
-    for key, value in given.items():
-        if key not in defaults:
-            errors.append(f"{prefix}.{key}: unknown key")
-        else:
-            out[key] = value
-    return out
+def _section(name: str, spec: dict, raw: dict, errors) -> tuple[dict, bool]:
+    """(the section given in ``raw`` over its defaults, whether it is valid)."""
+    n_errors = len(errors)
+    section = {key: copy.deepcopy(default) for key, (default, _) in spec.items()}
+    given = raw.get(name)
+    if given is not None and _check_mapping(given, dict.fromkeys(spec), errors, name):
+        section.update((k, v) for k, v in given.items() if k in spec)
+    _check_mapping(section, {key: rule for key, (_, rule) in spec.items()}, errors,
+                   name)
+    return section, len(errors) == n_errors
 
 
 def validate(raw: dict, base_dir: Path | None = None):
     """Normalize a raw config dict; returns (config, list of field errors)."""
-    errors: list[str] = []
+    from .runner import KINDS  # runner.py imports this module as it loads
     if not isinstance(raw, dict):
         return None, ["config: expected a YAML mapping"]
-    cfg: dict = {}
-
     kind = raw.get("experiment")
-    if kind not in EXPERIMENTS:
-        errors.append(
-            f"experiment: {kind!r} is not one of {', '.join(EXPERIMENTS)}"
-        )
-        return None, errors
-    cfg["experiment"] = kind
+    experiment = KINDS.get(kind) if isinstance(kind, str) else None
+    if experiment is None:
+        return None, [f"experiment: {kind!r} is not one of {', '.join(KINDS)}"]
+    cfg = {"experiment": kind, "seed": raw.get("seed", 0),
+           "output_dir": raw.get("output_dir")}
+    errors = [f"{key}: {message}" for key, (check, message) in _TOP.items()
+              if not check(cfg[key])]
+    errors.extend(f"{key}: unknown key" for key in raw
+                  if key not in {"experiment", "campaign", *_TOP, *SECTIONS})
 
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        errors.append("seed: must be an integer")
-        seed = 0
-    cfg["seed"] = seed
-
-    cfg["output_dir"] = raw.get("output_dir")
-    if cfg["output_dir"] is not None and not isinstance(cfg["output_dir"], str):
-        errors.append("output_dir: must be a path string")
-
-    known_top = {"experiment", "seed", "output_dir", "model", "dataset", "train",
-                 "campaign", "report", "workload"}
-    for key in raw:
-        if key not in known_top:
-            errors.append(f"{key}: unknown key")
-
-    if kind in _NEEDS_MODEL:
-        cfg["model"] = _merge(_DEFAULTS["model"], raw.get("model"), errors, "model")
-        if cfg["model"]["kind"] not in ("mlp", "lenet5"):
-            errors.append(f"model.kind: {cfg['model']['kind']!r} not mlp or lenet5")
-        layers = cfg["model"]["layers"]
-        if cfg["model"]["kind"] == "mlp":
-            if (not isinstance(layers, list) or len(layers) < 2
-                    or any(not isinstance(x, int) or x < 1 for x in layers)):
-                errors.append("model.layers: need a list of >= 2 positive sizes")
-        if cfg["model"]["checkpoint"] is not None:
-            path = _resolve(cfg["model"]["checkpoint"], base_dir)
-            if not path.exists():
-                errors.append(f"model.checkpoint: file not found '{path}'")
-            cfg["model"]["checkpoint"] = str(path)
-
-        given = raw.get("dataset")
-        ds_defaults = _DEFAULTS["dataset"]
-        if isinstance(given, dict) and given.get("kind") == "idx":
-            ds_defaults = {**ds_defaults, **dict.fromkeys(_IDX_FILES)}
-        cfg["dataset"] = _merge(ds_defaults, given, errors, "dataset")
+    if experiment.needs_model:
+        cfg["model"], model_ok = _section("model", SECTIONS["model"], raw, errors)
+        cfg["model"]["checkpoint"] = _existing(cfg["model"]["checkpoint"], base_dir,
+                                               "model.checkpoint", errors)
+        ds_spec = SECTIONS["dataset"]
+        if isinstance(raw.get("dataset"), dict) and raw["dataset"].get("kind") == "idx":
+            ds_spec = {**ds_spec, **dict.fromkeys(_IDX_FILES, (None, _IDX_PATH))}
+        cfg["dataset"], ds_ok = _section("dataset", ds_spec, raw, errors)
         ds = cfg["dataset"]
-        if ds["kind"] == "synthetic":
-            for field in ("train", "test"):
-                if not isinstance(ds[field], int) or ds[field] < 1:
-                    errors.append(f"dataset.{field}: must be a positive integer")
-        elif ds["kind"] == "idx":
-            for field in _IDX_FILES:
-                value = ds[field]
-                if not value or not isinstance(value, str):
-                    errors.append(f"dataset.{field}: path required for idx datasets")
-                    continue
-                path = _resolve(value, base_dir)
-                if not path.exists():
-                    errors.append(f"dataset.{field}: file not found '{path}'")
-                ds[field] = str(path)
-        else:
-            errors.append(f"dataset.kind: {ds['kind']!r} not synthetic or idx")
+        _check_mapping(ds["params"], _BLOB_RULES, errors, "dataset.params")
+        for key in _IDX_FILES if ds["kind"] == "idx" else ():
+            ds[key] = _existing(ds[key], base_dir, f"dataset.{key}", errors)
+        cfg["train"], _ = _section("train", SECTIONS["train"], raw, errors)
 
-        cfg["train"] = _merge(_DEFAULTS["train"], raw.get("train"), errors, "train")
-        tr = cfg["train"]
-        if not isinstance(tr["epochs"], int) or tr["epochs"] < 0:
-            errors.append("train.epochs: must be a non-negative integer")
-        if not (isinstance(tr["lr"], (int, float)) and tr["lr"] > 0):
-            errors.append("train.lr: must be positive")
-        if not isinstance(tr["batch"], int) or tr["batch"] < 1:
-            errors.append("train.batch: must be a positive integer")
-
-    if kind == "neuro-map":
-        cfg["workload"] = _merge(_WORKLOAD_DEFAULTS, raw.get("workload"), errors,
-                                 "workload")
+    if experiment.needs_workload:
+        cfg["workload"], wl_ok = _section("workload", SECTIONS["workload"], raw,
+                                          errors)
         wl = cfg["workload"]
-        _check_fields(wl, _WORKLOAD_RULES, errors, "workload")
-        if (_int_at_least(wl["neurons"], 2) and _int_at_least(wl["synapses"], 0)
-                and wl["synapses"] > wl["neurons"] * (wl["neurons"] - 1)):
+        if wl_ok and wl["synapses"] > wl["neurons"] * (wl["neurons"] - 1):
             errors.append("workload.synapses: more than neurons * (neurons - 1) "
                           "distinct synapses")
-        if wl["path"] is not None:
-            if not isinstance(wl["path"], str):
-                errors.append("workload.path: must be a path string")
-            else:
-                path = _resolve(wl["path"], base_dir)
-                if not path.exists():
-                    errors.append(f"workload.path: file not found '{path}'")
-                wl["path"] = str(path)
+        wl["path"] = _existing(wl["path"], base_dir, "workload.path", errors)
 
-    cfg["campaign"] = _merge(_CAMPAIGN_DEFAULTS[kind], raw.get("campaign"), errors,
-                             "campaign")
-    camp = cfg["campaign"]
-    _check_fields(camp, _CAMPAIGN_RULES, errors, "campaign")
-    if "tiles" in camp:
-        _check_tiles(camp["tiles"], errors)
+    cfg["campaign"], _ = _section("campaign", experiment.campaign, raw, errors)
+    if "tiles" in cfg["campaign"]:
+        _check_tiles(cfg["campaign"]["tiles"], errors)
+    cfg["report"], _ = _section("report", SECTIONS["report"], raw, errors)
 
-    cfg["report"] = _merge(_DEFAULTS["report"], raw.get("report"), errors, "report")
+    if (experiment.needs_model and model_ok and ds_ok and ds["kind"] == "synthetic"
+            and cfg["model"]["checkpoint"] is None):
+        _check_model_fits(cfg["model"], ds, errors)
+    if not errors and experiment.check:
+        errors = experiment.check(cfg)
     return (cfg if not errors else None), errors
 
 
-def _number_in(value, lo, hi) -> bool:
-    """A finite real number (not a bool) in [lo, hi]."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and lo <= value <= hi)
+def _check_model_fits(model: dict, ds: dict, errors) -> None:
+    """A model built for the synthetic images must take them and score every class."""
+    size, layers = ds["size"], model["layers"]
+    if model["kind"] == "lenet5":
+        # conv 5, pool 2, conv 5, pool 2: each pool must divide its map
+        if size < 16 or size % 4:
+            errors.append(f"dataset.size: LeNet-5 needs a multiple of 4 >= 16, "
+                          f"got {size}")
+    elif layers[0] != size * size:
+        errors.append(f"model.layers: input width {layers[0]} does not match "
+                      f"dataset.size**2 = {size * size}")
+    elif layers[-1] < ds["classes"]:
+        errors.append(f"model.layers: {layers[-1]} outputs for {ds['classes']} "
+                      "dataset.classes")
 
 
-def _int_at_least(value, lo) -> bool:
-    """An integer (not a bool) of at least ``lo``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= lo
-
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(check(v) for v in value)
-
-
-_POSITIVE_INT = (lambda v: _int_at_least(v, 1), "must be a positive integer")
-_FRACTION = (lambda v: _number_in(v, 0, 1), "must be in [0, 1]")
-_PERCENT = (lambda v: _number_in(v, 0, 100), "must be a percentage in [0, 100]")
-_BIT = (lambda v: isinstance(v, int) and _number_in(v, 0, 7), "must be in [0, 7]")
-
-# field -> (check, what the error says); a field is checked where present
-_CAMPAIGN_RULES = {
-    "runs": _POSITIVE_INT,
-    "seeds": _POSITIVE_INT,
-    "fr": _PERCENT,
-    "fr_grid": (_list_of(_PERCENT[0]), "need a list of percentages in [0, 100]"),
-    "fr_max_non_crit": _FRACTION,
-    "critical_fraction": _FRACTION,
-    "carry_fraction": _FRACTION,
-    "stuck_one_bias": _FRACTION,
-    "bit_positions": (_list_of(_BIT[0]), "need a list of bits in [0, 7]"),
-    "bit_pos": _BIT,
-    "counts": (_list_of(lambda v: _int_at_least(v, 0)),
-               "need a list of non-negative integers"),
-    "k_values": (_list_of(_POSITIVE_INT[0]), "need a list of positive integers"),
-    "lsb_bits": _POSITIVE_INT,
-    "faults_per_column": (lambda v: _int_at_least(v, 0),
-                          "must be a non-negative integer"),
-    "grid_width": (lambda v: _int_at_least(v, 10),
-                   "must be an integer >= 10, the output layer's neuron count"),
-    "n_row": _POSITIVE_INT,
-    "n_col": _POSITIVE_INT,
-    "fmt": (lambda v: v in ("int8", "bfloat16"), "must be int8 or bfloat16"),
-    "mode": (lambda v: v in ("sim", "worst"), "must be sim or worst"),
-    "eval_samples": (lambda v: v is None or _int_at_least(v, 1),
-                     "must be a positive integer or null"),
-    "retrain_epochs": (lambda v: _int_at_least(v, 0), "must be a non-negative integer"),
-    "retrain_lr": (lambda v: _number_in(v, 0, math.inf) and v > 0, "must be positive"),
-    "track_recall": (lambda v: isinstance(v, bool), "must be true or false"),
-    "capacity": _POSITIVE_INT,
-    "crossbar_n": _POSITIVE_INT,
-    "particles": _POSITIVE_INT,
-    "iterations": _POSITIVE_INT,
-    "comm_weight": (lambda v: _number_in(v, 0, math.inf),
-                    "must be a non-negative number"),
-    "baseline_seeds": _POSITIVE_INT,
-}
-
-_WORKLOAD_RULES = {
-    "neurons": (lambda v: _int_at_least(v, 2), "must be an integer >= 2"),
-    "synapses": (lambda v: _int_at_least(v, 0), "must be a non-negative integer"),
-    "seed": (lambda v: _int_at_least(v, 0), "must be a non-negative integer"),
-    "max_activation": (lambda v: _number_in(v, 0, math.inf),
-                       "must be a non-negative number"),
-}
-
-_TILE_KEYS = ("voltage", "temperature")
-
-
-def _check_fields(section: dict, rules: dict, errors, prefix) -> None:
-    for key, (check, message) in rules.items():
-        if key in section and not check(section[key]):
-            errors.append(f"{prefix}.{key}: {message}")
+def _check_mapping(value, rules: dict, errors, prefix) -> bool:
+    """Whether ``value`` is a mapping; names each of its keys that ``rules``
+    lacks and each field that fails its rule (a rule of None passes all)."""
+    if not isinstance(value, dict):
+        errors.append(f"{prefix}: expected a mapping")
+        return False
+    for key, v in value.items():
+        if key not in rules:
+            errors.append(f"{prefix}.{key}: unknown key")
+        elif rules[key] and not rules[key][0](v):
+            errors.append(f"{prefix}.{key}: {rules[key][1]}")
+    return True
 
 
 def _check_tiles(tiles, errors) -> None:
@@ -326,24 +211,22 @@ def _check_tiles(tiles, errors) -> None:
         errors.append("campaign.tiles: need at least one tile")
         return
     for k, tile in enumerate(tiles):
-        where = f"campaign.tiles[{k}]"
-        if not isinstance(tile, dict):
-            errors.append(f"{where}: expected a mapping with voltage and temperature")
-            continue
-        errors.extend(f"{where}.{key}: unknown key" for key in tile
-                      if key not in _TILE_KEYS)
-        if "voltage" not in tile:
-            errors.append(f"{where}.voltage: required")
-        for key in _TILE_KEYS:
-            if key in tile and not (_number_in(tile[key], 0, math.inf) and tile[key] > 0):
-                errors.append(f"{where}.{key}: must be a number > 0")
+        if (_check_mapping(tile, _TILE_RULES, errors, f"campaign.tiles[{k}]")
+                and "voltage" not in tile):
+            errors.append(f"campaign.tiles[{k}].voltage: required")
 
 
-def _resolve(path_str: str, base_dir: Path | None) -> Path:
-    path = Path(path_str)
+def _existing(value, base_dir: Path | None, field: str, errors):
+    """A path string resolved against the config's directory, named if absent;
+    any other value as it is."""
+    if not isinstance(value, str) or not value:
+        return value
+    path = Path(value)
     if not path.is_absolute() and base_dir is not None:
-        return base_dir / path
-    return path
+        path = base_dir / path
+    if not path.exists():
+        errors.append(f"{field}: file not found '{path}'")
+    return str(path)
 
 
 def render(config: dict) -> str:

@@ -38,22 +38,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.command == "validate":
+    if args.command in ("validate", "run"):
         config, errors = load_config(args.config)
         if errors:
             for err in errors:
                 print(f"invalid: {err}", file=sys.stderr)
             return 1
+
+    if args.command == "validate":
         print("config OK")
         print(render(config), end="")
         return 0
 
     if args.command == "run":
-        config, errors = load_config(args.config)
-        if errors:
-            for err in errors:
-                print(f"invalid: {err}", file=sys.stderr)
-            return 1
         try:
             manifest = run(config, output_override=args.output)
         except Exception as err:  # noqa: BLE001 - CLI boundary

@@ -1,7 +1,10 @@
-"""Aggregate campaign CSVs into summary tables and charts.
+"""The CSV schema table, and the reports and charts drawn from campaign CSVs.
 
-Schemas are recognized by their headers; a file whose header deviates
-from a known schema is reported with the offending column named.
+``SCHEMAS`` holds one ``Schema`` record per CSV layout: its header, its
+``report`` summary and its chart, if any. ``runner`` writes each CSV under
+its schema and draws the chart from the rows it wrote; ``report`` knows a
+file by its header (naming a deviating column) and draws the same chart from
+the rows it reads. A new CSV layout means one new record.
 """
 
 from __future__ import annotations
@@ -9,26 +12,18 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import svgplot
 
-SCHEMAS = {
-    "dram": ["campaign", "bit_pos", "column", "fault_count", "run_seed",
-             "accuracy", "drop_pp"],
-    "sweep": ["format", "k", "fr", "seed", "accuracy", "drop_pp"],
-    "fault_train": ["run_seed", "baseline_accuracy", "faulty_accuracy",
-                    "retrained_accuracy", "loss_before", "loss_after",
-                    "relative_reduction"],
-    "deactivate": ["run_seed", "stage", "accuracy", "drop_pp", "active_pes",
-                   "active_faulty"],
-    "endurance": ["row", "col", "path_segments", "temperature_k",
-                  "endurance_cycles"],
-    "history": ["epoch", "accuracy"],
-    "metrics": ["metric", "value"],
-    "mapping": ["cluster", "tile", "synapse", "cell_row", "cell_col", "endurance",
-                "lifetime"],
-}
+
+@dataclass(frozen=True)
+class Schema:
+    header: list
+    summary: Callable  # rows -> report lines
+    chart: Callable | None = None  # (CSV stem, rows) -> {SVG stem: SVG text}
 
 
 class ReportError(RuntimeError):
@@ -50,11 +45,11 @@ def _read_csv(path: Path):
 
 def _classify(path: Path, header):
     for name, schema in SCHEMAS.items():
-        if header == schema:
+        if header == schema.header:
             return name
-    for name, schema in SCHEMAS.items():
-        if len(header) == len(schema):
-            for got, want in zip(header, schema):
+    for schema in SCHEMAS.values():
+        if len(header) == len(schema.header):
+            for got, want in zip(header, schema.header):
                 if got != want:
                     raise ReportError(
                         f"{path.name}: unexpected column '{got}' (expected '{want}')"
@@ -89,76 +84,107 @@ def report(directory, write_svg: bool = True) -> str:
     lines = []
     for path in paths:
         header, rows = _read_csv(path)
-        kind = _classify(path, header)
-        lines.append(f"== {path.name} ({kind}, {len(rows)} rows)")
-        if kind == "dram":
-            agg = _aggregate(rows, (0, 1, 2, 3), 6)
-            for (campaign, bit, col, count), (mean, std) in agg.items():
-                where = f"column {col}" if col else f"count {count}"
-                lines.append(
-                    f"   {campaign} bit {bit} {where}: drop "
-                    f"{mean:+.3f} ± {std:.3f} pp"
-                )
-            if write_svg:
-                _dram_chart(directory, path, rows)
-        elif kind == "sweep":
-            agg = _aggregate(rows, (0, 1, 2), 5)
-            for (fmt, k, fr), (mean, std) in agg.items():
-                lines.append(
-                    f"   {fmt} K={k} FR={fr}%: drop {mean:+.3f} ± {std:.3f} pp"
-                )
-        elif kind == "fault_train":
-            before = [float(r[4]) for r in rows]
-            after = [float(r[5]) for r in rows]
-            lines.append(
-                f"   normalized loss {_mean_std(before)[0]:.4f} -> "
-                f"{_mean_std(after)[0]:.4f} over {len(rows)} seeds"
-            )
-        elif kind == "deactivate":
-            agg = _aggregate(rows, (1,), 3)
-            for (stage,), (mean, std) in agg.items():
-                lines.append(f"   {stage}: drop {mean:+.3f} ± {std:.3f} pp")
-        elif kind == "endurance":
-            cells = {(int(r[0]), int(r[1])): float(r[4]) for r in rows}
-            n = max(r for r, _ in cells) + 1
-            lines.append(
-                f"   {n}x{n} map, endurance {cells[(0, 0)]:.3g} (driver corner) "
-                f"to {cells[(n - 1, n - 1)]:.3g} (far corner)"
-            )
-            if write_svg:
-                matrix = [[cells[(i, j)] for j in range(n)] for i in range(n)]
-                out = directory / f"report_{path.stem}.svg"
-                out.write_text(svgplot.heatmap(
-                    matrix, f"Endurance map ({n}x{n}, log10 cycles)"))
-        elif kind == "history":
-            accs = [float(r[1]) for r in rows]
-            lines.append(f"   {len(accs)} epochs, final accuracy {accs[-1]:.4f}")
-        elif kind == "metrics":
-            for row in rows:
-                lines.append(f"   {row[0]} = {row[1]}")
-        elif kind == "mapping":
-            lifetimes = [float(r[6]) for r in rows if r[6]]
-            if lifetimes:
-                lines.append(
-                    f"   {len(rows)} synapses mapped, min lifetime "
-                    f"{min(lifetimes):.4g} windows"
-                )
-            else:
-                lines.append(f"   {len(rows)} synapses mapped, all idle")
+        name = _classify(path, header)
+        lines.append(f"== {path.name} ({name}, {len(rows)} rows)")
+        lines.extend(SCHEMAS[name].summary(rows))
+        if write_svg and SCHEMAS[name].chart:
+            for stem, svg in SCHEMAS[name].chart(path.stem, rows).items():
+                (directory / f"report_{stem}.svg").write_text(svg)
     return "\n".join(lines)
 
 
-def _dram_chart(directory, path, rows):
-    by_bit = defaultdict(lambda: defaultdict(list))
-    is_column = any(r[2] for r in rows)
-    for r in rows:
-        x = int(r[2]) if is_column else int(r[3])
-        by_bit[r[1]][x].append(float(r[6]))
-    series = {
-        f"bit {bit}": [(x, sum(v) / len(v)) for x, v in sorted(points.items())]
-        for bit, points in by_bit.items()
+def _drops(key_idx, value_idx, where):
+    """Summary: the mean and spread of a drop column per key, named by ``where``."""
+    return lambda rows: [f"   {where(*key)}: drop {mean:+.3f} ± {std:.3f} pp"
+                         for key, (mean, std) in _aggregate(rows, key_idx,
+                                                            value_idx).items()]
+
+
+def _drop_chart(rows, label, x_idx, drop_idx, title, xlabel):
+    """Mean drop (pp) against column ``x_idx``, one line per value of column 1,
+    named by ``label`` and the value."""
+    series = defaultdict(list)
+    for (key, x), (mean, _) in _aggregate(rows, (1, x_idx), drop_idx).items():
+        series[label + key].append((float(x), mean))
+    return svgplot.line_chart({k: sorted(v) for k, v in series.items()}, title,
+                              xlabel, "mean drop (pp)")
+
+
+def _bit_flip_chart(stem, rows):
+    if any(r[2] for r in rows):
+        x_idx, title, xlabel = 2, "weight-matrix column", "column"
+    else:
+        x_idx, title, xlabel = 3, "fault count", "faults per layer"
+    return {stem: _drop_chart(rows, "bit ", x_idx, 6, f"Accuracy drop vs {title}",
+                              xlabel)}
+
+
+def _sweep_chart(stem, rows):
+    return {stem: _drop_chart(rows, "K=", 2, 5,
+                              f"Accuracy drop vs fault rate ({rows[0][0]})",
+                              "fault rate (%)")}
+
+
+def _fault_train_summary(rows):
+    before, after = (_aggregate(rows, (), col).get((), (math.nan,))[0]
+                     for col in (4, 5))
+    return [f"   normalized loss {before:.4f} -> {after:.4f} over {len(rows)} seeds"]
+
+
+def _endurance_cells(rows):
+    """(n, {(row, col): CSV row}) of a square map."""
+    cells = {(int(r[0]), int(r[1])): r for r in rows}
+    return max(i for i, _ in cells) + 1, cells
+
+
+def _endurance_summary(rows):
+    n, cells = _endurance_cells(rows)
+    return [f"   {n}x{n} map, endurance {float(cells[(0, 0)][4]):.3g} (driver corner) "
+            f"to {float(cells[(n - 1, n - 1)][4]):.3g} (far corner)"]
+
+
+def _endurance_chart(stem, rows):
+    n, cells = _endurance_cells(rows)
+
+    def grid(col):
+        return [[float(cells[(i, j)][col]) for j in range(n)] for i in range(n)]
+
+    return {
+        stem: svgplot.heatmap(grid(4), f"Endurance map ({n}x{n}, log10 cycles)"),
+        "temperature": svgplot.heatmap(
+            grid(3), f"Self-heating temperature ({n}x{n}, K)", log_scale=False),
     }
-    xlabel = "column" if is_column else "faults per layer"
-    out = directory / f"report_{path.stem}.svg"
-    out.write_text(svgplot.line_chart(
-        series, f"{path.stem}: mean accuracy drop", xlabel, "mean drop (pp)"))
+
+
+def _mapping_summary(rows):
+    lifetimes = [float(r[6]) for r in rows if r[6]]
+    if not lifetimes:
+        return [f"   {len(rows)} synapses mapped, all idle"]
+    return [f"   {len(rows)} synapses mapped, "
+            f"min lifetime {min(lifetimes):.4g} windows"]
+
+
+SCHEMAS = {
+    "dram": Schema(["campaign", "bit_pos", "column", "fault_count", "run_seed",
+                    "accuracy", "drop_pp"],
+                   _drops((0, 1, 2, 3), 6, lambda campaign, bit, col, count:
+                          f"{campaign} bit {bit} "
+                          + (f"column {col}" if col else f"count {count}")),
+                   _bit_flip_chart),
+    "sweep": Schema(["format", "k", "fr", "seed", "accuracy", "drop_pp"],
+                    _drops((0, 1, 2), 5, lambda fmt, k, fr: f"{fmt} K={k} FR={fr}%"),
+                    _sweep_chart),
+    "fault_train": Schema(["run_seed", "baseline_accuracy", "faulty_accuracy",
+                           "retrained_accuracy", "loss_before", "loss_after",
+                           "relative_reduction"], _fault_train_summary),
+    "deactivate": Schema(["run_seed", "stage", "accuracy", "drop_pp", "active_pes",
+                          "active_faulty"], _drops((1,), 3, lambda stage: stage)),
+    "endurance": Schema(["row", "col", "path_segments", "temperature_k",
+                         "endurance_cycles"], _endurance_summary, _endurance_chart),
+    "history": Schema(["epoch", "accuracy"], lambda rows: [
+        f"   {len(rows)} epochs, final accuracy {float(rows[-1][1]):.4f}"]),
+    "metrics": Schema(["metric", "value"],
+                      lambda rows: [f"   {r[0]} = {r[1]}" for r in rows]),
+    "mapping": Schema(["cluster", "tile", "synapse", "cell_row", "cell_col",
+                       "endurance", "lifetime"], _mapping_summary),
+}

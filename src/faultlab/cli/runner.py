@@ -1,8 +1,16 @@
-"""Experiment runner: dispatches configs, writes CSVs, records a manifest.
+"""Experiment runner: the experiment table, and runs that write CSVs and a manifest.
 
-Every stochastic choice derives from the master seed through stable
-hashing, so re-running an identical config reproduces identical CSV
-payloads byte for byte. On failure all partial outputs are removed.
+``KINDS`` holds one ``Experiment`` record per kind: its campaign fields with
+their defaults and rules, the set-up it needs, a check across fields, and its
+run function. ``config.validate`` reads the kinds and sections from it; ``run``
+builds the set-up into a ``RunContext`` and calls the run function, which
+writes each CSV and its chart through ``RunContext.emit`` under a schema of
+``report.SCHEMAS``. Adding a kind means adding one record.
+
+Run functions look library functions up on their modules at call time, so a
+tracer or test double that rebinds them sees the calls. Seeds derive from the
+master seed by stable hashing, so an identical config reproduces identical
+CSVs. A failed run removes its outputs.
 """
 
 from __future__ import annotations
@@ -12,24 +20,11 @@ import hashlib
 import json
 import os
 import time
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
+from typing import Callable
 
-import numpy as np
-
-from .. import __version__
-from .. import dramfault
-from ..macfault import (
-    ArrayConfig,
-    ArrayState,
-    SignatureMix,
-    build_fsr,
-    deactivate,
-    fault_aware_train,
-    lsb_sensitivity_sweep,
-    run_array,
-    save_fault_map,
-    seed_fault_map,
-)
+from .. import __version__, dramfault, macfault, neurorel
 from ..netcore import (
     evaluate,
     init_lenet5,
@@ -40,26 +35,18 @@ from ..netcore import (
     synthetic_blobs,
     train_sgd,
 )
-from ..neurorel import (
-    BtiParams,
-    CrossbarConfig,
-    PsoConfig,
-    TddbParams,
-    TileSpec,
-    build_endurance_map,
-    load_workload,
-    map_workload,
-    random_baseline_fitness,
-    random_workload,
-    save_workload,
+from .config import (
+    BOOL,
+    FRACTION,
+    PERCENT,
+    POSITIVE,
+    integer,
+    list_of,
+    number,
+    one_of,
+    optional,
+    render,
 )
-from ..neurorel.mapping import (
-    cluster_loads,
-    mapping_fitness,
-    owned_synapses,
-)
-from . import svgplot
-from .config import render
 from .report import SCHEMAS
 
 DEFAULT_OUTPUT_ROOT = "faultlab-out"
@@ -81,54 +68,85 @@ def _fmt_value(v):
     return str(v)
 
 
-def _write_csv(path: Path, header, rows):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_value(v) for v in row])
+@dataclass(frozen=True)
+class Experiment:
+    run: Callable  # (RunContext) -> extra manifest entries
+    campaign: dict  # field -> (default, rule); a rule of None is checked elsewhere
+    needs_model: bool = True
+    needs_train: bool = False  # build the training set even from a checkpoint
+    needs_workload: bool = False
+    check: Callable | None = None  # (valid config) -> errors relating its fields
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+@dataclass
+class RunContext:
+    """The shared set-up ``run`` builds for a run function."""
+
+    config: dict
+    out_dir: Path
+    files: list  # outputs written so far, removed if the run fails
+    model: object = None
+    history: list = field(default_factory=list)  # per-epoch test accuracy
+    train: object = None  # None when the run neither trains nor retrains
+    test: object = None
+
+    @property
+    def camp(self) -> dict:
+        return self.config["campaign"]
+
+    def seed(self, tag) -> int:
+        return derive_seed(self.config["seed"], self.config["experiment"], tag)
+
+    def keep(self, name: str) -> Path:
+        """The path of output ``name``, recorded before it is written."""
+        self.files.append(self.out_dir / name)
+        return self.files[-1]
+
+    def emit(self, stem: str, schema: str, rows):
+        """Write ``stem.csv`` and, with charts on, the schema's chart of it."""
+        rows = [[_fmt_value(v) for v in row] for row in rows]
+        with self.keep(f"{stem}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SCHEMAS[schema].header)
+            writer.writerows(rows)
+        if self.config["report"]["svg"] and SCHEMAS[schema].chart:
+            for name, svg in SCHEMAS[schema].chart(stem, rows).items():
+                self.keep(f"{name}.svg").write_text(svg)
 
 
-def _build_datasets(config):
+def _build_datasets(config, needs_train: bool):
     """(train, test); train is None when the run neither trains nor retrains."""
     ds = config["dataset"]
-    needs_train = (config["experiment"] in ("train", "fault-train")
-                   or not config["model"]["checkpoint"])
-    if ds["kind"] == "idx":
-        train = (load_idx(ds["train_images"], ds["train_labels"])
-                 if needs_train else None)
-        test = load_idx(ds["test_images"], ds["test_labels"])
-        return train, test
-    kwargs = dict(classes=ds["classes"], size=ds["size"], **ds["params"])
-    train = (synthetic_blobs(ds["train"], seed=ds["seed"], **kwargs)
-             if needs_train else None)
-    test = synthetic_blobs(ds["test"], seed=ds["test_seed"], **kwargs)
-    return train, test
+
+    def load(split, seed):
+        if ds["kind"] == "idx":
+            return load_idx(ds[f"{split}_images"], ds[f"{split}_labels"])
+        return synthetic_blobs(ds[split], seed=ds[seed], classes=ds["classes"],
+                               size=ds["size"], **ds["params"])
+
+    train = (load("train", "seed") if needs_train or not config["model"]["checkpoint"]
+             else None)
+    return train, load("test", "test_seed")
 
 
-def _build_model(config, train, test):
-    mc = config["model"]
+def _build_model(ctx: RunContext):
+    """(model, per-epoch history): loaded from its checkpoint, else trained."""
+    mc = ctx.config["model"]
     if mc["checkpoint"]:
         return load_model(mc["checkpoint"]), []
-    seed = derive_seed(config["seed"], config["experiment"], "init")
-    train_seed = derive_seed(config["seed"], config["experiment"], "train")
     if mc["kind"] == "lenet5":
-        model = init_lenet5(train.images.shape[1], seed=seed)
+        model = init_lenet5(ctx.train.images.shape[1], seed=ctx.seed("init"))
     else:
-        model = init_mlp(tuple(mc["layers"]), seed=seed)
-    tc = config["train"]
-    model, history = train_sgd(model, train, epochs=tc["epochs"], lr=tc["lr"],
-                               seed=train_seed, batch_size=tc["batch"], test=test)
-    return model, history
+        model = init_mlp(tuple(mc["layers"]), seed=ctx.seed("init"))
+    tc = ctx.config["train"]
+    return train_sgd(model, ctx.train, epochs=tc["epochs"], lr=tc["lr"],
+                     seed=ctx.seed("train"), batch_size=tc["batch"], test=ctx.test)
 
 
 def run(config: dict, output_override=None) -> dict:
     """Execute a validated config; returns the manifest dict."""
     kind = config["experiment"]
+    experiment = KINDS[kind]
     out_dir = Path(
         output_override
         or config.get("output_dir")
@@ -136,13 +154,15 @@ def run(config: dict, output_override=None) -> dict:
     )
     created_dir = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
+    ctx = RunContext(config, out_dir, files=[])
     t0 = time.time()
     try:
-        runner = _RUNNERS[kind]
-        extra = runner(config, out_dir, files)
+        if experiment.needs_model:
+            ctx.train, ctx.test = _build_datasets(config, experiment.needs_train)
+            ctx.model, ctx.history = _build_model(ctx)
+        extra = experiment.run(ctx)
     except Exception:
-        for path in files:
+        for path in ctx.files:
             path.unlink(missing_ok=True)
         if created_dir and not any(out_dir.iterdir()):
             out_dir.rmdir()
@@ -154,7 +174,9 @@ def run(config: dict, output_override=None) -> dict:
         "master_seed": config["seed"],
         "config_hash": hashlib.sha256(render(config).encode()).hexdigest(),
         "outputs": {
-            p.name: (_sha256(p) if p.suffix == ".csv" else None) for p in files
+            p.name: (hashlib.sha256(p.read_bytes()).hexdigest()
+                     if p.suffix == ".csv" else None)
+            for p in ctx.files
         },
         "wall_clock_s": round(time.time() - t0, 3),
         **extra,
@@ -164,220 +186,168 @@ def run(config: dict, output_override=None) -> dict:
     return manifest
 
 
-def _emit(path: Path, files: list, header, rows):
-    _write_csv(path, header, rows)
-    files.append(path)
+def _train(ctx):
+    ctx.emit("history", "history", [(k + 1, acc) for k, acc in enumerate(ctx.history)])
+    save_model(ctx.model, ctx.keep("model.npz"))
+    ctx.emit("summary", "metrics", [
+        (f"{mode}_accuracy", evaluate(ctx.model, ctx.test, mode))
+        for mode in ("float", "int8")])
+    return {"derived_seeds": {"init": ctx.seed("init"), "train": ctx.seed("train")}}
 
 
-def _save_svg(path: Path, files: list, text: str):
-    path.write_text(text)
-    files.append(path)
+def _campaign(stem: str, schema: str, rows_of):
+    """Run function of a campaign that one library call makes: ``rows_of(ctx,
+    seed)`` returns its row records, whose fields are the schema's columns."""
+    def run_campaign(ctx):
+        seed = ctx.seed("campaign")
+        ctx.emit(stem, schema, map(astuple, rows_of(ctx, seed)))
+        return {"derived_seeds": {"campaign": seed}}
+    return run_campaign
 
 
-def _run_train(config, out_dir, files):
-    train, test = _build_datasets(config)
-    model, history = _build_model(config, train, test)
-    _emit(out_dir / "history.csv", files, SCHEMAS["history"],
-          [(k + 1, acc) for k, acc in enumerate(history)])
-    ckpt = out_dir / "model.npz"
-    save_model(model, ckpt)
-    files.append(ckpt)
-    final = evaluate(model, test, "float")
-    int8 = evaluate(model, test, "int8")
-    _emit(out_dir / "summary.csv", files, SCHEMAS["metrics"],
-          [("float_accuracy", final), ("int8_accuracy", int8)])
-    return {"derived_seeds": {
-        "init": derive_seed(config["seed"], "train", "init"),
-        "train": derive_seed(config["seed"], "train", "train"),
-    }}
+def _dram_errors(config) -> list:
+    """The DRAM faults must fit a model built from ``model.layers``; the shapes
+    of a LeNet-5 or a checkpoint are only known when it is built or loaded."""
+    model, camp = config["model"], config["campaign"]
+    if model["kind"] != "mlp" or model["checkpoint"]:
+        return []
+    layers, errors = model["layers"], []
+    cells = min(a * b for a, b in zip(layers, layers[1:]))
+    if max(camp.get("counts", [0])) > cells:
+        errors.append(f"campaign.counts: more faults than the {cells} weights of "
+                      "the smallest layer")
+    if camp.get("faults_per_column", 0) > layers[-2]:
+        errors.append(f"campaign.faults_per_column: more faults than the {layers[-2]} "
+                      "weights of an output column")
+    if "grid_width" in camp and layers[-1] != 10:
+        errors.append("model.layers: the column campaign needs 10 outputs")
+    return errors
 
 
-def _campaign_rows_to_csv(rows):
-    return [
-        (r.campaign, r.bit_pos, r.column, r.fault_count, r.run_seed, r.accuracy,
-         r.drop_pp)
-        for r in rows
-    ]
+def _crossbar_errors(crossbar: neurorel.CrossbarConfig, field: str) -> list:
+    """The endurance model must calibrate its corner endurances on the crossbar."""
+    try:
+        neurorel.default_endurance_params(crossbar)
+    except OverflowError:
+        return [f"campaign.{field}: {crossbar.n} rows at r_seg {crossbar.r_seg} heat "
+                "the corners too alike to calibrate the endurance model"]
+    return []
 
 
-def _run_dram_bitpos(config, out_dir, files):
-    train, test = _build_datasets(config)
-    model, _ = _build_model(config, train, test)
-    camp = config["campaign"]
-    seed = derive_seed(config["seed"], "dram-bitpos", "campaign")
-    rows, table = dramfault.bitpos_campaign(
-        model, test, counts=camp["counts"], bit_positions=tuple(camp["bit_positions"]),
-        runs=camp["runs"], seed=seed, eval_samples=camp["eval_samples"],
-    )
-    _emit(out_dir / "bitpos.csv", files, SCHEMAS["dram"], _campaign_rows_to_csv(rows))
-    if config["report"]["svg"]:
-        series = {
-            f"bit {bit}": [(count, table[(bit, count)]) for count in camp["counts"]]
-            for bit in camp["bit_positions"]
-        }
-        _save_svg(out_dir / "bitpos.svg", files, svgplot.line_chart(
-            series, "Accuracy drop vs fault count", "faults per layer",
-            "mean drop (pp)"))
-    return {"derived_seeds": {"campaign": seed}}
+def _array(camp) -> macfault.ArrayConfig:
+    return macfault.ArrayConfig(n_row=camp["n_row"], n_col=camp["n_col"],
+                                fmt=camp["fmt"])
 
 
-def _run_dram_column(config, out_dir, files):
-    train, test = _build_datasets(config)
-    model, _ = _build_model(config, train, test)
-    camp = config["campaign"]
-    seed = derive_seed(config["seed"], "dram-column", "campaign")
-    rows, mean_drops, _ = dramfault.column_campaign(
-        model, test, faults_per_column=camp["faults_per_column"],
-        bit_pos=camp["bit_pos"], runs=camp["runs"], seed=seed,
-        grid_width=camp["grid_width"], eval_samples=camp["eval_samples"],
-        track_recall=camp["track_recall"],
-    )
-    _emit(out_dir / "column.csv", files, SCHEMAS["dram"], _campaign_rows_to_csv(rows))
-    if config["report"]["svg"]:
-        series = {"mean drop": sorted(mean_drops.items())}
-        _save_svg(out_dir / "column.svg", files, svgplot.line_chart(
-            series, "Accuracy drop vs weight-matrix column", "column",
-            "mean drop (pp)"))
-    return {"derived_seeds": {"campaign": seed}}
-
-
-def _run_mac_sweep(config, out_dir, files):
-    train, test = _build_datasets(config)
-    model, _ = _build_model(config, train, test)
-    camp = config["campaign"]
-    seed = derive_seed(config["seed"], "mac-sweep", "campaign")
-    cfg = ArrayConfig(n_row=camp["n_row"], n_col=camp["n_col"], fmt=camp["fmt"])
-    rows, table = lsb_sensitivity_sweep(
-        model, test, k_values=camp["k_values"], fr_grid=camp["fr_grid"],
-        runs=camp["runs"], config=cfg, seed=seed, mode=camp["mode"],
+def _sweep_rows(ctx, seed):
+    camp = ctx.camp
+    return macfault.lsb_sensitivity_sweep(
+        ctx.model, ctx.test, k_values=camp["k_values"], fr_grid=camp["fr_grid"],
+        runs=camp["runs"], config=_array(camp), seed=seed, mode=camp["mode"],
         carry_fraction=camp["carry_fraction"], stuck_one_bias=camp["stuck_one_bias"],
         eval_samples=camp["eval_samples"],
-    )
-    _emit(out_dir / "sweep.csv", files, SCHEMAS["sweep"],
-          [(r.fmt, r.k, r.fr, r.seed, r.accuracy, r.drop_pp) for r in rows])
-    if config["report"]["svg"]:
-        series = {
-            f"K={k}": [(fr, table[(k, fr)]) for fr in camp["fr_grid"]]
-            for k in camp["k_values"]
-        }
-        _save_svg(out_dir / "sweep.svg", files, svgplot.line_chart(
-            series, f"Accuracy drop vs fault rate ({camp['fmt']})",
-            "fault rate (%)", "mean drop (pp)"))
-    return {"derived_seeds": {"campaign": seed}}
+    )[0]
 
 
-def _run_deactivate(config, out_dir, files):
-    train, test = _build_datasets(config)
-    model, _ = _build_model(config, train, test)
-    camp = config["campaign"]
-    cfg = ArrayConfig(n_row=camp["n_row"], n_col=camp["n_col"], fmt=camp["fmt"])
-    mix = SignatureMix(critical_fraction=camp["critical_fraction"],
-                       lsb_bits=camp["lsb_bits"],
-                       carry_fraction=camp["carry_fraction"])
-    data = test.subset(camp["eval_samples"])
-    baseline = evaluate(model, data, camp["fmt"])
-    rows, seeds = [], {}
-    for k in range(camp["runs"]):
-        run_seed = derive_seed(config["seed"], "deactivate", k)
-        seeds[f"run{k}"] = run_seed
-        faults = seed_fault_map(cfg, camp["fr"], mix, seed=run_seed)
-        state = ArrayState(config=cfg, faults=faults)
-        fsr = build_fsr(faults, camp["fmt"], camp["fr_max_non_crit"])
-        acc_faulty = run_array(model, state, data, mode="sim", seed=run_seed)
-        state.active = deactivate(state, fsr)
-        acc_after = run_array(model, state, data, mode="sim", seed=run_seed)
-        map_path = out_dir / f"faultmap_run{k}.yaml"
-        save_fault_map(map_path, cfg, faults, fsr=fsr, seed=run_seed)
-        files.append(map_path)
-        live = state.active_faulty()
-        rows.append((run_seed, "faulty", acc_faulty, (baseline - acc_faulty) * 100,
-                     int(np.prod(state.active.shape)), len(faults)))
-        rows.append((run_seed, "deactivated", acc_after,
-                     (baseline - acc_after) * 100, int(state.active.sum()),
-                     len(live)))
-    _emit(out_dir / "deactivate.csv", files, SCHEMAS["deactivate"], rows)
-    return {"derived_seeds": seeds, "baseline_accuracy": baseline}
+def _faulty_arrays(ctx, count):
+    """Set-up shared by deactivate and fault-train: (accuracy, fault-free
+    accuracy, manifest entries, trials). ``accuracy(model, state, seed)`` runs
+    the array on the evaluation subset; each of the ``count`` trials, made when
+    drawn, is a run seed, an array state seeded from it, and the state's FSR."""
+    camp = ctx.camp
+    cfg = _array(camp)
+    # fault-aware training seeds no critical faults
+    mix = macfault.SignatureMix(critical_fraction=camp.get("critical_fraction", 0.0),
+                                lsb_bits=camp["lsb_bits"],
+                                carry_fraction=camp["carry_fraction"])
+    data = ctx.test.subset(camp["eval_samples"])
+    baseline = evaluate(ctx.model, data, camp["fmt"])
+    seeds = {f"run{k}": ctx.seed(k) for k in range(count)}
+
+    def accuracy(model, state, seed):
+        return macfault.run_array(model, state, data, mode="sim", seed=seed)
+
+    def trials():
+        for seed in seeds.values():
+            faults = macfault.seed_fault_map(cfg, camp["fr"], mix, seed=seed)
+            yield (seed, macfault.ArrayState(config=cfg, faults=faults),
+                   macfault.build_fsr(faults, camp["fmt"], camp["fr_max_non_crit"]))
+
+    manifest = {"derived_seeds": seeds, "baseline_accuracy": baseline}
+    return accuracy, baseline, manifest, trials()
 
 
-def _run_fault_train(config, out_dir, files):
-    train, test = _build_datasets(config)
-    model, _ = _build_model(config, train, test)
-    camp = config["campaign"]
-    cfg = ArrayConfig(n_row=camp["n_row"], n_col=camp["n_col"], fmt=camp["fmt"])
-    mix = SignatureMix(critical_fraction=0.0, lsb_bits=camp["lsb_bits"],
-                       carry_fraction=camp["carry_fraction"])
-    data = test.subset(camp["eval_samples"])
-    baseline = evaluate(model, data, camp["fmt"])
-    rows, seeds = [], {}
-    for k in range(camp["seeds"]):
-        run_seed = derive_seed(config["seed"], "fault-train", k)
-        seeds[f"run{k}"] = run_seed
-        faults = seed_fault_map(cfg, camp["fr"], mix, seed=run_seed)
-        state = ArrayState(config=cfg, faults=faults)
-        state.active = deactivate(
-            state, build_fsr(faults, camp["fmt"], camp["fr_max_non_crit"])
+def _deactivate(ctx):
+    accuracy, baseline, manifest, trials = _faulty_arrays(ctx, ctx.camp["runs"])
+    rows = []
+    for k, (seed, state, fsr) in enumerate(trials):
+        acc_faulty = accuracy(ctx.model, state, seed)
+        state.active = macfault.deactivate(state, fsr)
+        acc_after = accuracy(ctx.model, state, seed)
+        macfault.save_fault_map(ctx.keep(f"faultmap_run{k}.yaml"), state.config,
+                                state.faults, fsr=fsr, seed=seed)
+        rows.append((seed, "faulty", acc_faulty, (baseline - acc_faulty) * 100,
+                     state.active.size, len(state.faults)))
+        rows.append((seed, "deactivated", acc_after, (baseline - acc_after) * 100,
+                     int(state.active.sum()), len(state.active_faulty())))
+    ctx.emit("deactivate", "deactivate", rows)
+    return manifest
+
+
+def _fault_train(ctx):
+    camp = ctx.camp
+    accuracy, baseline, manifest, trials = _faulty_arrays(ctx, camp["seeds"])
+    rows = []
+    for seed, state, fsr in trials:
+        state.active = macfault.deactivate(state, fsr)
+        acc_before = accuracy(ctx.model, state, seed)
+        retrained, _ = macfault.fault_aware_train(
+            ctx.model, state, ctx.train, epochs=camp["retrain_epochs"],
+            lr=camp["retrain_lr"], seed=seed,
         )
-        acc_before = run_array(model, state, data, mode="sim", seed=run_seed)
-        retrained, _ = fault_aware_train(
-            model, state, train, epochs=camp["retrain_epochs"],
-            lr=camp["retrain_lr"], seed=run_seed,
-        )
-        acc_after = run_array(retrained, state, data, mode="sim", seed=run_seed)
-        loss_before = (baseline - acc_before) / baseline
-        loss_after = (baseline - acc_after) / baseline
+        acc_after = accuracy(retrained, state, seed)
+        # a model that scores nothing fault-free loses no defined share
+        loss_before, loss_after = (
+            (baseline - acc) / baseline if baseline else float("nan")
+            for acc in (acc_before, acc_after))
         reduction = ((loss_before - loss_after) / loss_before
                      if loss_before > 0 else float("nan"))
-        rows.append((run_seed, baseline, acc_before, acc_after, loss_before,
+        rows.append((seed, baseline, acc_before, acc_after, loss_before,
                      loss_after, reduction))
-    _emit(out_dir / "fault_train.csv", files, SCHEMAS["fault_train"], rows)
-    return {"derived_seeds": seeds, "baseline_accuracy": baseline}
+    ctx.emit("fault_train", "fault_train", rows)
+    return manifest
 
 
-def _run_endurance_map(config, out_dir, files):
-    camp = config["campaign"]
-    cfg = CrossbarConfig(n=camp["n"], r_seg=camp["r_seg"],
-                         access_device=camp["access_device"], t_amb=camp["t_amb"])
-    emap = build_endurance_map(cfg)
-    rows = []
-    for i in range(cfg.n):
-        for j in range(cfg.n):
-            rows.append((i, j, i + j, float(emap.temperature[i, j]),
-                         float(emap.endurance[i, j])))
-    _emit(out_dir / "endurance.csv", files, SCHEMAS["endurance"], rows)
-    if config["report"]["svg"]:
-        _save_svg(out_dir / "endurance.svg", files, svgplot.heatmap(
-            emap.endurance.tolist(),
-            f"Endurance map ({cfg.n}x{cfg.n}, log10 cycles)", log_scale=True))
-        _save_svg(out_dir / "temperature.svg", files, svgplot.heatmap(
-            emap.temperature.tolist(),
-            f"Self-heating temperature ({cfg.n}x{cfg.n}, K)", log_scale=False))
+def _endurance_map(ctx):
+    emap = neurorel.build_endurance_map(neurorel.CrossbarConfig(**ctx.camp))
+    n = ctx.camp["n"]
+    ctx.emit("endurance", "endurance", [
+        (i, j, i + j, float(emap.temperature[i, j]), float(emap.endurance[i, j]))
+        for i in range(n) for j in range(n)])
     return {
         "corner_hot_endurance": float(emap.endurance[0, 0]),
         "corner_cold_endurance": float(emap.endurance[-1, -1]),
     }
 
 
-def _run_neuro_map(config, out_dir, files):
-    camp = config["campaign"]
-    wl = config["workload"]
+def _neuro_map(ctx):
+    camp, wl = ctx.camp, ctx.config["workload"]
     if wl["path"]:
-        graph = load_workload(wl["path"])
+        graph = neurorel.load_workload(wl["path"])
     else:
-        graph = random_workload(wl["neurons"], wl["synapses"], seed=wl["seed"],
-                                max_activation=wl["max_activation"])
-        wl_path = out_dir / "workload.yaml"
-        save_workload(wl_path, graph)
-        files.append(wl_path)
-    tiles = [TileSpec(voltage=t["voltage"], temperature=t.get("temperature", 298.0))
-             for t in camp["tiles"]]
-    emap = build_endurance_map(CrossbarConfig(n=camp["crossbar_n"]))
-    seed = derive_seed(config["seed"], "neuro-map", "pso")
-    tddb, bti = TddbParams(), BtiParams()
-    mapping = map_workload(
+        graph = neurorel.random_workload(wl["neurons"], wl["synapses"],
+                                         seed=wl["seed"],
+                                         max_activation=wl["max_activation"])
+        neurorel.save_workload(ctx.keep("workload.yaml"), graph)
+    tiles = [neurorel.TileSpec(**t) for t in camp["tiles"]]
+    emap = neurorel.build_endurance_map(neurorel.CrossbarConfig(n=camp["crossbar_n"]))
+    seed = ctx.seed("pso")
+    tddb, bti = neurorel.TddbParams(), neurorel.BtiParams()
+    mapping = neurorel.map_workload(
         graph, tiles, capacity=camp["capacity"], endurance_map=emap,
         tddb=tddb, bti=bti,
-        pso_config=PsoConfig(particles=camp["particles"],
-                             iterations=camp["iterations"]),
+        pso_config=neurorel.PsoConfig(particles=camp["particles"],
+                                      iterations=camp["iterations"]),
         seed=seed, comm_weight=camp["comm_weight"],
     )
     rows = []
@@ -388,17 +358,16 @@ def _run_neuro_map(config, out_dir, files):
             act = graph.synapses[syn_idx].activation
             life = endurance / act if act > 0 else float("nan")
             rows.append((ci, tile, syn_idx, r, c, endurance, life))
-    _emit(out_dir / "mapping.csv", files, SCHEMAS["mapping"], rows)
-    owned = owned_synapses(graph, mapping.clusters)
-    loads = cluster_loads(graph, owned)
-    fitness = mapping_fitness(graph, mapping.clusters, owned, loads, tiles,
-                              tddb, bti, camp["comm_weight"])
-    baseline = random_baseline_fitness(
+    ctx.emit("mapping", "mapping", rows)
+    owned = neurorel.mapping.owned_synapses(graph, mapping.clusters)
+    loads = neurorel.mapping.cluster_loads(graph, owned)
+    fitness = neurorel.mapping.mapping_fitness(graph, mapping.clusters, owned, loads,
+                                               tiles, tddb, bti, camp["comm_weight"])
+    baseline = neurorel.random_baseline_fitness(
         len(mapping.clusters), len(tiles), fitness,
-        seeds=[derive_seed(config["seed"], "neuro-map", f"baseline{k}")
-               for k in range(camp["baseline_seeds"])],
+        seeds=[ctx.seed(f"baseline{k}") for k in range(camp["baseline_seeds"])],
     )
-    _emit(out_dir / "summary.csv", files, SCHEMAS["metrics"], [
+    ctx.emit("summary", "metrics", [
         ("clusters", len(mapping.clusters)),
         ("min_lifetime_windows", mapping.lifetime),
         ("aging_fitness", mapping.fitness),
@@ -409,13 +378,76 @@ def _run_neuro_map(config, out_dir, files):
             "random_baseline_fitness": baseline}
 
 
-_RUNNERS = {
-    "train": _run_train,
-    "dram-bitpos": _run_dram_bitpos,
-    "dram-column": _run_dram_column,
-    "mac-sweep": _run_mac_sweep,
-    "deactivate": _run_deactivate,
-    "fault-train": _run_fault_train,
-    "endurance-map": _run_endurance_map,
-    "neuro-map": _run_neuro_map,
+_ARRAY = {"fmt": ("int8", one_of("int8", "bfloat16")), "n_row": (128, integer(1)),
+          "n_col": (128, integer(1)), "eval_samples": (None, optional(integer(1)))}
+
+KINDS = {
+    "train": Experiment(_train, {}, needs_train=True),
+    # a DRAM campaign section holds exactly the campaign's keyword arguments
+    "dram-bitpos": Experiment(_campaign("bitpos", "dram", lambda ctx, seed: (
+        dramfault.bitpos_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp)[0])), {
+        "counts": ([40, 250], list_of(integer(0))),
+        "bit_positions": ([7, 6, 5], list_of(integer(0, 7))),
+        "runs": (10, integer(1)),
+        "eval_samples": (None, optional(integer(1))),
+    }, check=_dram_errors),
+    "dram-column": Experiment(_campaign("column", "dram", lambda ctx, seed: (
+        dramfault.column_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp)[0])), {
+        "faults_per_column": (20, integer(0)),
+        "bit_pos": (7, integer(0, 7)),
+        "runs": (10, integer(1)),
+        "grid_width": (16, integer(10)),  # at least the output layer's 10 neurons
+        "eval_samples": (None, optional(integer(1))),
+        "track_recall": (False, BOOL),
+    }, check=_dram_errors),
+    "mac-sweep": Experiment(_campaign("sweep", "sweep", _sweep_rows), {
+        "k_values": ([2, 3, 4], list_of(integer(1))),
+        "fr_grid": ([0.0, 5.0, 10.0], list_of(PERCENT)),
+        "runs": (10, integer(1)),
+        "mode": ("sim", one_of("sim", "worst")),
+        "carry_fraction": (0.0, FRACTION),
+        "stuck_one_bias": (0.5, FRACTION),
+        **_ARRAY,
+    }),
+    "deactivate": Experiment(_deactivate, {
+        "fr": (7.5, PERCENT),
+        "fr_max_non_crit": (0.05, FRACTION),
+        "critical_fraction": (0.1, FRACTION),
+        "lsb_bits": (2, integer(1)),
+        "carry_fraction": (0.5, FRACTION),
+        "runs": (5, integer(1)),
+        **_ARRAY,
+    }),
+    "fault-train": Experiment(_fault_train, {
+        "fr": (7.5, PERCENT),
+        "fr_max_non_crit": (0.02, FRACTION),
+        "lsb_bits": (2, integer(1)),
+        "carry_fraction": (0.5, FRACTION),
+        "seeds": (5, integer(1)),
+        "retrain_epochs": (8, integer(0)),
+        "retrain_lr": (0.15, POSITIVE),
+        **_ARRAY,
+    }, needs_train=True),
+    "endurance-map": Experiment(_endurance_map, {
+        "n": (128, integer(2)),
+        "r_seg": (25.0, POSITIVE),
+        "access_device": ("diode", one_of("diode", "transistor")),
+        # the endurance calibration heats the driver corner to 400 K
+        "t_amb": (298.0, number(0, 400, open_lo=True, open_hi=True)),
+    }, needs_model=False,
+        check=lambda config: _crossbar_errors(
+            neurorel.CrossbarConfig(**config["campaign"]), "n")),
+    "neuro-map": Experiment(_neuro_map, {
+        "capacity": (10, integer(1)),
+        "crossbar_n": (16, integer(2)),
+        "tiles": ([
+            {"voltage": 3.0, "temperature": 298.0},
+            {"voltage": 1.8, "temperature": 298.0},
+        ], None),
+        "particles": (20, integer(1)),
+        "iterations": (50, integer(1)),
+        "comm_weight": (0.0, number(0)),
+        "baseline_seeds": (10, integer(1)),
+    }, needs_model=False, needs_workload=True, check=lambda config: _crossbar_errors(
+        neurorel.CrossbarConfig(n=config["campaign"]["crossbar_n"]), "crossbar_n")),
 }

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from faultlab.cli.config import load_config, parse, render, validate
 from faultlab.cli.main import main
@@ -77,9 +80,30 @@ def test_validate_lists_every_offence():
     ("neuro-map", {"tiles": [{"voltage": 1.8, "temperature": "hot"}]},
      "campaign.tiles[0].temperature:"),
     ("neuro-map", {"tiles": [{"voltage": 0}]}, "campaign.tiles[0].voltage:"),
+    ("endurance-map", {"n": "a"}, "campaign.n:"),
+    ("endurance-map", {"r_seg": -1}, "campaign.r_seg:"),
+    ("endurance-map", {"t_amb": 0}, "campaign.t_amb:"),
+    ("endurance-map", {"access_device": "x"}, "campaign.access_device:"),
+    ("endurance-map", {"n": 2}, "campaign.n:"),
+    ("neuro-map", {"crossbar_n": 2}, "campaign.crossbar_n:"),
+    ("dram-bitpos", {"counts": [40, 3000]}, "campaign.counts:"),
+    ("dram-column", {"faults_per_column": 300}, "campaign.faults_per_column:"),
+    # fields of other sections: the section is the field's first part
+    ("train", {"size": "a"}, "dataset.size:"),
+    ("train", {"classes": 0}, "dataset.classes:"),
+    ("train", {"seed": "x"}, "dataset.seed:"),
+    ("train", {"params": {"bogus": 1}}, "dataset.params.bogus:"),
+    ("train", {"params": {"blobs_per_class": 1.5}}, "dataset.params.blobs_per_class:"),
+    ("train", {"lr": True}, "train.lr:"),
+    ("train", {"epochs": True}, "train.epochs:"),
+    ("train", {"layers": [100, 8, 10]}, "model.layers:"),
+    ("train", {"layers": [784, 8, 5]}, "model.layers:"),
+    ("dram-column", {"layers": [784, 32, 12]}, "model.layers:"),
+    ("endurance-map", {"svg": "yes"}, "report.svg:"),
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
-    cfg, errors = validate({"experiment": experiment, "campaign": campaign})
+    section = field.split(".")[0]
+    cfg, errors = validate({"experiment": experiment, section: campaign})
     assert cfg is None
     assert len(errors) == 1 and errors[0].startswith(field), errors
 
@@ -462,3 +486,111 @@ def test_run_reproduces_golden_outputs(tmp_path, kind):
     assert not errors
     run(cfg, output_override=tmp_path)
     assert _golden_digests(tmp_path) == GOLDEN_DIGESTS[kind]
+
+
+# --- validate-or-run property over every kind ---------------------------------
+#
+# A config draws every field that sets a run's size, and some others, from
+# tiny values (a few of which break a rule or another field), then maybe sets
+# one field or an unknown key to junk. Two limits only a run can meet stay out
+# of reach, as each stops its run with a named error: fault rates stay below
+# the point where every PE of a column is faulty (DeactivationInfeasible), and
+# every crossbar holds every synapse its workload could give one cluster.
+_JUNK = st.sampled_from(["a", "", True, False, -1, 0, 1.5, float("nan"), None, [],
+                         {}, {"bogus": 1}])
+
+
+def _fields(required: dict, optional: dict):
+    """Every ``required`` and some ``optional`` fields, each from its values."""
+    def values(v):
+        return v if isinstance(v, st.SearchStrategy) else st.sampled_from(v)
+    return st.fixed_dictionaries(
+        {key: values(v) for key, v in required.items()},
+        optional={key: values(v) for key, v in optional.items()})
+
+
+def _small_lists(values):
+    return st.lists(st.sampled_from(values), max_size=3)
+
+
+_ARRAY = {"n_row": [2, 4, 8], "n_col": [2, 4, 8]}
+_ARRAY_OPTIONAL = {"fmt": ["int8", "bfloat16"], "eval_samples": [None, 1, 5, 50],
+                   "carry_fraction": [0.0, 0.5, 1.0], "fr": [0.0, 10.0, 25.0, 50.0],
+                   "fr_max_non_crit": [0.0, 0.05, 1.0], "lsb_bits": [1, 2, 4]}
+# kind -> (campaign fields always drawn, campaign fields maybe drawn)
+_CAMPAIGN_FIELDS = {
+    "train": ({}, {}),
+    "dram-bitpos": ({"counts": _small_lists([0, 1, 3, 500]), "runs": [1, 2]},
+                    {"bit_positions": _small_lists([0, 5, 7, 9]),
+                     "eval_samples": [None, 1, 5]}),
+    "dram-column": ({"runs": [1, 2]},
+                    {"faults_per_column": [0, 1, 3, 50], "bit_pos": [0, 7, 8],
+                     "grid_width": [9, 10, 12], "eval_samples": [None, 3],
+                     "track_recall": [True, False]}),
+    "mac-sweep": ({"k_values": _small_lists([1, 2, 8, 16]),
+                   "fr_grid": _small_lists([0.0, 10.0, 50.0, 120.0]), "runs": [1],
+                   **_ARRAY},
+                  {"mode": ["sim", "worst"], "stuck_one_bias": [0.0, 0.5],
+                   **{k: _ARRAY_OPTIONAL[k] for k in ("fmt", "eval_samples",
+                                                      "carry_fraction")}}),
+    "deactivate": ({"runs": [1, 2], **_ARRAY},
+                   {"critical_fraction": [0.0, 0.1, 1.0], **_ARRAY_OPTIONAL}),
+    "fault-train": ({"seeds": [1], "retrain_epochs": [0, 1], **_ARRAY},
+                    {"retrain_lr": [0.1, 0], **_ARRAY_OPTIONAL}),
+    "endurance-map": ({"n": [1, 2, 3, 6]},
+                      {"r_seg": [0.0, 1.0, 25.0],
+                       "access_device": ["diode", "transistor", "x"],
+                       "t_amb": [0, 250.0, 298.0, 500.0]}),
+    "neuro-map": ({"particles": [1, 3], "iterations": [1, 2], "baseline_seeds": [1, 2]},
+                  {"capacity": [1, 2, 4], "crossbar_n": [1, 2, 4, 8],
+                   "comm_weight": [0.0, 0.5],
+                   "tiles": [[{"voltage": 1.8}], [{"voltage": -1}],
+                             [{"voltage": 3.0, "temperature": 320.0},
+                              {"voltage": 1.2}]]}),
+}
+
+
+@st.composite
+def _tiny_configs(draw):
+    kind = draw(st.sampled_from(sorted(_CAMPAIGN_FIELDS)))
+    size = draw(st.sampled_from([2, 4, 6]))
+    hidden = draw(st.sampled_from([1, 4, 8]))
+    width = size * size
+    doc = {
+        "experiment": kind,
+        "seed": draw(st.integers(0, 3)),
+        "campaign": draw(_fields(*_CAMPAIGN_FIELDS[kind])),
+        "report": draw(_fields({}, {"svg": [True, False]})),
+        "model": draw(_fields(
+            {"layers": [[width, hidden, 10], [width, 10], [width, hidden, 5],
+                        [width + 1, hidden, 10]]},
+            {"kind": ["mlp", "lenet5"]})),
+        "dataset": draw(_fields(
+            {"train": [1, 10, 40], "test": [1, 20], "size": [size]},
+            {"classes": [1, 4, 10], "seed": [0, 3], "test_seed": [1],
+             "params": [{}, {"pixel_noise": 5.0, "blobs_per_class": 2}, {"size": 3},
+                        {"blobs_per_class": 1.5}, {"template_seed": -1}]})),
+        "train": draw(_fields({"epochs": [0, 1, 2]},
+                              {"lr": [0.1, 0.3], "batch": [4, 64]})),
+        "workload": draw(_fields(
+            {"neurons": [2, 4, 8], "synapses": [0, 1, 3, 10, 100]},
+            {"seed": [0, 5], "max_activation": [0.0, 10.0, 1000.0]})),
+    }
+    if draw(st.booleans()):
+        section = draw(st.sampled_from(["campaign", "model", "dataset", "train",
+                                        "workload", "report", None]))
+        fields = doc[section] if section else doc
+        fields[draw(st.sampled_from(sorted(fields) + ["bogus"]))] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_tiny_configs())
+def test_tiny_configs_fail_validation_or_run(doc):
+    cfg, errors = validate(doc)
+    if errors:
+        assert cfg is None and all(isinstance(e, str) and ": " in e for e in errors)
+        return
+    with tempfile.TemporaryDirectory() as out:
+        run(cfg, output_override=out)
