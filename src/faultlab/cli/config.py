@@ -17,6 +17,8 @@ from pathlib import Path
 
 import yaml
 
+from ..netcore import init_lenet5
+
 
 # A rule is (check, what the error says when the check fails).
 
@@ -104,8 +106,6 @@ _BLOB_RULES = {
     "pixel_noise": number(0),
     "sigma_min_frac": POSITIVE,
     "sigma_max_frac": POSITIVE,
-    "weak_fraction": FRACTION,
-    "weak_gain": number(0),
 }
 
 _TILE_RULES = {"voltage": POSITIVE, "temperature": POSITIVE}
@@ -179,10 +179,10 @@ def _check_model_fits(model: dict, ds: dict, errors) -> None:
     """A model built for the synthetic images must take them and score every class."""
     size, layers = ds["size"], model["layers"]
     if model["kind"] == "lenet5":
-        # conv 5, pool 2, conv 5, pool 2: each pool must divide its map
-        if size < 16 or size % 4:
-            errors.append(f"dataset.size: LeNet-5 needs a multiple of 4 >= 16, "
-                          f"got {size}")
+        try:
+            init_lenet5(size)
+        except ValueError as err:
+            errors.append(f"dataset.size: no LeNet-5 takes {size}x{size} images: {err}")
     elif layers[0] != size * size:
         errors.append(f"model.layers: input width {layers[0]} does not match "
                       f"dataset.size**2 = {size * size}")

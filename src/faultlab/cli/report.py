@@ -37,10 +37,7 @@ def _read_csv(path: Path):
             header = next(reader)
         except StopIteration:
             raise ReportError(f"{path.name}: empty CSV") from None
-        rows = list(reader)
-    if not rows:
-        raise ReportError(f"{path.name}: no data rows")
-    return header, rows
+        return header, list(reader)
 
 
 def _classify(path: Path, header):
@@ -86,6 +83,8 @@ def report(directory, write_svg: bool = True) -> str:
         header, rows = _read_csv(path)
         name = _classify(path, header)
         lines.append(f"== {path.name} ({name}, {len(rows)} rows)")
+        if not rows:  # e.g. the history of a run that trained no epoch
+            continue
         lines.extend(SCHEMAS[name].summary(rows))
         if write_svg and SCHEMAS[name].chart:
             for stem, svg in SCHEMAS[name].chart(path.stem, rows).items():

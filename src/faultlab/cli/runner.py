@@ -35,8 +35,8 @@ from ..netcore import (
     synthetic_blobs,
     train_sgd,
 )
+from ..netcore.network import mlp_stages
 from .config import (
-    BOOL,
     FRACTION,
     PERCENT,
     POSITIVE,
@@ -206,20 +206,27 @@ def _campaign(stem: str, schema: str, rows_of):
 
 
 def _dram_errors(config) -> list:
-    """The DRAM faults must fit a model built from ``model.layers``; the shapes
-    of a LeNet-5 or a checkpoint are only known when it is built or loaded."""
-    model, camp = config["model"], config["campaign"]
-    if model["kind"] != "mlp" or model["checkpoint"]:
+    """The DRAM faults must fit the weights of the network the run builds; those
+    of a checkpoint, or of a LeNet-5 on IDX images, are only known in the run."""
+    model, ds, camp = config["model"], config["dataset"], config["campaign"]
+    if model["checkpoint"]:
         return []
-    layers, errors = model["layers"], []
-    cells = min(a * b for a, b in zip(layers, layers[1:]))
+    if model["kind"] == "mlp":
+        shapes = [s.weight_shape for s in mlp_stages(model["layers"])[1:]]
+    elif ds["kind"] == "synthetic":
+        shapes = [w.shape for w in init_lenet5(ds["size"]).weights]
+    else:
+        return []
+    errors = []
+    cells = min(rows * cols for rows, cols in shapes)
     if max(camp.get("counts", [0])) > cells:
         errors.append(f"campaign.counts: more faults than the {cells} weights of "
                       "the smallest layer")
-    if camp.get("faults_per_column", 0) > layers[-2]:
-        errors.append(f"campaign.faults_per_column: more faults than the {layers[-2]} "
+    rows, outputs = shapes[-1]
+    if camp.get("faults_per_column", 0) > rows:
+        errors.append(f"campaign.faults_per_column: more faults than the {rows} "
                       "weights of an output column")
-    if "grid_width" in camp and layers[-1] != 10:
+    if "grid_width" in camp and outputs != 10:
         errors.append("model.layers: the column campaign needs 10 outputs")
     return errors
 
@@ -342,10 +349,9 @@ def _neuro_map(ctx):
     tiles = [neurorel.TileSpec(**t) for t in camp["tiles"]]
     emap = neurorel.build_endurance_map(neurorel.CrossbarConfig(n=camp["crossbar_n"]))
     seed = ctx.seed("pso")
-    tddb, bti = neurorel.TddbParams(), neurorel.BtiParams()
     mapping = neurorel.map_workload(
         graph, tiles, capacity=camp["capacity"], endurance_map=emap,
-        tddb=tddb, bti=bti,
+        tddb=neurorel.TddbParams(), bti=neurorel.BtiParams(),
         pso_config=neurorel.PsoConfig(particles=camp["particles"],
                                       iterations=camp["iterations"]),
         seed=seed, comm_weight=camp["comm_weight"],
@@ -359,12 +365,8 @@ def _neuro_map(ctx):
             life = endurance / act if act > 0 else float("nan")
             rows.append((ci, tile, syn_idx, r, c, endurance, life))
     ctx.emit("mapping", "mapping", rows)
-    owned = neurorel.mapping.owned_synapses(graph, mapping.clusters)
-    loads = neurorel.mapping.cluster_loads(graph, owned)
-    fitness = neurorel.mapping.mapping_fitness(graph, mapping.clusters, owned, loads,
-                                               tiles, tddb, bti, camp["comm_weight"])
     baseline = neurorel.random_baseline_fitness(
-        len(mapping.clusters), len(tiles), fitness,
+        len(mapping.clusters), len(tiles), mapping.fitness_fn,
         seeds=[ctx.seed(f"baseline{k}") for k in range(camp["baseline_seeds"])],
     )
     ctx.emit("summary", "metrics", [
@@ -398,7 +400,6 @@ KINDS = {
         "runs": (10, integer(1)),
         "grid_width": (16, integer(10)),  # at least the output layer's 10 neurons
         "eval_samples": (None, optional(integer(1))),
-        "track_recall": (False, BOOL),
     }, check=_dram_errors),
     "mac-sweep": Experiment(_campaign("sweep", "sweep", _sweep_rows), {
         "k_values": ([2, 3, 4], list_of(integer(1))),
@@ -432,8 +433,9 @@ KINDS = {
         "n": (128, integer(2)),
         "r_seg": (25.0, POSITIVE),
         "access_device": ("diode", one_of("diode", "transistor")),
-        # the endurance calibration heats the driver corner to 400 K
-        "t_amb": (298.0, number(0, 400, open_lo=True, open_hi=True)),
+        # the endurance calibration heats the driver corner to T_HOT
+        "t_amb": (298.0, number(0, neurorel.crossbar.T_HOT, open_lo=True,
+                                open_hi=True)),
     }, needs_model=False,
         check=lambda config: _crossbar_errors(
             neurorel.CrossbarConfig(**config["campaign"]), "n")),

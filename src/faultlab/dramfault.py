@@ -149,7 +149,7 @@ def bitpos_campaign(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    data = dataset if eval_samples is None else dataset.subset(eval_samples)
+    data = dataset.subset(eval_samples)
     x = model_input(data)
     grids = model_grids(model)
     baseline_wq = [extract(g) for g in grids]
@@ -187,7 +187,6 @@ def column_campaign(
     seed: int = 0,
     grid_width: int = 16,
     eval_samples: int | None = None,
-    track_recall: bool = False,
 ):
     """Column-targeted sign-bit attack on the output layer's grid.
 
@@ -195,13 +194,12 @@ def column_campaign(
     only and measures the accuracy drop; columns holding no neuron (index
     >= class count) leave the model untouched. Returns (rows, mean_drops,
     recall_drops) where mean_drops is indexed by column and recall_drops
-    (present when ``track_recall``) maps column -> mean per-class recall
-    drop array over runs.
+    maps column -> mean per-class recall drop array over runs.
     """
     n_classes = model.weights[-1].shape[1]
     if n_classes != 10:
         raise ValueError(f"column campaign expects a 10-class output, got {n_classes}")
-    data = dataset if eval_samples is None else dataset.subset(eval_samples)
+    data = dataset.subset(eval_samples)
     x = model_input(data)
     baseline_wq = [extract(g) for g in model_grids(model)]
     out_grid = layout(baseline_wq[-1], width=grid_width)
@@ -222,11 +220,9 @@ def column_campaign(
             acc = float(np.mean(pred == data.labels))
             rows.append(CampaignRow("column", bit_pos, column, faults_per_column,
                                     run_seed, acc, (baseline - acc) * 100.0))
-            if track_recall:
-                recall = _recall_from(pred, data.labels, n_classes)
-                per_run_recall.append(baseline_recall - recall)
-        if track_recall:
-            recall_drops[column] = np.mean(per_run_recall, axis=0)
+            per_run_recall.append(baseline_recall
+                                  - _recall_from(pred, data.labels, n_classes))
+        recall_drops[column] = np.mean(per_run_recall, axis=0)
     mean_drops = {
         column: float(np.mean([r.drop_pp for r in rows if r.column == column]))
         for column in range(grid_width)

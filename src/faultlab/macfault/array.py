@@ -537,13 +537,12 @@ def faulty_matmul_factory(state: ArrayState, weight_shapes, mode: str, rng,
 
 
 def run_array(model, state: ArrayState, dataset: LabeledDataset, mode: str = "sim",
-              seed: int = 0, eval_samples: int | None = None) -> float:
+              seed: int = 0) -> float:
     """Top-1 accuracy with every multiply routed through its hosting PE."""
-    data = dataset if eval_samples is None else dataset.subset(eval_samples)
-    if len(data) == 0:
+    if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     rng = np.random.default_rng(seed)
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights], mode, rng)
-    logits = quant_forward(model, model_input(data), fmt=state.config.fmt,
+    logits = quant_forward(model, model_input(dataset), fmt=state.config.fmt,
                            matmul_fn=matmul)
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
+    return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))

@@ -41,7 +41,7 @@ def lsb_sensitivity_sweep(
     drop in percentage points over the seeded runs.
     """
     config = config or ArrayConfig()
-    data = dataset if eval_samples is None else dataset.subset(eval_samples)
+    data = dataset.subset(eval_samples)
     baseline = evaluate(model, data, config.fmt)
     rows = []
     for k in k_values:

@@ -17,6 +17,7 @@ from ..netcore.inference import quantize_activations
 from ..netcore.train import train_sgd
 from ..quantnum import bf16_round_array
 from .array import ArrayState, faulty_matmul_factory
+from .faults import SIM
 
 
 def fault_aware_train(
@@ -27,9 +28,8 @@ def fault_aware_train(
     lr: float,
     seed: int,
     batch_size: int = 64,
-    mode: str = "sim",
 ):
-    """Retrain a copy of the model against the state's fault map."""
+    """Retrain a copy of the model against the state's fault map (sim mode)."""
     fmt = state.config.fmt
     rng = np.random.default_rng(seed)
     shapes = [w.shape for w in model.weights]
@@ -38,7 +38,7 @@ def fault_aware_train(
         return train_sgd(model, train, epochs=epochs, lr=lr, seed=seed,
                          batch_size=batch_size)
     # int8: the callback returns the array's integer error and the weight scale
-    matmul = faulty_matmul_factory(state, shapes, mode, rng,
+    matmul = faulty_matmul_factory(state, shapes, SIM, rng,
                                    error_only=fmt == "int8")
 
     def linear(live, idx, a):

@@ -12,6 +12,7 @@ Format (documented for external tooling): a zip archive written by
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -21,28 +22,27 @@ FORMAT_NAME = "faultlab-checkpoint"
 FORMAT_VERSION = 1
 
 
+# a stage is stored as its op and then its fields, in declaration order
+_STAGE_TYPES = {"conv": ConvStage, "pool": PoolStage, "flatten": FlattenStage,
+               "dense": DenseStage}
+_STAGE_OPS = {cls: op for op, cls in _STAGE_TYPES.items()}
+
+
 def _stage_to_json(stage):
-    if isinstance(stage, ConvStage):
-        return {"op": "conv", "weight_idx": stage.weight_idx, "kernel": stage.kernel,
-                "in_ch": stage.in_ch, "out_ch": stage.out_ch}
-    if isinstance(stage, PoolStage):
-        return {"op": "pool", "kernel": stage.kernel}
-    if isinstance(stage, FlattenStage):
-        return {"op": "flatten"}
-    return {"op": "dense", "weight_idx": stage.weight_idx,
-            "in_features": stage.in_features, "out_features": stage.out_features,
-            "final": stage.final}
+    return {"op": _STAGE_OPS[type(stage)], **asdict(stage)}
 
 
-def _stage_from_json(d):
-    op = d["op"]
-    if op == "conv":
-        return ConvStage(d["weight_idx"], d["kernel"], d["in_ch"], d["out_ch"])
-    if op == "pool":
-        return PoolStage(d["kernel"])
-    if op == "flatten":
-        return FlattenStage()
-    return DenseStage(d["weight_idx"], d["in_features"], d["out_features"], d["final"])
+def _stage_from_json(k: int, d: dict):
+    """Stage ``k`` of a checkpoint; ValueError naming it if its op is unknown
+    or a field is missing."""
+    cls = _STAGE_TYPES.get(d.get("op"))
+    if cls is None:
+        raise ValueError(f"stage {k}: unknown op {d.get('op')!r}")
+    names = [f.name for f in fields(cls)]
+    missing = [name for name in names if name not in d]
+    if missing:
+        raise ValueError(f"stage {k} ({d['op']}): missing {', '.join(missing)}")
+    return cls(**{name: d[name] for name in names})
 
 
 def save_model(model: Network, path):
@@ -74,5 +74,5 @@ def load_model(path) -> Network:
         biases = [data[f"b{l}"] for l in range(n)]
     if meta["kind"] == "mlp":
         return Network(None, mlp_stages(meta["layer_sizes"]), weights, biases)
-    stages = [_stage_from_json(d) for d in meta["stages"]]
+    stages = [_stage_from_json(k, d) for k, d in enumerate(meta["stages"])]
     return Network(meta["input_hw"], stages, weights, biases)

@@ -114,8 +114,6 @@ def synthetic_blobs(
     pixel_noise: float = 12.0,
     sigma_min_frac: float = 0.08,
     sigma_max_frac: float = 0.16,
-    weak_fraction: float = 0.0,
-    weak_gain: float = 0.35,
 ) -> LabeledDataset:
     """Render Gaussian class blobs to grayscale images.
 
@@ -123,9 +121,7 @@ def synthetic_blobs(
     ``template_seed`` (shared between train and test splits); ``seed``
     drives the per-sample draw, which jitters blob centers and amplitudes
     and adds pixel noise, so the task is learnable to high but not perfect
-    accuracy. A ``weak_fraction`` of samples is rendered at ``weak_gain``
-    amplitude, concentrating probability mass near the decision boundary
-    the way harder natural datasets do.
+    accuracy.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -146,9 +142,6 @@ def synthetic_blobs(
         img = np.zeros((size, size), dtype=np.float64)
         jitter = rng.normal(0.0, center_jitter, size=(blobs_per_class, 2))
         gains = 1.0 + rng.normal(0.0, amplitude_jitter, size=blobs_per_class)
-        weak = weak_fraction > 0 and rng.uniform() < weak_fraction
-        if weak:
-            gains = gains * weak_gain
         for b in range(blobs_per_class):
             cy, cx = centers[c, b] + jitter[b]
             r2 = (yy - cy) ** 2 + (xx - cx) ** 2

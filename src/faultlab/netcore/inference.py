@@ -22,13 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..quantnum import (
-    Int8Tensor,
-    bf16_round_array,
-    int8_scale,
-    quantize_int8,
-    round_half_away,
-)
+from ..quantnum import Int8Tensor, bf16_round_array, quantize_int8
 from .data import LabeledDataset
 from .network import forward
 
@@ -41,15 +35,9 @@ def quantize_weights(model) -> list[Int8Tensor]:
 
 
 def quantize_activations(a: np.ndarray):
-    """Symmetric per-tensor int8 quantization of an activation array.
-
-    Raises ValueError on NaN or infinite activations, which would
-    otherwise cast to arbitrary int8 values.
-    """
-    scale = int8_scale(a)
-    q = round_half_away(a / scale)
-    raw = np.clip(q, -128, 127, out=q).astype(np.int8)
-    return raw, scale
+    """(raw, scale) of ``quantize_int8(a)``; ValueError on non-finite values."""
+    q = quantize_int8(a)
+    return q.raw, q.scale
 
 
 # Each int8 product has magnitude at most 128 * 128 = 2**14, so a sum over

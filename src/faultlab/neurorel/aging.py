@@ -32,13 +32,10 @@ class BtiParams:
     a: float = 1.0
     gamma: float = 3.0
     ea: float = 0.1  # activation energy, eV
-    k_b: float = K_BOLTZMANN_EV
 
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("A must be positive")
-        if self.k_b <= 0:
-            raise ValueError("Boltzmann constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ def mttf_bti(v: float, t: float, params: BtiParams) -> float:
         raise ValueError("overdrive voltage must be non-negative")
     if v == 0 and params.gamma > 0:
         raise ValueError("V=0 is singular for gamma > 0")
-    return params.a / (v**params.gamma) * math.exp(params.ea / (params.k_b * t))
+    return params.a / (v**params.gamma) * math.exp(params.ea / (K_BOLTZMANN_EV * t))
 
 
 def aging_fitness(stresses, tddb: TddbParams, bti: BtiParams) -> float:

@@ -19,7 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CP_VOLTAGES = {"diode": (1.8, 3.0), "transistor": (1.2, 1.8)}  # (idle, active)
+CP_ACTIVE_VOLTAGES = {"diode": 3.0, "transistor": 1.8}  # charge-pump volts
+
+# calibration targets: corner endurances (cycles), driver-corner temperature (K)
+E_HOT, E_COLD, T_HOT = 1e6, 1e10, 400.0
+R_DEVICE = 10_000.0  # ohms
 
 
 @dataclass(frozen=True)
@@ -28,30 +32,25 @@ class CrossbarConfig:
     r_seg: float = 25.0  # ohms per wire segment
     access_device: str = "diode"
     t_amb: float = 298.0
-    cp_idle: float | None = None
-    cp_active: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("crossbar dimension must be >= 1")
         if self.r_seg < 0:
             raise ValueError("segment resistance must be non-negative")
-        if self.access_device not in CP_VOLTAGES:
+        if self.access_device not in CP_ACTIVE_VOLTAGES:
             raise ValueError(f"unknown access device {self.access_device!r}")
         if self.t_amb <= 0:
             raise ValueError("ambient temperature must be positive")
-        idle, active = CP_VOLTAGES[self.access_device]
-        if self.cp_idle is None:
-            object.__setattr__(self, "cp_idle", idle)
-        if self.cp_active is None:
-            object.__setattr__(self, "cp_active", active)
-        if self.cp_idle <= 0 or self.cp_active <= 0:
-            raise ValueError("charge-pump voltages must be positive")
+
+    @property
+    def cp_active(self) -> float:
+        return CP_ACTIVE_VOLTAGES[self.access_device]
 
 
 @dataclass(frozen=True)
 class EnduranceModelParams:
-    r_device: float = 10_000.0  # ohms
+    r_device: float = R_DEVICE
     r_thermal: float = 115_000.0  # K/W
     beta: float = 0.15  # 1/K, endurance decay per kelvin
     e_ref: float = 1e12  # cycles at t_ref
@@ -80,37 +79,27 @@ class EnduranceMap:
         return self.temperature.shape[0]
 
 
-def default_endurance_params(
-    config: CrossbarConfig,
-    e_hot: float = 1e6,
-    e_cold: float = 1e10,
-    t_hot: float = 400.0,
-    r_device: float = 10_000.0,
-) -> EnduranceModelParams:
+def default_endurance_params(config: CrossbarConfig) -> EnduranceModelParams:
     """Calibrate thermal and endurance constants to the corner targets.
 
-    Solves R_thermal so the driver corner reaches ``t_hot``, then beta and
-    E_ref so corner endurances hit ``e_hot`` and ``e_cold`` exactly for
+    Solves R_thermal so the driver corner reaches ``T_HOT``, then beta and
+    E_ref so corner endurances hit ``E_HOT`` and ``E_COLD`` exactly for
     this geometry. Needs r_seg > 0 (otherwise the map is uniform and the
     corner ratio cannot be met).
     """
     if config.r_seg <= 0:
         raise ValueError("corner calibration needs r_seg > 0")
-    if not (0 < e_hot < e_cold):
-        raise ValueError("need 0 < e_hot < e_cold")
-    if t_hot <= config.t_amb:
+    if T_HOT <= config.t_amb:
         raise ValueError("t_hot must exceed ambient")
     v = config.cp_active
-    i_hot = v / r_device
-    i_cold = v / (r_device + 2 * (config.n - 1) * config.r_seg)
-    r_thermal = (t_hot - config.t_amb) / (i_hot**2 * r_device)
-    t_cold = config.t_amb + r_thermal * i_cold**2 * r_device
-    beta = math.log(e_cold / e_hot) / (t_hot - t_cold)
-    e_ref = e_hot * math.exp(beta * (t_hot - config.t_amb))
-    return EnduranceModelParams(
-        r_device=r_device, r_thermal=r_thermal, beta=beta, e_ref=e_ref,
-        t_ref=config.t_amb,
-    )
+    i_hot = v / R_DEVICE
+    i_cold = v / (R_DEVICE + 2 * (config.n - 1) * config.r_seg)
+    r_thermal = (T_HOT - config.t_amb) / (i_hot**2 * R_DEVICE)
+    t_cold = config.t_amb + r_thermal * i_cold**2 * R_DEVICE
+    beta = math.log(E_COLD / E_HOT) / (T_HOT - t_cold)
+    e_ref = E_HOT * math.exp(beta * (T_HOT - config.t_amb))
+    return EnduranceModelParams(r_thermal=r_thermal, beta=beta, e_ref=e_ref,
+                                t_ref=config.t_amb)
 
 
 def build_endurance_map(config: CrossbarConfig,

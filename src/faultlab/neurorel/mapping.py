@@ -10,6 +10,7 @@ communication term (activation crossing between different tiles).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,7 @@ class TileMapping:
     fitness: float
     cut: float
     trace: list
+    fitness_fn: Callable  # the fitness the PSO minimized, over assignments
 
 
 def owned_synapses(graph: SnnWorkloadGraph, clusters) -> list:
@@ -139,6 +141,7 @@ def map_workload(
         fitness=float(fitness(assignment)),
         cut=cut_cost(graph, clusters),
         trace=trace,
+        fitness_fn=fitness,
     )
 
 

@@ -14,22 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# velocity update: inertia, pulls toward the personal and global bests, clip
+INERTIA, COGNITIVE, SOCIAL, V_MAX = 0.72, 1.5, 1.5, 6.0
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     particles: int = 20
     iterations: int = 50
-    inertia: float = 0.72
-    cognitive: float = 1.5
-    social: float = 1.5
-    v_max: float = 6.0
 
     def __post_init__(self):
         if self.particles < 1:
             raise ValueError("need at least one particle")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.v_max <= 0:
-            raise ValueError("v_max must be positive")
 
 
 def _sigmoid(x):
@@ -83,11 +81,11 @@ def pso_assign(n_items: int, n_slots: int, fitness, config: PsoConfig, seed: int
         r1 = rng.random(shape)
         r2 = rng.random(shape)
         velocity = (
-            config.inertia * velocity
-            + config.cognitive * r1 * (pbest_bits.astype(float) - bits.astype(float))
-            + config.social * r2 * (gbest_bits.astype(float)[None] - bits.astype(float))
+            INERTIA * velocity
+            + COGNITIVE * r1 * (pbest_bits.astype(float) - bits.astype(float))
+            + SOCIAL * r2 * (gbest_bits.astype(float)[None] - bits.astype(float))
         )
-        np.clip(velocity, -config.v_max, config.v_max, out=velocity)
+        np.clip(velocity, -V_MAX, V_MAX, out=velocity)
         bits = rng.random(shape) < _sigmoid(velocity)
         assign = _repair(bits, velocity)
         bits = _one_hot(assign, n_slots)

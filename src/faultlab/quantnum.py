@@ -20,11 +20,6 @@ INT8_MIN = -128
 INT8_MAX = 127
 SIGN_BIT = 7
 
-# bfloat16 field layout: 1 sign, 8 exponent, 7 mantissa.
-BF16_MANTISSA_BITS = 7
-BF16_EXPONENT_MASK = 0x7F80
-BF16_MANTISSA_MASK = 0x007F
-
 
 @dataclass(frozen=True)
 class Int8Tensor:
@@ -77,8 +72,9 @@ def quantize_int8(values, scale: float | None = None) -> Int8Tensor:
         raise ValueError("cannot quantize non-finite values")
     if not (scale > 0):
         raise ValueError(f"scale must be positive, got {scale}")
-    raw = np.clip(round_half_away(values / scale), INT8_MIN, INT8_MAX)
-    return Int8Tensor(raw=raw.astype(np.int8), scale=float(scale))
+    q = round_half_away(values / scale)
+    raw = np.clip(q, INT8_MIN, INT8_MAX, out=q).astype(np.int8)
+    return Int8Tensor(raw=raw, scale=float(scale))
 
 
 def int8_to_byte(raw) -> np.ndarray:

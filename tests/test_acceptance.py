@@ -213,7 +213,7 @@ def test_c3_column_locality(twin_b):
     _, test, model, _, _ = twin_b
     _, mean_drops, recall_drops = dramfault.column_campaign(
         model, test, faults_per_column=20, bit_pos=7, runs=20, seed=7,
-        grid_width=16, track_recall=True,
+        grid_width=16,
     )
     for col in range(10):
         assert mean_drops[col] > 0.0, f"column {col} drop {mean_drops[col]}"

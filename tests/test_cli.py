@@ -58,6 +58,11 @@ def test_validate_lists_every_offence():
         assert expected in joined, f"missing {expected} in {errors}"
 
 
+class _Sections(dict):
+    """A validate case's fields by section, for fields that another section
+    than the expected field's holds."""
+
+
 @pytest.mark.parametrize("experiment, campaign, field", [
     ("deactivate", {"fr": "5"}, "campaign.fr:"),
     ("deactivate", {"fr_max_non_crit": True}, "campaign.fr_max_non_crit:"),
@@ -100,10 +105,15 @@ def test_validate_lists_every_offence():
     ("train", {"layers": [784, 8, 5]}, "model.layers:"),
     ("dram-column", {"layers": [784, 32, 12]}, "model.layers:"),
     ("endurance-map", {"svg": "yes"}, "report.svg:"),
+    ("dram-column", {"track_recall": True}, "campaign.track_recall:"),
+    ("train", {"params": {"weak_fraction": 0.1}}, "dataset.params.weak_fraction:"),
+    # a LeNet-5's first convolution holds 150 weights, fewer than 250 faults
+    ("dram-bitpos", _Sections(model={"kind": "lenet5"}), "campaign.counts:"),
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
-    section = field.split(".")[0]
-    cfg, errors = validate({"experiment": experiment, section: campaign})
+    sections = (campaign if isinstance(campaign, _Sections)
+                else {field.split(".")[0]: campaign})
+    cfg, errors = validate({"experiment": experiment, **sections})
     assert cfg is None
     assert len(errors) == 1 and errors[0].startswith(field), errors
 
@@ -344,12 +354,22 @@ def test_report_single_row_mean_no_spread(tmp_path):
 
 
 def test_report_rejects_empty_csv(tmp_path):
-    (tmp_path / "history.csv").write_text("epoch,accuracy\n")
-    with pytest.raises(ReportError):
-        report(tmp_path)
     (tmp_path / "history.csv").write_text("")
     with pytest.raises(ReportError):
         report(tmp_path)
+
+
+def test_report_of_a_run_that_trained_no_epoch(tmp_path, capsys):
+    # history.csv holds only its header; report counts it as zero rows
+    doc = {"experiment": "train", "seed": 1, "model": {"layers": [144, 8, 10]},
+           "dataset": {"train": 40, "test": 20, "size": 12},
+           "train": {"epochs": 0}}
+    path = _write_config(tmp_path, doc)
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "history.csv").read_text() == "epoch,accuracy\n"
+    assert main(["report", str(tmp_path / "out")]) == 0
+    assert "== history.csv (history, 0 rows)" in capsys.readouterr().out
+    assert not list((tmp_path / "out").glob("report_*"))
 
 
 def test_report_names_offending_column(tmp_path):
@@ -450,7 +470,8 @@ GOLDEN_DIGESTS = {
         "bitpos.csv": "5554636520aa3603f698098b010f569df0a152ff70eb5ccd697249c760929952",
     },
     "dram-column": {
-        "manifest": "53ed690a3f11d710c662bb46326011d23f8d72c54d20911dac2dbe6ec31ef672",
+        # config_hash changed when campaign.track_recall left the config
+        "manifest": "6ee6e7abc337177f88e95eb1151780794d00a9e7b6e70f51ef8bb88eb58e3272",
         "column.csv": "0c4bff1b1fdbf155495f6fb35b0a37db6645782efdedbecf0e693bd07ed5d754",
     },
     "mac-sweep": {
@@ -525,8 +546,7 @@ _CAMPAIGN_FIELDS = {
                      "eval_samples": [None, 1, 5]}),
     "dram-column": ({"runs": [1, 2]},
                     {"faults_per_column": [0, 1, 3, 50], "bit_pos": [0, 7, 8],
-                     "grid_width": [9, 10, 12], "eval_samples": [None, 3],
-                     "track_recall": [True, False]}),
+                     "grid_width": [9, 10, 12], "eval_samples": [None, 3]}),
     "mac-sweep": ({"k_values": _small_lists([1, 2, 8, 16]),
                    "fr_grid": _small_lists([0.0, 10.0, 50.0, 120.0]), "runs": [1],
                    **_ARRAY},

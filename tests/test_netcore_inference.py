@@ -1,6 +1,8 @@
 """Inference-mode tests, including the hand-computed int8 forward oracle."""
 
+import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -165,6 +167,34 @@ def test_checkpoint_meta_of_mlp_and_cnn(tmp_path):
             '"final": false}, '
             '{"op": "dense", "weight_idx": 4, "in_features": 84, "out_features": 10, '
             '"final": true}]}')
+
+
+def test_checkpoint_cnn_resave_is_byte_identical(tmp_path):
+    # every member of the archive, the meta string included, survives a
+    # load and a second save byte for byte (the zip's timestamps may not)
+    save_model(init_lenet5(16, seed=4), tmp_path / "a.npz")
+    save_model(load_model(tmp_path / "a.npz"), tmp_path / "b.npz")
+    with zipfile.ZipFile(tmp_path / "a.npz") as a, zipfile.ZipFile(tmp_path / "b.npz") as b:
+        assert a.namelist() == b.namelist()
+        for name in a.namelist():
+            assert a.read(name) == b.read(name), name
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda stages: stages[1].update(op="maxpool"), "stage 1: unknown op 'maxpool'"),
+    (lambda stages: stages[2].pop("in_ch"), r"stage 2 \(conv\): missing in_ch"),
+    (lambda stages: stages[5].pop("op"), "stage 5: unknown op None"),
+], ids=["unknown-op", "missing-field", "missing-op"])
+def test_checkpoint_names_a_bad_stage(tmp_path, edit, message):
+    save_model(init_lenet5(16, seed=0), tmp_path / "cnn.npz")
+    with np.load(tmp_path / "cnn.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    edit(meta["stages"])
+    arrays["meta"] = json.dumps(meta)
+    np.savez(tmp_path / "bad.npz", **arrays)
+    with pytest.raises(ValueError, match=message):
+        load_model(tmp_path / "bad.npz")
 
 
 @pytest.mark.parametrize("model", [init_mlp((784, 16, 10), seed=0), init_lenet5(28)],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from faultlab.neurorel import (
+    K_BOLTZMANN_EV,
     BtiParams,
     StressProfile,
     TddbParams,
@@ -28,7 +29,7 @@ def test_tddb_examples():
 
 def test_bti_examples():
     p = BtiParams(a=2.0, gamma=1.7, ea=0.15)
-    expect = 2.0 * math.exp(0.15 / (p.k_b * 310.0))
+    expect = 2.0 * math.exp(0.15 / (K_BOLTZMANN_EV * 310.0))
     assert mttf_bti(1.0, 310.0, p) == pytest.approx(expect, rel=1e-12)
     assert mttf_bti(2.0, 300.0, BtiParams(a=1.0, gamma=2.0, ea=0.0)) == 0.25
 

@@ -12,10 +12,8 @@ from faultlab.neurorel import (
 
 
 def test_cp_voltage_defaults():
-    assert (CrossbarConfig(access_device="diode").cp_idle,
-            CrossbarConfig(access_device="diode").cp_active) == (1.8, 3.0)
-    assert (CrossbarConfig(access_device="transistor").cp_idle,
-            CrossbarConfig(access_device="transistor").cp_active) == (1.2, 1.8)
+    assert CrossbarConfig(access_device="diode").cp_active == 3.0
+    assert CrossbarConfig(access_device="transistor").cp_active == 1.8
     with pytest.raises(ValueError):
         CrossbarConfig(access_device="memristor")
 
