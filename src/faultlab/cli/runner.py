@@ -130,7 +130,7 @@ def _build_datasets(config, needs_train: bool):
 
 
 def _build_model(ctx: RunContext):
-    """(model, per-epoch history): loaded from its checkpoint, else trained."""
+    """(model, per-epoch history): loaded from its checkpoint, or trained."""
     mc = ctx.config["model"]
     if mc["checkpoint"]:
         return load_model(mc["checkpoint"]), []
@@ -253,7 +253,7 @@ def _sweep_rows(ctx, seed):
         runs=camp["runs"], config=_array(camp), seed=seed, mode=camp["mode"],
         carry_fraction=camp["carry_fraction"], stuck_one_bias=camp["stuck_one_bias"],
         eval_samples=camp["eval_samples"],
-    )[0]
+    )
 
 
 def _faulty_arrays(ctx, count):
@@ -295,8 +295,9 @@ def _deactivate(ctx):
                                 state.faults, fsr=fsr, seed=seed)
         rows.append((seed, "faulty", acc_faulty, (baseline - acc_faulty) * 100,
                      state.active.size, len(state.faults)))
+        live = state.active[state.faults.rows, state.faults.cols]
         rows.append((seed, "deactivated", acc_after, (baseline - acc_after) * 100,
-                     int(state.active.sum()), len(state.active_faulty())))
+                     int(state.active.sum()), int(live.sum())))
     ctx.emit("deactivate", "deactivate", rows)
     return manifest
 
@@ -308,7 +309,7 @@ def _fault_train(ctx):
     for seed, state, fsr in trials:
         state.active = macfault.deactivate(state, fsr)
         acc_before = accuracy(ctx.model, state, seed)
-        retrained, _ = macfault.fault_aware_train(
+        retrained = macfault.fault_aware_train(
             ctx.model, state, ctx.train, epochs=camp["retrain_epochs"],
             lr=camp["retrain_lr"], seed=seed,
         )

@@ -44,26 +44,6 @@ class WeightGrid:
         return self.cells.shape
 
 
-@dataclass(frozen=True)
-class InjectionPlan:
-    """One injection: ``count`` flips of ``bit_pos`` in the target region.
-
-    ``target`` is a column index, or None for the whole grid. Cells are
-    sampled without replacement, so no flip can cancel another.
-    """
-
-    bit_pos: int
-    count: int
-    seed: int
-    target: int | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.bit_pos <= 7:
-            raise ValueError(f"bit_pos {self.bit_pos} out of range")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-
-
 def layout(weights: Int8Tensor, width: int | None = None) -> WeightGrid:
     """Place a layer's int8 weights neuron-per-column into a grid."""
     raw = weights.raw
@@ -85,25 +65,29 @@ def extract(grid: WeightGrid) -> Int8Tensor:
     )
 
 
-def inject(grid: WeightGrid, plan: InjectionPlan):
-    """Flip ``plan.count`` distinct cells; returns (new grid, flip sites)."""
+def inject(grid: WeightGrid, bit_pos: int, count: int, seed: int,
+           target: int | None = None):
+    """Flip bit ``bit_pos`` of ``count`` cells drawn from ``seed`` without
+    replacement, in column ``target`` or (None) the whole grid; returns (new
+    grid, flip sites), the sites as (row, col) tuples in draw order."""
+    if not 0 <= bit_pos <= 7:
+        raise ValueError(f"bit_pos {bit_pos} out of range")
+    if count < 0:
+        raise ValueError("count must be non-negative")
     rows, width = grid.shape
-    if plan.target is not None and not 0 <= plan.target < width:
-        raise ValueError(f"target column {plan.target} beyond grid width {width}")
-    n_eligible = rows if plan.target is not None else rows * width
-    if plan.count > n_eligible:
-        raise ValueError(f"count {plan.count} exceeds {n_eligible} eligible cells")
-    rng = np.random.default_rng(plan.seed)
-    picks = rng.choice(n_eligible, size=plan.count, replace=False)
-    if plan.target is not None:
-        sites = [(int(r), plan.target) for r in picks]
+    if target is not None and not 0 <= target < width:
+        raise ValueError(f"target column {target} beyond grid width {width}")
+    n_eligible = rows if target is not None else rows * width
+    if count > n_eligible:
+        raise ValueError(f"count {count} exceeds {n_eligible} eligible cells")
+    picks = np.random.default_rng(seed).choice(n_eligible, size=count, replace=False)
+    if target is None:
+        r, c = np.divmod(picks, width)
     else:
-        sites = [(int(p // width), int(p % width)) for p in picks]
+        r, c = picks, np.full(count, target)
     cells = grid.cells.copy()
-    mask = np.uint8(1 << plan.bit_pos)
-    for r, c in sites:
-        cells[r, c] ^= mask
-    return replace(grid, cells=cells), sites
+    cells[r, c] ^= np.uint8(1 << bit_pos)
+    return replace(grid, cells=cells), list(zip(r.tolist(), c.tolist()))
 
 
 def model_grids(model, width: int | None = None) -> list[WeightGrid]:
@@ -162,9 +146,8 @@ def bitpos_campaign(
                 run_seed = derived_seed(seed, bit_pos, count, run)
                 faulty = []
                 for l, grid in enumerate(grids):
-                    plan = InjectionPlan(bit_pos=bit_pos, count=count,
-                                         seed=derived_seed(run_seed, l))
-                    mutated, _ = inject(grid, plan)
+                    mutated, _ = inject(grid, bit_pos, count,
+                                        seed=derived_seed(run_seed, l))
                     faulty.append(extract(mutated))
                 acc = _int8_accuracy(model, x, data.labels, faulty)
                 rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
@@ -201,7 +184,7 @@ def column_campaign(
         raise ValueError(f"column campaign expects a 10-class output, got {n_classes}")
     data = dataset.subset(eval_samples)
     x = model_input(data)
-    baseline_wq = [extract(g) for g in model_grids(model)]
+    baseline_wq = quantize_weights(model)
     out_grid = layout(baseline_wq[-1], width=grid_width)
     base_pred = _int8_predictions(model, x, baseline_wq)
     baseline = float(np.mean(base_pred == data.labels))
@@ -212,9 +195,8 @@ def column_campaign(
         per_run_recall = []
         for run in range(runs):
             run_seed = derived_seed(seed, column, run)
-            plan = InjectionPlan(bit_pos=bit_pos, count=faults_per_column,
-                                 seed=run_seed, target=column)
-            mutated, _ = inject(out_grid, plan)
+            mutated, _ = inject(out_grid, bit_pos, faults_per_column, run_seed,
+                                target=column)
             faulty = baseline_wq[:-1] + [extract(mutated)]
             pred = _int8_predictions(model, x, faulty)
             acc = float(np.mean(pred == data.labels))

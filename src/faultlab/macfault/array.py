@@ -164,11 +164,11 @@ class FaultStatusRegister:
         if not 0.0 <= self.fr_max_non_crit <= 1.0:
             raise ValueError("FR_max_non_crit must be in [0, 1]")
 
-    def __eq__(self, other):
-        return (isinstance(other, FaultStatusRegister)
-                and self.fr_max_non_crit == other.fr_max_non_crit
-                and all(np.array_equal(getattr(self, k), getattr(other, k))
-                        for k in ("rows", "cols", "critical")))
+    def check(self, fault_map: FaultMap) -> None:
+        """ValueError unless the entries are the map's PEs, in its order."""
+        if not (np.array_equal(self.rows, fault_map.rows)
+                and np.array_equal(self.cols, fault_map.cols)):
+            raise ValueError("FSR entries do not match the fault map")
 
 
 def build_fsr(fault_map: FaultMap, fmt: str,
@@ -201,11 +201,6 @@ class ArrayState:
             raise ValueError(f"fault site {list(f)[outside[0]]} outside the array")
         if len(f):
             _check_width(int(f.max_bit.max()), cfg.fmt)
-
-    def active_faulty(self) -> list:
-        live = self.active[self.faults.rows, self.faults.cols]
-        rows, cols = self.faults.rows[live], self.faults.cols[live]
-        return list(zip(rows.tolist(), cols.tolist()))
 
 
 class DeactivationInfeasible(RuntimeError):
@@ -298,9 +293,7 @@ def deactivate(state: ArrayState, fsr: FaultStatusRegister) -> np.ndarray:
     DeactivationInfeasible when the constraints would disable every PE.
     """
     faults = state.faults
-    if not (np.array_equal(fsr.rows, faults.rows)
-            and np.array_equal(fsr.cols, faults.cols)):
-        raise ValueError("FSR entries do not match the fault map")
+    fsr.check(faults)
 
     active = state.active.copy()
     active[fsr.rows[fsr.critical], fsr.cols[fsr.critical]] = False

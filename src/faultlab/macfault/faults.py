@@ -58,11 +58,6 @@ class LogicConeFault:
     def max_bit(self) -> int:
         return self.cone_bits[-1][0]
 
-    @property
-    def signature(self):
-        """Hashable key identifying the fault's effect (site-independent)."""
-        return (self.cone_bits, self.carry_fault)
-
 
 def cone_bits(stuck0: int, stuck1: int) -> tuple:
     """((bit, stuck value), ...) of the bits set in two disjoint masks."""

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..yamlio import read_document, write_document
-from .array import ArrayConfig, FaultStatusRegister
+from ..yamlio import naming, read_document, write_document
+from .array import ArrayConfig, ArrayState, FaultStatusRegister
 from .faults import CRITICAL, NON_CRITICAL, FaultMap, LogicConeFault, cone_bits
 
 FORMAT_TAG = "faultlab-faultmap/1"
@@ -45,26 +45,40 @@ def save_fault_map(path, config: ArrayConfig, fault_map: FaultMap,
 
 
 def load_fault_map(path):
-    """Returns (config, fault_map, fsr_or_None, seed_or_None)."""
+    """Returns (config, fault_map, fsr_or_None, seed_or_None).
+
+    A malformed entry, a fault outside the array and an FSR that does not
+    list the map's PEs each raise ValueError naming the file and the entry.
+    """
     doc = read_document(path, FORMAT_TAG)
-    cfg = doc["config"]
-    config = ArrayConfig(n_row=cfg["n_row"], n_col=cfg["n_col"], fmt=cfg["fmt"])
-    fault_map = FaultMap.from_faults(
-        LogicConeFault(
-            pe=(int(item["row"]), int(item["col"])),
-            cone_bits=tuple((int(b), int(v)) for b, v in item["cone_bits"]),
-            carry_fault=bool(item["carry"]),
-        )
-        for item in doc.get("faults", [])
-    )
+    with naming(path):
+        cfg = doc["config"]
+    with naming(f"{path}: config"):
+        config = ArrayConfig(n_row=cfg["n_row"], n_col=cfg["n_col"], fmt=cfg["fmt"])
+    items = doc.get("faults", [])
+    if not isinstance(items, list):
+        raise ValueError(f"{path}: faults: expected a list")
+    faults = []
+    for i, item in enumerate(items):
+        with naming(f"{path}: faults[{i}]"):
+            faults.append(LogicConeFault(
+                pe=(int(item["row"]), int(item["col"])),
+                cone_bits=tuple((int(b), int(v)) for b, v in item["cone_bits"]),
+                carry_fault=bool(item["carry"]),
+            ))
+    with naming(path):
+        fault_map = FaultMap.from_faults(faults)
+        ArrayState(config=config, faults=fault_map)  # every fault inside the array
     fsr = None
     if "fsr" in doc:
-        entries = doc["fsr"]
-        pes = np.array([(int(e["row"]), int(e["col"])) for e in entries],
-                       dtype=np.intp).reshape(-1, 2)
-        fsr = FaultStatusRegister(
-            rows=pes[:, 0], cols=pes[:, 1],
-            critical=np.array([e["criticality"] == CRITICAL for e in entries], bool),
-            fr_max_non_crit=float(doc["fr_max_non_crit"]),
-        )
+        with naming(f"{path}: fsr"):
+            entries = doc["fsr"]
+            pes = np.array([(int(e["row"]), int(e["col"])) for e in entries],
+                           dtype=np.intp).reshape(-1, 2)
+            fsr = FaultStatusRegister(
+                rows=pes[:, 0], cols=pes[:, 1],
+                critical=np.array([e["criticality"] == CRITICAL for e in entries], bool),
+                fr_max_non_crit=float(doc["fr_max_non_crit"]),
+            )
+            fsr.check(fault_map)
     return config, fault_map, fsr, doc.get("seed")

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..netcore.data import LabeledDataset
 from ..netcore.inference import evaluate
 from ..seeds import derived_seed
@@ -35,10 +33,11 @@ def lsb_sensitivity_sweep(
     stuck_one_bias: float = 0.5,
     eval_samples: int | None = None,
 ):
-    """Seed faults confined to cone bits < K, run the array, average drops.
+    """Seed faults confined to cone bits < K and run the array on each map.
 
-    Returns (rows, mean_table) with mean_table[(k, fr)] = mean accuracy
-    drop in percentage points over the seeded runs.
+    Returns one ``SweepRow`` per (k, fr, run), in that nesting order; its
+    ``drop_pp`` is the accuracy drop against the fault-free baseline in
+    percentage points.
     """
     config = config or ArrayConfig()
     data = dataset.subset(eval_samples)
@@ -56,9 +55,4 @@ def lsb_sensitivity_sweep(
                 acc = run_array(model, state, data, mode=mode, seed=run_seed)
                 rows.append(SweepRow(config.fmt, k, fr, run_seed, acc,
                                      (baseline - acc) * 100.0))
-    mean_table = {}
-    for k in k_values:
-        for fr in fr_grid:
-            drops = [r.drop_pp for r in rows if r.k == k and r.fr == fr]
-            mean_table[(k, fr)] = float(np.mean(drops))
-    return rows, mean_table
+    return rows

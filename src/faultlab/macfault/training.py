@@ -29,14 +29,14 @@ def fault_aware_train(
     seed: int,
     batch_size: int = 64,
 ):
-    """Retrain a copy of the model against the state's fault map (sim mode)."""
+    """The model retrained against the state's fault map (sim mode), as a copy."""
     fmt = state.config.fmt
     rng = np.random.default_rng(seed)
     shapes = [w.shape for w in model.weights]
     has_faults = bool(state.faults) or not state.active.all()
     if not has_faults:
         return train_sgd(model, train, epochs=epochs, lr=lr, seed=seed,
-                         batch_size=batch_size)
+                         batch_size=batch_size)[0]
     # int8: the callback returns the array's integer error and the weight scale
     matmul = faulty_matmul_factory(state, shapes, SIM, rng,
                                    error_only=fmt == "int8")
@@ -53,4 +53,4 @@ def fault_aware_train(
         return exact + (matmul(idx, ab, wb) - ab @ wb)
 
     return train_sgd(model, train, epochs=epochs, lr=lr, seed=seed,
-                     batch_size=batch_size, linear_fn=linear)
+                     batch_size=batch_size, linear_fn=linear)[0]

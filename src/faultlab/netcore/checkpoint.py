@@ -12,10 +12,13 @@ Format (documented for external tooling): a zip archive written by
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from dataclasses import asdict, fields
 
 import numpy as np
 
+from ..yamlio import naming
 from .network import ConvStage, DenseStage, FlattenStage, Network, PoolStage, mlp_stages
 
 FORMAT_NAME = "faultlab-checkpoint"
@@ -62,17 +65,28 @@ def save_model(model: Network, path):
 
 
 def load_model(path) -> Network:
-    """The saved network; ValueError if a weight or bias shape disagrees."""
+    """The saved network; ValueError naming the file and the cause if it is not
+    a checkpoint, lacks a member or a field, or holds a bad shape or value."""
+    if os.path.exists(path) and not zipfile.is_zipfile(path):
+        raise ValueError(f"{path}: not a zip archive")  # numpy would blame pickling
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != FORMAT_NAME:
-            raise ValueError(f"{path}: not a {FORMAT_NAME} file")
+        arrays = {k: data[k] for k in data.files}
+    with naming(path):
+        meta = arrays["meta"]
+    with naming(f"{path}: meta"):
+        meta = json.loads(str(meta))
+        if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
+            raise ValueError(f"not a {FORMAT_NAME} file")
         if meta.get("version") != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        n = sum(1 for k in data.files if k.startswith("w"))
-        weights = [data[f"w{l}"] for l in range(n)]
-        biases = [data[f"b{l}"] for l in range(n)]
-    if meta["kind"] == "mlp":
-        return Network(None, mlp_stages(meta["layer_sizes"]), weights, biases)
-    stages = [_stage_from_json(k, d) for k, d in enumerate(meta["stages"])]
-    return Network(meta["input_hw"], stages, weights, biases)
+            raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
+        mlp = meta["kind"] == "mlp"
+        stages = (mlp_stages(meta["layer_sizes"]) if mlp else
+                  [_stage_from_json(k, d) for k, d in enumerate(meta["stages"])])
+        input_hw = None if mlp else meta["input_hw"]
+    with naming(path):
+        n = sum(1 for k in arrays if k.startswith("w"))
+        weights = [arrays[f"w{l}"] for l in range(n)]
+        biases = [arrays[f"b{l}"] for l in range(n)]
+        if not all(np.isfinite(a).all() for a in weights + biases):
+            raise ValueError("non-finite weights or biases")
+        return Network(input_hw, stages, weights, biases)

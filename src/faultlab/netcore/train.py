@@ -27,8 +27,8 @@ def train_sgd(
 ):
     """Train a copy of the model; returns (trained model, accuracy history).
 
-    The history holds one float-mode test accuracy per epoch (on ``test``
-    when given, else on the training set). ``linear_fn(model, weight_idx, a)``
+    The history holds one float-mode accuracy on ``test`` per epoch, and is
+    empty without a ``test`` set. ``linear_fn(model, weight_idx, a)``
     may replace the per-layer linear operator in the forward pass; gradients
     then flow straight-through, which is how fault-aware training plugs in.
     """
@@ -52,5 +52,6 @@ def train_sgd(
             for l in range(len(model.weights)):
                 model.weights[l] -= lr * grads_w[l]
                 model.biases[l] -= lr * grads_b[l]
-        history.append(evaluate(model, test if test is not None else train, "float"))
+        if test is not None:
+            history.append(evaluate(model, test, "float"))
     return model, history

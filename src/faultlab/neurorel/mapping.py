@@ -35,7 +35,6 @@ class TileMapping:
     clusters: list
     assignment: np.ndarray  # cluster index -> tile index
     placements: list  # per cluster: {owned-synapse index -> (row, col)}
-    owned: list  # per cluster: indices into graph.synapses
     lifetime: float
     fitness: float
     cut: float
@@ -113,7 +112,8 @@ def map_workload(
     seed: int = 0,
     comm_weight: float = 0.0,
 ) -> TileMapping:
-    """Full mapping flow: KL partition, PSO tile assignment, placement."""
+    """Full mapping flow: KL partition, PSO tile assignment, placement.
+    ``fitness`` is the PSO's best, ``trace[-1]``, and is not evaluated again."""
     if not tiles:
         raise ValueError("need at least one tile")
     clusters = kl_partition(graph, capacity, seed=seed)
@@ -136,9 +136,8 @@ def map_workload(
         clusters=clusters,
         assignment=assignment,
         placements=placements,
-        owned=owned,
         lifetime=float(lifetime),
-        fitness=float(fitness(assignment)),
+        fitness=trace[-1],
         cut=cut_cost(graph, clusters),
         trace=trace,
         fitness_fn=fitness,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..yamlio import read_document, write_document
+from ..yamlio import naming, read_document, write_document
 
 FORMAT_TAG = "faultlab-workload/1"
 _SYNAPSE_KEYS = ("src", "dst", "weight", "activation")
@@ -78,19 +78,12 @@ def load_workload(path) -> SnnWorkloadGraph:
         where = f"{path}: synapses[{i}]"
         if not isinstance(s, dict):
             raise ValueError(f"{where}: expected a mapping of {', '.join(_SYNAPSE_KEYS)}")
-        missing = [key for key in _SYNAPSE_KEYS if key not in s]
-        if missing:
-            raise ValueError(f"{where}: missing key {missing[0]!r}")
-        try:
+        with naming(where):  # a missing key too
             synapses.append(Synapse(src=int(s["src"]), dst=int(s["dst"]),
                                     weight=float(s["weight"]),
                                     activation=float(s["activation"])))
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{where}: {err}") from None
-    try:
+    with naming(path):
         return SnnWorkloadGraph(neurons=tuple(doc["neurons"]), synapses=tuple(synapses))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
 
 
 def random_workload(n_neurons: int, n_synapses: int, seed: int = 0,

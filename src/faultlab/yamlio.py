@@ -2,11 +2,13 @@
 
 For the documents faultlab writes (fault maps, workloads) libyaml emits
 the same bytes as ``yaml.safe_dump`` and parses to the same objects as
-``yaml.safe_load``, several times faster.
+``yaml.safe_load``, several times faster. ``naming`` names the file and
+entry of a bad value in any input file, checkpoints included.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import yaml
@@ -43,3 +45,14 @@ def read_document(path, format_tag: str) -> dict:
     if not isinstance(doc, dict) or doc.get("format") != format_tag:
         raise ValueError(f"{path}: not a {format_tag} document")
     return doc
+
+
+@contextmanager
+def naming(where: str):
+    """Re-raise a missing key or a bad value as a ValueError naming ``where``."""
+    try:
+        yield
+    except KeyError as err:
+        raise ValueError(f"{where}: missing key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{where}: {err}") from None

@@ -36,7 +36,7 @@ def _layer_plan(shape, state):
             continue
         fault = state.faults[pe]
         ii, jj = np.meshgrid(rows, cols, indexing="ij")
-        entry = groups.setdefault(fault.signature, (fault, [], []))
+        entry = groups.setdefault((fault.cone_bits, fault.carry_fault), (fault, [], []))
         entry[1].append(ii.ravel())
         entry[2].append(jj.ravel())
     plans = []

@@ -376,8 +376,8 @@ def test_c7_fault_aware_training(twin_b):
         state = ArrayState(config=cfg, faults=faults)
         state.active = deactivate(state, build_fsr(faults, "int8", 0.02))
         before = run_array(model, state, test, mode="sim", seed=seed)
-        retrained, _ = fault_aware_train(model, state, train, epochs=8, lr=0.15,
-                                         seed=100 + seed)
+        retrained = fault_aware_train(model, state, train, epochs=8, lr=0.15,
+                                      seed=100 + seed)
         after = run_array(retrained, state, test, mode="sim", seed=seed)
         loss_before = (acc0 - before) / acc0
         loss_after = (acc0 - after) / acc0

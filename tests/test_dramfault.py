@@ -48,7 +48,7 @@ def test_output_layer_grid_shape_of_reference_mlp():
 
 def test_inject_count_zero_is_noop(rng):
     grid = df.layout(_toy_tensor(rng))
-    mutated, sites = df.inject(grid, df.InjectionPlan(bit_pos=7, count=0, seed=1))
+    mutated, sites = df.inject(grid, bit_pos=7, count=0, seed=1)
     assert sites == []
     assert np.array_equal(mutated.cells, grid.cells)
 
@@ -56,24 +56,23 @@ def test_inject_count_zero_is_noop(rng):
 def test_inject_all_cells_sign_bit(rng):
     grid = df.layout(_toy_tensor(rng))
     n = grid.cells.size
-    mutated, sites = df.inject(grid, df.InjectionPlan(bit_pos=7, count=n, seed=1))
+    mutated, sites = df.inject(grid, bit_pos=7, count=n, seed=1)
     assert len(sites) == n
     assert np.array_equal(mutated.cells, grid.cells ^ 0x80)
 
 
 def test_inject_deterministic_and_distinct(rng):
     grid = df.layout(_toy_tensor(rng, rows=10, cols=8))
-    plan = df.InjectionPlan(bit_pos=6, count=30, seed=99)
-    _, sites_a = df.inject(grid, plan)
-    _, sites_b = df.inject(grid, plan)
+    plan = dict(bit_pos=6, count=30, seed=99)
+    _, sites_a = df.inject(grid, **plan)
+    _, sites_b = df.inject(grid, **plan)
     assert sites_a == sites_b
     assert len(set(sites_a)) == 30  # sampling without replacement
 
 
 def test_inject_touches_exactly_count_cells(rng):
     grid = df.layout(_toy_tensor(rng, rows=12, cols=9))
-    plan = df.InjectionPlan(bit_pos=5, count=17, seed=4)
-    mutated, sites = df.inject(grid, plan)
+    mutated, sites = df.inject(grid, bit_pos=5, count=17, seed=4)
     changed = np.argwhere(mutated.cells != grid.cells)
     assert len(changed) == 17
     assert {tuple(rc) for rc in changed} == set(sites)
@@ -84,23 +83,29 @@ def test_inject_touches_exactly_count_cells(rng):
 
 def test_inject_column_target_stays_in_column(rng):
     grid = df.layout(_toy_tensor(rng, rows=20, cols=6), width=8)
-    plan = df.InjectionPlan(bit_pos=7, count=10, seed=3, target=5)
-    _, sites = df.inject(grid, plan)
+    _, sites = df.inject(grid, bit_pos=7, count=10, seed=3, target=5)
     assert all(c == 5 for _, c in sites)
     with pytest.raises(ValueError):
-        df.inject(grid, df.InjectionPlan(bit_pos=7, count=1, seed=3, target=8))
+        df.inject(grid, bit_pos=7, count=1, seed=3, target=8)
 
 
 def test_inject_count_exceeding_cells_rejected(rng):
     grid = df.layout(_toy_tensor(rng, rows=4, cols=4))
     with pytest.raises(ValueError):
-        df.inject(grid, df.InjectionPlan(bit_pos=7, count=17, seed=0))
+        df.inject(grid, bit_pos=7, count=17, seed=0)
+
+
+@pytest.mark.parametrize("bit_pos, count", [(8, 1), (-1, 1), (7, -1)])
+def test_inject_rejects_bad_bit_or_count(rng, bit_pos, count):
+    grid = df.layout(_toy_tensor(rng, rows=4, cols=4))
+    with pytest.raises(ValueError, match="bit_pos|count"):
+        df.inject(grid, bit_pos=bit_pos, count=count, seed=0)
 
 
 def test_restoring_flips_recovers_baseline(small_mlp, blob_test):
     base = evaluate(small_mlp, blob_test, "int8")
     grids = df.model_grids(small_mlp)
-    mutated, sites = df.inject(grids[0], df.InjectionPlan(bit_pos=7, count=200, seed=8))
+    mutated, sites = df.inject(grids[0], bit_pos=7, count=200, seed=8)
     cells = mutated.cells.copy()
     for r, c in sites:
         cells[r, c] ^= 0x80

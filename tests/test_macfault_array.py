@@ -411,7 +411,9 @@ def test_fault_map_file_roundtrip(tmp_path):
     cfg2, faults2, fsr2, seed2 = load_fault_map(path)
     assert cfg2 == cfg
     assert faults2 == faults
-    assert fsr2 == fsr
+    fsr2.check(faults)  # the entries are the map's PEs, in its order
+    assert np.array_equal(fsr2.critical, fsr.critical)
+    assert fsr2.fr_max_non_crit == fsr.fr_max_non_crit
     assert seed2 == 9
 
 
@@ -435,3 +437,29 @@ def test_fault_map_file_rejects_duplicate_pe(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match=r"duplicate fault for PE \(1, 2\)"):
         load_fault_map(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("config"), r": missing key 'config'"),
+    (lambda doc: doc["config"].pop("n_col"), r": config: missing key 'n_col'"),
+    (lambda doc: doc["faults"][0].pop("col"), r": faults\[0\]: missing key 'col'"),
+    (lambda doc: doc.update(faults=3), r": faults: expected a list"),
+    (lambda doc: doc["faults"][1].update(cone_bits=3), r": faults\[1\]: "),
+    (lambda doc: doc.pop("fr_max_non_crit"), r": fsr: missing key 'fr_max_non_crit'"),
+    (lambda doc: doc["fsr"][1].pop("row"), r": fsr: missing key 'row'"),
+    (lambda doc: doc["faults"][0].update(row=9), r"fault site \(9, 2\) outside the array"),
+    (lambda doc: doc["fsr"][0].update(row=0, col=0),
+     r": fsr: FSR entries do not match the fault map"),
+], ids=["no-config", "config-key", "fault-key", "faults-not-list", "cone-bits",
+        "fsr-rate", "fsr-key", "fault-outside", "fsr-pe-not-in-map"])
+def test_fault_map_file_names_the_bad_entry(tmp_path, edit, message):
+    path = tmp_path / "map.yaml"
+    faults = FaultMap.from_faults([_non_crit((1, 2)), _crit((3, 0))])
+    save_fault_map(path, ArrayConfig(n_row=4, n_col=4), faults,
+                   fsr=build_fsr(faults, "int8", 0.5), seed=1)
+    doc = yaml.safe_load(path.read_text())
+    edit(doc)
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(ValueError, match=message) as err:
+        load_fault_map(path)
+    assert str(err.value).startswith(f"{path}: ")

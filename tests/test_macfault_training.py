@@ -15,6 +15,7 @@ from faultlab.macfault import (
     seed_fault_map,
 )
 from faultlab.netcore import evaluate, init_mlp, train_sgd
+from faultlab.netcore import train as train_module
 from faultlab.netcore.network import build_cnn
 from faultlab.macfault.array import run_array
 
@@ -28,13 +29,38 @@ def _deactivated_state(seed, fr=7.5, fr_max=0.02, fmt="int8"):
     return state
 
 
+def _mean_drops(rows):
+    """Mean accuracy drop per (k, fr) over a sweep's runs."""
+    drops = {}
+    for r in rows:
+        drops.setdefault((r.k, r.fr), []).append(r.drop_pp)
+    return {key: float(np.mean(d)) for key, d in drops.items()}
+
+
+def test_training_scores_only_a_given_test_set(monkeypatch, blob_train, blob_test):
+    calls = []
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "evaluate", counting_evaluate)
+    model, sub = init_mlp((784, 12, 10), seed=1), blob_train.subset(128)
+    _, hist = train_sgd(model, sub, epochs=2, lr=0.1, seed=0)
+    assert hist == [] and calls == []
+    fault_aware_train(model, _deactivated_state(0), sub, epochs=2, lr=0.1, seed=0)
+    assert calls == []
+    _, hist = train_sgd(model, sub, epochs=3, lr=0.1, seed=0,
+                        test=blob_test.subset(50))
+    assert len(hist) == len(calls) == 3
+
+
 def test_empty_fault_map_is_plain_sgd(blob_train):
     model = init_mlp((784, 24, 10), seed=2)
     state = ArrayState(config=ArrayConfig(), faults=FaultMap.from_faults([]))
     sub = blob_train.subset(500)
-    a, hist_a = fault_aware_train(model, state, sub, epochs=2, lr=0.2, seed=5)
-    b, hist_b = train_sgd(model, sub, epochs=2, lr=0.2, seed=5)
-    assert hist_a == hist_b
+    a = fault_aware_train(model, state, sub, epochs=2, lr=0.2, seed=5)
+    b, _ = train_sgd(model, sub, epochs=2, lr=0.2, seed=5)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -51,10 +77,10 @@ def test_fault_aware_train_matches_frozen_per_signature_path(blob_train, fmt):
     faults = seed_fault_map(cfg, 25, mix, seed=4)
     state = ArrayState(config=cfg, faults=faults)
     state.active = deactivate(state, build_fsr(faults, fmt, 0.1))
-    assert state.active_faulty() and not state.active.all()
+    assert state.active[faults.rows, faults.cols].any() and not state.active.all()
     sub = blob_train.subset(200)
     kw = dict(epochs=1, lr=0.2, seed=6, batch_size=64)
-    got, _ = fault_aware_train(model, state, sub, **kw)
+    got = fault_aware_train(model, state, sub, **kw)
     want, _ = frozen_fault_aware_train(model, state, sub, **kw)
     for wa, wb in zip(got.weights, want.weights):
         assert np.array_equal(wa, wb)
@@ -77,8 +103,8 @@ def test_fault_aware_training_recovers_mlp(blob_train, blob_test):
     for seed in range(3):
         state = _deactivated_state(seed)
         before = run_array(model, state, blob_test, mode="sim", seed=seed)
-        retrained, _ = fault_aware_train(model, state, blob_train,
-                                         epochs=6, lr=0.15, seed=100 + seed)
+        retrained = fault_aware_train(model, state, blob_train,
+                                      epochs=6, lr=0.15, seed=100 + seed)
         after = run_array(retrained, state, blob_test, mode="sim", seed=seed)
         loss_before = (acc0 - before) / acc0
         loss_after = (acc0 - after) / acc0
@@ -95,26 +121,26 @@ def test_fault_aware_training_recovers_lenet_class_cnn(blob_train, blob_test):
     assert acc0 > 0.85
     state = _deactivated_state(1)
     before = run_array(cnn, state, blob_test, mode="sim", seed=1)
-    retrained, _ = fault_aware_train(cnn, state, blob_train.subset(2000),
-                                     epochs=3, lr=0.2, seed=9)
+    retrained = fault_aware_train(cnn, state, blob_train.subset(2000),
+                                  epochs=3, lr=0.2, seed=9)
     after = run_array(retrained, state, blob_test, mode="sim", seed=1)
     assert (acc0 - after) / acc0 < (acc0 - before) / acc0
 
 
 def test_sweep_zero_rate_zero_drop(small_mlp, blob_test):
-    _, table = lsb_sensitivity_sweep(small_mlp, blob_test, k_values=[2],
-                                     fr_grid=[0.0], runs=2, eval_samples=300)
+    table = _mean_drops(lsb_sensitivity_sweep(small_mlp, blob_test, k_values=[2],
+                                              fr_grid=[0.0], runs=2, eval_samples=300))
     assert table[(2, 0.0)] == 0.0
 
 
 def test_sweep_monotone_in_k_and_fr(small_mlp, blob_test):
     # K values chosen where desk-scale models respond; low-K drops sit at
     # the noise floor, so the rate trend is asserted on the responsive Ks
-    rows, table = lsb_sensitivity_sweep(
+    table = _mean_drops(lsb_sensitivity_sweep(
         small_mlp, blob_test, k_values=[2, 11, 13], fr_grid=[0.0, 5.0, 10.0],
         runs=8, mode="worst", carry_fraction=0.5, stuck_one_bias=1.0,
         eval_samples=1000,
-    )
+    ))
     for fr in (5.0, 10.0):
         assert table[(2, fr)] <= table[(11, fr)] <= table[(13, fr)]
     for k in (11, 13):
@@ -123,14 +149,14 @@ def test_sweep_monotone_in_k_and_fr(small_mlp, blob_test):
 
 def test_sweep_rows_deterministic(small_mlp, blob_test):
     kw = dict(k_values=[2], fr_grid=[5.0], runs=2, eval_samples=200, seed=9)
-    rows_a, _ = lsb_sensitivity_sweep(small_mlp, blob_test, **kw)
-    rows_b, _ = lsb_sensitivity_sweep(small_mlp, blob_test, **kw)
+    rows_a = lsb_sensitivity_sweep(small_mlp, blob_test, **kw)
+    rows_b = lsb_sensitivity_sweep(small_mlp, blob_test, **kw)
     assert rows_a == rows_b
 
 
 def test_sweep_bf16_runs(small_mlp, blob_test):
-    _, table = lsb_sensitivity_sweep(
+    table = _mean_drops(lsb_sensitivity_sweep(
         small_mlp, blob_test, k_values=[3, 5], fr_grid=[10.0], runs=2,
         config=ArrayConfig(fmt="bfloat16"), eval_samples=200,
-    )
+    ))
     assert set(table) == {(3, 10.0), (5, 10.0)}

@@ -197,6 +197,44 @@ def test_checkpoint_names_a_bad_stage(tmp_path, edit, message):
         load_model(tmp_path / "bad.npz")
 
 
+def _without(key):
+    return lambda arrays: arrays.pop(key)
+
+
+def _edit_meta(edit):
+    def apply(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = json.dumps(meta)
+    return apply
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, "not a zip archive"),
+    (_without("meta"), "missing key 'meta'"),
+    (_without("b0"), "missing key 'b0'"),
+    (lambda arrays: arrays.update(meta="{kind: mlp"), "meta: Expecting"),
+    (_edit_meta(lambda meta: meta.pop("kind")), "meta: missing key 'kind'"),
+    (_edit_meta(lambda meta: meta.pop("layer_sizes")), "meta: missing key 'layer_sizes'"),
+    (lambda arrays: arrays["w1"].__setitem__((0, 0), np.nan),
+     "non-finite weights or biases"),
+], ids=["not-zip", "no-meta", "no-b0", "meta-not-json", "meta-no-kind", "meta-no-sizes",
+        "nan-weight"])
+def test_checkpoint_names_its_path_and_cause(tmp_path, edit, message):
+    save_model(init_mlp((784, 16, 10), seed=0), tmp_path / "model.npz")
+    path = tmp_path / "bad.npz"
+    if edit is None:
+        path.write_bytes(b"not a checkpoint")
+    else:
+        with np.load(tmp_path / "model.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("model", [init_mlp((784, 16, 10), seed=0), init_lenet5(28)],
                          ids=["mlp", "cnn"])
 @pytest.mark.parametrize("key", ["w1", "b1"])

@@ -88,12 +88,13 @@ def test_softmax_sums_to_one(rng):
     assert np.max(np.abs(s.sum(axis=1) - 1.0)) < 1e-9
 
 
-def test_training_is_deterministic(blob_train):
+def test_training_is_deterministic(blob_train, blob_test):
+    test = blob_test.subset(100)
     a, hist_a = train_sgd(init_mlp((784, 16, 10), seed=7), blob_train.subset(400),
-                          epochs=2, lr=0.1, seed=42)
+                          epochs=2, lr=0.1, seed=42, test=test)
     b, hist_b = train_sgd(init_mlp((784, 16, 10), seed=7), blob_train.subset(400),
-                          epochs=2, lr=0.1, seed=42)
-    assert hist_a == hist_b
+                          epochs=2, lr=0.1, seed=42, test=test)
+    assert len(hist_a) == 2 and hist_a == hist_b
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     c, _ = train_sgd(init_mlp((784, 16, 10), seed=7), blob_train.subset(400),

@@ -136,4 +136,5 @@ def test_map_workload_end_to_end():
     assert seen == set(range(len(g.synapses)))
     assert mapping.lifetime > 0
     assert all(a >= b for a, b in zip(mapping.trace, mapping.trace[1:]))
+    assert mapping.fitness == mapping.fitness_fn(mapping.assignment) == mapping.trace[-1]
     assert len(mapping.assignment) == len(mapping.clusters)
