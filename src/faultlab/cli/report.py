@@ -64,11 +64,8 @@ def _mean_std(values):
 def _aggregate(rows, key_idx, value_idx):
     groups = defaultdict(list)
     for row in rows:
-        try:
-            value = float(row[value_idx])
-        except ValueError:
-            continue
-        groups[tuple(row[k] for k in key_idx)].append(value)
+        if row[value_idx]:  # an empty cell is a NaN the runner wrote
+            groups[tuple(row[k] for k in key_idx)].append(float(row[value_idx]))
     return {k: _mean_std(v) for k, v in sorted(groups.items())}
 
 
@@ -83,12 +80,19 @@ def report(directory, write_svg: bool = True) -> str:
         header, rows = _read_csv(path)
         name = _classify(path, header)
         lines.append(f"== {path.name} ({name}, {len(rows)} rows)")
+        for line, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ReportError(f"{path.name}: line {line}: {len(row)} cells, "
+                                  f"expected {len(header)}")
         if not rows:  # e.g. the history of a run that trained no epoch
             continue
-        lines.extend(SCHEMAS[name].summary(rows))
-        if write_svg and SCHEMAS[name].chart:
-            for stem, svg in SCHEMAS[name].chart(path.stem, rows).items():
-                (directory / f"report_{stem}.svg").write_text(svg)
+        try:
+            lines.extend(SCHEMAS[name].summary(rows))
+            if write_svg and SCHEMAS[name].chart:
+                for stem, svg in SCHEMAS[name].chart(path.stem, rows).items():
+                    (directory / f"report_{stem}.svg").write_text(svg)
+        except ValueError as err:  # a cell that does not parse, or cannot be drawn
+            raise ReportError(f"{path.name}: {err}") from None
     return "\n".join(lines)
 
 
@@ -133,7 +137,10 @@ def _fault_train_summary(rows):
 def _endurance_cells(rows):
     """(n, {(row, col): CSV row}) of a square map."""
     cells = {(int(r[0]), int(r[1])): r for r in rows}
-    return max(i for i, _ in cells) + 1, cells
+    n = max(max(i, j) for i, j in cells) + 1
+    if set(cells) != {(i, j) for i in range(n) for j in range(n)}:
+        raise ValueError(f"the cells do not fill a {n}x{n} map")
+    return n, cells
 
 
 def _endurance_summary(rows):

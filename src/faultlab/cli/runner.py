@@ -75,6 +75,7 @@ class Experiment:
     needs_model: bool = True
     needs_train: bool = False  # build the training set even from a checkpoint
     needs_workload: bool = False
+    history: bool = False  # score the test set after each epoch of training
     check: Callable | None = None  # (valid config) -> errors relating its fields
 
 
@@ -130,17 +131,34 @@ def _build_datasets(config, needs_train: bool):
 
 
 def _build_model(ctx: RunContext):
-    """(model, per-epoch history): loaded from its checkpoint, or trained."""
+    """(model, per-epoch history): loaded from its checkpoint, or trained; a
+    kind without ``history`` trains unscored."""
     mc = ctx.config["model"]
     if mc["checkpoint"]:
-        return load_model(mc["checkpoint"]), []
-    if mc["kind"] == "lenet5":
+        model = load_model(mc["checkpoint"])
+    elif mc["kind"] == "lenet5":
         model = init_lenet5(ctx.train.images.shape[1], seed=ctx.seed("init"))
     else:
         model = init_mlp(tuple(mc["layers"]), seed=ctx.seed("init"))
+    # the network must take the images, whose IDX sizes only the run knows
+    fan_in, hw = model.weights[0].shape[0], model.input_hw
+    for split, data in (("training", ctx.train), ("test", ctx.test)):
+        if data is None:
+            continue
+        h, w = data.images.shape[1:]
+        if hw is None and fan_in != h * w:
+            raise ValueError(f"the MLP takes {fan_in} inputs, but the {split} "
+                             f"images are {h}x{w} = {h * w} pixels")
+        if hw is not None and (h, w) != (hw, hw):
+            raise ValueError(f"the CNN takes {hw}x{hw} images, but the {split} "
+                             f"images are {h}x{w}")
+    if mc["checkpoint"]:
+        return model, []
     tc = ctx.config["train"]
+    scored = KINDS[ctx.config["experiment"]].history
     return train_sgd(model, ctx.train, epochs=tc["epochs"], lr=tc["lr"],
-                     seed=ctx.seed("train"), batch_size=tc["batch"], test=ctx.test)
+                     seed=ctx.seed("train"), batch_size=tc["batch"],
+                     test=ctx.test if scored else None)
 
 
 def run(config: dict, output_override=None) -> dict:
@@ -385,7 +403,7 @@ _ARRAY = {"fmt": ("int8", one_of("int8", "bfloat16")), "n_row": (128, integer(1)
           "n_col": (128, integer(1)), "eval_samples": (None, optional(integer(1)))}
 
 KINDS = {
-    "train": Experiment(_train, {}, needs_train=True),
+    "train": Experiment(_train, {}, needs_train=True, history=True),
     # a DRAM campaign section holds exactly the campaign's keyword arguments
     "dram-bitpos": Experiment(_campaign("bitpos", "dram", lambda ctx, seed: (
         dramfault.bitpos_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp)[0])), {

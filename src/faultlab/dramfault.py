@@ -1,98 +1,58 @@
-"""2D DRAM weight layout and bit-flip injection campaigns.
+"""DRAM bit-flip injection campaigns on the stored int8 weights.
 
-Each layer's int8 weight matrix is laid out as a rows x columns grid of
-stored bytes, one neuron per column (the output layer's 10 neurons occupy
-columns 0-9). Campaigns flip chosen bit positions at seeded random cells
-and measure the int8 inference accuracy drop against the fault-free
-baseline, in percentage points.
+A layer's int8 weights are stored as a rows x columns array of bytes
+(``int8_to_byte`` of its ``raw``), one neuron per column: the output
+layer's 10 neurons occupy columns 0-9. A column campaign also attacks
+padding columns past the last neuron, which hold no weight. Campaigns flip
+chosen bit positions at seeded random cells and measure the int8 inference
+accuracy drop against the fault-free baseline, in percentage points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .netcore.data import LabeledDataset
 from .netcore.inference import model_input, quant_forward, quantize_weights
-from .quantnum import SIGN_BIT, Int8Tensor, byte_to_int8, int8_to_byte
+from .quantnum import SIGN_BIT, Int8Tensor, int8_to_byte
 from .seeds import derived_seed
 
 
-@dataclass(frozen=True)
-class WeightGrid:
-    """Stored bytes of one layer: (fan_in rows) x (width columns).
-
-    Column c holds neuron c; columns from ``n_neurons`` on are padding
-    cells that never map back to a weight.
-    """
-
-    cells: np.ndarray  # uint8, shape (rows, width)
-    scale: float
-    n_neurons: int
-
-    def __post_init__(self):
-        if self.cells.dtype != np.uint8 or self.cells.ndim != 2:
-            raise ValueError("cells must be a 2D uint8 array")
-        if not 0 < self.n_neurons <= self.cells.shape[1]:
-            raise ValueError(
-                f"{self.n_neurons} neurons do not fit grid width {self.cells.shape[1]}"
-            )
-
-    @property
-    def shape(self):
-        return self.cells.shape
-
-
-def layout(weights: Int8Tensor, width: int | None = None) -> WeightGrid:
-    """Place a layer's int8 weights neuron-per-column into a grid."""
-    raw = weights.raw
-    if raw.ndim != 2:
-        raise ValueError("expected a 2D weight matrix")
-    rows, neurons = raw.shape
-    width = neurons if width is None else int(width)
-    if width < neurons:
-        raise ValueError(f"width {width} below neuron count {neurons}")
-    cells = np.zeros((rows, width), dtype=np.uint8)
-    cells[:, :neurons] = int8_to_byte(raw)
-    return WeightGrid(cells=cells, scale=weights.scale, n_neurons=neurons)
-
-
-def extract(grid: WeightGrid) -> Int8Tensor:
-    """Inverse of layout: the weight columns viewed back as int8."""
-    return Int8Tensor(
-        raw=byte_to_int8(grid.cells[:, : grid.n_neurons]).copy(), scale=grid.scale
-    )
-
-
-def inject(grid: WeightGrid, bit_pos: int, count: int, seed: int,
+def inject(weights: Int8Tensor, bit_pos: int, count: int, seed: int,
            target: int | None = None):
-    """Flip bit ``bit_pos`` of ``count`` cells drawn from ``seed`` without
-    replacement, in column ``target`` or (None) the whole grid; returns (new
-    grid, flip sites), the sites as (row, col) tuples in draw order."""
+    """Flip bit ``bit_pos`` of ``count`` stored bytes drawn from ``seed``
+    without replacement, in column ``target`` or (None) the whole matrix;
+    returns (new weights, flip sites), the sites as (row, col) tuples in draw
+    order. A ``target`` at or past the neuron count is a padding column: its
+    sites are drawn, and its flips change no weight."""
     if not 0 <= bit_pos <= 7:
         raise ValueError(f"bit_pos {bit_pos} out of range")
     if count < 0:
         raise ValueError("count must be non-negative")
-    rows, width = grid.shape
-    if target is not None and not 0 <= target < width:
-        raise ValueError(f"target column {target} beyond grid width {width}")
-    n_eligible = rows if target is not None else rows * width
+    if target is not None and target < 0:
+        raise ValueError(f"target column {target} is negative")
+    rows, neurons = weights.raw.shape
+    n_eligible = rows if target is not None else rows * neurons
     if count > n_eligible:
         raise ValueError(f"count {count} exceeds {n_eligible} eligible cells")
     picks = np.random.default_rng(seed).choice(n_eligible, size=count, replace=False)
     if target is None:
-        r, c = np.divmod(picks, width)
+        r, c = np.divmod(picks, neurons)
     else:
         r, c = picks, np.full(count, target)
-    cells = grid.cells.copy()
-    cells[r, c] ^= np.uint8(1 << bit_pos)
-    return replace(grid, cells=cells), list(zip(r.tolist(), c.tolist()))
+    sites = list(zip(r.tolist(), c.tolist()))
+    if target is not None and target >= neurons:
+        return weights, sites
+    raw = weights.raw.copy()
+    int8_to_byte(raw)[r, c] ^= np.uint8(1 << bit_pos)
+    return Int8Tensor(raw=raw, scale=weights.scale), sites
 
 
-def model_grids(model, width: int | None = None) -> list[WeightGrid]:
-    """One grid per layer from per-tensor int8 quantization."""
-    return [layout(wq, width=width) for wq in quantize_weights(model)]
+def model_grids(model) -> list[Int8Tensor]:
+    """The stored weights of every layer, from per-tensor int8 quantization."""
+    return quantize_weights(model)
 
 
 def _int8_predictions(model, x: np.ndarray, weights_q) -> np.ndarray:
@@ -124,9 +84,9 @@ def bitpos_campaign(
     seed: int = 0,
     eval_samples: int | None = None,
 ):
-    """Whole-grid flips at each (bit position, fault count) pair.
+    """Whole-matrix flips at each (bit position, fault count) pair.
 
-    Injects ``count`` faults into every layer's grid (independent draws per
+    Injects ``count`` faults into every layer's weights (independent draws per
     layer), evaluates int8 accuracy, and averages the drop over ``runs``
     seeded runs. Returns (rows, mean_table) where mean_table maps
     (bit_pos, count) -> mean drop in percentage points.
@@ -135,8 +95,7 @@ def bitpos_campaign(
         raise ValueError("runs must be >= 1")
     data = dataset.subset(eval_samples)
     x = model_input(data)
-    grids = model_grids(model)
-    baseline_wq = [extract(g) for g in grids]
+    baseline_wq = model_grids(model)
     baseline = _int8_accuracy(model, x, data.labels, baseline_wq)
 
     rows = []
@@ -144,11 +103,8 @@ def bitpos_campaign(
         for count in counts:
             for run in range(runs):
                 run_seed = derived_seed(seed, bit_pos, count, run)
-                faulty = []
-                for l, grid in enumerate(grids):
-                    mutated, _ = inject(grid, bit_pos, count,
-                                        seed=derived_seed(run_seed, l))
-                    faulty.append(extract(mutated))
+                faulty = [inject(wq, bit_pos, count, seed=derived_seed(run_seed, l))[0]
+                          for l, wq in enumerate(baseline_wq)]
                 acc = _int8_accuracy(model, x, data.labels, faulty)
                 rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
                                         acc, (baseline - acc) * 100.0))
@@ -171,10 +127,10 @@ def column_campaign(
     grid_width: int = 16,
     eval_samples: int | None = None,
 ):
-    """Column-targeted sign-bit attack on the output layer's grid.
+    """Column-targeted sign-bit attack on the output layer's stored weights.
 
-    For each grid column, flips ``faults_per_column`` cells in that column
-    only and measures the accuracy drop; columns holding no neuron (index
+    For each of ``grid_width`` columns, flips ``faults_per_column`` cells in
+    that column only and measures the accuracy drop; padding columns (index
     >= class count) leave the model untouched. Returns (rows, mean_drops,
     recall_drops) where mean_drops is indexed by column and recall_drops
     maps column -> mean per-class recall drop array over runs.
@@ -182,10 +138,11 @@ def column_campaign(
     n_classes = model.weights[-1].shape[1]
     if n_classes != 10:
         raise ValueError(f"column campaign expects a 10-class output, got {n_classes}")
+    if grid_width < n_classes:
+        raise ValueError(f"grid width {grid_width} below neuron count {n_classes}")
     data = dataset.subset(eval_samples)
     x = model_input(data)
-    baseline_wq = quantize_weights(model)
-    out_grid = layout(baseline_wq[-1], width=grid_width)
+    baseline_wq = model_grids(model)
     base_pred = _int8_predictions(model, x, baseline_wq)
     baseline = float(np.mean(base_pred == data.labels))
     baseline_recall = _recall_from(base_pred, data.labels, n_classes)
@@ -195,9 +152,9 @@ def column_campaign(
         per_run_recall = []
         for run in range(runs):
             run_seed = derived_seed(seed, column, run)
-            mutated, _ = inject(out_grid, bit_pos, faults_per_column, run_seed,
+            mutated, _ = inject(baseline_wq[-1], bit_pos, faults_per_column, run_seed,
                                 target=column)
-            faulty = baseline_wq[:-1] + [extract(mutated)]
+            faulty = baseline_wq[:-1] + [mutated]
             pred = _int8_predictions(model, x, faulty)
             acc = float(np.mean(pred == data.labels))
             rows.append(CampaignRow("column", bit_pos, column, faults_per_column,

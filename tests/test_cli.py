@@ -16,7 +16,7 @@ from faultlab.cli.config import load_config, parse, render, validate
 from faultlab.cli.main import main
 from faultlab.cli.report import ReportError, report
 from faultlab.cli.runner import derive_seed, run
-from faultlab.netcore import init_mlp, save_model
+from faultlab.netcore import init_lenet5, init_mlp, save_model
 
 
 def _write_config(tmp_path, doc, name="config.yaml"):
@@ -185,24 +185,30 @@ def test_validate_missing_dataset_file_names_path(tmp_path):
     assert sum("file not found" in e for e in errors) == 4
 
 
+def _idx_dataset(data_dir, rng, hw):
+    """Write 60 training and 30 test images of hw x hw pixels as IDX files;
+    returns the dataset section naming them relative to ``data_dir``'s parent."""
+    data_dir.mkdir()
+    for split, n in (("train", 60), ("test", 30)):
+        images = rng.integers(0, 256, size=(n, hw, hw)).astype(np.uint8)
+        labels = rng.integers(0, 10, size=n).astype(np.uint8)
+        (data_dir / f"{split}-images.idx").write_bytes(
+            struct.pack(">iiii", 0x803, n, hw, hw) + images.tobytes())
+        (data_dir / f"{split}-labels.idx").write_bytes(
+            struct.pack(">ii", 0x801, n) + labels.tobytes())
+    return {"kind": "idx", **{
+        f"{split}_{part}": f"{data_dir.name}/{split}-{part}.idx"
+        for split in ("train", "test") for part in ("images", "labels")}}
+
+
 def test_run_idx_dataset_from_config_file(tmp_path, monkeypatch, rng):
     # relative IDX paths resolve against the config file, not the cwd
     data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    for split, n in (("train", 60), ("test", 30)):
-        images = rng.integers(0, 256, size=(n, 8, 8)).astype(np.uint8)
-        labels = rng.integers(0, 10, size=n).astype(np.uint8)
-        (data_dir / f"{split}-images.idx").write_bytes(
-            struct.pack(">iiii", 0x803, n, 8, 8) + images.tobytes())
-        (data_dir / f"{split}-labels.idx").write_bytes(
-            struct.pack(">ii", 0x801, n) + labels.tobytes())
     doc = {
         "experiment": "train",
         "seed": 4,
         "model": {"layers": [64, 8, 10]},
-        "dataset": {"kind": "idx", **{
-            f"{split}_{part}": f"data/{split}-{part}.idx"
-            for split in ("train", "test") for part in ("images", "labels")}},
+        "dataset": _idx_dataset(data_dir, rng, 8),
         "train": {"epochs": 1},
         "report": {"svg": False},
     }
@@ -298,22 +304,77 @@ def test_mac_sweep_builds_training_set_only_to_train(tmp_path, monkeypatch,
     assert calls == sizes
 
 
-def test_failed_run_removes_partial_outputs(tmp_path):
-    # checkpoint trained for 784 inputs, dataset images are 12x12=144 wide
-    ckpt = tmp_path / "model.npz"
-    save_model(init_mlp((784, 16, 10), seed=0), ckpt)
+def test_failed_run_removes_partial_outputs(tmp_path, monkeypatch):
+    # the train kind writes history.csv and model.npz before it scores the model
+    import faultlab.cli.runner as runner
+
+    def failing_evaluate(*args, **kwargs):
+        raise ValueError("scoring failed")
+
+    monkeypatch.setattr(runner, "evaluate", failing_evaluate)
     doc = {
         "experiment": "train",
         "seed": 1,
-        "model": {"checkpoint": str(ckpt)},
+        "model": {"layers": [144, 8, 10]},
         "dataset": {"train": 50, "test": 30, "size": 12},
+        "train": {"epochs": 1},
     }
     cfg, errors = validate(doc, base_dir=tmp_path)
     assert not errors
     out = tmp_path / "runout"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scoring failed"):
         run(cfg, output_override=out)
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("experiment", ["dram-bitpos", "mac-sweep", "deactivate",
+                                        "train"])
+def test_run_names_mlp_checkpoint_input_mismatch(tmp_path, capsys, experiment):
+    # a checkpoint of a 64-input MLP (8x8 images) run on 12x12 images
+    save_model(init_mlp((64, 16, 10), seed=0), tmp_path / "model.npz")
+    path = _write_config(tmp_path, {
+        "experiment": experiment, "seed": 1, "model": {"checkpoint": "model.npz"},
+        "dataset": {"train": 20, "test": 20, "size": 12}})
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: the MLP takes 64 inputs, but the ")
+    assert "images are 12x12 = 144 pixels" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["lenet5-checkpoint", "idx-mlp"])
+def test_run_names_network_input_mismatch(tmp_path, capsys, rng, case):
+    if case == "lenet5-checkpoint":
+        save_model(init_lenet5(28, seed=0), tmp_path / "model.npz")
+        doc = {"experiment": "dram-column", "model": {"checkpoint": "model.npz"},
+               "dataset": {"test": 20, "size": 12}}
+        message = "the CNN takes 28x28 images, but the test images are 12x12"
+    else:  # a fresh default MLP, 784 inputs, on 10x10 IDX images
+        doc = {"experiment": "train", "dataset": _idx_dataset(tmp_path / "data", rng, 10)}
+        message = "the MLP takes 784 inputs, but the training images are 10x10"
+    path = _write_config(tmp_path, {"seed": 1, **doc})
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, scored", [("dram-bitpos", 0), ("train", 2)])
+def test_only_train_scores_each_epoch(tmp_path, monkeypatch, experiment, scored):
+    # only the train kind writes the per-epoch accuracy (history.csv)
+    import faultlab.netcore.train as train_module
+
+    calls = []
+    real = train_module.evaluate
+    monkeypatch.setattr(train_module, "evaluate",
+                        lambda *args: calls.append(args) or real(*args))
+    doc = {"experiment": experiment, "seed": 1, "model": {"layers": [784, 8, 10]},
+           "dataset": {"train": 40, "test": 20}, "train": {"epochs": 2}}
+    if experiment == "dram-bitpos":
+        doc["campaign"] = {"counts": [1], "bit_positions": [7], "runs": 1}
+    cfg, errors = validate(doc)
+    assert not errors
+    run(cfg, output_override=tmp_path / "out")
+    assert len(calls) == scored
 
 
 def test_env_var_sets_output_root(tmp_path, monkeypatch):
@@ -379,6 +440,34 @@ def test_report_names_offending_column(tmp_path):
     with pytest.raises(ReportError) as err:
         report(tmp_path)
     assert "delta" in str(err.value)
+
+
+DRAM_HEADER = "campaign,bit_pos,column,fault_count,run_seed,accuracy,drop_pp\n"
+ENDURANCE_HEADER = "row,col,path_segments,temperature_k,endurance_cycles\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("endurance.csv", ENDURANCE_HEADER + "0,0,0,abc,1e6\n", "'abc'"),
+    ("endurance.csv", ENDURANCE_HEADER + "0,1,1,300,1e6\n", "do not fill a 2x2 map"),
+    ("bitpos.csv", DRAM_HEADER + "bitpos,7\n", "line 2: 2 cells, expected 7"),
+    ("history.csv", "epoch,accuracy\n1,abc\n", "'abc'"),
+    ("bitpos.csv", DRAM_HEADER + "bitpos,7,,x,1,0.5,abc\n", "'abc'"),
+], ids=["endurance-cell", "endurance-partial-map", "dram-short-row",
+        "history-cell", "dram-drop-cell"])
+def test_report_names_the_file_of_a_bad_csv(tmp_path, capsys, name, text, message):
+    (tmp_path / name).write_text(text)
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"report failed: {name}: ")
+    assert message in err
+
+
+def test_report_reads_empty_cells_as_nan(tmp_path):
+    # a model that scores nothing fault-free has NaN losses, written as ""
+    (tmp_path / "fault_train.csv").write_text(
+        "run_seed,baseline_accuracy,faulty_accuracy,retrained_accuracy,loss_before,"
+        "loss_after,relative_reduction\n1,0.0,0.0,0.0,,,\n")
+    assert "normalized loss nan -> nan over 1 seeds" in report(tmp_path)
 
 
 def test_deactivate_experiment_end_to_end(tmp_path):

@@ -1,4 +1,4 @@
-"""Weight-grid layout and injection tests."""
+"""Bit-flip injection into stored int8 weights, and the DRAM campaigns."""
 
 import numpy as np
 import pytest
@@ -6,113 +6,114 @@ import pytest
 from faultlab import dramfault as df
 from faultlab.netcore import evaluate, init_mlp
 from faultlab.netcore.inference import model_input
-from faultlab.quantnum import Int8Tensor, quantize_int8
+from faultlab.quantnum import Int8Tensor, int8_to_byte, quantize_int8
 
 
 def _toy_tensor(rng, rows=6, cols=4):
     return quantize_int8(rng.normal(0, 1, size=(rows, cols)))
 
 
-def test_layout_places_neurons_per_column(rng):
-    wq = _toy_tensor(rng, rows=3, cols=2)
-    grid = df.layout(wq)
-    assert grid.shape == (3, 2)
-    # column 0 holds neuron 0's fan-in bytes
-    assert np.array_equal(grid.cells[:, 0], wq.raw[:, 0].view(np.uint8))
-    assert np.array_equal(grid.cells[:, 1], wq.raw[:, 1].view(np.uint8))
-
-
-def test_layout_roundtrip_identity(rng):
-    wq = _toy_tensor(rng)
-    back = df.extract(df.layout(wq))
-    assert np.array_equal(back.raw, wq.raw)
-    assert back.scale == wq.scale
-
-
-def test_layout_with_padding_columns(rng):
-    wq = _toy_tensor(rng, rows=5, cols=3)
-    grid = df.layout(wq, width=8)
-    assert grid.shape == (5, 8)
-    assert grid.n_neurons == 3
-    assert np.all(grid.cells[:, 3:] == 0)
-    assert np.array_equal(df.extract(grid).raw, wq.raw)
-    with pytest.raises(ValueError):
-        df.layout(wq, width=2)
+def _bytes(wq):
+    return int8_to_byte(wq.raw)
 
 
 def test_output_layer_grid_shape_of_reference_mlp():
     model = init_mlp(seed=0)  # 784-256-256-256-10
     grids = df.model_grids(model)
-    assert grids[-1].shape == (256, 10)
+    assert grids[-1].raw.shape == (256, 10)
 
 
 def test_inject_count_zero_is_noop(rng):
-    grid = df.layout(_toy_tensor(rng))
-    mutated, sites = df.inject(grid, bit_pos=7, count=0, seed=1)
+    wq = _toy_tensor(rng)
+    mutated, sites = df.inject(wq, bit_pos=7, count=0, seed=1)
     assert sites == []
-    assert np.array_equal(mutated.cells, grid.cells)
+    assert np.array_equal(mutated.raw, wq.raw)
+    assert mutated.scale == wq.scale
 
 
 def test_inject_all_cells_sign_bit(rng):
-    grid = df.layout(_toy_tensor(rng))
-    n = grid.cells.size
-    mutated, sites = df.inject(grid, bit_pos=7, count=n, seed=1)
+    wq = _toy_tensor(rng)
+    n = wq.raw.size
+    mutated, sites = df.inject(wq, bit_pos=7, count=n, seed=1)
     assert len(sites) == n
-    assert np.array_equal(mutated.cells, grid.cells ^ 0x80)
+    assert np.array_equal(_bytes(mutated), _bytes(wq) ^ 0x80)
 
 
 def test_inject_deterministic_and_distinct(rng):
-    grid = df.layout(_toy_tensor(rng, rows=10, cols=8))
+    wq = _toy_tensor(rng, rows=10, cols=8)
     plan = dict(bit_pos=6, count=30, seed=99)
-    _, sites_a = df.inject(grid, **plan)
-    _, sites_b = df.inject(grid, **plan)
+    _, sites_a = df.inject(wq, **plan)
+    _, sites_b = df.inject(wq, **plan)
     assert sites_a == sites_b
     assert len(set(sites_a)) == 30  # sampling without replacement
 
 
 def test_inject_touches_exactly_count_cells(rng):
-    grid = df.layout(_toy_tensor(rng, rows=12, cols=9))
-    mutated, sites = df.inject(grid, bit_pos=5, count=17, seed=4)
-    changed = np.argwhere(mutated.cells != grid.cells)
+    wq = _toy_tensor(rng, rows=12, cols=9)
+    mutated, sites = df.inject(wq, bit_pos=5, count=17, seed=4)
+    changed = np.argwhere(mutated.raw != wq.raw)
     assert len(changed) == 17
     assert {tuple(rc) for rc in changed} == set(sites)
     # each flipped exactly once, at the planned bit
-    diff = mutated.cells[tuple(np.array(sites).T)] ^ grid.cells[tuple(np.array(sites).T)]
-    assert np.all(diff == 1 << 5)
+    at = tuple(np.array(sites).T)
+    assert np.all(_bytes(mutated)[at] ^ _bytes(wq)[at] == 1 << 5)
+
+
+def test_inject_never_mutates_its_input(rng):
+    wq = _toy_tensor(rng, rows=8, cols=5)
+    before = wq.raw.copy()
+    df.inject(wq, bit_pos=7, count=40, seed=2)
+    df.inject(wq, bit_pos=3, count=8, seed=2, target=4)
+    assert np.array_equal(wq.raw, before)
 
 
 def test_inject_column_target_stays_in_column(rng):
-    grid = df.layout(_toy_tensor(rng, rows=20, cols=6), width=8)
-    _, sites = df.inject(grid, bit_pos=7, count=10, seed=3, target=5)
+    wq = _toy_tensor(rng, rows=20, cols=6)
+    _, sites = df.inject(wq, bit_pos=7, count=10, seed=3, target=5)
     assert all(c == 5 for _, c in sites)
-    with pytest.raises(ValueError):
-        df.inject(grid, bit_pos=7, count=1, seed=3, target=8)
+    # the column draw is over the rows alone
+    assert [r for r, _ in sites] == np.random.default_rng(3).choice(
+        20, size=10, replace=False).tolist()
+
+
+def test_inject_padding_column_draws_sites_and_changes_no_weight(rng):
+    wq = _toy_tensor(rng, rows=20, cols=6)
+    mutated, sites = df.inject(wq, bit_pos=7, count=10, seed=3, target=7)
+    assert len(sites) == 10
+    assert all(c == 7 for _, c in sites)
+    assert np.array_equal(mutated.raw, wq.raw)
+    assert mutated.scale == wq.scale
+
+
+def test_inject_rejects_negative_target(rng):
+    with pytest.raises(ValueError, match="target"):
+        df.inject(_toy_tensor(rng), bit_pos=7, count=1, seed=3, target=-1)
 
 
 def test_inject_count_exceeding_cells_rejected(rng):
-    grid = df.layout(_toy_tensor(rng, rows=4, cols=4))
+    wq = _toy_tensor(rng, rows=4, cols=4)
     with pytest.raises(ValueError):
-        df.inject(grid, bit_pos=7, count=17, seed=0)
+        df.inject(wq, bit_pos=7, count=17, seed=0)
+    with pytest.raises(ValueError):
+        df.inject(wq, bit_pos=7, count=5, seed=0, target=9)
 
 
 @pytest.mark.parametrize("bit_pos, count", [(8, 1), (-1, 1), (7, -1)])
 def test_inject_rejects_bad_bit_or_count(rng, bit_pos, count):
-    grid = df.layout(_toy_tensor(rng, rows=4, cols=4))
+    wq = _toy_tensor(rng, rows=4, cols=4)
     with pytest.raises(ValueError, match="bit_pos|count"):
-        df.inject(grid, bit_pos=bit_pos, count=count, seed=0)
+        df.inject(wq, bit_pos=bit_pos, count=count, seed=0)
 
 
 def test_restoring_flips_recovers_baseline(small_mlp, blob_test):
     base = evaluate(small_mlp, blob_test, "int8")
     grids = df.model_grids(small_mlp)
     mutated, sites = df.inject(grids[0], bit_pos=7, count=200, seed=8)
-    cells = mutated.cells.copy()
+    cells = _bytes(mutated).copy()
     for r, c in sites:
         cells[r, c] ^= 0x80
-    assert np.array_equal(cells, grids[0].cells)
-    restored = [Int8Tensor(raw=cells.view(np.int8), scale=grids[0].scale)] + [
-        df.extract(g) for g in grids[1:]
-    ]
+    assert np.array_equal(cells, _bytes(grids[0]))
+    restored = [Int8Tensor(raw=cells.view(np.int8), scale=grids[0].scale)] + grids[1:]
     acc = df._int8_accuracy(small_mlp, model_input(blob_test), blob_test.labels, restored)
     assert acc == base
 
@@ -139,6 +140,11 @@ def test_column_campaign_requires_ten_class_output(blob_test):
     model = init_mlp((784, 16, 4), seed=0)
     with pytest.raises(ValueError):
         df.column_campaign(model, blob_test)
+
+
+def test_column_campaign_rejects_grid_narrower_than_output(small_mlp, blob_test):
+    with pytest.raises(ValueError, match="grid width 9"):
+        df.column_campaign(small_mlp, blob_test, runs=1, grid_width=9)
 
 
 def test_column_campaign_padding_columns_exact_zero(small_mlp, blob_test):
