@@ -507,16 +507,19 @@ def test_fault_train_experiment_csv(tmp_path):
     assert len(rows) == 2
 
 
-# One tiny config per experiment kind, run with charts on. Its digests pin
-# every CSV and YAML output and the manifest less its wall clock, so a change
-# to how the CLI is organised must reproduce each run byte for byte.
+# One tiny config per experiment kind, and per bfloat16 faulty path (named
+# "kind:variant"), run with charts on. Its digests pin every CSV and YAML
+# output and the manifest less its wall clock, so a change to how the CLI or
+# the fault model is organised must reproduce each run byte for byte.
 _TINY_MODEL = {"model": {"layers": [144, 24, 10]},
                "dataset": {"train": 400, "test": 60, "size": 12, "classes": 4},
                "train": {"epochs": 6, "lr": 0.3, "batch": 32}}
 _TINY_ARRAY = {"n_row": 8, "n_col": 8, "eval_samples": 40}
+_TINY_BF16 = {"k_values": [4, 7], "fr_grid": [30.0, 60.0], "carry_fraction": 0.5,
+              "runs": 2, **_TINY_ARRAY, "fmt": "bfloat16"}
 GOLDEN_CONFIGS = {
-    kind: {"experiment": kind, "seed": 7, **base, "campaign": campaign}
-    for kind, base, campaign in [
+    name: {"experiment": name.split(":")[0], "seed": 7, **base, "campaign": campaign}
+    for name, base, campaign in [
         ("train", _TINY_MODEL, {}),
         ("dram-bitpos", _TINY_MODEL, {"counts": [3, 9], "bit_positions": [7, 6],
                                       "runs": 2}),
@@ -525,7 +528,11 @@ GOLDEN_CONFIGS = {
         ("mac-sweep", _TINY_MODEL, {"k_values": [8, 12], "fr_grid": [30.0, 60.0],
                                     "carry_fraction": 0.5, "runs": 2,
                                     **_TINY_ARRAY}),
+        ("mac-sweep:bf16-sim", _TINY_MODEL, _TINY_BF16),
+        ("mac-sweep:bf16-worst", _TINY_MODEL, {**_TINY_BF16, "mode": "worst"}),
         ("deactivate", _TINY_MODEL, {"fr": 25.0, "runs": 2, **_TINY_ARRAY}),
+        ("deactivate:bf16", _TINY_MODEL, {"fr": 25.0, "runs": 2, **_TINY_ARRAY,
+                                          "fmt": "bfloat16"}),
         ("fault-train", _TINY_MODEL, {"fr": 25.0, "seeds": 2, "retrain_epochs": 1,
                                       **_TINY_ARRAY}),
         ("endurance-map", {}, {"n": 6}),
@@ -566,6 +573,20 @@ GOLDEN_DIGESTS = {
     "mac-sweep": {
         "manifest": "39861fa7568e23758f85a3473af6d542195838763f260a2d80fbcfe4b7b85bf0",
         "sweep.csv": "f9194b88d24a399c45a2b0bcb76e82616ee79203808926498778797fa789cca8",
+    },
+    "mac-sweep:bf16-sim": {
+        "manifest": "fbaad9ef3176436803a4647011bf93a0907b88173fbd6e45a3ed7549a51dc08c",
+        "sweep.csv": "330f1c36d2abe45ad312726d42f652d5d27965aebf7357da3ea32458da91ea69",
+    },
+    "mac-sweep:bf16-worst": {
+        "manifest": "b6c0d1bafa31151c79d8ed8868d97199fa1dfe2eac92d12239e275d5d3830096",
+        "sweep.csv": "b92b69b7c7173f9cf7a14d55c59ea36097d8431b05b95a43ccaef9e8a1f18540",
+    },
+    "deactivate:bf16": {
+        "manifest": "29c9798968dbea3b46e53bff73956eb9e725e60b0ec91c91e808bf52cf4a8cd0",
+        "deactivate.csv": "767e003deb4b44495ff7b9568ac559f50717af88914122068bfebf989157f8f3",
+        "faultmap_run0.yaml": "df89f8d62b12482ce0b1b48ea10fc4bcc9fe77776fe0c0ef6a0ca4e23bc6f0ea",
+        "faultmap_run1.yaml": "d262316eece99b9822a5770c84edab5f0718fb1429aacc5fce9d33f8ff0e78af",
     },
     "deactivate": {
         "manifest": "9e3231a9dcd027b5331d53ed1e00a6cb9f120475c08f0fb961a1918273de02b4",
