@@ -135,8 +135,8 @@ def _fault_train_summary(rows):
 
 
 def _endurance_cells(rows):
-    """(n, {(row, col): CSV row}) of a square map."""
-    cells = {(int(r[0]), int(r[1])): r for r in rows}
+    """(n, {(row, col): (temperature, endurance)}) of a square map."""
+    cells = {(int(r[0]), int(r[1])): (float(r[3]), float(r[4])) for r in rows}
     n = max(max(i, j) for i, j in cells) + 1
     if set(cells) != {(i, j) for i in range(n) for j in range(n)}:
         raise ValueError(f"the cells do not fill a {n}x{n} map")
@@ -145,20 +145,20 @@ def _endurance_cells(rows):
 
 def _endurance_summary(rows):
     n, cells = _endurance_cells(rows)
-    return [f"   {n}x{n} map, endurance {float(cells[(0, 0)][4]):.3g} (driver corner) "
-            f"to {float(cells[(n - 1, n - 1)][4]):.3g} (far corner)"]
+    return [f"   {n}x{n} map, endurance {cells[(0, 0)][1]:.3g} (driver corner) "
+            f"to {cells[(n - 1, n - 1)][1]:.3g} (far corner)"]
 
 
 def _endurance_chart(stem, rows):
     n, cells = _endurance_cells(rows)
 
-    def grid(col):
-        return [[float(cells[(i, j)][col]) for j in range(n)] for i in range(n)]
+    def grid(k):
+        return [[cells[(i, j)][k] for j in range(n)] for i in range(n)]
 
     return {
-        stem: svgplot.heatmap(grid(4), f"Endurance map ({n}x{n}, log10 cycles)"),
+        stem: svgplot.heatmap(grid(1), f"Endurance map ({n}x{n}, log10 cycles)"),
         "temperature": svgplot.heatmap(
-            grid(3), f"Self-heating temperature ({n}x{n}, K)", log_scale=False),
+            grid(0), f"Self-heating temperature ({n}x{n}, K)", log_scale=False),
     }
 
 

@@ -403,7 +403,7 @@ _ARRAY = {"fmt": ("int8", one_of("int8", "bfloat16")), "n_row": (128, integer(1)
           "n_col": (128, integer(1)), "eval_samples": (None, optional(integer(1)))}
 
 KINDS = {
-    "train": Experiment(_train, {}, needs_train=True, history=True),
+    "train": Experiment(_train, {}, history=True),
     # a DRAM campaign section holds exactly the campaign's keyword arguments
     "dram-bitpos": Experiment(_campaign("bitpos", "dram", lambda ctx, seed: (
         dramfault.bitpos_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp)[0])), {

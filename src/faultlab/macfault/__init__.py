@@ -1,6 +1,8 @@
 """Weight-stationary systolic-array model with logic-cone MAC faults.
 
-Covers fault signatures and criticality classification, seeded fault maps,
+Covers fault signatures (stuck-at-0 and stuck-at-1 masks of a PE's product
+bits plus a carry flag, held per array in a ``FaultMap``) and criticality
+classification, seeded fault maps,
 the FSR-driven PE deactivation protocol, faulty inference on the array,
 LSB-sensitivity sweeps, fault-aware training, and analytic MAC counts.
 """
@@ -11,7 +13,6 @@ from .faults import (
     NON_CRITICAL_LSBS,
     PRODUCT_WIDTH,
     FaultMap,
-    LogicConeFault,
     apply_fault_to_products,
     faulty_mac,
     worst_case_error,
@@ -52,7 +53,6 @@ __all__ = [
     "FaultStatusRegister",
     "Flatten",
     "Linear",
-    "LogicConeFault",
     "NON_CRITICAL",
     "NON_CRITICAL_LSBS",
     "NetDescriptor",

@@ -24,23 +24,25 @@ active faulty PE) onto the exact matmul of the pruned weights. Each layer
 keeps its sites in flat arrays sorted by column, built once per factory.
 
 int8 sites use a residue-class table, which is exact: let m - 1 be the
-highest stuck bit among a layer's sites. A fault rewrites only magnitude
-bits below m, so for p = a*w != 0 its error is
-sign(p) * (((|p| mod 2^m) & and_mask | or_mask) - |p| mod 2^m), and
+highest stuck bit among a layer's sites. A site's fault rewrites only
+magnitude bits below m (``faults.stick_bits``, which
+``apply_fault_to_products`` shares), so for p = a*w != 0 its error is
+sign(p) * (((|p| mod 2^m) & ~stuck0 | stuck1) - |p| mod 2^m), and
 |p| mod 2^m = ((|a| mod 2^m) * |w|) mod 2^m. The error therefore depends
 on a only through sign(a) and |a| mod 2^m; a = 0 is a class of its own,
-and a zero product becomes +or_mask. Per call, one operand per class gives
+and a zero product becomes +stuck1. Per call, one operand per class gives
 a (sites x classes) table of errors; the correction is a table lookup per
 product, summed per column. There are at most 2^(m+1) + 1 classes, and
 never more than the 256 int8 values. In worst mode the carry (sign of the
 stuck-bit error, + on a tie) is folded into the table.
 
 Sim-mode carry signs are random and drawn from the caller's rng exactly as
-``apply_fault_to_products`` draws them: one ``rng.integers(0, 2,
-size=(N, S))`` per signature with a carry fault, over that signature's S
-sites, in the order each signature first appears among the sorted active
-faulty PEs that host a weight of the layer; a PE lists its sites row tile
-by row tile. A drawn 1 adds the carry weight, a 0 subtracts it.
+``apply_fault_to_products(products, stuck0, stuck1, carry, ...)`` draws
+them, called once per signature with a carry fault on the (N, S) products
+of its S sites: one ``rng.integers(0, 2, size=(N, S))`` per such
+signature, in the order each signature first appears among the sorted
+active faulty PEs that host a weight of the layer; a PE lists its sites
+row tile by row tile. A drawn 1 adds the carry weight, a 0 subtracts it.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from .faults import (
     SIM,
     WORST,
     FaultMap,
-    LogicConeFault,
     _check_width,
     apply_fault_to_products,
+    stick_bits,
 )
 
 _EXACT_COVER_LIMIT = 36
@@ -142,7 +144,7 @@ def seed_fault_map(config: ArrayConfig, fr_percent: float, mix: SignatureMix,
         raise ValueError("fault rate must be a percentage in [0, 100]")
     k = per_column_fault_count(fr_percent, config.n_row)
     if k == 0:
-        return FaultMap.from_faults(())
+        return FaultMap.from_entries(())
     rng = np.random.default_rng(seed)
     # the k smallest of iid uniforms per column = a uniform k-subset of rows
     scores = rng.random((config.n_col, config.n_row))
@@ -337,7 +339,7 @@ def _column_runs(sorted_cols):
 class _Group:
     """The sites of one fault signature in a layer, in PE order."""
 
-    fault: LogicConeFault | None  # bfloat16 only
+    fault: tuple  # the signature (stuck0, stuck1, carry)
     carry: int  # 2^(max_bit+1) if the signature has a carry fault, else 0
     ii: np.ndarray
     jj: np.ndarray
@@ -389,7 +391,7 @@ def _layer_plan(shape, state: ArrayState) -> _LayerPlan:
     groups = []
     if len(pe_of):
         # group order: first appearance among the PEs hosting this layer
-        # stuck bits lie below 16, the widest product (ArrayState checks it)
+        # stuck bits lie below 16, the widest product (FaultMap checks it)
         signature = faults.stuck0 << 17 | faults.stuck1 << 1 | faults.carry
         _, first, inverse = np.unique(signature[pe_of], return_index=True,
                                       return_inverse=True)
@@ -399,9 +401,9 @@ def _layer_plan(shape, state: ArrayState) -> _LayerPlan:
             order = np.argsort(jj[sel], kind="stable")
             starts, gcols = _column_runs(jj[sel][order])
             i = pe_of[sel[0]]
-            fault = faults.at(i) if state.config.fmt == "bfloat16" else None
-            groups.append(_Group(fault, int(carry[i]), ii[sel], jj[sel], order,
-                                 starts, gcols))
+            fault = (int(faults.stuck0[i]), int(faults.stuck1[i]), bool(faults.carry[i]))
+            groups.append(_Group(fault, int(carry[i]), ii[sel], jj[sel], order, starts,
+                                 gcols))
 
     by_col = np.argsort(jj, kind="stable")
     site_pe = pe_of[by_col]
@@ -438,9 +440,7 @@ def _delta_table(plan: _LayerPlan, w_sites, mode: str):
     for b0 in range(0, len(w_sites), step):
         blk = slice(b0, b0 + step)
         p = w_sites[blk, None] * plan.reps
-        mag = np.abs(p)
-        stuck = (mag & plan.and_mask[blk, None]) | plan.or_mask[blk, None]
-        delta = np.where(p < 0, -stuck, stuck) - p
+        delta = stick_bits(p, plan.and_mask[blk, None], plan.or_mask[blk, None]) - p
         if mode == WORST:
             carry = plan.carry[blk, None]
             delta += np.where(delta < 0, -carry, carry)
@@ -510,7 +510,7 @@ def faulty_matmul_factory(state: ArrayState, weight_shapes, mode: str, rng,
         acc = aq @ w_eff
         for g in plan.groups:
             products = aq[:, g.ii] * wq[g.ii, g.jj]
-            faulty = apply_fault_to_products(products, g.fault, fmt, mode, rng)
+            faulty = apply_fault_to_products(products, *g.fault, fmt, mode, rng)
             contrib = (faulty - products).astype(np.float64)
             acc[:, g.cols] += np.add.reduceat(contrib[:, g.order], g.starts, axis=1)
         return acc

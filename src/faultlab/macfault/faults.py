@@ -1,10 +1,11 @@
 """Logic-cone fault signatures on a multiplier output.
 
-A fault is a set of stuck bits in the cone of the product's magnitude
-bits, plus an optional worst-case carry perturbation one bit above the
-highest stuck bit. For stuck bits up to and including position K the
-error is bounded by sum_{i=0..K+1} 2^i = 2^(K+2) - 1 (the 2^(K+1) term
-is the carry); without the carry it stays below 2^(K+1).
+A fault signature is three values: the masks ``stuck0`` and ``stuck1`` of
+the product bits its logic cone sticks at 0 and at 1 (disjoint, not both
+empty), and a ``carry`` flag for a worst-case carry perturbation one bit
+above the highest stuck bit. For stuck bits up to and including position
+K the error is bounded by sum_{i=0..K+1} 2^i = 2^(K+2) - 1 (the 2^(K+1)
+term is the carry); without the carry it stays below 2^(K+1).
 
 int8 products are treated in sign-magnitude form (16-bit magnitude);
 bfloat16 faults act on the mantissa field of the bfloat16-rounded
@@ -13,8 +14,7 @@ product (7 stored mantissa bits).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -30,49 +30,14 @@ SIM = "sim"
 WORST = "worst"
 
 
-@dataclass(frozen=True)
-class LogicConeFault:
-    """One PE's permanent fault: stuck product bits plus a carry flag."""
-
-    pe: tuple
-    cone_bits: tuple  # ((bit_index, stuck_value), ...) sorted by bit
-    carry_fault: bool = False
-
-    def __post_init__(self):
-        if not self.cone_bits:
-            raise ValueError("a fault needs at least one cone bit")
-        seen = set()
-        for bit, val in self.cone_bits:
-            if bit < 0:
-                raise ValueError(f"negative bit index {bit}")
-            if val not in (0, 1):
-                raise ValueError(f"stuck value must be 0 or 1, got {val}")
-            if bit in seen:
-                raise ValueError(f"duplicate cone bit {bit}")
-            seen.add(bit)
-        object.__setattr__(
-            self, "cone_bits", tuple(sorted((int(b), int(v)) for b, v in self.cone_bits))
-        )
-
-    @property
-    def max_bit(self) -> int:
-        return self.cone_bits[-1][0]
-
-
-def cone_bits(stuck0: int, stuck1: int) -> tuple:
-    """((bit, stuck value), ...) of the bits set in two disjoint masks."""
-    bits = stuck0 | stuck1
-    return tuple((b, stuck1 >> b & 1) for b in range(bits.bit_length()) if bits >> b & 1)
-
-
 @dataclass(frozen=True, eq=False)
-class FaultMap(Mapping):
+class FaultMap:
     """The faulty PEs of one array, as parallel arrays in (row, col) order.
 
-    PE i sticks the product bits set in ``stuck0[i]`` at 0 and those in
-    ``stuck1[i]`` at 1 (disjoint masks, not both empty); ``carry[i]``
-    flags a carry fault one bit above its highest stuck bit. As a mapping
-    it reads ``(row, col) -> LogicConeFault``.
+    PE i has the signature ``(stuck0[i], stuck1[i], carry[i])``. A ValueError
+    names the first PE that repeats or breaks the order, or whose masks
+    overlap, are both empty or reach bit 16, the widest product. Iterating
+    yields the PEs as ``(row, col)``.
     """
 
     rows: np.ndarray
@@ -84,24 +49,33 @@ class FaultMap(Mapping):
     def __post_init__(self):
         for a in (self.rows, self.cols, self.stuck0, self.stuck1, self.carry):
             a.setflags(write=False)
+        r, c = self.rows, self.cols
+        ahead = np.where(r[1:] != r[:-1], r[1:] - r[:-1], c[1:] - c[:-1])
+        bits = self.stuck0 | self.stuck1
+        for bad, message in (
+            (np.r_[False, ahead == 0], "duplicate fault for PE {pe}"),
+            (np.r_[False, ahead < 0], "fault for PE {pe} out of (row, col) order"),
+            (bits == 0, "empty fault signature for PE {pe}"),
+            ((self.stuck0 & self.stuck1) != 0, "bits stuck at both 0 and 1 for PE {pe}"),
+            ((bits >> max(PRODUCT_WIDTH.values())) != 0,
+             "cone bit {bit} outside every product width for PE {pe}"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(message.format(pe=(int(r[i]), int(c[i])),
+                                                bit=int(bits[i]).bit_length() - 1))
 
     @classmethod
-    def from_faults(cls, faults) -> "FaultMap":
-        """The map of scalar faults, each keyed by its ``pe``."""
-        faults = sorted(faults, key=lambda f: f.pe)
-        for a, b in zip(faults, faults[1:]):
-            if a.pe == b.pe:
-                raise ValueError(f"duplicate fault for PE {a.pe}")
-        widest = max(PRODUCT_WIDTH.values())
-        for f in faults:
-            if f.max_bit >= widest:
-                raise ValueError(f"cone bit {f.max_bit} outside every product width")
-        pes = np.array([f.pe for f in faults], dtype=np.intp).reshape(-1, 2)
-        masks = np.array([[sum((v == s) << b for b, v in f.cone_bits) for s in (0, 1)]
-                          for f in faults], dtype=np.int64).reshape(-1, 2)
-        return cls(rows=pes[:, 0], cols=pes[:, 1], stuck0=masks[:, 0],
-                   stuck1=masks[:, 1],
-                   carry=np.array([f.carry_fault for f in faults], dtype=bool))
+    def from_entries(cls, entries) -> "FaultMap":
+        """The map of ``(row, col, stuck0, stuck1, carry)`` entries."""
+        rows, cols, stuck0, stuck1, carry = np.array(
+            list(entries), dtype=np.int64).reshape(-1, 5).T
+        return cls(rows=rows, cols=cols, stuck0=stuck0, stuck1=stuck1,
+                   carry=carry.astype(bool))
+
+    def entries(self) -> list:
+        """``(row, col, stuck0, stuck1, carry)`` of each PE, as ``from_entries`` takes."""
+        return list(zip(*(a.tolist() for a in astuple(self))))
 
     @property
     def max_bit(self) -> np.ndarray:
@@ -113,20 +87,6 @@ class FaultMap(Mapping):
 
     def __iter__(self):
         return zip(self.rows.tolist(), self.cols.tolist())
-
-    def __getitem__(self, pe) -> LogicConeFault:
-        hit = np.flatnonzero((self.rows == pe[0]) & (self.cols == pe[1]))
-        if not len(hit):
-            raise KeyError(pe)
-        return self.at(hit[0])
-
-    def at(self, i: int) -> LogicConeFault:
-        """The fault of the map's i-th PE."""
-        return LogicConeFault(
-            pe=(int(self.rows[i]), int(self.cols[i])),
-            cone_bits=cone_bits(int(self.stuck0[i]), int(self.stuck1[i])),
-            carry_fault=bool(self.carry[i]),
-        )
 
 
 def worst_case_error(k: int) -> int:
@@ -142,15 +102,35 @@ def _check_width(max_bit: int, fmt: str):
         raise ValueError(f"cone bit {max_bit} outside {fmt} product width {width}")
 
 
-def apply_fault_to_products(products, fault: LogicConeFault, fmt: str = "int8",
-                            mode: str = SIM, rng=None):
-    """Vectorized faulty product values for an array of exact products."""
+def stick_bits(p, and_mask, or_mask):
+    """``p`` with its magnitude ANDed with ``and_mask`` and ORed with ``or_mask``,
+    sign kept (a zero turns ``+or_mask``); the one int8 stuck-bit formula."""
+    stuck = (np.abs(p) & and_mask) | or_mask
+    return np.where(p < 0, -stuck, stuck)
+
+
+def apply_fault_to_products(products, stuck0: int, stuck1: int, carry: bool,
+                            fmt: str = "int8", mode: str = SIM, rng=None):
+    """Faulty values of an array of exact products under one PE's signature."""
     if mode not in (SIM, WORST):
         raise ValueError(f"mode must be '{SIM}' or '{WORST}'")
-    _check_width(fault.max_bit, fmt)
+    top = int(stuck0 | stuck1).bit_length()  # one above the highest stuck bit
+    _check_width(top - 1, fmt)
+    carry_weight = 1 << top if carry else 0  # a carry fault perturbs bit ``top``
     if fmt == "int8":
-        return _apply_int8(np.asarray(products), fault, mode, rng)
-    return _apply_bf16(np.asarray(products, dtype=np.float64), fault, mode, rng)
+        p = np.asarray(products).astype(np.int64)
+        q = stick_bits(p, ~stuck0, stuck1)
+        if carry_weight:
+            q = q + _carry_signs(q - p, p.shape, mode, rng) * carry_weight
+        return q
+    bits = bf16_encode_array(np.asarray(products, dtype=np.float64)).astype(np.int64)
+    man = bits & 0x7F
+    stuck = man & ~stuck0 | stuck1
+    if carry_weight:
+        stuck = stuck + _carry_signs(stuck - man, man.shape, mode, rng) * carry_weight
+        stuck = np.clip(stuck, 0, 0x7F)
+    out = (bits & ~np.int64(0x7F)) | stuck
+    return bf16_decode_array(out.astype(np.uint16)).astype(np.float64)
 
 
 def _carry_signs(error, shape, mode, rng):
@@ -162,41 +142,12 @@ def _carry_signs(error, shape, mode, rng):
     return rng.integers(0, 2, size=shape) * 2 - 1
 
 
-def _apply_int8(p, fault, mode, rng):
-    p = p.astype(np.int64)
-    mag = np.abs(p)
-    for bit, val in fault.cone_bits:
-        mag = mag | (1 << bit) if val else mag & ~np.int64(1 << bit)
-    q = np.where(p < 0, -mag, mag)
-    if fault.carry_fault:
-        carry = 1 << (fault.max_bit + 1)
-        q = q + _carry_signs(q - p, p.shape, mode, rng) * carry
-    return q
-
-
-def _apply_bf16(p, fault, mode, rng):
-    bits = bf16_encode_array(p).astype(np.int64)
-    man = bits & 0x7F
-    stuck = man.copy()
-    for bit, val in fault.cone_bits:
-        stuck = stuck | (1 << bit) if val else stuck & ~np.int64(1 << bit)
-    if fault.carry_fault:
-        carry = 1 << (fault.max_bit + 1)
-        stuck = stuck + _carry_signs(stuck - man, man.shape, mode, rng) * carry
-        stuck = np.clip(stuck, 0, 0x7F)
-    out = (bits & ~np.int64(0x7F)) | stuck
-    return bf16_decode_array(out.astype(np.uint16)).astype(np.float64)
-
-
-def faulty_mac(x, w, fault: LogicConeFault | None = None, fmt: str = "int8",
+def faulty_mac(x, w, fault: tuple | None = None, fmt: str = "int8",
                mode: str = SIM, rng=None):
-    """Single multiply through a (possibly faulty) MAC; the scalar reference."""
-    if fmt == "int8":
-        product = int(x) * int(w)
-        if fault is None:
-            return product
-        return int(apply_fault_to_products(np.array([product]), fault, fmt, mode, rng)[0])
-    product = float(x) * float(w)
+    """Single multiply through a MAC with signature ``fault = (stuck0, stuck1,
+    carry)``, or a fault-free one for None; the scalar reference."""
+    cast = int if fmt == "int8" else float
+    product = cast(x) * cast(w)
     if fault is None:
         return product
-    return float(apply_fault_to_products(np.array([product]), fault, fmt, mode, rng)[0])
+    return cast(apply_fault_to_products(np.array([product]), *fault, fmt, mode, rng)[0])

@@ -15,9 +15,27 @@ import numpy as np
 
 from ..yamlio import naming, read_document, write_document
 from .array import ArrayConfig, ArrayState, FaultStatusRegister
-from .faults import CRITICAL, NON_CRITICAL, FaultMap, LogicConeFault, cone_bits
+from .faults import CRITICAL, NON_CRITICAL, PRODUCT_WIDTH, FaultMap
 
 FORMAT_TAG = "faultlab-faultmap/1"
+
+
+def cone_bits(stuck0: int, stuck1: int) -> tuple:
+    """((bit, stuck value), ...) of a FaultMap's disjoint masks, as a file lists them."""
+    bits = stuck0 | stuck1
+    return tuple((b, stuck1 >> b & 1) for b in range(bits.bit_length()) if bits >> b & 1)
+
+
+def cone_masks(pairs) -> tuple:
+    """(stuck0, stuck1) of a file's ((bit, stuck value), ...); inverts ``cone_bits``."""
+    masks, widest = [0, 0], max(PRODUCT_WIDTH.values())
+    for bit, value in pairs:
+        bit = int(bit)
+        if not (0 <= bit < widest and value in (0, 1)) or (masks[0] | masks[1]) >> bit & 1:
+            raise ValueError(f"cone bit {[bit, value]}: expected a bit below {widest}, "
+                             "listed once and stuck at 0 or 1")
+        masks[int(value)] |= 1 << bit
+    return tuple(masks)
 
 
 def save_fault_map(path, config: ArrayConfig, fault_map: FaultMap,
@@ -30,9 +48,7 @@ def save_fault_map(path, config: ArrayConfig, fault_map: FaultMap,
         "faults": [
             {"row": r, "col": c, "cone_bits": [list(b) for b in cone_bits(zeros, ones)],
              "carry": carry}
-            for r, c, zeros, ones, carry in zip(*(a.tolist() for a in (
-                fault_map.rows, fault_map.cols, fault_map.stuck0, fault_map.stuck1,
-                fault_map.carry)))
+            for r, c, zeros, ones, carry in fault_map.entries()
         ],
     }
     if fsr is not None:
@@ -58,16 +74,15 @@ def load_fault_map(path):
     items = doc.get("faults", [])
     if not isinstance(items, list):
         raise ValueError(f"{path}: faults: expected a list")
-    faults = []
+    entries = []
     for i, item in enumerate(items):
         with naming(f"{path}: faults[{i}]"):
-            faults.append(LogicConeFault(
-                pe=(int(item["row"]), int(item["col"])),
-                cone_bits=tuple((int(b), int(v)) for b, v in item["cone_bits"]),
-                carry_fault=bool(item["carry"]),
-            ))
+            if not isinstance(item["carry"], bool):
+                raise ValueError(f"carry must be true or false, got {item['carry']!r}")
+            entries.append((int(item["row"]), int(item["col"]),
+                            *cone_masks(item["cone_bits"]), item["carry"]))
     with naming(path):
-        fault_map = FaultMap.from_faults(faults)
+        fault_map = FaultMap.from_entries(sorted(entries))
         ArrayState(config=config, faults=fault_map)  # every fault inside the array
     fsr = None
     if "fsr" in doc:
@@ -75,6 +90,9 @@ def load_fault_map(path):
             entries = doc["fsr"]
             pes = np.array([(int(e["row"]), int(e["col"])) for e in entries],
                            dtype=np.intp).reshape(-1, 2)
+            for e in entries:
+                if e["criticality"] not in (CRITICAL, NON_CRITICAL):
+                    raise ValueError(f"unknown criticality {e['criticality']!r}")
             fsr = FaultStatusRegister(
                 rows=pes[:, 0], cols=pes[:, 1],
                 critical=np.array([e["criticality"] == CRITICAL for e in entries], bool),

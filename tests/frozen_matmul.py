@@ -26,7 +26,9 @@ def _layer_plan(shape, state):
     mask = np.tile(state.active, (tiles_r, tiles_c))[:fan_in, :fan_out]
 
     groups = {}
-    for pe in sorted(state.faults):
+    signatures = {(r, c): (s0, s1, carry)
+                  for r, c, s0, s1, carry in state.faults.entries()}
+    for pe in sorted(signatures):
         if not state.active[pe]:
             continue
         r, c = pe
@@ -34,9 +36,9 @@ def _layer_plan(shape, state):
         cols = np.arange(c, fan_out, n_col)
         if not len(rows) or not len(cols):
             continue
-        fault = state.faults[pe]
+        fault = signatures[pe]
         ii, jj = np.meshgrid(rows, cols, indexing="ij")
-        entry = groups.setdefault((fault.cone_bits, fault.carry_fault), (fault, [], []))
+        entry = groups.setdefault(fault, (fault, [], []))
         entry[1].append(ii.ravel())
         entry[2].append(jj.ravel())
     plans = []
@@ -73,7 +75,7 @@ def faulty_matmul_factory(state, weight_shapes, mode, rng):
                 products = aq[:, ii].astype(np.int64) * w_eff[ii, jj].astype(np.int64)
             else:
                 products = aq[:, ii] * w_eff[ii, jj]
-            faulty = apply_fault_to_products(products, fault, fmt, mode, rng)
+            faulty = apply_fault_to_products(products, *fault, fmt, mode, rng)
             _scatter_columns(acc, jj, (faulty - products).astype(np.float64))
         return acc
 

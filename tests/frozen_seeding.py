@@ -1,4 +1,4 @@
-"""Frozen per-PE fault seeding: one ``LogicConeFault`` built per PE.
+"""Frozen per-PE fault seeding: one signature built per PE.
 
 This is the original implementation of ``seed_fault_map``, kept verbatim
 as the reference the array-native seeding must reproduce for every seed:
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from faultlab.macfault.array import per_column_fault_count
-from faultlab.macfault.faults import PRODUCT_WIDTH, LogicConeFault
+from faultlab.macfault.faults import PRODUCT_WIDTH
 
 
 def _sample_signatures(pes, mix, rng, fmt):
@@ -36,12 +36,13 @@ def _sample_signatures(pes, mix, rng, fmt):
         else:
             bits = [int(b) for b in bit_order[i, : counts[i]]]
         cone = tuple((b, int(stuck[i, b])) for b in sorted(set(bits)))
-        faults[pe] = LogicConeFault(pe=pe, cone_bits=cone, carry_fault=bool(carry[i]))
+        faults[pe] = (sum(1 << b for b, v in cone if v == 0),
+                      sum(1 << b for b, v in cone if v == 1), bool(carry[i]))
     return faults
 
 
 def seed_fault_map(config, fr_percent, mix, seed):
-    """dict (row, col) -> LogicConeFault, in column-major insertion order."""
+    """dict (row, col) -> (stuck0, stuck1, carry), in column-major insertion order."""
     k = per_column_fault_count(fr_percent, config.n_row)
     if k == 0:
         return {}

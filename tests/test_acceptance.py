@@ -22,7 +22,6 @@ from faultlab.macfault import (
     ArrayConfig,
     ArrayState,
     FaultMap,
-    LogicConeFault,
     SignatureMix,
     alexnet_descriptor,
     apply_fault_to_products,
@@ -36,6 +35,7 @@ from faultlab.macfault import (
     seed_fault_map,
     worst_case_error,
 )
+from faultlab.macfault.mapfile import cone_masks
 from faultlab.netcore import evaluate, init_mlp, load_idx, train_sgd
 from faultlab.neurorel import (
     BtiParams,
@@ -232,8 +232,7 @@ def _signatures(max_bit_incl, carry):
     for r in range(1, max_bit_incl + 2):
         for subset in itertools.combinations(bits, r):
             for values in itertools.product((0, 1), repeat=r):
-                yield LogicConeFault(pe=(0, 0), cone_bits=tuple(zip(subset, values)),
-                                     carry_fault=carry)
+                yield (*cone_masks(zip(subset, values)), carry)
 
 
 @criterion(4, "exhaustive int8 sweep: max error = 2^(K+2)-1 with carry, <2^K without")
@@ -244,14 +243,14 @@ def test_c4_worst_case_mac_error():
     for k in (0, 1, 2):
         worst = 0
         for fault in _signatures(k, carry=True):
-            faulty = apply_fault_to_products(products, fault, "int8", mode="worst")
+            faulty = apply_fault_to_products(products, *fault, "int8", mode="worst")
             err = int(np.max(np.abs(faulty - products)))
             assert err <= worst_case_error(k)
             worst = max(worst, err)
         assert worst == worst_case_error(k) == 2 ** (k + 2) - 1
         if k > 0:
             for fault in _signatures(k - 1, carry=False):
-                faulty = apply_fault_to_products(products, fault, "int8",
+                faulty = apply_fault_to_products(products, *fault, "int8",
                                                  mode="worst")
                 assert int(np.max(np.abs(faulty - products))) < 2**k
     assert time.monotonic() - t0 < 60.0
@@ -331,8 +330,8 @@ def test_c6_deactivation_protocol():
             fault_mask = 0
             for b in cells:
                 fault_mask |= 1 << b
-            faults = FaultMap.from_faults(
-                LogicConeFault(pe=divmod(b, 4), cone_bits=((0, 1),)) for b in cells
+            faults = FaultMap.from_entries(
+                (*divmod(b, 4), 0, 0b1, False) for b in cells  # bit 0 stuck at 1
             )
             state = ArrayState(config=cfg, faults=faults)
             mask = deactivate(state, build_fsr(faults, "int8", fr_max))

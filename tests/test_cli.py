@@ -270,9 +270,10 @@ def test_runs_per_cell_row_count(tmp_path):
     assert len(rows) - 1 == 2 * 2 * 3  # bits x counts x runs
 
 
-@pytest.mark.parametrize("checkpointed, sizes", [(True, [120]), (False, [200, 120])],
-                         ids=["checkpoint", "no-checkpoint"])
-def test_mac_sweep_builds_training_set_only_to_train(tmp_path, monkeypatch,
+@pytest.mark.parametrize("experiment, checkpointed, sizes", [
+    ("mac-sweep", True, [120]), ("mac-sweep", False, [200, 120]), ("train", True, [120]),
+], ids=["checkpoint", "no-checkpoint", "train-checkpoint"])
+def test_mac_sweep_builds_training_set_only_to_train(tmp_path, monkeypatch, experiment,
                                                      checkpointed, sizes):
     import faultlab.cli.runner as runner
 
@@ -290,13 +291,13 @@ def test_mac_sweep_builds_training_set_only_to_train(tmp_path, monkeypatch,
         save_model(init_mlp((784, 16, 10), seed=0), ckpt)
         model["checkpoint"] = str(ckpt)
     doc = {
-        "experiment": "mac-sweep",
+        "experiment": experiment,
         "seed": 2,
         "model": model,
         "dataset": {"train": 200, "test": 120},
         "train": {"epochs": 1},
         "campaign": {"k_values": [2], "fr_grid": [5.0], "runs": 1, "n_row": 16,
-                     "n_col": 16},
+                     "n_col": 16} if experiment == "mac-sweep" else {},
     }
     cfg, errors = validate(doc)
     assert not errors
@@ -460,6 +461,15 @@ def test_report_names_the_file_of_a_bad_csv(tmp_path, capsys, name, text, messag
     err = capsys.readouterr().err
     assert err.startswith(f"report failed: {name}: ")
     assert message in err
+
+
+def test_report_without_charts_reads_every_endurance_cell(tmp_path, capsys):
+    # the temperature column feeds only the chart, yet --no-svg parses it too
+    (tmp_path / "endurance.csv").write_text(ENDURANCE_HEADER + "0,0,0,abc,1e6\n")
+    for args in (["report", str(tmp_path)], ["report", "--no-svg", str(tmp_path)]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report failed: endurance.csv: ") and "'abc'" in err
 
 
 def test_report_reads_empty_cells_as_nan(tmp_path):

@@ -13,8 +13,8 @@ from faultlab.macfault import (
     DeactivationInfeasible,
     FaultMap,
     FaultStatusRegister,
-    LogicConeFault,
     SignatureMix,
+    apply_fault_to_products,
     build_fsr,
     deactivate,
     load_fault_map,
@@ -23,15 +23,21 @@ from faultlab.macfault import (
     save_fault_map,
     seed_fault_map,
 )
+from faultlab.macfault.mapfile import cone_masks
 from faultlab.netcore import evaluate, init_mlp
 
 
 def _non_crit(pe, carry=False):
-    return LogicConeFault(pe=pe, cone_bits=((0, 1),), carry_fault=carry)
+    return (*pe, 0, 0b1, carry)  # bit 0 stuck at 1
 
 
 def _crit(pe):
-    return LogicConeFault(pe=pe, cone_bits=((7, 1),))
+    return (*pe, 0, 1 << 7, False)  # bit 7 stuck at 1
+
+
+def _by_pe(faults):
+    """{(row, col): (stuck0, stuck1, carry)} of a fault map."""
+    return {(r, c): (s0, s1, carry) for r, c, s0, s1, carry in faults.entries()}
 
 
 # --- seeding ---------------------------------------------------------------
@@ -53,8 +59,8 @@ def test_seed_fault_map_counts_and_determinism():
         per_col[c] = per_col.get(c, 0) + 1
     assert set(per_col.values()) == {per_column_fault_count(12.5, 32)}
     assert len(per_col) == 16
-    assert seed_fault_map(cfg, 12.5, mix, seed=5) == faults
-    assert seed_fault_map(cfg, 12.5, mix, seed=6) != faults
+    assert _by_pe(seed_fault_map(cfg, 12.5, mix, seed=5)) == _by_pe(faults)
+    assert _by_pe(seed_fault_map(cfg, 12.5, mix, seed=6)) != _by_pe(faults)
 
 
 def test_seed_fault_map_rejects_bad_rate():
@@ -79,9 +85,9 @@ def test_seeded_rows_pass_chi_square_uniformity():
 def test_signature_mix_confinement():
     mix = SignatureMix(critical_fraction=0.0, lsb_bits=3, carry_fraction=0.0)
     faults = seed_fault_map(ArrayConfig(n_row=16, n_col=16), 25, mix, seed=2)
-    for fault in faults.values():
-        assert fault.max_bit < 3
-        assert not fault.carry_fault
+    for max_bit, carry in zip(faults.max_bit, faults.carry):
+        assert max_bit < 3
+        assert not carry
 
 
 @pytest.mark.parametrize("lsb_bits", [1, 2, 4, 7, 20])
@@ -98,44 +104,63 @@ def test_seed_fault_map_matches_frozen_per_pe_seeding(fmt, lsb_bits):
                            carry_fraction=carry)
         faults = seed_fault_map(cfg, fr, mix, seed=seed)
         expected = frozen_seed(cfg, fr, mix, seed=seed)
-        assert faults == expected
+        assert _by_pe(faults) == expected
         assert list(faults) == sorted(expected)
 
 
-def test_fault_map_reads_as_a_mapping():
-    faults = FaultMap.from_faults([_crit((2, 1)), _non_crit((0, 3), carry=True)])
+def test_fault_map_lists_each_pe_and_its_signature():
+    faults = FaultMap.from_entries([_non_crit((0, 3), carry=True), _crit((2, 1))])
     assert list(faults) == [(0, 3), (2, 1)]
-    assert faults[2, 1] == _crit((2, 1))
-    assert faults.get((1, 1)) is None and (0, 3) in faults
+    assert faults.entries()[1] == _crit((2, 1))
+    assert (1, 1) not in faults and (0, 3) in faults
     assert faults.max_bit.tolist() == [0, 7]
     assert faults.carry.tolist() == [True, False]
 
 
 def test_fault_map_rejects_duplicate_pe():
     with pytest.raises(ValueError, match=r"duplicate fault for PE \(1, 2\)"):
-        FaultMap.from_faults([_non_crit((1, 2)), _crit((1, 2))])
+        FaultMap.from_entries([_non_crit((1, 2)), _crit((1, 2))])
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([_non_crit((0, 1)), _non_crit((1, 0)), _crit((1, 0))], r"duplicate fault for PE \(1, 0\)"),
+    ([_non_crit((0, 1)), _non_crit((2, 0)), _crit((1, 3))],
+     r"fault for PE \(1, 3\) out of \(row, col\) order"),
+    ([_non_crit((0, 1)), (0, 2, 0b101, 0b100, False)],
+     r"bits stuck at both 0 and 1 for PE \(0, 2\)"),
+    ([_crit((0, 1)), (3, 2, 0, 0, True)], r"empty fault signature for PE \(3, 2\)"),
+    ([_crit((0, 1)), (1, 1, 1 << 16, 0, False)],
+     r"cone bit 16 outside every product width for PE \(1, 1\)"),
+], ids=["repeated-pe", "unsorted-pes", "overlapping-masks", "empty-signature", "bit-16"])
+def test_fault_map_names_the_pe_of_a_broken_invariant(entries, message):
+    with pytest.raises(ValueError, match=message):
+        FaultMap.from_entries(entries)
+    rows, cols, stuck0, stuck1, carry = np.array(entries, dtype=np.int64).T
+    with pytest.raises(ValueError, match=message):
+        FaultMap(rows=rows, cols=cols, stuck0=stuck0, stuck1=stuck1,
+                 carry=carry.astype(bool))
 
 
 def test_array_state_rejects_cone_bit_beyond_product_width():
-    faults = FaultMap.from_faults([_non_crit((0, 0)), _crit((1, 1))])
+    faults = FaultMap.from_entries([_non_crit((0, 0)), _crit((1, 1))])
     ArrayState(config=ArrayConfig(n_row=4, n_col=4), faults=faults)
     with pytest.raises(ValueError, match="cone bit 7 outside bfloat16 product width 7"):
         ArrayState(config=ArrayConfig(n_row=4, n_col=4, fmt="bfloat16"), faults=faults)
     with pytest.raises(ValueError, match="outside every product width"):
-        FaultMap.from_faults([LogicConeFault(pe=(0, 0), cone_bits=((16, 1),))])
+        FaultMap.from_entries([(0, 0, 0, 1 << 16, False)])  # bit 16 stuck at 1
 
 
 def test_array_state_rejects_fault_outside_array():
     with pytest.raises(ValueError, match=r"fault site \(4, 0\) outside the array"):
         ArrayState(config=ArrayConfig(n_row=4, n_col=4),
-                   faults=FaultMap.from_faults([_non_crit((4, 0))]))
+                   faults=FaultMap.from_entries([_non_crit((4, 0))]))
 
 
 # --- FSR and deactivation ----------------------------------------------------
 
 
 def test_build_fsr_classifies_each_entry():
-    faults = FaultMap.from_faults([_non_crit((0, 0)), _crit((1, 1))])
+    faults = FaultMap.from_entries([_non_crit((0, 0)), _crit((1, 1))])
     fsr = build_fsr(faults, "int8", fr_max_non_crit=0.5)
     by_pe = dict(zip(zip(fsr.rows.tolist(), fsr.cols.tolist()), fsr.critical.tolist()))
     assert by_pe == {(0, 0): False, (1, 1): True}
@@ -143,7 +168,7 @@ def test_build_fsr_classifies_each_entry():
 
 def test_deactivate_already_satisfied_is_noop():
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = FaultMap.from_faults([_non_crit((0, 0)), _non_crit((2, 2))])
+    faults = FaultMap.from_entries([_non_crit((0, 0)), _non_crit((2, 2))])
     state = ArrayState(config=cfg, faults=faults)
     mask = deactivate(state, build_fsr(faults, "int8", 0.5))
     assert mask.all()
@@ -151,7 +176,7 @@ def test_deactivate_already_satisfied_is_noop():
 
 def test_deactivate_fr_max_zero_disables_every_fault():
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = FaultMap.from_faults([_non_crit((0, 0)), _non_crit((2, 3))])
+    faults = FaultMap.from_entries([_non_crit((0, 0)), _non_crit((2, 3))])
     state = ArrayState(config=cfg, faults=faults)
     mask = deactivate(state, build_fsr(faults, "int8", 0.0))
     assert not mask[0, 0] and not mask[2, 3]
@@ -160,7 +185,7 @@ def test_deactivate_fr_max_zero_disables_every_fault():
 
 def test_deactivate_critical_always_disabled():
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = FaultMap.from_faults([_crit((1, 1)), _non_crit((3, 0))])
+    faults = FaultMap.from_entries([_crit((1, 1)), _non_crit((3, 0))])
     state = ArrayState(config=cfg, faults=faults)
     mask = deactivate(state, build_fsr(faults, "int8", 1.0))
     assert not mask[1, 1]
@@ -171,7 +196,7 @@ def test_deactivate_2x2_block_example():
     # four non-critical faults in a 2x2 block, FR_max 20%: breaking the
     # adjacency costs exactly two PEs and already satisfies the rate
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = FaultMap.from_faults(_non_crit(pe) for pe in [(0, 0), (0, 1), (1, 0), (1, 1)])
+    faults = FaultMap.from_entries(_non_crit(pe) for pe in [(0, 0), (0, 1), (1, 0), (1, 1)])
     state = ArrayState(config=cfg, faults=faults)
     mask = deactivate(state, build_fsr(faults, "int8", 0.2))
     assert mask.sum() == 14
@@ -184,7 +209,8 @@ def test_deactivate_2x2_block_example():
 
 def test_deactivate_infeasible_when_everything_faulty():
     cfg = ArrayConfig(n_row=2, n_col=2)
-    faults = FaultMap.from_faults(_non_crit(pe) for pe in itertools.product(range(2), range(2)))
+    faults = FaultMap.from_entries(_non_crit(pe)
+                                   for pe in itertools.product(range(2), range(2)))
     state = ArrayState(config=cfg, faults=faults)
     with pytest.raises(DeactivationInfeasible):
         deactivate(state, build_fsr(faults, "int8", 0.0))
@@ -192,7 +218,7 @@ def test_deactivate_infeasible_when_everything_faulty():
 
 def test_deactivate_rejects_mismatched_fsr():
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = FaultMap.from_faults([_non_crit((0, 0))])
+    faults = FaultMap.from_entries([_non_crit((0, 0))])
     state = ArrayState(config=cfg, faults=faults)
     bad = FaultStatusRegister(rows=np.array([3]), cols=np.array([3]),
                               critical=np.array([True]), fr_max_non_crit=0.2)
@@ -203,8 +229,8 @@ def test_deactivate_rejects_mismatched_fsr():
 def test_deactivate_rejects_fsr_of_another_map():
     # same number of PEs, one of them different
     cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = FaultMap.from_faults([_non_crit((0, 0)), _non_crit((2, 2))])
-    other = FaultMap.from_faults([_non_crit((0, 0)), _non_crit((2, 3))])
+    faults = FaultMap.from_entries([_non_crit((0, 0)), _non_crit((2, 2))])
+    other = FaultMap.from_entries([_non_crit((0, 0)), _non_crit((2, 3))])
     state = ArrayState(config=cfg, faults=faults)
     with pytest.raises(ValueError, match="FSR entries do not match the fault map"):
         deactivate(state, build_fsr(other, "int8", 0.5))
@@ -240,7 +266,7 @@ def test_deactivation_matches_brute_force_on_samples(rng, fr_max):
         k = int(rng.integers(1, 7))
         picks = rng.choice(16, size=k, replace=False)
         fault_set = {cells[i] for i in picks}
-        faults = FaultMap.from_faults(_non_crit(pe) for pe in fault_set)
+        faults = FaultMap.from_entries(_non_crit(pe) for pe in sorted(fault_set))
         state = ArrayState(config=cfg, faults=faults)
         expected = brute_force_min_deactivations(fault_set, fr_max)
         mask = deactivate(state, build_fsr(faults, "int8", fr_max))
@@ -268,13 +294,13 @@ def test_deactivation_protocol_invariants_at_scale():
 
 
 def test_run_array_empty_map_equals_quantized_eval(small_mlp, blob_test):
-    state = ArrayState(config=ArrayConfig(), faults=FaultMap.from_faults([]))
+    state = ArrayState(config=ArrayConfig(), faults=FaultMap.from_entries([]))
     acc = run_array(small_mlp, state, blob_test)
     assert acc == evaluate(small_mlp, blob_test, "int8")
 
 
 def test_run_array_bf16_empty_map_equals_bf16_eval(small_mlp, blob_test):
-    state = ArrayState(config=ArrayConfig(fmt="bfloat16"), faults=FaultMap.from_faults([]))
+    state = ArrayState(config=ArrayConfig(fmt="bfloat16"), faults=FaultMap.from_entries([]))
     acc = run_array(small_mlp, state, blob_test.subset(300))
     assert acc == evaluate(small_mlp, blob_test.subset(300), "bfloat16")
 
@@ -329,19 +355,20 @@ def test_run_array_matches_scalar_hook_reference(rng, case):
     for layer, i, j in zeros:
         model.weights[layer][i, j] = 0.0
     cfg = ArrayConfig(n_row=n_row, n_col=n_col)
-    faults = FaultMap.from_faults(LogicConeFault(pe=pe, cone_bits=bits, carry_fault=carry)
-                                  for pe, (bits, carry) in spec.items())
+    faults = FaultMap.from_entries((*pe, *cone_masks(bits), carry)
+                                   for pe, (bits, carry) in sorted(spec.items()))
     state = ArrayState(config=cfg, faults=faults)
     for pe in disabled:
         state.active[pe] = False
     x = rng.uniform(lo, hi, size=(6, layers[0]))
+    signatures = _by_pe(faults)
 
     def hook(xo, wo, site):
         layer, i, j = site
         pe = (i % cfg.n_row, j % cfg.n_col)
         if not state.active[pe]:
             return 0
-        return faulty_mac(xo, wo, faults.get(pe), fmt="int8", mode=mode)
+        return faulty_mac(xo, wo, signatures.get(pe), fmt="int8", mode=mode)
 
     expected = forward_hooked(model, x, hook)
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights],
@@ -374,6 +401,37 @@ def test_faulty_matmul_matches_frozen_per_signature_path(rng, fmt, mode):
     assert np.array_equal(logits[0], logits[1])
 
 
+@pytest.mark.parametrize("top", [3, 16])
+@pytest.mark.parametrize("mode", ["sim", "worst"])
+def test_delta_table_matches_apply_fault_to_products(rng, mode, top):
+    # every site's table row against the scalar oracle, over all 256 int8
+    # operands; stuck bits below ``top`` (3 folds operands into residue
+    # classes); sim mode leaves the carry to the per-call draws
+    from faultlab.macfault.array import _delta_table, _layer_plan
+
+    pes = np.sort(rng.choice(256, size=96, replace=False))
+    bits = rng.integers(1, 1 << top, size=96)
+    ones = rng.integers(0, 1 << top, size=96)
+    carry = rng.random(96) < 0.5
+    faults = FaultMap.from_entries(
+        (p // 16, p % 16, b & ~o, b & o, c)
+        for p, b, o, c in zip(pes.tolist(), bits.tolist(), ones.tolist(), carry.tolist()))
+    state = ArrayState(config=ArrayConfig(n_row=16, n_col=16), faults=faults)
+    plan = _layer_plan((16, 16), state)
+    w_sites = rng.integers(-128, 128, size=len(plan.ii))
+    table = _delta_table(plan, w_sites, mode).reshape(len(plan.ii), -1)
+    operands = np.arange(-128, 128)
+    got = table[:, plan.lut[operands.astype(np.int8).view(np.uint8)]]
+    signatures = _by_pe(faults)
+    assert len(plan.ii) == 96
+    for row, i, j, w in zip(got, plan.ii, plan.jj, w_sites):
+        stuck0, stuck1, carried = signatures[(int(i), int(j))]
+        p = w * operands
+        want = apply_fault_to_products(p, stuck0, stuck1, carried and mode == "worst",
+                                       "int8", mode) - p
+        assert np.array_equal(row, want)
+
+
 def test_run_array_deactivated_column_leaves_bias(rng):
     # all PEs of an output column deactivated -> that logit is its bias
     from faultlab.netcore.inference import quant_forward
@@ -381,7 +439,7 @@ def test_run_array_deactivated_column_leaves_bias(rng):
 
     model = init_mlp((8, 6, 4), seed=1)
     cfg = ArrayConfig(n_row=8, n_col=6)
-    state = ArrayState(config=cfg, faults=FaultMap.from_faults([]))
+    state = ArrayState(config=cfg, faults=FaultMap.from_entries([]))
     state.active[:, 2] = False  # PE column 2 hosts matrix column 2 of each layer
     x = rng.uniform(0, 1, size=(5, 8))
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights], "sim",
@@ -410,7 +468,7 @@ def test_fault_map_file_roundtrip(tmp_path):
     save_fault_map(path, cfg, faults, fsr=fsr, seed=9)
     cfg2, faults2, fsr2, seed2 = load_fault_map(path)
     assert cfg2 == cfg
-    assert faults2 == faults
+    assert _by_pe(faults2) == _by_pe(faults)
     fsr2.check(faults)  # the entries are the map's PEs, in its order
     assert np.array_equal(fsr2.critical, fsr.critical)
     assert fsr2.fr_max_non_crit == fsr.fr_max_non_crit
@@ -432,7 +490,7 @@ def test_fault_map_file_bytes_equal_pure_python_dumper(tmp_path):
 def test_fault_map_file_rejects_duplicate_pe(tmp_path):
     path = tmp_path / "map.yaml"
     save_fault_map(path, ArrayConfig(n_row=4, n_col=4),
-                   FaultMap.from_faults([_non_crit((1, 2)), _crit((3, 0))]))
+                   FaultMap.from_entries([_non_crit((1, 2)), _crit((3, 0))]))
     text = path.read_text().replace("row: 3\n  col: 0", "row: 1\n  col: 2")
     path.write_text(text)
     with pytest.raises(ValueError, match=r"duplicate fault for PE \(1, 2\)"):
@@ -450,11 +508,16 @@ def test_fault_map_file_rejects_duplicate_pe(tmp_path):
     (lambda doc: doc["faults"][0].update(row=9), r"fault site \(9, 2\) outside the array"),
     (lambda doc: doc["fsr"][0].update(row=0, col=0),
      r": fsr: FSR entries do not match the fault map"),
+    (lambda doc: doc["fsr"][0].update(criticality="critcal"),
+     r": fsr: unknown criticality 'critcal'"),
+    (lambda doc: doc["faults"][1].update(carry="no"),
+     r": faults\[1\]: carry must be true or false, got 'no'"),
 ], ids=["no-config", "config-key", "fault-key", "faults-not-list", "cone-bits",
-        "fsr-rate", "fsr-key", "fault-outside", "fsr-pe-not-in-map"])
+        "fsr-rate", "fsr-key", "fault-outside", "fsr-pe-not-in-map", "fsr-criticality",
+        "fault-carry"])
 def test_fault_map_file_names_the_bad_entry(tmp_path, edit, message):
     path = tmp_path / "map.yaml"
-    faults = FaultMap.from_faults([_non_crit((1, 2)), _crit((3, 0))])
+    faults = FaultMap.from_entries([_non_crit((1, 2)), _crit((3, 0))])
     save_fault_map(path, ArrayConfig(n_row=4, n_col=4), faults,
                    fsr=build_fsr(faults, "int8", 0.5), seed=1)
     doc = yaml.safe_load(path.read_text())

@@ -57,7 +57,7 @@ def test_training_scores_only_a_given_test_set(monkeypatch, blob_train, blob_tes
 
 def test_empty_fault_map_is_plain_sgd(blob_train):
     model = init_mlp((784, 24, 10), seed=2)
-    state = ArrayState(config=ArrayConfig(), faults=FaultMap.from_faults([]))
+    state = ArrayState(config=ArrayConfig(), faults=FaultMap.from_entries([]))
     sub = blob_train.subset(500)
     a = fault_aware_train(model, state, sub, epochs=2, lr=0.2, seed=5)
     b, _ = train_sgd(model, sub, epochs=2, lr=0.2, seed=5)
