@@ -1,9 +1,8 @@
 """Weight-stationary systolic-array model with logic-cone MAC faults.
 
-Covers fault signatures (stuck-at-0 and stuck-at-1 masks of a PE's product
-bits plus a carry flag, held per array in a ``FaultMap``) and criticality
-classification, seeded fault maps,
-the FSR-driven PE deactivation protocol, faulty inference on the array,
+Covers fault signatures (stuck-bit masks and a carry flag per faulty PE, in
+a ``FaultMap``) and criticality classification, seeded fault maps, the
+FSR-driven PE deactivation protocol, faulty inference on the array,
 LSB-sensitivity sweeps, fault-aware training, and analytic MAC counts.
 """
 

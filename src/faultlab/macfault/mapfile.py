@@ -74,15 +74,15 @@ def load_fault_map(path):
     items = doc.get("faults", [])
     if not isinstance(items, list):
         raise ValueError(f"{path}: faults: expected a list")
-    entries = []
+    faults = []
     for i, item in enumerate(items):
         with naming(f"{path}: faults[{i}]"):
             if not isinstance(item["carry"], bool):
                 raise ValueError(f"carry must be true or false, got {item['carry']!r}")
-            entries.append((int(item["row"]), int(item["col"]),
-                            *cone_masks(item["cone_bits"]), item["carry"]))
+            faults.append((int(item["row"]), int(item["col"]),
+                           *cone_masks(item["cone_bits"]), item["carry"]))
     with naming(path):
-        fault_map = FaultMap.from_entries(sorted(entries))
+        fault_map = FaultMap.from_entries(sorted(faults))  # in any file order
         ArrayState(config=config, faults=fault_map)  # every fault inside the array
     fsr = None
     if "fsr" in doc:

@@ -123,7 +123,8 @@ def test_fault_map_rejects_duplicate_pe():
 
 
 @pytest.mark.parametrize("entries, message", [
-    ([_non_crit((0, 1)), _non_crit((1, 0)), _crit((1, 0))], r"duplicate fault for PE \(1, 0\)"),
+    ([_non_crit((0, 1)), _non_crit((1, 0)), _crit((1, 0))],
+     r"duplicate fault for PE \(1, 0\)"),
     ([_non_crit((0, 1)), _non_crit((2, 0)), _crit((1, 3))],
      r"fault for PE \(1, 3\) out of \(row, col\) order"),
     ([_non_crit((0, 1)), (0, 2, 0b101, 0b100, False)],
