@@ -6,62 +6,19 @@ the fixed sections in ``SECTIONS``, a campaign section in its kind's record
 of the experiment table (``runner.KINDS``), which also says which sections
 the kind reads. ``validate`` fills every default, checks every field and
 returns every offending field at once; ``render`` / ``parse`` round-trip the
-normalized form byte-stably.
+normalized form byte-stably. The rules themselves (``integer``, ``number``,
+``one_of``, ...) are ``yamlio``'s vocabulary, which the file readers share.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from pathlib import Path
 
 import yaml
 
 from ..netcore import init_lenet5
-
-
-# A rule is (check, what the error says when the check fails).
-
-def _range(lo, hi, open_lo, open_hi) -> str:
-    if hi == math.inf:
-        return "" if lo == -math.inf else f" {'>' if open_lo else '>='} {lo:g}"
-    return f" in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
-
-
-def integer(lo=-math.inf, hi=math.inf):
-    """Rule: an integer (not a bool) in [lo, hi]."""
-    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi,
-            "must be an integer" + _range(lo, hi, False, False))
-
-
-def number(lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False):
-    """Rule: a finite real number (not a bool) between lo and hi."""
-    return (lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and math.isfinite(v) and lo <= v <= hi
-                       and not (open_lo and v == lo) and not (open_hi and v == hi)),
-            "must be a number" + _range(lo, hi, open_lo, open_hi))
-
-
-def one_of(*choices):
-    return (lambda v: isinstance(v, str) and v in choices,
-            f"must be {' or '.join(choices)}")
-
-
-def list_of(rule, min_len=1):
-    return (lambda v: (isinstance(v, list) and len(v) >= min_len
-                       and all(rule[0](x) for x in v)),
-            f"need a list of at least {min_len}, each of which {rule[1]}")
-
-
-def optional(rule):
-    return (lambda v: v is None or rule[0](v)), f"{rule[1]} or null"
-
-
-BOOL = (lambda v: isinstance(v, bool), "must be true or false")
-PATH = optional((lambda v: isinstance(v, str) and bool(v), "must be a path string"))
-POSITIVE = number(0, open_lo=True)
-FRACTION = number(0, 1)
-PERCENT = number(0, 100)
+from ..yamlio import BOOL, PATH, POSITIVE, check_mapping, integer, list_of, number, one_of
 
 _TOP = {"seed": integer(), "output_dir": PATH}
 
@@ -116,9 +73,9 @@ def _section(name: str, spec: dict, raw: dict, errors) -> tuple[dict, bool]:
     n_errors = len(errors)
     section = {key: copy.deepcopy(default) for key, (default, _) in spec.items()}
     given = raw.get(name)
-    if given is not None and _check_mapping(given, dict.fromkeys(spec), errors, name):
+    if given is not None and check_mapping(given, dict.fromkeys(spec), errors, name):
         section.update((k, v) for k, v in given.items() if k in spec)
-    _check_mapping(section, {key: rule for key, (_, rule) in spec.items()}, errors,
+    check_mapping(section, {key: rule for key, (_, rule) in spec.items()}, errors,
                    name)
     return section, len(errors) == n_errors
 
@@ -148,7 +105,7 @@ def validate(raw: dict, base_dir: Path | None = None):
             ds_spec = {**ds_spec, **dict.fromkeys(_IDX_FILES, (None, _IDX_PATH))}
         cfg["dataset"], ds_ok = _section("dataset", ds_spec, raw, errors)
         ds = cfg["dataset"]
-        _check_mapping(ds["params"], _BLOB_RULES, errors, "dataset.params")
+        check_mapping(ds["params"], _BLOB_RULES, errors, "dataset.params")
         for key in _IDX_FILES if ds["kind"] == "idx" else ():
             ds[key] = _existing(ds[key], base_dir, f"dataset.{key}", errors)
         cfg["train"], _ = _section("train", SECTIONS["train"], raw, errors)
@@ -191,27 +148,13 @@ def _check_model_fits(model: dict, ds: dict, errors) -> None:
                       "dataset.classes")
 
 
-def _check_mapping(value, rules: dict, errors, prefix) -> bool:
-    """Whether ``value`` is a mapping; names each of its keys that ``rules``
-    lacks and each field that fails its rule (a rule of None passes all)."""
-    if not isinstance(value, dict):
-        errors.append(f"{prefix}: expected a mapping")
-        return False
-    for key, v in value.items():
-        if key not in rules:
-            errors.append(f"{prefix}.{key}: unknown key")
-        elif rules[key] and not rules[key][0](v):
-            errors.append(f"{prefix}.{key}: {rules[key][1]}")
-    return True
-
-
 def _check_tiles(tiles, errors) -> None:
     """Each tile needs a voltage > 0 and may give a temperature > 0 (kelvin)."""
     if not isinstance(tiles, list) or not tiles:
         errors.append("campaign.tiles: need at least one tile")
         return
     for k, tile in enumerate(tiles):
-        if (_check_mapping(tile, _TILE_RULES, errors, f"campaign.tiles[{k}]")
+        if (check_mapping(tile, _TILE_RULES, errors, f"campaign.tiles[{k}]")
                 and "voltage" not in tile):
             errors.append(f"campaign.tiles[{k}].voltage: required")
 

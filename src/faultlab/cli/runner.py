@@ -36,7 +36,7 @@ from ..netcore import (
     train_sgd,
 )
 from ..netcore.network import mlp_stages
-from .config import (
+from ..yamlio import (
     FRACTION,
     PERCENT,
     POSITIVE,
@@ -45,8 +45,8 @@ from .config import (
     number,
     one_of,
     optional,
-    render,
 )
+from .config import render
 from .report import SCHEMAS
 
 DEFAULT_OUTPUT_ROOT = "faultlab-out"

@@ -40,7 +40,7 @@ from .counts import (
 )
 from .sweeps import SweepRow, lsb_sensitivity_sweep
 from .training import fault_aware_train
-from .mapfile import load_fault_map, save_fault_map
+from .mapfile import save_fault_map
 
 __all__ = [
     "ArrayConfig",
@@ -65,7 +65,6 @@ __all__ = [
     "fault_aware_train",
     "faulty_mac",
     "lenet5_descriptor",
-    "load_fault_map",
     "lsb_sensitivity_sweep",
     "mac_count",
     "per_column_fault_count",

@@ -8,11 +8,15 @@ images so the whole suite runs without downloading MNIST; real IDX files
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ..yamlio import naming
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -64,11 +68,11 @@ class LabeledDataset:
 
 
 def _read_bytes(path) -> bytes:
-    path = Path(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
-    return path.read_bytes()
+    data = Path(path).read_bytes()
+    try:
+        return gzip.decompress(data) if Path(path).suffix == ".gz" else data
+    except (OSError, EOFError, zlib.error) as err:  # a damaged or cut gzip stream
+        raise IdxError(f"{path}: not a whole gzip file: {err}") from None
 
 
 def _parse_idx(data: bytes, path, expected_magic: int, expected_dims: int):
@@ -81,7 +85,9 @@ def _parse_idx(data: bytes, path, expected_magic: int, expected_dims: int):
             f"{path}: wrong magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
         )
     dims = struct.unpack(f">{expected_dims}i", data[4:header])
-    payload = int(np.prod(dims))
+    if min(dims) < 0:
+        raise IdxError(f"{path}: negative dimension in shape {dims}")
+    payload = math.prod(dims)
     if len(data) - header < payload:
         raise TruncatedError(
             f"{path}: payload has {len(data) - header} bytes, expected {payload}"
@@ -97,9 +103,11 @@ def load_idx(image_path, label_path) -> LabeledDataset:
     )
     (n_lbl,), labels = _parse_idx(_read_bytes(label_path), label_path, IDX_LABEL_MAGIC, 1)
     if n_img != n_lbl:
-        raise CountMismatchError(f"{n_img} images but {n_lbl} labels")
+        raise CountMismatchError(f"{label_path}: {n_lbl} labels for the {n_img} images "
+                                 f"of {image_path}")
     images = pixels.reshape(n_img, h, w)
-    return LabeledDataset(images=images, labels=labels.astype(np.int64))
+    with naming(label_path):  # a label above 9
+        return LabeledDataset(images=images, labels=labels.astype(np.int64))
 
 
 def synthetic_blobs(

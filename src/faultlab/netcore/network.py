@@ -89,7 +89,7 @@ class Network:
 
 def mlp_stages(layer_sizes) -> list:
     """Flatten, then one dense stage per pair of adjacent layer sizes."""
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise ValueError("need at least an input and an output layer")
     return [FlattenStage()] + [

@@ -64,7 +64,7 @@ def tile_duties(loads: np.ndarray, assignment, n_tiles: int) -> np.ndarray:
     return np.bincount(assignment, weights=loads, minlength=n_tiles) / total
 
 
-def mapping_fitness(graph: SnnWorkloadGraph, clusters, owned, loads, tiles,
+def mapping_fitness(graph: SnnWorkloadGraph, clusters, loads, tiles,
                     tddb: TddbParams, bti: BtiParams, comm_weight: float = 0.0):
     """Fitness callable over cluster->tile assignments (lower is better).
 
@@ -119,8 +119,7 @@ def map_workload(
     clusters = kl_partition(graph, capacity, seed=seed)
     owned = owned_synapses(graph, clusters)
     loads = cluster_loads(graph, owned)
-    fitness = mapping_fitness(graph, clusters, owned, loads, tiles, tddb, bti,
-                              comm_weight)
+    fitness = mapping_fitness(graph, clusters, loads, tiles, tddb, bti, comm_weight)
     pso_config = pso_config or PsoConfig()
     assignment, trace = pso_assign(len(clusters), len(tiles), fitness,
                                    pso_config, seed=seed)

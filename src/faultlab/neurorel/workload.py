@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..yamlio import naming, read_document, write_document
+from ..yamlio import REAL, integer, naming, read_document, require, write_document
 
 FORMAT_TAG = "faultlab-workload/1"
-_SYNAPSE_KEYS = ("src", "dst", "weight", "activation")
+# types only: Synapse checks that weight and activation are finite
+_SYNAPSE_RULES = {"src": integer(), "dst": integer(), "weight": REAL, "activation": REAL}
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,15 @@ def load_workload(path) -> SnnWorkloadGraph:
     for i, s in enumerate(entries):
         where = f"{path}: synapses[{i}]"
         if not isinstance(s, dict):
-            raise ValueError(f"{where}: expected a mapping of {', '.join(_SYNAPSE_KEYS)}")
+            raise ValueError(f"{where}: expected a mapping of {', '.join(_SYNAPSE_RULES)}")
         with naming(where):  # a missing key too
-            synapses.append(Synapse(src=int(s["src"]), dst=int(s["dst"]),
-                                    weight=float(s["weight"]),
-                                    activation=float(s["activation"])))
+            src, dst, weight, activation = (require(s[key], rule, key)
+                                            for key, rule in _SYNAPSE_RULES.items())
+            synapses.append(Synapse(src, dst, float(weight), float(activation)))
     with naming(path):
-        return SnnWorkloadGraph(neurons=tuple(doc["neurons"]), synapses=tuple(synapses))
+        neurons = [require(n, integer(), f"neurons[{k}]")
+                   for k, n in enumerate(doc["neurons"])]
+        return SnnWorkloadGraph(neurons=tuple(neurons), synapses=tuple(synapses))
 
 
 def random_workload(n_neurons: int, n_synapses: int, seed: int = 0,

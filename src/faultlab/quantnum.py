@@ -82,11 +82,6 @@ def int8_to_byte(raw) -> np.ndarray:
     return np.asarray(raw, dtype=np.int8).view(np.uint8)
 
 
-def byte_to_int8(word) -> np.ndarray:
-    """View stored bytes back as two's-complement int8."""
-    return np.asarray(word, dtype=np.uint8).view(np.int8)
-
-
 def bf16_encode_array(x) -> np.ndarray:
     f32 = np.asarray(x, dtype=np.float32)
     bits32 = f32.view(np.uint32)

@@ -109,6 +109,7 @@ class _Sections(dict):
     ("train", {"params": {"weak_fraction": 0.1}}, "dataset.params.weak_fraction:"),
     # a LeNet-5's first convolution holds 150 weights, fewer than 250 faults
     ("dram-bitpos", _Sections(model={"kind": "lenet5"}), "campaign.counts:"),
+    ("train", {"lr": 10**400}, "train.lr:"),  # an int no float can hold
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
     sections = (campaign if isinstance(campaign, _Sections)

@@ -5,9 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from faultlab.netcore import (
     CountMismatchError,
+    IdxError,
     LabeledDataset,
     TruncatedError,
     WrongMagicError,
@@ -106,3 +109,72 @@ def test_synthetic_blobs_shapes_and_range():
     assert ds.images.shape == (40, 16, 16)
     assert ds.images.dtype == np.uint8
     assert ds.labels.min() >= 0 and ds.labels.max() < 7
+
+
+def test_load_idx_rejects_negative_dimension(tmp_path, idx_pair):
+    _, lbl_path, _, _ = idx_pair
+    path = tmp_path / "negative.idx"
+    path.write_bytes(struct.pack(">iiii", IMAGE_MAGIC, -2, 2, 2))
+    with pytest.raises(IdxError) as err:
+        load_idx(path, lbl_path)
+    assert str(err.value) == f"{path}: negative dimension in shape (-2, 2, 2)"
+
+
+def test_load_idx_rejects_shape_past_int64(tmp_path, idx_pair):
+    # 2**21 * 2**21 * 2**22 items wrap an int64 product to 0
+    _, lbl_path, _, _ = idx_pair
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(">iiii", IMAGE_MAGIC, 2**21, 2**21, 2**22))
+    with pytest.raises(TruncatedError) as err:
+        load_idx(path, lbl_path)
+    assert str(err.value).startswith(f"{path}: payload has 0 bytes")
+
+
+def test_load_idx_names_label_file_of_a_label_above_nine(tmp_path, idx_pair):
+    img_path, _, _, labels = idx_pair
+    path = tmp_path / "labels.idx"
+    path.write_bytes(_label_bytes(np.where(np.arange(10) == 3, 10, labels)))
+    with pytest.raises(ValueError) as err:
+        load_idx(img_path, path)
+    assert str(err.value) == f"{path}: labels must be in [0, 9]"
+
+
+def _splice(draw, data):
+    at = draw(st.integers(0, len(data) - 1))
+    return data[:at] + draw(st.binary(max_size=4)) + data[at + draw(st.integers(0, 4)):]
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_idx_pair_loads_valid_or_names_a_path(tmp_path, data):
+    # a run of bytes changed in the header or the body of either file
+    rng = np.random.default_rng(0)
+    files = {"images.idx": _image_bytes(rng.integers(0, 256, (4, 3, 3)).astype(np.uint8)),
+             "labels.idx": _label_bytes(rng.integers(0, 10, 4))}
+    name = data.draw(st.sampled_from(sorted(files)))
+    files[name] = _splice(data.draw, files[name])
+    paths = []
+    for name, content in files.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes(content)
+    try:
+        ds = load_idx(*paths)
+    except ValueError as err:
+        assert str(err).startswith((f"{paths[0]}: ", f"{paths[1]}: "))
+        return
+    assert ds.images.ndim == 3 and len(ds.images) == len(ds.labels)
+    assert ds.labels.size == 0 or ds.labels.max() <= 9
+
+
+@pytest.mark.parametrize("damage", [
+    lambda gz: gz[:-6],
+    lambda gz: gz[:12] + b"\xff" + gz[13:],
+], ids=["cut", "corrupt"])
+def test_load_idx_names_a_damaged_gzip_file(tmp_path, idx_pair, damage):
+    img_path, lbl_path, _, _ = idx_pair
+    path = tmp_path / "images.idx.gz"
+    path.write_bytes(damage(gzip.compress(img_path.read_bytes())))
+    with pytest.raises(IdxError) as err:
+        load_idx(path, lbl_path)
+    assert str(err.value).startswith(f"{path}: not a whole gzip file")

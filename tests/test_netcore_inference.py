@@ -1,11 +1,14 @@
 """Inference-mode tests, including the hand-computed int8 forward oracle."""
 
+import io
 import json
 import math
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import frozen_mlp
 from faultlab.netcore import evaluate, forward_hooked, init_lenet5, init_mlp
@@ -295,3 +298,111 @@ def test_exact_int_matmul_past_float32_range():
     acc = inference.exact_int_matmul(aq, wq)
     assert acc[0, 1] == 33032065
     assert np.array_equal(acc, aq.astype(np.int64) @ wq.astype(np.int64))
+
+
+def _arrays(model, path):
+    """The members of ``model``'s checkpoint, saved at ``path``, by name."""
+    save_model(model, path)
+    with np.load(path) as data:
+        return {k: data[k] for k in data.files}
+
+
+@pytest.mark.parametrize("model, edit, message", [
+    (init_mlp((784, 16, 10), seed=0), lambda meta: meta.update(layer_sizes=[4.7, 3, 2]),
+     "meta: layer_sizes: need a list of at least 2, each of which must be an integer"
+     " >= 1"),
+    (init_lenet5(16), lambda meta: meta.update(input_hw=28.5),
+     "meta: input_hw: must be an integer >= 1"),
+    (init_mlp((784, 16, 10), seed=0), lambda meta: meta.update(kind="mlpx"),
+     "meta: kind: must be mlp or cnn"),
+    (init_lenet5(16), lambda meta: meta["stages"][0].update(kernel="5"),
+     "meta: stage 0 (conv): kernel: must be an integer >= 1"),
+], ids=["layer-sizes", "input-hw", "kind", "stage-kernel"])
+def test_checkpoint_meta_values_checked_by_rule(tmp_path, model, edit, message):
+    # no meta value is cast: a fan-in of 4.7 is not cut to 4
+    arrays = _arrays(model, tmp_path / "model.npz")
+    _edit_meta(edit)(arrays)
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def _member_bytes(model):
+    buffer = io.BytesIO()
+    save_model(model, buffer)
+    with zipfile.ZipFile(buffer) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def _write_members(path, members):
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda npy: npy.replace(b"}", b" ", 1),
+    lambda npy: npy.replace(b"'descr'", b"'dtype'", 1),
+    lambda npy: npy[:-8],
+    lambda npy: npy.replace(b"'<f8'", b"'|O' ", 1),
+], ids=["header-unclosed", "descr-renamed", "data-truncated", "object-dtype"])
+def test_checkpoint_names_a_damaged_member(tmp_path, edit):
+    members = _member_bytes(init_mlp((784, 16, 10), seed=0))
+    members["b0.npy"] = edit(members["b0.npy"])
+    path = tmp_path / "bad.npz"
+    _write_members(path, members)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: b0: ")
+
+
+_JUNK = st.one_of(st.integers(-2, 30), st.floats(), st.booleans(), st.none(),
+                  st.text(max_size=4), st.lists(st.integers(0, 3), max_size=3))
+_MEMBERS = [_member_bytes(init_mlp((16, 4, 3), seed=0)), _member_bytes(init_lenet5(16))]
+
+
+@st.composite
+def _mutated_checkpoint(draw):
+    """The bytes of a valid checkpoint with a meta value, a member's bytes or
+    the archive's bytes changed."""
+    members = dict(draw(st.sampled_from(_MEMBERS)))
+    how = draw(st.sampled_from(["meta", "member", "archive"]))
+    if how == "meta":
+        meta = np.lib.format.read_array(io.BytesIO(members["meta.npy"]))
+        meta = json.loads(meta.item())
+        target = draw(st.sampled_from([meta, *meta.get("stages", [])]))
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_JUNK)
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, np.array(json.dumps(meta)))
+        members["meta.npy"] = buffer.getvalue()
+    elif how == "member":
+        name = draw(st.sampled_from(sorted(members)))
+        members[name] = _splice(draw, members[name])
+    buffer = io.BytesIO()
+    _write_members(buffer, members)
+    return _splice(draw, buffer.getvalue()) if how == "archive" else buffer.getvalue()
+
+
+def _splice(draw, data):
+    at = draw(st.integers(0, len(data) - 1))
+    return data[:at] + draw(st.binary(max_size=3)) + data[at + draw(st.integers(0, 3)):]
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_mutated_checkpoint())
+def test_mutated_checkpoint_loads_valid_or_names_its_path(tmp_path, data):
+    path = tmp_path / "model.npz"
+    path.write_bytes(data)
+    try:
+        model = load_model(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}: ")
+        return
+    assert all(np.isfinite(a).all() for a in model.weights + model.biases)

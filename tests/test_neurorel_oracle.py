@@ -41,8 +41,9 @@ def _graph(n_neurons, n_synapses, seed, activations):
 def _fitness_pair(g, clusters, comm_weight):
     owned = owned_synapses(g, clusters)
     loads = cluster_loads(g, owned)
-    args = (g, clusters, owned, loads, TILES, TddbParams(), BtiParams(), comm_weight)
-    return mapping_fitness(*args), frozen_neuro.mapping_fitness(*args)
+    args = (loads, TILES, TddbParams(), BtiParams(), comm_weight)
+    return (mapping_fitness(g, clusters, *args),
+            frozen_neuro.mapping_fitness(g, clusters, owned, *args))
 
 
 @pytest.mark.parametrize("comm_weight", [0.0, 0.5])
@@ -76,8 +77,9 @@ def test_crossing_term_alone_equals_frozen_reference():
     clusters = kl_partition(g, capacity=6, seed=0)
     owned = owned_synapses(g, clusters)
     loads = np.zeros(len(clusters))
-    args = (g, clusters, owned, loads, TILES, TddbParams(), BtiParams(), 0.5)
-    new, old = mapping_fitness(*args), frozen_neuro.mapping_fitness(*args)
+    args = (loads, TILES, TddbParams(), BtiParams(), 0.5)
+    new = mapping_fitness(g, clusters, *args)
+    old = frozen_neuro.mapping_fitness(g, clusters, owned, *args)
     rng = np.random.default_rng(2)
     for _ in range(50):
         a = rng.integers(0, len(TILES), size=len(clusters))

@@ -29,7 +29,7 @@ from faultlab.neurorel.partition import kl_partition
 def _fitness_for(graph, clusters, tiles, comm_weight=0.0):
     owned = owned_synapses(graph, clusters)
     loads = cluster_loads(graph, owned)
-    return mapping_fitness(graph, clusters, owned, loads, tiles,
+    return mapping_fitness(graph, clusters, loads, tiles,
                            TddbParams(), BtiParams(), comm_weight)
 
 

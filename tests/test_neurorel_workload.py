@@ -4,6 +4,8 @@ import math
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from faultlab.neurorel import Synapse, load_workload, random_workload, save_workload
 
@@ -64,3 +66,75 @@ def test_load_rejects_unparsable_yaml(tmp_path):
 def test_load_rejects_document_without_neuron_list(tmp_path):
     with pytest.raises(ValueError, match="neurons: expected a list"):
         load_workload(_write(tmp_path, "format: faultlab-workload/1\nsynapses: []\n"))
+
+
+@pytest.mark.parametrize("neurons, synapse, message", [
+    ("[0, 1, 2]", "{src: 0.7, dst: 1, weight: 0.5, activation: 2}",
+     "synapses[0]: src: must be an integer"),
+    ("[0, 1, 2]", "{src: 1, dst: 2.9, weight: 0.5, activation: 2}",
+     "synapses[0]: dst: must be an integer"),
+    ("[0, 1, 2]", "{src: true, dst: 2, weight: 0.5, activation: 2}",
+     "synapses[0]: src: must be an integer"),
+    ("[0, 1, 2]", "{src: 0, dst: 1, weight: '0.5', activation: 2}",
+     "synapses[0]: weight: must be a number"),
+    ("[0, 1, 0.5]", "{src: 0, dst: 1, weight: 0.5, activation: 2}",
+     "neurons[2]: must be an integer"),
+    ("[0, 1, a]", "{src: 0, dst: 1, weight: 0.5, activation: 2}",
+     "neurons[2]: must be an integer"),
+], ids=["src-fraction", "dst-fraction", "src-bool", "weight-string", "neuron-fraction",
+        "neuron-string"])
+def test_load_checks_each_value_by_its_rule(tmp_path, neurons, synapse, message):
+    # no value is cast: a fraction is not cut to an integer id
+    path = _write(tmp_path, f"format: faultlab-workload/1\nneurons: {neurons}\n"
+                            f"synapses:\n- {synapse}\n")
+    with pytest.raises(ValueError) as err:
+        load_workload(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+_JUNK = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
+                  st.booleans(), st.none(), st.text(max_size=3),
+                  st.lists(st.integers(-1, 2), max_size=2), st.just({"src": 0}))
+
+
+@st.composite
+def _mutated_workload(draw):
+    """The bytes of a valid workload file with one value, key or run of bytes changed."""
+    g = random_workload(5, 6, seed=draw(st.integers(0, 3)))
+    doc = {"format": "faultlab-workload/1", "neurons": list(g.neurons),
+           "synapses": [{"src": s.src, "dst": s.dst, "weight": s.weight,
+                         "activation": s.activation} for s in g.synapses]}
+    how = draw(st.sampled_from(["value", "drop", "neuron", "entry", "bytes"]))
+    if how == "value":
+        entry = draw(st.sampled_from(doc["synapses"]))
+        entry[draw(st.sampled_from(sorted(entry)))] = draw(_JUNK)
+    elif how == "drop":
+        del doc[draw(st.sampled_from(["format", "neurons", "synapses"]))]
+    elif how == "neuron":
+        doc["neurons"][draw(st.integers(0, 4))] = draw(_JUNK)
+    elif how == "entry":
+        doc["synapses"][draw(st.integers(0, 5))] = draw(_JUNK)
+    data = yaml.safe_dump(doc, sort_keys=False).encode()
+    if how == "bytes":
+        at, cut = draw(st.integers(0, len(data) - 1)), draw(st.integers(0, 3))
+        data = data[:at] + draw(st.binary(max_size=3)) + data[at + cut:]
+    return data
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_mutated_workload())
+def test_mutated_workload_loads_valid_or_names_its_path(tmp_path, data):
+    path = tmp_path / "w.yaml"
+    path.write_bytes(data)
+    try:
+        g = load_workload(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}: ")
+        return
+    ids = set(g.neurons)
+    assert all(type(n) is int for n in g.neurons) and len(ids) == len(g.neurons)
+    for s in g.synapses:
+        assert type(s.src) is int and type(s.dst) is int and {s.src, s.dst} <= ids
+        assert math.isfinite(s.weight) and math.isfinite(s.activation)
+        assert s.activation >= 0

@@ -58,7 +58,6 @@ def test_int8_byte_views():
     raw = np.array([-128, -1, 0, 127], dtype=np.int8)
     as_bytes = qn.int8_to_byte(raw)
     assert list(as_bytes) == [0x80, 0xFF, 0x00, 0x7F]
-    assert np.array_equal(qn.byte_to_int8(as_bytes), raw)
 
 
 def test_bf16_format_points():
