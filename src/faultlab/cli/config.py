@@ -18,6 +18,7 @@ from pathlib import Path
 import yaml
 
 from ..netcore import init_lenet5
+from ..netcore.network import DEFAULT_LAYERS
 from ..yamlio import BOOL, PATH, POSITIVE, check_mapping, integer, list_of, number, one_of
 
 _TOP = {"seed": integer(), "output_dir": PATH}
@@ -26,7 +27,7 @@ _TOP = {"seed": integer(), "output_dir": PATH}
 SECTIONS = {
     "model": {
         "kind": ("mlp", one_of("mlp", "lenet5")),
-        "layers": ([784, 256, 256, 256, 10], list_of(integer(1), min_len=2)),
+        "layers": (list(DEFAULT_LAYERS), list_of(integer(1), min_len=2)),
         "checkpoint": (None, PATH),
     },
     "dataset": {

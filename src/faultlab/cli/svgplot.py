@@ -6,22 +6,25 @@ import math
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f")
+TICKS = 5  # per axis
+LINE_WIDTH, LINE_HEIGHT = 640, 420
+HEATMAP_SIZE = 560
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + step * k for k in range(count)]
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + step * k for k in range(TICKS)]
 
 
-def line_chart(series: dict, title: str, xlabel: str, ylabel: str,
-               width: int = 640, height: int = 420) -> str:
+def line_chart(series: dict, title: str, xlabel: str, ylabel: str) -> str:
     """Polyline chart; ``series`` maps label -> [(x, y), ...]."""
+    width, height = LINE_WIDTH, LINE_HEIGHT
     left, right, top, bottom = 64, 20, 36, 52
     pw, ph = width - left - right, height - top - bottom
     xs = [x for pts in series.values() for x, _ in pts]
@@ -116,7 +119,7 @@ def _heat_color(frac: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def heatmap(matrix, title: str, log_scale: bool = True, size: int = 560) -> str:
+def heatmap(matrix, title: str, log_scale: bool = True) -> str:
     """Cell-per-rect heat map; log-scale color for wide-range data."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -130,7 +133,7 @@ def heatmap(matrix, title: str, log_scale: bool = True, size: int = 560) -> str:
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
     margin, legend = 40, 46
-    cell = max(1, (size - 2 * margin) // max(rows, cols))
+    cell = max(1, (HEATMAP_SIZE - 2 * margin) // max(rows, cols))
     width = margin * 2 + cell * cols
     height = margin * 2 + cell * rows + legend
     out = [

@@ -60,10 +60,6 @@ def _int8_predictions(model, x: np.ndarray, weights_q) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-def _int8_accuracy(model, x: np.ndarray, labels, weights_q) -> float:
-    return float(np.mean(_int8_predictions(model, x, weights_q) == labels))
-
-
 @dataclass(frozen=True)
 class CampaignRow:
     campaign: str
@@ -96,7 +92,7 @@ def bitpos_campaign(
     data = dataset.subset(eval_samples)
     x = model_input(data)
     baseline_wq = model_grids(model)
-    baseline = _int8_accuracy(model, x, data.labels, baseline_wq)
+    baseline = float(np.mean(_int8_predictions(model, x, baseline_wq) == data.labels))
 
     rows = []
     for bit_pos in bit_positions:
@@ -105,7 +101,7 @@ def bitpos_campaign(
                 run_seed = derived_seed(seed, bit_pos, count, run)
                 faulty = [inject(wq, bit_pos, count, seed=derived_seed(run_seed, l))[0]
                           for l, wq in enumerate(baseline_wq)]
-                acc = _int8_accuracy(model, x, data.labels, faulty)
+                acc = float(np.mean(_int8_predictions(model, x, faulty) == data.labels))
                 rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
                                         acc, (baseline - acc) * 100.0))
     mean_table = {}

@@ -13,30 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..netcore.data import LabeledDataset
-from ..netcore.inference import quantize_activations
 from ..netcore.train import train_sgd
-from ..quantnum import bf16_round_array
+from ..quantnum import bf16_round_array, quantize_int8
 from .array import ArrayState, faulty_matmul_factory
 from .faults import SIM
 
+BATCH_SIZE = 64
 
-def fault_aware_train(
-    model,
-    state: ArrayState,
-    train: LabeledDataset,
-    epochs: int,
-    lr: float,
-    seed: int,
-    batch_size: int = 64,
-):
+
+def fault_aware_train(model, state: ArrayState, train: LabeledDataset, epochs: int,
+                      lr: float, seed: int):
     """The model retrained against the state's fault map (sim mode), as a copy."""
     fmt = state.config.fmt
     rng = np.random.default_rng(seed)
     shapes = [w.shape for w in model.weights]
-    has_faults = bool(state.faults) or not state.active.all()
-    if not has_faults:
-        return train_sgd(model, train, epochs=epochs, lr=lr, seed=seed,
-                         batch_size=batch_size)[0]
     # int8: the callback returns the array's integer error and the weight scale
     matmul = faulty_matmul_factory(state, shapes, SIM, rng,
                                    error_only=fmt == "int8")
@@ -45,12 +35,12 @@ def fault_aware_train(
         w = live.weights[idx]
         exact = a @ w + live.biases[idx]
         if fmt == "int8":
-            aq, sa = quantize_activations(a)
-            err, sw = matmul(idx, aq, w)
-            return exact + err * (sa * sw)
+            q = quantize_int8(a)
+            err, sw = matmul(idx, q.raw, w)
+            return exact + err * (q.scale * sw)
         ab = bf16_round_array(a).astype(np.float64)
         wb = bf16_round_array(w).astype(np.float64)
         return exact + (matmul(idx, ab, wb) - ab @ wb)
 
     return train_sgd(model, train, epochs=epochs, lr=lr, seed=seed,
-                     batch_size=batch_size, linear_fn=linear)[0]
+                     batch_size=BATCH_SIZE, linear_fn=linear)[0]

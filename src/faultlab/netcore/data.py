@@ -23,19 +23,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 class IdxError(ValueError):
-    """Base error for malformed IDX files."""
-
-
-class WrongMagicError(IdxError):
-    pass
-
-
-class TruncatedError(IdxError):
-    pass
-
-
-class CountMismatchError(IdxError):
-    pass
+    """A malformed IDX file."""
 
 
 @dataclass(frozen=True)
@@ -51,9 +39,7 @@ class LabeledDataset:
         if self.images.dtype != np.uint8:
             raise ValueError(f"images must be uint8, got {self.images.dtype}")
         if len(self.images) != len(self.labels):
-            raise CountMismatchError(
-                f"{len(self.images)} images but {len(self.labels)} labels"
-            )
+            raise ValueError(f"{len(self.images)} images but {len(self.labels)} labels")
         if len(self.labels) and not (
             (self.labels >= 0).all() and (self.labels <= 9).all()
         ):
@@ -78,20 +64,18 @@ def _read_bytes(path) -> bytes:
 def _parse_idx(data: bytes, path, expected_magic: int, expected_dims: int):
     header = 4 + 4 * expected_dims
     if len(data) < header:
-        raise TruncatedError(f"{path}: shorter than its {header}-byte header")
+        raise IdxError(f"{path}: shorter than its {header}-byte header")
     magic = struct.unpack(">i", data[:4])[0]
     if magic != expected_magic:
-        raise WrongMagicError(
-            f"{path}: wrong magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-        )
+        raise IdxError(f"{path}: wrong magic 0x{magic:08x}, "
+                       f"expected 0x{expected_magic:08x}")
     dims = struct.unpack(f">{expected_dims}i", data[4:header])
     if min(dims) < 0:
         raise IdxError(f"{path}: negative dimension in shape {dims}")
     payload = math.prod(dims)
     if len(data) - header < payload:
-        raise TruncatedError(
-            f"{path}: payload has {len(data) - header} bytes, expected {payload}"
-        )
+        raise IdxError(f"{path}: payload has {len(data) - header} bytes, "
+                       f"expected {payload}")
     body = np.frombuffer(data[header : header + payload], dtype=np.uint8)
     return dims, body
 
@@ -103,8 +87,8 @@ def load_idx(image_path, label_path) -> LabeledDataset:
     )
     (n_lbl,), labels = _parse_idx(_read_bytes(label_path), label_path, IDX_LABEL_MAGIC, 1)
     if n_img != n_lbl:
-        raise CountMismatchError(f"{label_path}: {n_lbl} labels for the {n_img} images "
-                                 f"of {image_path}")
+        raise IdxError(f"{label_path}: {n_lbl} labels for the {n_img} images "
+                       f"of {image_path}")
     images = pixels.reshape(n_img, h, w)
     with naming(label_path):  # a label above 9
         return LabeledDataset(images=images, labels=labels.astype(np.int64))

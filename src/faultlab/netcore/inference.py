@@ -2,10 +2,11 @@
 
 Every mode runs the one ``Network`` forward pass on the one model input,
 ``model_input(dataset)``: images as (N, H, W, 1) floats in [0, 1], which
-an MLP's Flatten stage turns into (N, H*W) rows. The quantized pipelines
-expose an injectable integer matmul so the MAC fault model can reroute
-every multiply through a faulty processing element; with the default
-matmul they are the fault-free baselines.
+an MLP's Flatten stage turns into (N, H*W) rows. Float mode is that pass
+as it is; the quantized modes replace its linear operator and expose an
+injectable integer matmul, so the MAC fault model can reroute every
+multiply through a faulty processing element. With the default matmul they
+are the fault-free baselines.
 
 int8 mode: weights quantized once per tensor, activations re-quantized
 per layer (symmetric, max/127), products and sums accumulated exactly.
@@ -34,12 +35,6 @@ def quantize_weights(model) -> list[Int8Tensor]:
     return [quantize_int8(w) for w in model.weights]
 
 
-def quantize_activations(a: np.ndarray):
-    """(raw, scale) of ``quantize_int8(a)``; ValueError on non-finite values."""
-    q = quantize_int8(a)
-    return q.raw, q.scale
-
-
 # Each int8 product has magnitude at most 128 * 128 = 2**14, so a sum over
 # at most 2**10 of them stays within float32's 2**24 exact-integer range.
 FLOAT32_EXACT_FAN_IN = 2**10
@@ -54,10 +49,6 @@ def exact_int_matmul(aq: np.ndarray, wq: np.ndarray) -> np.ndarray:
     dtype = np.float32 if aq.shape[-1] <= FLOAT32_EXACT_FAN_IN else np.float64
     acc = aq.astype(dtype, copy=False) @ wq.astype(dtype, copy=False)
     return acc.astype(np.float64, copy=False)
-
-
-def forward_float(model, x: np.ndarray) -> np.ndarray:
-    return forward(model, x)[0]
 
 
 def model_input(dataset: LabeledDataset) -> np.ndarray:
@@ -79,13 +70,13 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
         wq = weights_q if weights_q is not None else quantize_weights(model)
 
         def linear(mdl, idx, a):
-            aq, sa = quantize_activations(a)
+            q = quantize_int8(a)
             acc = (
-                exact_int_matmul(aq, wq[idx].raw)
+                exact_int_matmul(q.raw, wq[idx].raw)
                 if matmul_fn is None
-                else matmul_fn(idx, aq, wq[idx].raw)
+                else matmul_fn(idx, q.raw, wq[idx].raw)
             )
-            return acc * (sa * wq[idx].scale) + mdl.biases[idx]
+            return acc * (q.scale * wq[idx].scale) + mdl.biases[idx]
 
     elif fmt == "bfloat16":
         wb = [bf16_round_array(w).astype(np.float64) for w in model.weights]
@@ -109,7 +100,7 @@ def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:
         raise ValueError("cannot evaluate on an empty dataset")
     x = model_input(dataset)
     if mode == "float":
-        logits = forward_float(model, x)
+        logits = forward(model, x)[0]
     else:
         logits = quant_forward(model, x, fmt=mode)
     return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
@@ -145,10 +136,8 @@ __all__ = [
     "MODES",
     "evaluate",
     "exact_int_matmul",
-    "forward_float",
     "forward_hooked",
     "model_input",
     "quant_forward",
-    "quantize_activations",
     "quantize_weights",
 ]

@@ -58,7 +58,8 @@ class Network:
 
     ``input_hw`` is the square input size a convolutional network was built
     for, and None for an MLP, which flattens any input whose per-sample
-    size is its first layer's fan-in.
+    size is its first layer's fan-in. A ValueError names the first stage
+    that cannot take what the stage before it gives.
     """
 
     input_hw: int | None
@@ -67,6 +68,7 @@ class Network:
     biases: list
 
     def __post_init__(self):
+        _check_chain(self.input_hw, self.stages)
         weighted = [s for s in self.stages if isinstance(s, (ConvStage, DenseStage))]
         if [s.weight_idx for s in weighted] != list(range(len(self.weights))):
             raise ValueError(f"{len(self.weights)} weight matrices do not match "
@@ -85,6 +87,38 @@ class Network:
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
         )
+
+
+def _check_chain(input_hw, stages) -> None:
+    """ValueError naming the first stage that cannot take what the stage before
+    it gives, from an input_hw x input_hw x 1 image (from any input that the
+    Flatten stage turns into the first fan-in, for input_hw None); the last
+    stage, and only it, must be a final Dense stage."""
+    hw, ch, feats = input_hw, 1, None
+    for k, stage in enumerate(stages):
+        if isinstance(stage, FlattenStage):
+            hw, feats = None, (None if hw is None else hw * hw * ch)
+        elif isinstance(stage, DenseStage):
+            if hw is not None or feats not in (None, stage.in_features):
+                raise ValueError(f"stage {k} (dense): takes {stage.in_features} "
+                                 f"features, given {feats or 'a feature map'}")
+            feats = stage.out_features
+        elif hw is None:
+            raise ValueError(f"stage {k}: no feature map to convolve or pool")
+        elif isinstance(stage, ConvStage):
+            if hw < stage.kernel or stage.in_ch != ch:
+                raise ValueError(f"stage {k} (conv): a {stage.kernel}x{stage.kernel}x"
+                                 f"{stage.in_ch} kernel does not fit a {hw}x{hw}x{ch} map")
+            hw, ch = hw - stage.kernel + 1, stage.out_ch
+        elif hw % stage.kernel:
+            raise ValueError(f"stage {k} (pool): pool {stage.kernel} does not divide "
+                             f"map size {hw}")
+        else:
+            hw //= stage.kernel
+    finals = [k for k, s in enumerate(stages) if isinstance(s, DenseStage) and s.final]
+    if finals != [len(stages) - 1]:
+        raise ValueError(f"final stages {finals}: the last stage, and only it, must "
+                         "be a final dense stage")
 
 
 def mlp_stages(layer_sizes) -> list:
@@ -115,15 +149,11 @@ def build_cnn(input_hw: int, plan, dense, seed: int = 0) -> Network:
     for item in plan:
         if item[0] == "conv":
             _, k, out_ch = item
-            if hw < k:
-                raise ValueError(f"feature map {hw}x{hw} smaller than kernel {k}")
             stages.append(ConvStage(n_weighted, k, ch, out_ch))
             n_weighted += 1
             hw, ch = hw - k + 1, out_ch
         elif item[0] == "pool":
             _, k = item
-            if hw % k:
-                raise ValueError(f"pool {k} does not divide map size {hw}")
             stages.append(PoolStage(k))
             hw //= k
         else:
@@ -138,6 +168,7 @@ def build_cnn(input_hw: int, plan, dense, seed: int = 0) -> Network:
 
 def _he_uniform(input_hw, stages, seed: int) -> Network:
     """U(-sqrt(6/fan_in), sqrt(6/fan_in)) weights in stage order, zero biases."""
+    _check_chain(input_hw, stages)  # a bad chain can declare a fan-in of 0
     rng = np.random.default_rng(seed)
     shapes = [s.weight_shape for s in stages if isinstance(s, (ConvStage, DenseStage))]
     weights = [rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in),

@@ -12,6 +12,9 @@ import numpy as np
 
 from .workload import SnnWorkloadGraph
 
+# Kernighan-Lin improvement passes per bisection, at most
+MAX_PASSES = 12
+
 
 def _weight_matrix(graph: SnnWorkloadGraph):
     ids = sorted(graph.neurons)
@@ -73,13 +76,13 @@ def _kl_pass(w, in_a):
     return out, True
 
 
-def _bisect(w, rng, max_passes: int = 12):
+def _bisect(w, rng):
     n = w.shape[0]
     half = (n + 1) // 2
     perm = rng.permutation(n)
     in_a = np.zeros(n)
     in_a[perm[:half]] = 1.0
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         in_a, improved = _kl_pass(w, in_a)
         if not improved:
             break

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..yamlio import REAL, integer, naming, read_document, require, write_document
+from ..yamlio import (REAL, integer, list_of, naming, read_document, require,
+                      write_document)
 
 FORMAT_TAG = "faultlab-workload/1"
 # types only: Synapse checks that weight and activation are finite
@@ -69,8 +70,8 @@ def save_workload(path, graph: SnnWorkloadGraph):
 def load_workload(path) -> SnnWorkloadGraph:
     """Read a workload file; a malformed entry raises ValueError naming it."""
     doc = read_document(path, FORMAT_TAG)
-    if not isinstance(doc.get("neurons"), list):
-        raise ValueError(f"{path}: neurons: expected a list of neuron ids")
+    neurons = require(doc.get("neurons"), list_of(integer(), min_len=1),
+                      f"{path}: neurons")
     entries = doc.get("synapses", [])
     if not isinstance(entries, list):
         raise ValueError(f"{path}: synapses: expected a list")
@@ -84,8 +85,6 @@ def load_workload(path) -> SnnWorkloadGraph:
                                             for key, rule in _SYNAPSE_RULES.items())
             synapses.append(Synapse(src, dst, float(weight), float(activation)))
     with naming(path):
-        neurons = [require(n, integer(), f"neurons[{k}]")
-                   for k, n in enumerate(doc["neurons"])]
         return SnnWorkloadGraph(neurons=tuple(neurons), synapses=tuple(synapses))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from faultlab.macfault.faults import apply_fault_to_products
-from faultlab.netcore.inference import exact_int_matmul, quantize_activations
+from faultlab.netcore.inference import exact_int_matmul
 from faultlab.netcore.train import train_sgd
 from faultlab.quantnum import bf16_round_array, quantize_int8
 
@@ -94,9 +94,9 @@ def fault_aware_train(model, state, train, epochs, lr, seed, batch_size=64,
         exact = a @ w + live.biases[idx]
         if fmt == "int8":
             wq = quantize_int8(w)
-            aq, sa = quantize_activations(a)
-            err = matmul(idx, aq, wq.raw) - exact_int_matmul(aq, wq.raw)
-            return exact + err * (sa * wq.scale)
+            aq = quantize_int8(a)
+            err = matmul(idx, aq.raw, wq.raw) - exact_int_matmul(aq.raw, wq.raw)
+            return exact + err * (aq.scale * wq.scale)
         ab = bf16_round_array(a).astype(np.float64)
         wb = bf16_round_array(w).astype(np.float64)
         return exact + (matmul(idx, ab, wb) - ab @ wb)

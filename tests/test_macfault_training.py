@@ -79,7 +79,7 @@ def test_fault_aware_train_matches_frozen_per_signature_path(blob_train, fmt):
     state.active = deactivate(state, build_fsr(faults, fmt, 0.1))
     assert state.active[faults.rows, faults.cols].any() and not state.active.all()
     sub = blob_train.subset(200)
-    kw = dict(epochs=1, lr=0.2, seed=6, batch_size=64)
+    kw = dict(epochs=1, lr=0.2, seed=6)
     got = fault_aware_train(model, state, sub, **kw)
     want, _ = frozen_fault_aware_train(model, state, sub, **kw)
     for wa, wb in zip(got.weights, want.weights):

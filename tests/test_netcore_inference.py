@@ -14,12 +14,8 @@ import frozen_mlp
 from faultlab.netcore import evaluate, forward_hooked, init_lenet5, init_mlp
 from faultlab.netcore import inference
 from faultlab.netcore.data import LabeledDataset
-from faultlab.netcore.inference import (
-    forward_float,
-    model_input,
-    quant_forward,
-    quantize_activations,
-)
+from faultlab.netcore.inference import model_input, quant_forward
+from faultlab.netcore.network import forward
 from faultlab.netcore.checkpoint import load_model, save_model
 
 
@@ -95,7 +91,7 @@ def test_accuracy_in_unit_interval(small_mlp, blob_test):
 
 def test_quantized_argmax_agreement(small_mlp, blob_test):
     x = model_input(blob_test.subset(1000))
-    ref = np.argmax(forward_float(small_mlp, x), axis=1)
+    ref = np.argmax(forward(small_mlp, x)[0], axis=1)
     for fmt in ("int8", "bfloat16"):
         agree = np.mean(np.argmax(quant_forward(small_mlp, x, fmt), axis=1) == ref)
         assert agree >= 0.99
@@ -187,7 +183,17 @@ def test_checkpoint_cnn_resave_is_byte_identical(tmp_path):
     (lambda stages: stages[1].update(op="maxpool"), "stage 1: unknown op 'maxpool'"),
     (lambda stages: stages[2].pop("in_ch"), r"stage 2 \(conv\): missing in_ch"),
     (lambda stages: stages[5].pop("op"), "stage 5: unknown op None"),
-], ids=["unknown-op", "missing-field", "missing-op"])
+    # stages that do not chain: the 16x16 input pools to 4x4 with a kernel of 3
+    (lambda stages: stages[1].update(kernel=3),
+     r"stage 2 \(conv\): a 5x5x6 kernel does not fit a 4x4x6 map"),
+    (lambda stages: stages[2].update(in_ch=4),
+     r"stage 2 \(conv\): a 5x5x4 kernel does not fit a 6x6x6 map"),
+    (lambda stages: stages[5].update(in_features=15),
+     r"stage 5 \(dense\): takes 15 features, given 16"),
+    (lambda stages: stages[5].update(final=True),
+     r"final stages \[5, 7\]: the last stage, and only it"),
+], ids=["unknown-op", "missing-field", "missing-op", "pool-kernel-3", "conv-channels",
+        "dense-fan-in", "early-final"])
 def test_checkpoint_names_a_bad_stage(tmp_path, edit, message):
     save_model(init_lenet5(16, seed=0), tmp_path / "cnn.npz")
     with np.load(tmp_path / "cnn.npz") as data:
@@ -196,8 +202,9 @@ def test_checkpoint_names_a_bad_stage(tmp_path, edit, message):
     edit(meta["stages"])
     arrays["meta"] = json.dumps(meta)
     np.savez(tmp_path / "bad.npz", **arrays)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         load_model(tmp_path / "bad.npz")
+    assert str(err.value).startswith(f"{tmp_path / 'bad.npz'}: ")
 
 
 def _without(key):
@@ -256,7 +263,7 @@ def test_mlp_logits_match_frozen_mlp_forward(monkeypatch, small_mlp, blob_test):
     ds = blob_test.subset(300)
     x = model_input(ds)
     flat = frozen_mlp.flat_float(ds)
-    assert np.array_equal(forward_float(small_mlp, x),
+    assert np.array_equal(forward(small_mlp, x)[0],
                           frozen_mlp.mlp_forward(small_mlp, flat)[0])
     got = {fmt: quant_forward(small_mlp, x, fmt) for fmt in ("int8", "bfloat16")}
     # the same quantized linear layers, run through the frozen pass
@@ -264,14 +271,6 @@ def test_mlp_logits_match_frozen_mlp_forward(monkeypatch, small_mlp, blob_test):
                         frozen_mlp.mlp_forward(model, flat, linear_fn))
     for fmt in ("int8", "bfloat16"):
         assert np.array_equal(got[fmt], quant_forward(small_mlp, x, fmt))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_quantize_activations_rejects_non_finite(bad):
-    a = np.linspace(-1, 1, 12).reshape(3, 4)
-    a[2, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        quantize_activations(a)
 
 
 def _int8_operands(rng, n, fan_in, fan_out):

@@ -64,8 +64,11 @@ def test_load_rejects_unparsable_yaml(tmp_path):
 
 
 def test_load_rejects_document_without_neuron_list(tmp_path):
-    with pytest.raises(ValueError, match="neurons: expected a list"):
+    with pytest.raises(ValueError, match="neurons: need a list"):
         load_workload(_write(tmp_path, "format: faultlab-workload/1\nsynapses: []\n"))
+
+
+NEURON_LIST = "neurons: need a list of at least 1, each of which must be an integer"
 
 
 @pytest.mark.parametrize("neurons, synapse, message", [
@@ -77,12 +80,11 @@ def test_load_rejects_document_without_neuron_list(tmp_path):
      "synapses[0]: src: must be an integer"),
     ("[0, 1, 2]", "{src: 0, dst: 1, weight: '0.5', activation: 2}",
      "synapses[0]: weight: must be a number"),
-    ("[0, 1, 0.5]", "{src: 0, dst: 1, weight: 0.5, activation: 2}",
-     "neurons[2]: must be an integer"),
-    ("[0, 1, a]", "{src: 0, dst: 1, weight: 0.5, activation: 2}",
-     "neurons[2]: must be an integer"),
+    ("[0, 1, 0.5]", "{src: 0, dst: 1, weight: 0.5, activation: 2}", NEURON_LIST),
+    ("[0, 1, a]", "{src: 0, dst: 1, weight: 0.5, activation: 2}", NEURON_LIST),
+    ("[]", "{src: 0, dst: 1, weight: 0.5, activation: 2}", NEURON_LIST),
 ], ids=["src-fraction", "dst-fraction", "src-bool", "weight-string", "neuron-fraction",
-        "neuron-string"])
+        "neuron-string", "no-neurons"])
 def test_load_checks_each_value_by_its_rule(tmp_path, neurons, synapse, message):
     # no value is cast: a fraction is not cut to an integer id
     path = _write(tmp_path, f"format: faultlab-workload/1\nneurons: {neurons}\n"
