@@ -5,9 +5,10 @@ and sections. Each field is declared once, with its default and its rule:
 the fixed sections in ``SECTIONS``, a campaign section in its kind's record
 of the experiment table (``runner.KINDS``), which also says which sections
 the kind reads. ``validate`` fills every default, checks every field and
-returns every offending field at once; ``render`` / ``parse`` round-trip the
-normalized form byte-stably. The rules themselves (``integer``, ``number``,
-``one_of``, ...) are ``yamlio``'s vocabulary, which the file readers share.
+returns every offending field at once; a fresh network must take the
+synthetic images, by the rule a run applies to every dataset it builds.
+The rules themselves (``integer``, ``number``, ``one_of``, ...) and the
+canonical text (``render``) are ``yamlio``'s, which the file readers share.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from pathlib import Path
 
 import yaml
 
-from ..netcore import init_lenet5
-from ..netcore.network import DEFAULT_LAYERS
+from ..netcore.network import DEFAULT_LAYERS, fit_error
 from ..yamlio import BOOL, PATH, POSITIVE, check_mapping, integer, list_of, number, one_of
+from .runner import KINDS, build_network
 
 _TOP = {"seed": integer(), "output_dir": PATH}
 
@@ -83,7 +84,6 @@ def _section(name: str, spec: dict, raw: dict, errors) -> tuple[dict, bool]:
 
 def validate(raw: dict, base_dir: Path | None = None):
     """Normalize a raw config dict; returns (config, list of field errors)."""
-    from .runner import KINDS  # runner.py imports this module as it loads
     if not isinstance(raw, dict):
         return None, ["config: expected a YAML mapping"]
     kind = raw.get("experiment")
@@ -127,26 +127,23 @@ def validate(raw: dict, base_dir: Path | None = None):
 
     if (experiment.needs_model and model_ok and ds_ok and ds["kind"] == "synthetic"
             and cfg["model"]["checkpoint"] is None):
-        _check_model_fits(cfg["model"], ds, errors)
+        _check_model_fits(cfg["model"], ds["size"], ds["classes"], errors)
     if not errors and experiment.check:
         errors = experiment.check(cfg)
     return (cfg if not errors else None), errors
 
 
-def _check_model_fits(model: dict, ds: dict, errors) -> None:
-    """A model built for the synthetic images must take them and score every class."""
-    size, layers = ds["size"], model["layers"]
-    if model["kind"] == "lenet5":
-        try:
-            init_lenet5(size)
-        except ValueError as err:
-            errors.append(f"dataset.size: no LeNet-5 takes {size}x{size} images: {err}")
-    elif layers[0] != size * size:
-        errors.append(f"model.layers: input width {layers[0]} does not match "
-                      f"dataset.size**2 = {size * size}")
-    elif layers[-1] < ds["classes"]:
-        errors.append(f"model.layers: {layers[-1]} outputs for {ds['classes']} "
-                      "dataset.classes")
+def _check_model_fits(model: dict, size: int, classes: int, errors) -> None:
+    """The network a run builds for the synthetic images must take them and
+    score every class."""
+    try:
+        network = build_network(model, size)
+    except ValueError as err:  # only a LeNet-5 can fail to chain
+        errors.append(f"dataset.size: no LeNet-5 takes {size}x{size} images: {err}")
+        return
+    reason = fit_error(network, "synthetic", (size, size), classes - 1)
+    if reason:
+        errors.append(f"model.layers: {reason}")
 
 
 def _check_tiles(tiles, errors) -> None:
@@ -173,20 +170,11 @@ def _existing(value, base_dir: Path | None, field: str, errors):
     return str(path)
 
 
-def render(config: dict) -> str:
-    """Canonical YAML text of a normalized config."""
-    return yaml.safe_dump(config, sort_keys=True)
-
-
-def parse(text: str) -> dict:
-    return yaml.safe_load(text)
-
-
 def load_config(path):
     """Parse and validate a config file; returns (config, errors)."""
     path = Path(path)
     try:
-        raw = parse(path.read_text())
+        raw = yaml.safe_load(path.read_text())
     except (OSError, yaml.YAMLError) as err:
         return None, [f"config: cannot read {path}: {err}"]
     return validate(raw, base_dir=path.parent)

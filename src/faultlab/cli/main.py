@@ -8,7 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config, render
+from ..yamlio import render
+from .config import load_config
 from .report import ReportError, report
 from .runner import run
 

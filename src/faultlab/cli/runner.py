@@ -35,7 +35,7 @@ from ..netcore import (
     synthetic_blobs,
     train_sgd,
 )
-from ..netcore.network import mlp_stages
+from ..netcore.network import fit_error
 from ..yamlio import (
     FRACTION,
     PERCENT,
@@ -45,8 +45,8 @@ from ..yamlio import (
     number,
     one_of,
     optional,
+    render,
 )
-from .config import render
 from .report import SCHEMAS
 
 DEFAULT_OUTPUT_ROOT = "faultlab-out"
@@ -130,28 +130,28 @@ def _build_datasets(config, needs_train: bool):
     return train, load("test", "test_seed")
 
 
+def build_network(model: dict, input_hw: int, seed: int = 0):
+    """The fresh network of a ``model`` section; a LeNet-5 takes input_hw x
+    input_hw images, and an MLP ignores input_hw."""
+    if model["kind"] == "lenet5":
+        return init_lenet5(input_hw, seed=seed)
+    return init_mlp(model["layers"], seed=seed)
+
+
 def _build_model(ctx: RunContext):
     """(model, per-epoch history): loaded from its checkpoint, or trained; a
     kind without ``history`` trains unscored."""
     mc = ctx.config["model"]
-    if mc["checkpoint"]:
-        model = load_model(mc["checkpoint"])
-    elif mc["kind"] == "lenet5":
-        model = init_lenet5(ctx.train.images.shape[1], seed=ctx.seed("init"))
-    else:
-        model = init_mlp(tuple(mc["layers"]), seed=ctx.seed("init"))
-    # the network must take the images, whose IDX sizes only the run knows
-    fan_in, hw = model.weights[0].shape[0], model.input_hw
+    model = (load_model(mc["checkpoint"]) if mc["checkpoint"] else
+             build_network(mc, ctx.train.images.shape[1], seed=ctx.seed("init")))
+    # the network must take the images and labels, which only the run knows
     for split, data in (("training", ctx.train), ("test", ctx.test)):
         if data is None:
             continue
-        h, w = data.images.shape[1:]
-        if hw is None and fan_in != h * w:
-            raise ValueError(f"the MLP takes {fan_in} inputs, but the {split} "
-                             f"images are {h}x{w} = {h * w} pixels")
-        if hw is not None and (h, w) != (hw, hw):
-            raise ValueError(f"the CNN takes {hw}x{hw} images, but the {split} "
-                             f"images are {h}x{w}")
+        reason = fit_error(model, split, data.images.shape[1:],
+                           int(data.labels.max(initial=-1)))
+        if reason:
+            raise ValueError(reason)
     if mc["checkpoint"]:
         return model, []
     tc = ctx.config["train"]
@@ -227,14 +227,9 @@ def _dram_errors(config) -> list:
     """The DRAM faults must fit the weights of the network the run builds; those
     of a checkpoint, or of a LeNet-5 on IDX images, are only known in the run."""
     model, ds, camp = config["model"], config["dataset"], config["campaign"]
-    if model["checkpoint"]:
+    if model["checkpoint"] or (model["kind"] == "lenet5" and ds["kind"] == "idx"):
         return []
-    if model["kind"] == "mlp":
-        shapes = [s.weight_shape for s in mlp_stages(model["layers"])[1:]]
-    elif ds["kind"] == "synthetic":
-        shapes = [w.shape for w in init_lenet5(ds["size"]).weights]
-    else:
-        return []
+    shapes = [w.shape for w in build_network(model, ds["size"]).weights]
     errors = []
     cells = min(rows * cols for rows, cols in shapes)
     if max(camp.get("counts", [0])) > cells:
@@ -370,7 +365,6 @@ def _neuro_map(ctx):
     seed = ctx.seed("pso")
     mapping = neurorel.map_workload(
         graph, tiles, capacity=camp["capacity"], endurance_map=emap,
-        tddb=neurorel.TddbParams(), bti=neurorel.BtiParams(),
         pso_config=neurorel.PsoConfig(particles=camp["particles"],
                                       iterations=camp["iterations"]),
         seed=seed, comm_weight=camp["comm_weight"],

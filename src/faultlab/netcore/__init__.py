@@ -4,9 +4,11 @@ One network type, ``Network``, holds both the MLP (a Flatten stage then
 Dense stages) and LeNet-5 (convolution and pooling stages in front), so
 training, inference, checkpoints and every fault model share one forward
 pass, one backward pass and one model-input path; a network whose stages
-do not chain is refused when it is built or loaded. Provides the fault-free
-baselines that every fault experiment perturbs. A malformed IDX file raises
-``IdxError``, a ``ValueError`` naming the file.
+do not chain is refused when it is built or loaded, and
+``network.fit_error`` names why one cannot take a dataset's images or
+labels. Provides the fault-free baselines that every fault experiment
+perturbs. A malformed IDX file raises ``IdxError``, a ``ValueError`` naming
+the file.
 """
 
 from .data import IdxError, LabeledDataset, load_idx, synthetic_blobs

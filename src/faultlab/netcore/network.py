@@ -7,6 +7,11 @@ directly in matmul form (k*k*in_ch, out_ch) so the same injectable
 linear operator drives dense and conv layers alike. Every weighted stage
 but the final dense one is followed by a ReLU. Feature maps are
 channels-last (N, H, W, C).
+
+A network is its list of stages: ``init_mlp`` and ``init_lenet5`` write
+theirs out and ``he_uniform`` draws the weights of any list that chains.
+``fit_error`` is the one rule for whether a network takes a dataset's
+images and scores every label in it.
 """
 
 from __future__ import annotations
@@ -134,46 +139,44 @@ def mlp_stages(layer_sizes) -> list:
 
 def init_mlp(layer_sizes=DEFAULT_LAYERS, seed: int = 0) -> Network:
     """ReLU hidden layers and a linear output on the flattened input."""
-    return _he_uniform(None, mlp_stages(layer_sizes), seed)
+    return he_uniform(None, mlp_stages(layer_sizes), seed)
 
 
 def init_lenet5(input_hw: int = 28, seed: int = 0) -> Network:
     """LeNet-5 topology: conv5x6, pool, conv5x16, pool, 120-84-10 dense."""
-    plan = [("conv", 5, 6), ("pool", 2), ("conv", 5, 16), ("pool", 2)]
-    return build_cnn(input_hw, plan, dense=(120, 84, 10), seed=seed)
+    side = ((input_hw - 4) // 2 - 4) // 2  # the map side the second pool gives
+    return he_uniform(input_hw, [
+        ConvStage(0, 5, 1, 6), PoolStage(2), ConvStage(1, 5, 6, 16), PoolStage(2),
+        FlattenStage(), DenseStage(2, side * side * 16, 120, final=False),
+        DenseStage(3, 120, 84, final=False), DenseStage(4, 84, 10, final=True),
+    ], seed)
 
 
-def build_cnn(input_hw: int, plan, dense, seed: int = 0) -> Network:
-    stages = []
-    n_weighted, hw, ch = 0, input_hw, 1
-    for item in plan:
-        if item[0] == "conv":
-            _, k, out_ch = item
-            stages.append(ConvStage(n_weighted, k, ch, out_ch))
-            n_weighted += 1
-            hw, ch = hw - k + 1, out_ch
-        elif item[0] == "pool":
-            _, k = item
-            stages.append(PoolStage(k))
-            hw //= k
-        else:
-            raise ValueError(f"unknown stage {item!r}")
-    stages.append(FlattenStage())
-    feats = hw * hw * ch
-    for i, out in enumerate(dense):
-        stages.append(DenseStage(n_weighted + i, feats, out, final=i == len(dense) - 1))
-        feats = out
-    return _he_uniform(input_hw, stages, seed)
-
-
-def _he_uniform(input_hw, stages, seed: int) -> Network:
-    """U(-sqrt(6/fan_in), sqrt(6/fan_in)) weights in stage order, zero biases."""
+def he_uniform(input_hw, stages, seed: int) -> Network:
+    """The network of ``stages`` with U(-sqrt(6/fan_in), sqrt(6/fan_in)) weights
+    drawn in stage order and zero biases."""
     _check_chain(input_hw, stages)  # a bad chain can declare a fan-in of 0
     rng = np.random.default_rng(seed)
     shapes = [s.weight_shape for s in stages if isinstance(s, (ConvStage, DenseStage))]
     weights = [rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in),
                            size=(fan_in, fan_out)) for fan_in, fan_out in shapes]
     return Network(input_hw, stages, weights, [np.zeros(fan_out) for _, fan_out in shapes])
+
+
+def fit_error(model: Network, split: str, image_shape, top_label: int) -> str | None:
+    """Why ``model`` cannot take a split's images of ``image_shape`` (h, w)
+    labelled up to ``top_label``, or None when it can."""
+    (h, w), side = image_shape, model.input_hw
+    fan_in, outputs = model.weights[0].shape[0], model.weights[-1].shape[1]
+    if side is None and fan_in != h * w:
+        return (f"the MLP takes {fan_in} inputs, but the {split} images are "
+                f"{h}x{w} = {h * w} pixels")
+    if side is not None and (h, w) != (side, side):
+        return f"the CNN takes {side}x{side} images, but the {split} images are {h}x{w}"
+    if outputs <= top_label:
+        return (f"the network has {outputs} outputs, but the {split} labels reach "
+                f"{top_label}")
+    return None
 
 
 def im2col(x: np.ndarray, k: int) -> np.ndarray:

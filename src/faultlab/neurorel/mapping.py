@@ -3,8 +3,9 @@
 A synapse is owned by its post-neuron's cluster (weights live at the
 post side of a crossbar). Tile duty is the fraction of total workload
 activation its clusters handle; the PSO minimizes the series aging
-fitness of the per-tile stress profiles, optionally plus a weighted
-communication term (activation crossing between different tiles).
+fitness of the per-tile stress profiles under the default TDDB and BTI
+laws, optionally plus a weighted communication term (activation crossing
+between different tiles).
 """
 
 from __future__ import annotations
@@ -65,14 +66,14 @@ def tile_duties(loads: np.ndarray, assignment, n_tiles: int) -> np.ndarray:
 
 
 def mapping_fitness(graph: SnnWorkloadGraph, clusters, loads, tiles,
-                    tddb: TddbParams, bti: BtiParams, comm_weight: float = 0.0):
+                    comm_weight: float = 0.0):
     """Fitness callable over cluster->tile assignments (lower is better).
 
     The endpoint clusters and activations of the inter-cluster synapses are
     gathered once; each call sums, in synapse order, the activations of
     those whose clusters sit on different tiles.
     """
-    act = None
+    tddb, bti, act = TddbParams(), BtiParams(), None
     if comm_weight > 0:
         owner = cluster_owner(clusters)
         ends = np.array([(owner[s.src], owner[s.dst]) for s in graph.synapses],
@@ -106,8 +107,6 @@ def map_workload(
     tiles,
     capacity: int,
     endurance_map: EnduranceMap,
-    tddb: TddbParams,
-    bti: BtiParams,
     pso_config: PsoConfig | None = None,
     seed: int = 0,
     comm_weight: float = 0.0,
@@ -119,7 +118,7 @@ def map_workload(
     clusters = kl_partition(graph, capacity, seed=seed)
     owned = owned_synapses(graph, clusters)
     loads = cluster_loads(graph, owned)
-    fitness = mapping_fitness(graph, clusters, loads, tiles, tddb, bti, comm_weight)
+    fitness = mapping_fitness(graph, clusters, loads, tiles, comm_weight)
     pso_config = pso_config or PsoConfig()
     assignment, trace = pso_assign(len(clusters), len(tiles), fitness,
                                    pso_config, seed=seed)

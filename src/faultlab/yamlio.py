@@ -8,7 +8,8 @@ value: configs apply it through ``check_mapping``, file readers through
 
 For the documents faultlab writes (fault maps, workloads) libyaml emits
 the same bytes as ``yaml.safe_dump`` and parses to the same objects as
-``yaml.safe_load``, several times faster.
+``yaml.safe_load``, several times faster. ``render`` writes a config's
+canonical text, which ``yaml.safe_load`` reads back to the same mapping.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ def read_document(path, format_tag: str) -> dict:
     if not isinstance(doc, dict) or doc.get("format") != format_tag:
         raise ValueError(f"{path}: not a {format_tag} document")
     return doc
+
+
+def render(config: dict) -> str:
+    """Canonical YAML text of a normalized config."""
+    return yaml.safe_dump(config, sort_keys=True)
 
 
 @contextmanager

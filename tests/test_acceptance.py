@@ -493,7 +493,7 @@ def test_c12_kl_and_pso(rng):
     tiles = [TileSpec(3.0), TileSpec(1.8)]
     owned = owned_synapses(g, clusters)
     loads = cluster_loads(g, owned)
-    fitness = mapping_fitness(g, clusters, loads, tiles, TddbParams(), BtiParams())
+    fitness = mapping_fitness(g, clusters, loads, tiles)
     optimum = min(fitness(np.array(a)) for a in itertools.product(range(2),
                                                                   repeat=3))
     hits = 0

@@ -12,11 +12,12 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from faultlab.cli.config import load_config, parse, render, validate
+from faultlab.cli.config import load_config, validate
 from faultlab.cli.main import main
 from faultlab.cli.report import ReportError, report
 from faultlab.cli.runner import derive_seed, run
 from faultlab.netcore import init_lenet5, init_mlp, save_model
+from faultlab.yamlio import render
 
 
 def _write_config(tmp_path, doc, name="config.yaml"):
@@ -235,7 +236,7 @@ def test_validate_stores_checkpoint_path_resolved(tmp_path):
 def test_config_roundtrip():
     cfg, errors = validate(BITPOS_DOC)
     assert errors == []
-    assert parse(render(cfg)) == cfg
+    assert yaml.safe_load(render(cfg)) == cfg
 
 
 def test_run_produces_byte_identical_csvs(tmp_path):
@@ -360,6 +361,36 @@ def test_run_names_network_input_mismatch(tmp_path, capsys, rng, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment", ["fault-train", "dram-bitpos", "mac-sweep",
+                                        "deactivate"])
+def test_run_names_checkpoint_with_fewer_outputs_than_labels(tmp_path, experiment):
+    # validate cannot see a checkpoint's outputs; the run names them first
+    save_model(init_mlp((144, 16, 3), seed=0), tmp_path / "model.npz")
+    cfg, errors = validate({
+        "experiment": experiment, "seed": 1, "model": {"checkpoint": "model.npz"},
+        "dataset": {"train": 40, "test": 40, "size": 12, "classes": 4}},
+        base_dir=tmp_path)
+    assert not errors
+    split = "training" if experiment == "fault-train" else "test"
+    with pytest.raises(ValueError) as err:
+        run(cfg, output_override=tmp_path / "out")
+    assert str(err.value) == f"the network has 3 outputs, but the {split} labels reach 3"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_names_fresh_mlp_with_fewer_outputs_than_idx_labels(tmp_path, rng):
+    # validate cannot read IDX labels; the run names the first split that has more
+    path = _write_config(tmp_path, {
+        "experiment": "train", "seed": 1, "model": {"layers": [100, 8, 5]},
+        "dataset": _idx_dataset(tmp_path / "data", rng, 10)})
+    cfg, errors = load_config(path)
+    assert not errors
+    with pytest.raises(ValueError) as err:
+        run(cfg, output_override=tmp_path / "out")
+    assert str(err.value) == "the network has 5 outputs, but the training labels reach 9"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, scored", [("dram-bitpos", 0), ("train", 2)])
 def test_only_train_scores_each_epoch(tmp_path, monkeypatch, experiment, scored):
     # only the train kind writes the per-epoch accuracy (history.csv)
@@ -479,6 +510,15 @@ def test_report_reads_empty_cells_as_nan(tmp_path):
         "run_seed,baseline_accuracy,faulty_accuracy,retrained_accuracy,loss_before,"
         "loss_after,relative_reduction\n1,0.0,0.0,0.0,,,\n")
     assert "normalized loss nan -> nan over 1 seeds" in report(tmp_path)
+
+
+def test_report_of_an_all_idle_mapping(tmp_path):
+    # a synapse that never fires has no lifetime, written as an empty cell
+    (tmp_path / "mapping.csv").write_text(
+        "cluster,tile,synapse,cell_row,cell_col,endurance,lifetime\n"
+        "0,1,0,0,0,1e6,\n0,1,1,0,1,1e6,\n")
+    assert report(tmp_path).splitlines() == ["== mapping.csv (mapping, 2 rows)",
+                                             "   2 synapses mapped, all idle"]
 
 
 def test_deactivate_experiment_end_to_end(tmp_path):
@@ -622,12 +662,25 @@ GOLDEN_DIGESTS = {
 }
 
 
+# the schema report names for each CSV a golden run writes
+_GOLDEN_SCHEMAS = {"history": "history", "summary": "metrics", "bitpos": "dram",
+                   "column": "dram", "sweep": "sweep", "deactivate": "deactivate",
+                   "fault_train": "fault_train", "endurance": "endurance",
+                   "mapping": "mapping"}
+
+
 @pytest.mark.parametrize("kind", sorted(GOLDEN_CONFIGS))
 def test_run_reproduces_golden_outputs(tmp_path, kind):
     cfg, errors = validate(GOLDEN_CONFIGS[kind])
     assert not errors
     run(cfg, output_override=tmp_path)
     assert _golden_digests(tmp_path) == GOLDEN_DIGESTS[kind]
+    # and report reads back every CSV the run wrote
+    csvs = sorted(tmp_path.glob("*.csv"))
+    titles = [line for line in report(tmp_path).splitlines() if line.startswith("== ")]
+    assert titles == [
+        f"== {p.name} ({_GOLDEN_SCHEMAS[p.stem]}, "
+        f"{len(p.read_text().splitlines()) - 1} rows)" for p in csvs]
 
 
 # --- validate-or-run property over every kind ---------------------------------

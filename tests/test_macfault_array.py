@@ -273,21 +273,46 @@ def test_deactivation_matches_brute_force_on_samples(rng, fr_max):
         assert 16 - int(mask.sum()) == expected
 
 
+def _assert_protocol_holds(faults, fsr, mask):
+    """No critical PE stays active, the rate cap holds, and no two active
+    faulty PEs are adjacent."""
+    crit = set(zip(fsr.rows[fsr.critical].tolist(), fsr.cols[fsr.critical].tolist()))
+    live = [pe for pe in faults if mask[pe]]
+    assert not any(pe in crit for pe in live)
+    assert len(live) / mask.sum() <= fsr.fr_max_non_crit
+    live_set = set(live)
+    for r, c in live:
+        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            assert nb not in live_set
+
+
 def test_deactivation_protocol_invariants_at_scale():
     cfg = ArrayConfig(n_row=64, n_col=64)
     mix = SignatureMix(critical_fraction=0.25, carry_fraction=0.3)
     faults = seed_fault_map(cfg, 10, mix, seed=11)
     state = ArrayState(config=cfg, faults=faults)
     fsr = build_fsr(faults, "int8", fr_max_non_crit=0.05)
-    mask = deactivate(state, fsr)
-    crit = set(zip(fsr.rows[fsr.critical].tolist(), fsr.cols[fsr.critical].tolist()))
-    live = [pe for pe in faults if mask[pe]]
-    assert not any(pe in crit for pe in live)
-    assert len(live) / mask.sum() <= 0.05
-    live_set = set(live)
-    for r, c in live:
-        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-            assert nb not in live_set
+    _assert_protocol_holds(faults, fsr, deactivate(state, fsr))
+
+
+@pytest.mark.parametrize("critical_fraction, component", [(0.0, 121), (0.05, 88)])
+def test_deactivation_past_the_exact_cover_limit(monkeypatch, critical_fraction,
+                                                 component):
+    # at FR 60% the live faulty PEs of a 16x16 array form one component too
+    # large for the exact search, which the greedy cover takes instead
+    from faultlab.macfault import array
+
+    sizes, greedy = [], array._greedy_cover
+    monkeypatch.setattr(array, "_greedy_cover",
+                        lambda adj: sizes.append(len(adj)) or greedy(adj))
+    cfg = ArrayConfig(n_row=16, n_col=16)
+    faults = seed_fault_map(cfg, 60, SignatureMix(critical_fraction=critical_fraction),
+                            seed=4)
+    fsr = build_fsr(faults, "int8", fr_max_non_crit=0.2)
+    mask = deactivate(ArrayState(config=cfg, faults=faults), fsr)
+    assert sizes == [component] and component > array._EXACT_COVER_LIMIT
+    assert fsr.critical.any() == (critical_fraction > 0)
+    _assert_protocol_holds(faults, fsr, mask)
 
 
 # --- faulty inference --------------------------------------------------------
@@ -342,19 +367,35 @@ _ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
-def test_run_array_matches_scalar_hook_reference(rng, case):
+def _oracle_runs():
+    """(case, format, mode): every case in int8 in its own mode; in bfloat16
+    every case whose stuck bits fit the 7-bit mantissa, in its own mode, and
+    in sim mode too when no PE has a carry, whose sim sign the oracle cannot
+    draw."""
+    runs = []
+    for case, (_, _, _, spec, _, mode, _, _) in sorted(_ORACLE_CASES.items()):
+        runs.append(pytest.param(case, "int8", mode, id=case))
+        if max(max(bit for bit, _ in bits) for bits, _ in spec.values()) >= 7:
+            continue
+        carry = any(c for _, c in spec.values())
+        for m in sorted({mode} if carry else {mode, "sim"}):
+            runs.append(pytest.param(case, "bfloat16", m, id=f"{case}-bfloat16-{m}"))
+    return runs
+
+
+@pytest.mark.parametrize("case, fmt, mode", _oracle_runs())
+def test_run_array_matches_scalar_hook_reference(rng, case, fmt, mode):
     # the site-table fault path against forward_hooked + faulty_mac, exactly
     from faultlab.macfault.faults import faulty_mac
     from faultlab.netcore import forward_hooked
     from faultlab.netcore.inference import quant_forward
     from faultlab.macfault.array import faulty_matmul_factory
 
-    layers, n_row, n_col, spec, disabled, mode, (lo, hi), zeros = _ORACLE_CASES[case]
+    layers, n_row, n_col, spec, disabled, _, (lo, hi), zeros = _ORACLE_CASES[case]
     model = init_mlp(layers, seed=2)
     for layer, i, j in zeros:
         model.weights[layer][i, j] = 0.0
-    cfg = ArrayConfig(n_row=n_row, n_col=n_col)
+    cfg = ArrayConfig(n_row=n_row, n_col=n_col, fmt=fmt)
     faults = FaultMap.from_entries((*pe, *cone_masks(bits), carry)
                                    for pe, (bits, carry) in sorted(spec.items()))
     state = ArrayState(config=cfg, faults=faults)
@@ -368,12 +409,12 @@ def test_run_array_matches_scalar_hook_reference(rng, case):
         pe = (i % cfg.n_row, j % cfg.n_col)
         if not state.active[pe]:
             return 0
-        return faulty_mac(xo, wo, signatures.get(pe), fmt="int8", mode=mode)
+        return faulty_mac(xo, wo, signatures.get(pe), fmt=fmt, mode=mode)
 
-    expected = forward_hooked(model, x, hook)
+    expected = forward_hooked(model, x, hook, fmt=fmt)
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights],
                                    mode, None)
-    got = quant_forward(model, x, fmt="int8", matmul_fn=matmul)
+    got = quant_forward(model, x, fmt=fmt, matmul_fn=matmul)
     assert np.array_equal(expected, got)
 
 

@@ -16,7 +16,13 @@ from faultlab.macfault import (
 )
 from faultlab.netcore import evaluate, init_mlp, train_sgd
 from faultlab.netcore import train as train_module
-from faultlab.netcore.network import build_cnn
+from faultlab.netcore.network import (
+    ConvStage,
+    DenseStage,
+    FlattenStage,
+    PoolStage,
+    he_uniform,
+)
 from faultlab.macfault.array import run_array
 
 
@@ -114,8 +120,9 @@ def test_fault_aware_training_recovers_mlp(blob_train, blob_test):
 
 
 def test_fault_aware_training_recovers_lenet_class_cnn(blob_train, blob_test):
-    cnn = build_cnn(28, [("conv", 5, 6), ("pool", 2), ("conv", 5, 16), ("pool", 2)],
-                    dense=(64, 10), seed=7)
+    cnn = he_uniform(28, [ConvStage(0, 5, 1, 6), PoolStage(2), ConvStage(1, 5, 6, 16),
+                          PoolStage(2), FlattenStage(), DenseStage(2, 256, 64, final=False),
+                          DenseStage(3, 64, 10, final=True)], seed=7)
     cnn, _ = train_sgd(cnn, blob_train.subset(2000), epochs=6, lr=0.25, seed=8)
     acc0 = evaluate(cnn, blob_test, "int8")
     assert acc0 > 0.85

@@ -1,5 +1,7 @@
 """Training-loop tests: gradient oracle, determinism, degenerate inputs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,17 @@ from faultlab.netcore import (
     train_sgd,
 )
 from faultlab.netcore.data import LabeledDataset
-from faultlab.netcore.network import backward, build_cnn, cross_entropy, forward, softmax
+from faultlab.netcore.network import (
+    ConvStage,
+    DenseStage,
+    FlattenStage,
+    PoolStage,
+    backward,
+    cross_entropy,
+    forward,
+    he_uniform,
+    softmax,
+)
 
 
 def _numeric_grad(loss_fn, array, indices, eps=1e-6):
@@ -50,7 +62,8 @@ def test_mlp_gradient_matches_central_differences(rng):
 
 
 def test_cnn_gradient_matches_central_differences(rng):
-    model = build_cnn(8, [("conv", 3, 2), ("pool", 2)], dense=(3,), seed=5)
+    model = he_uniform(8, [ConvStage(0, 3, 1, 2), PoolStage(2), FlattenStage(),
+                           DenseStage(1, 18, 3, final=True)], seed=5)
     x = rng.uniform(0, 1, size=(4, 8, 8, 1))
     y = rng.integers(0, 3, size=4)
     _, caches = forward(model, x)
@@ -138,7 +151,9 @@ def test_empty_dataset_rejected():
 def test_cnn_trains_on_small_task():
     train = synthetic_blobs(700, classes=4, size=12, seed=31)
     test = synthetic_blobs(300, classes=4, size=12, seed=32)
-    model = build_cnn(12, [("conv", 3, 4), ("pool", 2)], dense=(24, 4), seed=2)
+    model = he_uniform(12, [ConvStage(0, 3, 1, 4), PoolStage(2), FlattenStage(),
+                            DenseStage(1, 100, 24, final=False),
+                            DenseStage(2, 24, 4, final=True)], seed=2)
     trained, hist = train_sgd(model, train, epochs=8, lr=0.3, seed=3, test=test)
     assert max(hist) > 0.8
 
@@ -149,3 +164,39 @@ def test_lenet5_shapes():
     assert sizes == [(25, 6), (150, 16), (256, 120), (120, 84), (84, 10)]
     model32 = init_lenet5(32, seed=0)
     assert [w.shape for w in model32.weights][2] == (400, 120)
+
+
+# sha256 of init_lenet5(hw, seed=3)'s weights then biases, and the fan-in of its
+# first dense stage, as the network was built when a plan of ("conv", k, c) and
+# ("pool", k) tuples described it
+_LENET5_AT = {
+    16: (16, "0ff6dfef370aefccf2cbbce4161d8ef60b59bb42f3af84b66806064579363187"),
+    20: (64, "d19113eab5445e97e46b6d16ddefc8464c240f34d8da8c0f0a098aef22e71667"),
+    28: (256, "ab3e35a7ce69379fe3572f9da2ee6271d0aff4a2c81a2ddac2fe11617faa8124"),
+    32: (400, "cdae3bf1531e94c6790c81a6171f6f64afffb82578d08c33e178e8e46a06ab7f"),
+}
+
+
+@pytest.mark.parametrize("hw", sorted(_LENET5_AT))
+def test_lenet5_keeps_its_stages_and_weights(hw):
+    fan_in, digest = _LENET5_AT[hw]
+    model = init_lenet5(hw, seed=3)
+    assert model.input_hw == hw
+    assert model.stages == [
+        ConvStage(0, 5, 1, 6), PoolStage(2), ConvStage(1, 5, 6, 16), PoolStage(2),
+        FlattenStage(), DenseStage(2, fan_in, 120, final=False),
+        DenseStage(3, 120, 84, final=False), DenseStage(4, 84, 10, final=True)]
+    h = hashlib.sha256()
+    for a in model.weights + model.biases:
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("hw, message", [
+    (12, "stage 2 (conv): a 5x5x6 kernel does not fit a 4x4x6 map"),
+    (18, "stage 3 (pool): pool 2 does not divide map size 3"),
+])
+def test_lenet5_names_an_input_size_that_does_not_chain(hw, message):
+    with pytest.raises(ValueError) as err:
+        init_lenet5(hw, seed=3)
+    assert str(err.value) == message

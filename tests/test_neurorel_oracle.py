@@ -41,9 +41,9 @@ def _graph(n_neurons, n_synapses, seed, activations):
 def _fitness_pair(g, clusters, comm_weight):
     owned = owned_synapses(g, clusters)
     loads = cluster_loads(g, owned)
-    args = (loads, TILES, TddbParams(), BtiParams(), comm_weight)
-    return (mapping_fitness(g, clusters, *args),
-            frozen_neuro.mapping_fitness(g, clusters, owned, *args))
+    return (mapping_fitness(g, clusters, loads, TILES, comm_weight),
+            frozen_neuro.mapping_fitness(g, clusters, owned, loads, TILES, TddbParams(),
+                                         BtiParams(), comm_weight))
 
 
 @pytest.mark.parametrize("comm_weight", [0.0, 0.5])
@@ -77,9 +77,9 @@ def test_crossing_term_alone_equals_frozen_reference():
     clusters = kl_partition(g, capacity=6, seed=0)
     owned = owned_synapses(g, clusters)
     loads = np.zeros(len(clusters))
-    args = (loads, TILES, TddbParams(), BtiParams(), 0.5)
-    new = mapping_fitness(g, clusters, *args)
-    old = frozen_neuro.mapping_fitness(g, clusters, owned, *args)
+    new = mapping_fitness(g, clusters, loads, TILES, 0.5)
+    old = frozen_neuro.mapping_fitness(g, clusters, owned, loads, TILES, TddbParams(),
+                                       BtiParams(), 0.5)
     rng = np.random.default_rng(2)
     for _ in range(50):
         a = rng.integers(0, len(TILES), size=len(clusters))

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from faultlab.neurorel import (
-    BtiParams,
     CrossbarConfig,
     PsoConfig,
-    TddbParams,
     TileSpec,
     build_endurance_map,
     map_workload,
@@ -29,8 +27,7 @@ from faultlab.neurorel.partition import kl_partition
 def _fitness_for(graph, clusters, tiles, comm_weight=0.0):
     owned = owned_synapses(graph, clusters)
     loads = cluster_loads(graph, owned)
-    return mapping_fitness(graph, clusters, loads, tiles,
-                           TddbParams(), BtiParams(), comm_weight)
+    return mapping_fitness(graph, clusters, loads, tiles, comm_weight)
 
 
 def test_single_cluster_single_tile():
@@ -123,7 +120,6 @@ def test_map_workload_end_to_end():
     emap = build_endurance_map(CrossbarConfig(n=16))
     mapping = map_workload(
         g, tiles, capacity=10, endurance_map=emap,
-        tddb=TddbParams(), bti=BtiParams(),
         pso_config=PsoConfig(particles=10, iterations=20), seed=4,
     )
     # every synapse is mapped exactly once, within its cluster's crossbar

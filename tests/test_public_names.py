@@ -31,7 +31,7 @@ ALLOWED = {
 # "function.parameter"
 UNSET_ALLOWED = {
     "faulty_mac": "the scalar oracle; tests set its fault, format and mode",
-    "forward_hooked": "the oracle pass over faulty_mac, which tests call in int8",
+    "forward_hooked": "the oracle pass over faulty_mac, which tests call in both formats",
     "build_endurance_map.params": "c10 builds the r_seg = 0 map",
     "main.argv": "the console entry point reads sys.argv; tests pass argv",
 }
