@@ -1,11 +1,14 @@
 """faultlab command line: run, report, and validate subcommands.
 
-Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
+Exit codes: 0 success, 1 config validation failure, 2 runtime failure,
+141 (128 + SIGPIPE, as a shell reports it) without a traceback when stdout
+closes early, as in ``faultlab validate c.yaml | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..yamlio import render
@@ -38,7 +41,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is flushed again at exit: devnull keeps that from raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
+
+def _command(args) -> int:
     if args.command in ("validate", "run"):
         config, errors = load_config(args.config)
         if errors:

@@ -6,13 +6,15 @@ an MLP's Flatten stage turns into (N, H*W) rows. Float mode is that pass
 as it is; the quantized modes replace its linear operator and expose an
 injectable integer matmul, so the MAC fault model can reroute every
 multiply through a faulty processing element. With the default matmul they
-are the fault-free baselines.
+are the fault-free baselines. No mode keeps the backward caches.
 
 int8 mode: weights quantized once per tensor, activations re-quantized
 per layer (symmetric, max/127), products and sums accumulated exactly.
 Integer matmuls run in floating point with every partial sum an integer
 the format holds exactly, so results are bit-stable regardless of BLAS
-order (see ``exact_int_matmul``).
+order (see ``exact_int_matmul``); each new accumulator is rescaled and
+biased in place. Images, ReLU and pool outputs are never negative, so
+``quantize_int8`` rounds them on its non-negative path.
 
 bfloat16 mode: weights and activations rounded to bfloat16; products of
 two bfloat16 values are exact in float64, accumulation stays in full
@@ -63,7 +65,8 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
     """Quantized forward pass with an injectable integer matmul.
 
     ``matmul_fn(weight_idx, aq, wq) -> accumulator array`` defaults to the
-    exact product-and-sum. For int8, ``weights_q`` may supply pre-quantized
+    exact product-and-sum; it returns a new float64 array, which int8 mode
+    rescales in place. For int8, ``weights_q`` may supply pre-quantized
     ``Int8Tensor`` weights (e.g. after fault injection into stored bytes).
     """
     if fmt == "int8":
@@ -76,7 +79,8 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
                 if matmul_fn is None
                 else matmul_fn(idx, q.raw, wq[idx].raw)
             )
-            return acc * (q.scale * wq[idx].scale) + mdl.biases[idx]
+            acc *= q.scale * wq[idx].scale
+            return np.add(acc, mdl.biases[idx], out=acc)
 
     elif fmt == "bfloat16":
         wb = [bf16_round_array(w).astype(np.float64) for w in model.weights]
@@ -89,7 +93,7 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
     else:
         raise ValueError(f"unknown quantized mode {fmt!r}, expected int8 or bfloat16")
 
-    return forward(model, x, linear_fn=linear)[0]
+    return forward(model, x, linear_fn=linear)
 
 
 def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:
@@ -100,7 +104,7 @@ def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:
         raise ValueError("cannot evaluate on an empty dataset")
     x = model_input(dataset)
     if mode == "float":
-        logits = forward(model, x)[0]
+        logits = forward(model, x)
     else:
         logits = quant_forward(model, x, fmt=mode)
     return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))

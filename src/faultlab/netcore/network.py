@@ -200,40 +200,42 @@ def col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
     return dx
 
 
-def forward(model: Network, x: np.ndarray, linear_fn=None):
-    """Forward pass returning (logits, caches).
+def forward(model: Network, x: np.ndarray, linear_fn=None, caches=None) -> np.ndarray:
+    """Forward pass returning the logits.
 
     ``x`` is (N, H, W, C), or (N, features) for an MLP. ``linear_fn(model,
-    weight_idx, a2d)`` replaces the default ``a2d @ W + b``; caches hold
-    what backward needs.
+    weight_idx, a2d)`` replaces the default ``a2d @ W + b``. Each stage
+    appends what backward needs to ``caches`` when it is a list; without
+    one, no stage's activations outlive the stage after it.
     """
     a = np.asarray(x, dtype=np.float64)
-    caches = []
+    keep = caches.append if caches is not None else lambda entry: None
     for stage in model.stages:
         if isinstance(stage, PoolStage):
             n, h, w, c = a.shape
             k = stage.kernel
-            caches.append(("pool", stage, a.shape))
+            keep(("pool", stage, a.shape))
             a = a.reshape(n, h // k, k, w // k, k, c).mean(axis=(2, 4))
         elif isinstance(stage, FlattenStage):
-            caches.append(("flatten", stage, a.shape))
+            keep(("flatten", stage, a.shape))
             a = a.reshape(a.shape[0], -1)
         else:
-            conv = isinstance(stage, ConvStage)
+            conv, in_shape = isinstance(stage, ConvStage), a.shape
             a2d = im2col(a, stage.kernel) if conv else a
             idx = stage.weight_idx
-            z = (
+            # ``a`` alone names each result, so none outlives the one after it
+            a = (
                 a2d @ model.weights[idx] + model.biases[idx]
                 if linear_fn is None
                 else linear_fn(model, idx, a2d)
             )
             if conv:
-                n, h, w, _ = a.shape
-                z = z.reshape(n, h - stage.kernel + 1, w - stage.kernel + 1, stage.out_ch)
-            out = z if not conv and stage.final else np.maximum(z, 0.0)
-            caches.append(("conv" if conv else "dense", stage, a.shape, a2d, out))
-            a = out
-    return a, caches
+                n, h, w, _ = in_shape
+                a = a.reshape(n, h - stage.kernel + 1, w - stage.kernel + 1, stage.out_ch)
+            if conv or not stage.final:
+                a = np.maximum(a, 0.0)
+            keep(("conv" if conv else "dense", stage, in_shape, a2d, a))
+    return a
 
 
 def backward(model: Network, caches, labels):

@@ -44,7 +44,8 @@ def train_sgd(
         order = rng.permutation(len(train))
         for start in range(0, len(train), batch_size):
             idx = order[start : start + batch_size]
-            logits, caches = forward(model, xs[idx], linear_fn=linear_fn)
+            caches = []
+            logits = forward(model, xs[idx], linear_fn, caches)
             loss = cross_entropy(logits, ys[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, loss)

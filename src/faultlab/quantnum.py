@@ -8,6 +8,11 @@ Conventions fixed here for reproducibility:
   * int8 quantization rounds half away from zero,
   * bfloat16 encode rounds to nearest even,
   * bit 7 of an int8 word is the sign bit.
+
+``quantize_int8`` takes min/max once (scale and non-finite check), then
+divides, rounds and clamps ``BLOCK`` elements at a time in cache-sized
+buffers. With no value below zero it rounds by ``floor(y + 0.5)``, which
+equals ``copysign(floor(|y| + 0.5), y)`` exactly for y >= 0.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 INT8_MIN = -128
 INT8_MAX = 127
 SIGN_BIT = 7
+BLOCK = 1 << 14  # elements per block: its float64 buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -39,41 +45,45 @@ class Int8Tensor:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
-def round_half_away(x):
-    """Round to nearest integer, halves away from zero."""
-    x = np.asarray(x, dtype=np.float64)
-    # one buffer for every step; empty_like keeps a 0-d input an array
-    out = np.abs(x, out=np.empty_like(x))
-    out += 0.5
-    np.floor(out, out=out)
-    return np.copysign(out, x, out=out)
+def _scale_and_min(values: np.ndarray) -> tuple[float, float]:
+    """``int8_scale`` of float64 ``values`` and their minimum (0 when empty)."""
+    lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # NaN or inf anywhere
+        raise ValueError("cannot quantize non-finite values")
+    peak = max(hi, -lo)
+    return (peak / INT8_MAX if peak > 0 else 1.0), lo
 
 
 def int8_scale(values) -> float:
     """Symmetric per-tensor scale ``max|v| / 127`` (1.0 when all are zero)."""
-    values = np.asarray(values, dtype=np.float64)
-    # max(max, -min) is max|v| without an |v| temporary; np.maximum keeps NaN
-    peak = float(np.maximum(values.max(), -values.min())) if values.size else 0.0
-    if not np.isfinite(peak):
-        raise ValueError("cannot quantize non-finite values")
-    return peak / INT8_MAX if peak > 0 else 1.0
+    return _scale_and_min(np.asarray(values, dtype=np.float64))[0]
 
 
 def quantize_int8(values, scale: float | None = None) -> Int8Tensor:
     """Quantize real values to two's-complement int8.
 
     With ``scale=None`` a symmetric per-tensor scale ``max|v| / 127`` is
-    chosen. Output raw values are clamped to [-128, 127].
+    chosen. ``values / scale`` rounds half away from zero into [-128, 127].
     """
     values = np.asarray(values, dtype=np.float64)
-    if scale is None:
-        scale = int8_scale(values)
-    elif not np.all(np.isfinite(values)):
-        raise ValueError("cannot quantize non-finite values")
+    auto, lo = _scale_and_min(values)
+    scale = auto if scale is None else scale
     if not (scale > 0):
         raise ValueError(f"scale must be positive, got {scale}")
-    q = round_half_away(values / scale)
-    raw = np.clip(q, INT8_MIN, INT8_MAX, out=q).astype(np.int8)
+    raw = np.empty(values.shape, dtype=np.int8)
+    src, dst = values.reshape(-1), raw.reshape(-1)
+    y, mag = np.empty((2, min(src.size, BLOCK)))
+    for start in range(0, src.size, BLOCK):
+        stop = min(start + BLOCK, src.size)
+        yb = np.divide(src[start:stop], scale, out=y[: stop - start])
+        if lo >= 0:  # every y >= 0 (or -0.0), where |y| = y and no clamp at -128
+            yb += 0.5
+            dst[start:stop] = np.minimum(np.floor(yb, out=yb), INT8_MAX, out=yb)
+        else:
+            mb = np.abs(yb, out=mag[: stop - start])
+            mb += 0.5
+            np.copysign(np.floor(mb, out=mb), yb, out=mb)
+            dst[start:stop] = np.clip(mb, INT8_MIN, INT8_MAX, out=mb)
     return Int8Tensor(raw=raw, scale=float(scale))
 
 

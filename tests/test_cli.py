@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import faultlab
 from faultlab.cli.config import load_config, validate
 from faultlab.cli.main import main
 from faultlab.cli.report import ReportError, report
@@ -428,6 +432,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["report", str(tmp_path / "o")]) == 0
     assert main(["report", str(tmp_path / "does-not-exist")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "report"])
+def test_closed_stdout_exits_without_traceback(tmp_path, command):
+    # the reader of stdout is gone before the command starts, as in
+    # `faultlab validate c.yaml | head -1` once head has its line
+    config = _write_config(tmp_path, {"experiment": "endurance-map", "campaign": {"n": 8}})
+    assert main(["run", str(config), "--output", str(tmp_path / "done")]) == 0
+    args = {"validate": [str(config)],
+            "run": [str(config), "--output", str(tmp_path / "o")],
+            "report": [str(tmp_path / "done"), "--no-svg"]}[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(faultlab.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "faultlab.cli.main", command, *args],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr and not proc.stderr
 
 
 def test_report_summarizes_dram_csv(tmp_path):

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import frozen_mlp
+import frozen_quant
 from faultlab.netcore import evaluate, forward_hooked, init_lenet5, init_mlp
 from faultlab.netcore import inference
-from faultlab.netcore.data import LabeledDataset
+from faultlab.netcore.data import LabeledDataset, synthetic_blobs
 from faultlab.netcore.inference import model_input, quant_forward
 from faultlab.netcore.network import forward
 from faultlab.netcore.checkpoint import load_model, save_model
@@ -91,10 +93,28 @@ def test_accuracy_in_unit_interval(small_mlp, blob_test):
 
 def test_quantized_argmax_agreement(small_mlp, blob_test):
     x = model_input(blob_test.subset(1000))
-    ref = np.argmax(forward(small_mlp, x)[0], axis=1)
+    ref = np.argmax(forward(small_mlp, x), axis=1)
     for fmt in ("int8", "bfloat16"):
         agree = np.mean(np.argmax(quant_forward(small_mlp, x, fmt), axis=1) == ref)
         assert agree >= 0.99
+
+
+def test_float_evaluate_keeps_no_layer_activations():
+    # 2000 samples on the 784-256-256-256-10 MLP. model_input holds the input
+    # and one temporary of its size; after that, a layer needs its input, its
+    # pre-activation and its output, and nothing of the layers before it.
+    rng = np.random.default_rng(0)
+    ds = LabeledDataset(rng.integers(0, 256, (2000, 28, 28), dtype=np.uint8),
+                        rng.integers(0, 10, 2000))
+    model = init_mlp(seed=0)
+    x_bytes, h_bytes = 2000 * 784 * 8, 2000 * 256 * 8
+    tracemalloc.start()
+    try:
+        evaluate(model, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(2 * x_bytes, x_bytes + 3 * h_bytes) + 2**20
 
 
 def test_forward_hooked_identity_is_bit_identical(rng):
@@ -263,12 +283,12 @@ def test_mlp_logits_match_frozen_mlp_forward(monkeypatch, small_mlp, blob_test):
     ds = blob_test.subset(300)
     x = model_input(ds)
     flat = frozen_mlp.flat_float(ds)
-    assert np.array_equal(forward(small_mlp, x)[0],
+    assert np.array_equal(forward(small_mlp, x),
                           frozen_mlp.mlp_forward(small_mlp, flat)[0])
     got = {fmt: quant_forward(small_mlp, x, fmt) for fmt in ("int8", "bfloat16")}
     # the same quantized linear layers, run through the frozen pass
     monkeypatch.setattr(inference, "forward", lambda model, a, linear_fn=None:
-                        frozen_mlp.mlp_forward(model, flat, linear_fn))
+                        frozen_mlp.mlp_forward(model, flat, linear_fn)[0])
     for fmt in ("int8", "bfloat16"):
         assert np.array_equal(got[fmt], quant_forward(small_mlp, x, fmt))
 
@@ -278,6 +298,17 @@ def _int8_operands(rng, n, fan_in, fan_out):
     wq = rng.integers(-128, 128, size=(fan_in, fan_out)).astype(np.int8)
     aq[0], wq[:, 0] = -128, -128  # the largest product, 2**14, on every input
     return aq, wq
+
+
+@pytest.mark.parametrize("model", [init_mlp((256, 32, 10), seed=2), init_lenet5(16, seed=2)],
+                         ids=["mlp", "lenet5"])
+def test_int8_logits_match_frozen_quantizer(monkeypatch, model):
+    # every quantized activation is non-negative (images, ReLU and pool
+    # outputs, conv patches), the weights are mixed-sign
+    x = model_input(synthetic_blobs(300, size=16, seed=5))
+    got = quant_forward(model, x, "int8")
+    monkeypatch.setattr(inference, "quantize_int8", frozen_quant.quantize_int8)
+    assert np.array_equal(got, quant_forward(model, x, "int8"))
 
 
 @pytest.mark.parametrize("fan_in", [1024, 2048])

@@ -46,11 +46,12 @@ def test_mlp_gradient_matches_central_differences(rng):
     x = rng.normal(0.3, 0.2, size=(6, 2))
     y = rng.integers(0, 2, size=6)
 
-    logits, caches = forward(model, x)
+    caches = []
+    forward(model, x, caches=caches)
     grads_w, grads_b = backward(model, caches, y)
 
     def loss():
-        return cross_entropy(forward(model, x)[0], y)
+        return cross_entropy(forward(model, x), y)
 
     for l in range(len(model.weights)):
         for arr, analytic in ((model.weights[l], grads_w[l]), (model.biases[l], grads_b[l])):
@@ -66,11 +67,12 @@ def test_cnn_gradient_matches_central_differences(rng):
                            DenseStage(1, 18, 3, final=True)], seed=5)
     x = rng.uniform(0, 1, size=(4, 8, 8, 1))
     y = rng.integers(0, 3, size=4)
-    _, caches = forward(model, x)
+    caches = []
+    forward(model, x, caches=caches)
     grads_w, grads_b = backward(model, caches, y)
 
     def loss():
-        return cross_entropy(forward(model, x)[0], y)
+        return cross_entropy(forward(model, x), y)
 
     for l in range(len(model.weights)):
         for arr, analytic in ((model.weights[l], grads_w[l]), (model.biases[l], grads_b[l])):

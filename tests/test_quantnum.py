@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import frozen_quant
 from faultlab import quantnum as qn
 
 
@@ -48,10 +52,71 @@ def test_quantize_rounds_half_away_from_zero():
     assert list(t.raw) == [1, -1, 2, -2]
 
 
-def test_round_half_away_takes_scalars_and_keeps_the_sign_of_zero():
-    assert qn.round_half_away(2.5) == 3.0 and qn.round_half_away(-2.5) == -3.0
-    assert qn.round_half_away(-0.4) == 0 and np.signbit(qn.round_half_away(-0.4))
-    assert qn.quantize_int8(0.5, scale=1.0).raw == 1
+def test_quantize_takes_scalars_and_rounds_half_away():
+    for value, raw in ((2.5, 3), (-2.5, -3), (-0.4, 0), (0.5, 1), (-0.0, 0)):
+        t = qn.quantize_int8(value, scale=1.0)
+        assert t.raw.shape == () and t.raw == raw
+    # the same ties inside a non-negative tensor and a mixed-sign one
+    assert list(qn.quantize_int8([2.5, 0.4, 0.0], scale=1.0).raw) == [3, 0, 0]
+    assert list(qn.quantize_int8([2.5, -2.5, -0.4], scale=1.0).raw) == [3, -3, 0]
+
+
+def _outcome(quantize, values, scale):
+    """What ``quantize`` gives: raw dtype, shape and bytes and the scale, or
+    the error it raises."""
+    try:
+        t = quantize(values, scale)
+    except ValueError as err:
+        return "ValueError", str(err)
+    return t.raw.dtype, t.raw.shape, t.raw.tobytes(), t.scale
+
+
+# powers of two keep the quarter-integer ties exact; 1e-3 clamps; 0 and -1 raise
+SCALES = st.none() | st.sampled_from([0.25, 0.5, 1.0, 2.0, 1e-3, 0.0, -1.0]) | st.floats(
+    min_value=1e-4, max_value=50.0)
+
+
+@st.composite
+def _tensors(draw):
+    """Small arbitrary tensors, or tensors whose size straddles the block edge
+    built from integers / 4 (exact ties at power-of-two scales), each signed or
+    non-negative, with -0.0 and non-finite values planted, in C order, F order
+    or as a strided view."""
+    if draw(st.booleans()):
+        values = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, min_side=0, max_side=6),
+                                 elements=st.floats(-1e6, 1e6) | st.sampled_from(
+                                     [0.5, -0.5, 2.5, -2.5, -0.0, 127.5, -128.5]),
+                                 fill=st.nothing()))
+    else:
+        n = draw(st.sampled_from([qn.BLOCK - 1, qn.BLOCK, qn.BLOCK + 1, 2 * qn.BLOCK + 3]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = rng.integers(-600, 600, size=n) / 4.0
+    if draw(st.booleans()):
+        values = np.abs(values)
+    if values.size:
+        flat = values.reshape(-1)
+        for special in draw(st.lists(st.sampled_from([-0.0, -0.0, np.nan, np.inf, -np.inf]),
+                                     max_size=2)):
+            flat[draw(st.integers(0, flat.size - 1))] = special
+    layout = draw(st.sampled_from(["C", "F", "strided", "reversed"]))
+    if layout == "F" and values.ndim >= 2:
+        values = np.asfortranarray(values)
+    elif layout == "strided" and values.ndim >= 1:
+        values = values[::2]
+    elif layout == "reversed" and values.ndim >= 1:
+        values = values[..., ::-1]
+    return values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=_tensors(), scale=SCALES)
+@example(values=(np.arange(2 * qn.BLOCK + 1) % 600 - 300) / 2.0, scale=1.0)  # ties, clamps
+@example(values=(np.arange(2 * qn.BLOCK + 1) % 600) / 2.0, scale=1.0)
+def test_quantize_matches_frozen_whole_tensor_quantizer(values, scale):
+    got = _outcome(qn.quantize_int8, values, scale)
+    assert got == _outcome(frozen_quant.quantize_int8, values, scale)
+    if scale is None and got[0] != "ValueError":
+        assert got[3] == qn.int8_scale(values)
 
 
 def test_int8_byte_views():
