@@ -14,10 +14,12 @@ canonical text (``render``) are ``yamlio``'s, which the file readers share.
 from __future__ import annotations
 
 import copy
+import inspect
 from pathlib import Path
 
 import yaml
 
+from ..netcore.data import synthetic_blobs
 from ..netcore.network import DEFAULT_LAYERS, fit_error
 from ..yamlio import BOOL, PATH, POSITIVE, check_mapping, integer, list_of, number, one_of
 from .runner import KINDS, build_network
@@ -66,6 +68,7 @@ _BLOB_RULES = {
     "sigma_min_frac": POSITIVE,
     "sigma_max_frac": POSITIVE,
 }
+_BLOB_ARGS = inspect.signature(synthetic_blobs).parameters
 
 _TILE_RULES = {"voltage": POSITIVE, "temperature": POSITIVE}
 
@@ -106,7 +109,13 @@ def validate(raw: dict, base_dir: Path | None = None):
             ds_spec = {**ds_spec, **dict.fromkeys(_IDX_FILES, (None, _IDX_PATH))}
         cfg["dataset"], ds_ok = _section("dataset", ds_spec, raw, errors)
         ds = cfg["dataset"]
-        check_mapping(ds["params"], _BLOB_RULES, errors, "dataset.params")
+        if check_mapping(params := ds["params"], _BLOB_RULES, errors, "dataset.params"):
+            lo, hi = (params.get(k, _BLOB_ARGS[k].default)
+                      for k in ("sigma_min_frac", "sigma_max_frac"))
+            if POSITIVE[0](lo) and POSITIVE[0](hi) and lo > hi:
+                field = "sigma_min_frac" if "sigma_min_frac" in params else "sigma_max_frac"
+                errors.append(f"dataset.params.{field}: sigma_min_frac {lo:g} is above "
+                              f"sigma_max_frac {hi:g}")
         for key in _IDX_FILES if ds["kind"] == "idx" else ():
             ds[key] = _existing(ds[key], base_dir, f"dataset.{key}", errors)
         cfg["train"], _ = _section("train", SECTIONS["train"], raw, errors)

@@ -20,6 +20,7 @@ from ..yamlio import naming
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+BLOCK = 128  # samples synthetic_blobs renders at once: about 4 MB at 28x28
 
 
 class IdxError(ValueError):
@@ -114,6 +115,12 @@ def synthetic_blobs(
     drives the per-sample draw, which jitters blob centers and amplitudes
     and adds pixel noise, so the task is learnable to high but not perfect
     accuracy.
+
+    The ``seed`` stream is fixed: the n labels, then per sample ``3B +
+    size**2`` normals (B = ``blobs_per_class``) in order: (B, 2) center
+    jitters, B gains, pixel noise, each ``0.0 + scale * z`` as
+    ``Generator.normal`` makes it. ``BLOCK`` samples draw theirs in one call
+    and sum each image in one order (zeros, + blob 0, ..., + noise).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -125,19 +132,24 @@ def synthetic_blobs(
     sigmas = trng.uniform(size * sigma_min_frac, size * sigma_max_frac,
                           size=(classes, blobs_per_class))
     amps = trng.uniform(150.0, 235.0, size=(classes, blobs_per_class))
+    # a scalar's ** 2 is libm's pow, at times a bit off an array's square: keep it
+    den = np.array([[2.0 * s ** 2 for s in row] for row in sigmas])
 
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=n)
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     images = np.empty((n, size, size), dtype=np.uint8)
-    for i, c in enumerate(labels):
-        img = np.zeros((size, size), dtype=np.float64)
-        jitter = rng.normal(0.0, center_jitter, size=(blobs_per_class, 2))
-        gains = 1.0 + rng.normal(0.0, amplitude_jitter, size=blobs_per_class)
-        for b in range(blobs_per_class):
-            cy, cx = centers[c, b] + jitter[b]
-            r2 = (yy - cy) ** 2 + (xx - cx) ** 2
-            img += amps[c, b] * gains[b] * np.exp(-r2 / (2.0 * sigmas[c, b] ** 2))
-        img += rng.normal(0.0, pixel_noise, size=img.shape)
-        images[i] = np.clip(img, 0.0, 255.0).astype(np.uint8)
+    nb = blobs_per_class
+    for start in range(0, n, BLOCK):
+        c = labels[start:start + BLOCK]
+        z = rng.standard_normal((len(c), 3 * nb + size * size))
+        jitter = (0.0 + center_jitter * z[:, :2 * nb]).reshape(len(c), nb, 2)
+        gains = 1.0 + (0.0 + amplitude_jitter * z[:, 2 * nb:3 * nb])
+        img = np.zeros((len(c), size, size))
+        for b in range(nb):  # r2[i, j] = (i - cy)**2 + (j - cx)**2, squared per row, column
+            d2 = (np.arange(size) - (centers[c, b] + jitter[:, b])[:, :, None]) ** 2
+            r2 = d2[:, 0, :, None] + d2[:, 1, None, :]
+            img += ((amps[c, b] * gains[:, b])[:, None, None]
+                    * np.exp(-r2 / den[c, b][:, None, None]))
+        img += (0.0 + pixel_noise * z[:, 3 * nb:]).reshape(img.shape)
+        images[start:start + len(c)] = np.clip(img, 0.0, 255.0).astype(np.uint8)
     return LabeledDataset(images=images, labels=labels.astype(np.int64))

@@ -55,9 +55,9 @@ def exact_int_matmul(aq: np.ndarray, wq: np.ndarray) -> np.ndarray:
 
 def model_input(dataset: LabeledDataset) -> np.ndarray:
     """Images as (N, H, W, 1) floats in [0, 1], the input of every network."""
-    # scaled before the channel axis is added: numpy divides a trailing
-    # length-1 axis about twice as slowly
-    return (dataset.images.astype(np.float64) / 255.0)[..., None]
+    # cast and scaled by one ufunc into one array, before the channel axis is
+    # added: numpy divides a trailing length-1 axis about twice as slowly
+    return np.divide(dataset.images, 255.0, dtype=np.float64)[..., None]
 
 
 def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,

@@ -3,18 +3,19 @@
 Activation counts (writes or spikes per workload window) arrive with the
 workload; spiking dynamics are not simulated here. File format
 (faultlab-workload/1): a YAML document with ``neurons`` (list of ids) and
-``synapses`` (list of {src, dst, weight, activation}).
+``synapses`` (list of {src, dst, weight, activation}). The writer emits
+SafeDumper's bytes for this fixed schema itself; the reader uses libyaml.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from ..yamlio import (REAL, integer, list_of, naming, read_document, require,
-                      write_document)
+from ..yamlio import REAL, integer, list_of, naming, read_document, require
 
 FORMAT_TAG = "faultlab-workload/1"
 # types only: Synapse checks that weight and activation are finite
@@ -55,16 +56,19 @@ class SnnWorkloadGraph:
         return float(sum(s.activation for s in self.synapses))
 
 
+def _scalar(v) -> str:
+    """PyYAML's text of an int or a finite float (its ``represent_float``)."""
+    text = repr(v)
+    return text.replace("e", ".0e", 1) if "e" in text and "." not in text else text
+
+
 def save_workload(path, graph: SnnWorkloadGraph):
-    doc = {
-        "format": FORMAT_TAG,
-        "neurons": list(graph.neurons),
-        "synapses": [
-            {"src": s.src, "dst": s.dst, "weight": s.weight, "activation": s.activation}
-            for s in graph.synapses
-        ],
-    }
-    write_document(path, doc)
+    lines = [f"format: {FORMAT_TAG}", "neurons:" + ("" if graph.neurons else " []")]
+    lines += [f"- {n}" for n in graph.neurons]
+    lines.append("synapses:" + ("" if graph.synapses else " []"))
+    lines += [f"- src: {s.src}\n  dst: {s.dst}\n  weight: {_scalar(s.weight)}\n"
+              f"  activation: {_scalar(s.activation)}" for s in graph.synapses]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_workload(path) -> SnnWorkloadGraph:

@@ -6,9 +6,9 @@ A rule is (check, message). The vocabulary ``integer``, ``number``,
 value: configs apply it through ``check_mapping``, file readers through
 ``require``, and ``naming`` names the file and entry of a bad value.
 
-For the documents faultlab writes (fault maps, workloads) libyaml emits
-the same bytes as ``yaml.safe_dump`` and parses to the same objects as
-``yaml.safe_load``, several times faster. ``render`` writes a config's
+For the fault maps faultlab writes libyaml emits the same bytes as
+``yaml.safe_dump``, and for every document it parses to the same objects
+as ``yaml.safe_load``, several times faster. ``render`` writes a config's
 canonical text, which ``yaml.safe_load`` reads back to the same mapping.
 """
 

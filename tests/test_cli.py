@@ -115,6 +115,11 @@ class _Sections(dict):
     # a LeNet-5's first convolution holds 150 weights, fewer than 250 faults
     ("dram-bitpos", _Sections(model={"kind": "lenet5"}), "campaign.counts:"),
     ("train", {"lr": 10**400}, "train.lr:"),  # an int no float can hold
+    ("dram-bitpos", {"params": {"sigma_min_frac": 0.3, "sigma_max_frac": 0.1}},
+     "dataset.params.sigma_min_frac: sigma_min_frac 0.3 is above sigma_max_frac 0.1"),
+    # the other width is synthetic_blobs' default, 0.08 or 0.16
+    ("train", {"params": {"sigma_min_frac": 0.2}}, "dataset.params.sigma_min_frac:"),
+    ("train", {"params": {"sigma_max_frac": 0.05}}, "dataset.params.sigma_max_frac:"),
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
     sections = (campaign if isinstance(campaign, _Sections)
@@ -134,6 +139,14 @@ def test_validate_names_wrong_workload_field(workload, field):
     cfg, errors = validate({"experiment": "neuro-map", "workload": workload})
     assert cfg is None
     assert len(errors) == 1 and errors[0].startswith(field), errors
+
+
+@pytest.mark.parametrize("params", [{"sigma_min_frac": 0.15}, {"sigma_max_frac": 0.09},
+                                    {"sigma_min_frac": 0.2, "sigma_max_frac": 0.2}])
+def test_validate_accepts_blob_widths_in_order(params):
+    # one width alone is compared with synthetic_blobs' default other, 0.16 or 0.08
+    cfg, errors = validate({"experiment": "train", "dataset": {"params": params}})
+    assert errors == [] and cfg["dataset"]["params"] == params
 
 
 def test_validate_rejects_bool_seed():

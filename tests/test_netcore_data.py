@@ -8,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import frozen_data
+from conftest import TWIN_B
 from faultlab.netcore import IdxError, LabeledDataset, load_idx, synthetic_blobs
+from faultlab.netcore.data import BLOCK
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -101,6 +104,31 @@ def test_synthetic_blobs_shapes_and_range():
     assert ds.images.shape == (40, 16, 16)
     assert ds.images.dtype == np.uint8
     assert ds.labels.min() >= 0 and ds.labels.max() < 7
+
+
+_STILL = dict(center_jitter=0.0, amplitude_jitter=0.0, pixel_noise=0.0)
+
+
+@pytest.mark.parametrize("params", [{}, TWIN_B, dict(size=16, classes=4), dict(size=12),
+                                    dict(blobs_per_class=1), _STILL],
+                         ids=["default", "twin-b", "16x16-4-classes", "12x12",
+                              "one-blob", "no-jitter-no-noise"])
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_synthetic_blobs_match_the_per_sample_renderer(params, n):
+    got = synthetic_blobs(n, seed=9, **params)
+    want = frozen_data.synthetic_blobs(n, seed=9, **params)
+    assert got.images.shape == want.images.shape
+    assert got.images.tobytes() == want.images.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_synthetic_blobs_keep_the_inverted_sigma_error():
+    params = dict(sigma_min_frac=0.3, sigma_max_frac=0.1)
+    with pytest.raises(ValueError) as want:
+        frozen_data.synthetic_blobs(5, **params)
+    with pytest.raises(ValueError) as got:
+        synthetic_blobs(5, **params)
+    assert str(got.value) == str(want.value)
 
 
 def test_load_idx_rejects_negative_dimension(tmp_path, idx_pair):

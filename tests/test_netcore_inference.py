@@ -99,22 +99,33 @@ def test_quantized_argmax_agreement(small_mlp, blob_test):
         assert agree >= 0.99
 
 
-def test_float_evaluate_keeps_no_layer_activations():
-    # 2000 samples on the 784-256-256-256-10 MLP. model_input holds the input
-    # and one temporary of its size; after that, a layer needs its input, its
-    # pre-activation and its output, and nothing of the layers before it.
-    rng = np.random.default_rng(0)
-    ds = LabeledDataset(rng.integers(0, 256, (2000, 28, 28), dtype=np.uint8),
-                        rng.integers(0, 10, 2000))
-    model = init_mlp(seed=0)
-    x_bytes, h_bytes = 2000 * 784 * 8, 2000 * 256 * 8
+def _peak_bytes(fn, *args) -> int:
     tracemalloc.start()
     try:
-        evaluate(model, ds)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= max(2 * x_bytes, x_bytes + 3 * h_bytes) + 2**20
+
+
+def _random_images(n: int) -> LabeledDataset:
+    rng = np.random.default_rng(0)
+    return LabeledDataset(rng.integers(0, 256, (n, 28, 28), dtype=np.uint8),
+                          rng.integers(0, 10, n))
+
+
+def test_model_input_holds_one_float_copy():
+    ds = _random_images(2000)
+    assert _peak_bytes(model_input, ds) <= 2000 * 784 * 8 + 2**20
+
+
+def test_float_evaluate_keeps_no_layer_activations():
+    # 2000 samples on the 784-256-256-256-10 MLP. model_input holds the input
+    # alone; after that, a layer needs its input, its pre-activation and its
+    # output, and nothing of the layers before it.
+    ds, model = _random_images(2000), init_mlp(seed=0)
+    x_bytes, h_bytes = 2000 * 784 * 8, 2000 * 256 * 8
+    assert _peak_bytes(evaluate, model, ds) <= x_bytes + 3 * h_bytes + 2**20
 
 
 def test_forward_hooked_identity_is_bit_identical(rng):

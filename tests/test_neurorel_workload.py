@@ -7,21 +7,59 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from faultlab.neurorel import Synapse, load_workload, random_workload, save_workload
+from faultlab.neurorel import (SnnWorkloadGraph, Synapse, load_workload, random_workload,
+                               save_workload)
+
+
+def _document(g):
+    return {"format": "faultlab-workload/1", "neurons": list(g.neurons),
+            "synapses": [{"src": s.src, "dst": s.dst, "weight": s.weight,
+                          "activation": s.activation} for s in g.synapses]}
+
+
+def _assert_safe_dumper_bytes(path, g):
+    save_workload(path, g)
+    assert path.read_text() == yaml.dump(_document(g), Dumper=yaml.SafeDumper,
+                                         sort_keys=False)
+    assert load_workload(path) == g
+
+
+# repr writes 1e16, 1e17, 1e-7, 5e-324 and -1e22 with no "." before the
+# exponent, where PyYAML inserts ".0"; the others have one
+EDGE_FLOATS = [-0.0, 0.0, 1e16, 1e17, 1e-7, -1.5e-300, 1.2345678901234567e19, 5e-324,
+               2.0**63, -1e22]
 
 
 def test_save_writes_the_pure_python_dumper_bytes(tmp_path):
-    g = random_workload(30, 200, seed=4)
-    path = tmp_path / "w.yaml"
-    save_workload(path, g)
-    doc = {
-        "format": "faultlab-workload/1",
-        "neurons": list(g.neurons),
-        "synapses": [{"src": s.src, "dst": s.dst, "weight": s.weight,
-                      "activation": s.activation} for s in g.synapses],
-    }
-    assert path.read_text() == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
-    assert load_workload(path) == g
+    edges = SnnWorkloadGraph(neurons=(0, 1), synapses=tuple(
+        Synapse(0, 1, weight=v, activation=abs(v)) for v in EDGE_FLOATS))
+    empty = SnnWorkloadGraph(neurons=(3, 7, 9), synapses=())
+    for name, g in [("random", random_workload(30, 200, seed=4)), ("edges", edges),
+                    ("empty", empty)]:
+        _assert_safe_dumper_bytes(tmp_path / f"{name}.yaml", g)
+    assert (tmp_path / "empty.yaml").read_text().endswith("\nsynapses: []\n")
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(EDGE_FLOATS),
+                    st.integers(-2**63, 2**63).map(float),
+                    st.integers(-1074, -1022).map(lambda e: 2.0**e))  # subnormals
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=8))
+    return SnnWorkloadGraph(neurons=tuple(range(n)), synapses=tuple(
+        Synapse(src, dst, draw(_FINITE), abs(draw(_FINITE))) for src, dst in pairs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=_graphs())
+def test_save_writes_what_the_safe_dumper_writes(tmp_path, g):
+    _assert_safe_dumper_bytes(tmp_path / "w.yaml", g)
 
 
 @pytest.mark.parametrize("field", ["weight", "activation"])
@@ -102,10 +140,7 @@ _JUNK = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=T
 @st.composite
 def _mutated_workload(draw):
     """The bytes of a valid workload file with one value, key or run of bytes changed."""
-    g = random_workload(5, 6, seed=draw(st.integers(0, 3)))
-    doc = {"format": "faultlab-workload/1", "neurons": list(g.neurons),
-           "synapses": [{"src": s.src, "dst": s.dst, "weight": s.weight,
-                         "activation": s.activation} for s in g.synapses]}
+    doc = _document(random_workload(5, 6, seed=draw(st.integers(0, 3))))
     how = draw(st.sampled_from(["value", "drop", "neuron", "entry", "bytes"]))
     if how == "value":
         entry = draw(st.sampled_from(doc["synapses"]))
