@@ -24,6 +24,8 @@ from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .. import __version__, dramfault, macfault, neurorel
 from ..netcore import (
     evaluate,
@@ -36,6 +38,7 @@ from ..netcore import (
     train_sgd,
 )
 from ..netcore.network import fit_error
+from ..seeds import derive_seed
 from ..yamlio import (
     FRACTION,
     PERCENT,
@@ -51,11 +54,6 @@ from .report import SCHEMAS
 
 DEFAULT_OUTPUT_ROOT = "faultlab-out"
 OUTPUT_ENV = "FAULTLAB_OUT"
-
-
-def derive_seed(master: int, kind: str, tag) -> int:
-    digest = hashlib.sha256(f"{master}:{kind}:{tag}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**31)
 
 
 def _fmt_value(v):
@@ -363,21 +361,21 @@ def _neuro_map(ctx):
     tiles = [neurorel.TileSpec(**t) for t in camp["tiles"]]
     emap = neurorel.build_endurance_map(neurorel.CrossbarConfig(n=camp["crossbar_n"]))
     seed = ctx.seed("pso")
-    mapping = neurorel.map_workload(
-        graph, tiles, capacity=camp["capacity"], endurance_map=emap,
-        pso_config=neurorel.PsoConfig(particles=camp["particles"],
-                                      iterations=camp["iterations"]),
-        seed=seed, comm_weight=camp["comm_weight"],
-    )
-    rows = []
-    for ci, placement in enumerate(mapping.placements):
-        tile = int(mapping.assignment[ci])
-        for syn_idx, (r, c) in sorted(placement.items()):
-            endurance = float(emap.endurance[r, c])
-            act = graph.synapses[syn_idx].activation
-            life = endurance / act if act > 0 else float("nan")
-            rows.append((ci, tile, syn_idx, r, c, endurance, life))
-    ctx.emit("mapping", "mapping", rows)
+    try:
+        mapping = neurorel.map_workload(
+            graph, tiles, capacity=camp["capacity"], endurance_map=emap, seed=seed,
+            pso_config=neurorel.PsoConfig(camp["particles"], camp["iterations"]),
+            comm_weight=camp["comm_weight"])
+    except neurorel.CrossbarOverflow as err:
+        raise ValueError(f"{err}: raise campaign.crossbar_n or lower "
+                         "campaign.capacity") from None
+    order = np.argsort(mapping.owner, kind="stable")  # rows by cluster, then synapse
+    owner, (rows, cols) = mapping.owner[order], mapping.cells[order].T
+    endurance, act = emap.endurance[rows, cols], graph.activation[order]
+    life = np.divide(endurance, act, out=np.full(len(act), np.nan), where=act > 0)
+    ctx.emit("mapping", "mapping", zip(
+        owner.tolist(), mapping.assignment[owner].tolist(), order.tolist(), rows.tolist(),
+        cols.tolist(), endurance.tolist(), life.tolist()))
     baseline = neurorel.random_baseline_fitness(
         len(mapping.clusters), len(tiles), mapping.fitness_fn,
         seeds=[ctx.seed(f"baseline{k}") for k in range(camp["baseline_seeds"])],

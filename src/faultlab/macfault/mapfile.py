@@ -1,7 +1,9 @@
-"""Fault map file: a YAML dump of a seeded array's faults and its FSR.
+"""Fault map file: a YAML document of a seeded array's faults and its FSR.
 
 ``deactivate`` runs write one per seed. The file is an output, documented
-for external tooling; faultlab does not read it back.
+for external tooling; faultlab does not read it back. ``save_fault_map``
+writes this fixed schema line by line, the bytes ``yaml.safe_dump`` would
+write for it (block style, keys in schema order).
 
 Schema (faultlab-faultmap/1):
   format: faultlab-faultmap/1
@@ -14,7 +16,9 @@ Schema (faultlab-faultmap/1):
 
 from __future__ import annotations
 
-from ..yamlio import write_document
+from pathlib import Path
+
+from ..yamlio import scalar_text
 from .array import ArrayConfig, FaultStatusRegister
 from .faults import CRITICAL, NON_CRITICAL, PRODUCT_WIDTH, FaultMap
 
@@ -40,21 +44,18 @@ def cone_masks(pairs) -> tuple:
 
 def save_fault_map(path, config: ArrayConfig, fault_map: FaultMap,
                    fsr: FaultStatusRegister | None = None, seed: int | None = None):
-    doc = {
-        "format": FORMAT_TAG,
-        "config": {"n_row": config.n_row, "n_col": config.n_col, "fmt": config.fmt},
-        "seed": seed,
-        "fr_max_non_crit": None if fsr is None else fsr.fr_max_non_crit,
-        "faults": [
-            {"row": r, "col": c, "cone_bits": [list(b) for b in cone_bits(zeros, ones)],
-             "carry": carry}
-            for r, c, zeros, ones, carry in fault_map.entries()
-        ],
-    }
+    lines = [f"format: {FORMAT_TAG}", "config:", f"  n_row: {config.n_row}",
+             f"  n_col: {config.n_col}", f"  fmt: {config.fmt}", f"seed: {scalar_text(seed)}",
+             f"fr_max_non_crit: {scalar_text(fsr and fsr.fr_max_non_crit)}",
+             "faults:" + ("" if len(fault_map) else " []")]
+    for r, c, zeros, ones, carry in fault_map.entries():  # no signature is empty
+        lines += [f"- row: {r}", f"  col: {c}", "  cone_bits:"]
+        lines += [f"  - - {bit}\n    - {value}" for bit, value in cone_bits(zeros, ones)]
+        lines.append(f"  carry: {scalar_text(carry)}")
     if fsr is not None:
-        doc["fsr"] = [
-            {"row": r, "col": c, "criticality": CRITICAL if crit else NON_CRITICAL}
-            for r, c, crit in zip(fsr.rows.tolist(), fsr.cols.tolist(),
-                                  fsr.critical.tolist())
-        ]
-    write_document(path, doc)
+        lines.append("fsr:" + ("" if len(fsr.rows) else " []"))
+        lines += [f"- row: {r}\n  col: {c}\n  criticality: "
+                  f"{CRITICAL if crit else NON_CRITICAL}"
+                  for r, c, crit in zip(fsr.rows.tolist(), fsr.cols.tolist(),
+                                        fsr.critical.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n")

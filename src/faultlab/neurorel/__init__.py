@@ -21,22 +21,22 @@ from .crossbar import (
     build_endurance_map,
     default_endurance_params,
 )
-from .workload import SnnWorkloadGraph, Synapse, load_workload, random_workload, save_workload
+from .workload import SnnWorkloadGraph, load_workload, random_workload, save_workload
 from .partition import cut_cost, kl_partition
-from .placement import effective_lifetime, place_synapses
+from .placement import CrossbarOverflow, effective_lifetime, place_synapses
 from .pso import PsoConfig, pso_assign
 from .mapping import TileMapping, TileSpec, map_workload, random_baseline_fitness
 
 __all__ = [
     "BtiParams",
     "CrossbarConfig",
+    "CrossbarOverflow",
     "EnduranceMap",
     "EnduranceModelParams",
     "K_BOLTZMANN_EV",
     "PsoConfig",
     "SnnWorkloadGraph",
     "StressProfile",
-    "Synapse",
     "TddbParams",
     "TileMapping",
     "TileSpec",

@@ -17,10 +17,10 @@ import numpy as np
 
 from .aging import BtiParams, StressProfile, TddbParams, aging_fitness
 from .crossbar import EnduranceMap
-from .placement import effective_lifetime, place_synapses
-from .partition import cluster_owner, cut_cost, kl_partition
+from .placement import CrossbarOverflow, effective_lifetime, place_synapses
+from .partition import cut_cost, endpoint_clusters, kl_partition
 from .pso import PsoConfig, pso_assign
-from .workload import SnnWorkloadGraph
+from .workload import SnnWorkloadGraph, running_sum
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class TileSpec:
 class TileMapping:
     clusters: list
     assignment: np.ndarray  # cluster index -> tile index
-    placements: list  # per cluster: {owned-synapse index -> (row, col)}
+    owner: np.ndarray  # synapse index -> index of the cluster holding its dst
+    cells: np.ndarray  # synapse index -> (row, col) in its cluster's crossbar
     lifetime: float
     fitness: float
     cut: float
@@ -43,18 +44,10 @@ class TileMapping:
     fitness_fn: Callable  # the fitness the PSO minimized, over assignments
 
 
-def owned_synapses(graph: SnnWorkloadGraph, clusters) -> list:
-    owner = cluster_owner(clusters)
-    out = [[] for _ in clusters]
-    for idx, s in enumerate(graph.synapses):
-        out[owner[s.dst]].append(idx)
-    return out
-
-
-def cluster_loads(graph: SnnWorkloadGraph, owned) -> np.ndarray:
-    return np.array(
-        [sum(graph.synapses[i].activation for i in idxs) for idxs in owned]
-    )
+def cluster_loads(graph: SnnWorkloadGraph, clusters) -> np.ndarray:
+    """Activation of the synapses each cluster owns, summed in synapse order."""
+    return np.bincount(endpoint_clusters(graph, clusters)[1], weights=graph.activation,
+                       minlength=len(clusters))
 
 
 def tile_duties(loads: np.ndarray, assignment, n_tiles: int) -> np.ndarray:
@@ -75,13 +68,10 @@ def mapping_fitness(graph: SnnWorkloadGraph, clusters, loads, tiles,
     """
     tddb, bti, act = TddbParams(), BtiParams(), None
     if comm_weight > 0:
-        owner = cluster_owner(clusters)
-        ends = np.array([(owner[s.src], owner[s.dst]) for s in graph.synapses],
-                        dtype=np.intp).reshape(-1, 2)
-        inter = ends[:, 0] != ends[:, 1]
-        src, dst = ends[inter, 0], ends[inter, 1]
-        act = np.array([s.activation for s in graph.synapses], dtype=np.float64)[inter]
-        total = graph.total_activation or 1.0
+        src, dst = endpoint_clusters(graph, clusters)
+        inter = src != dst
+        src, dst, act = src[inter], dst[inter], graph.activation[inter]
+        total = running_sum(graph.activation) or 1.0
 
     def fitness(assignment):
         duties = tile_duties(loads, assignment, len(tiles))
@@ -93,10 +83,7 @@ def mapping_fitness(graph: SnnWorkloadGraph, clusters, loads, tiles,
         if act is not None:
             assignment = np.asarray(assignment)
             crossing = act[assignment[src] != assignment[dst]]
-            if len(crossing):
-                # a running sum, not np.sum: pairwise summation would round
-                # non-integer activations differently
-                value += comm_weight * float(np.cumsum(crossing)[-1]) / total
+            value += comm_weight * running_sum(crossing) / total
         return value
 
     return fitness
@@ -111,30 +98,30 @@ def map_workload(
     seed: int = 0,
     comm_weight: float = 0.0,
 ) -> TileMapping:
-    """Full mapping flow: KL partition, PSO tile assignment, placement.
+    """Full mapping flow: KL partition, placement, PSO tile assignment.
     ``fitness`` is the PSO's best, ``trace[-1]``, and is not evaluated again."""
     if not tiles:
         raise ValueError("need at least one tile")
     clusters = kl_partition(graph, capacity, seed=seed)
-    owned = owned_synapses(graph, clusters)
-    loads = cluster_loads(graph, owned)
-    fitness = mapping_fitness(graph, clusters, loads, tiles, comm_weight)
-    pso_config = pso_config or PsoConfig()
+    owner = endpoint_clusters(graph, clusters)[1]
+    cells = np.zeros((len(owner), 2), dtype=np.int64)
+    for k in range(len(clusters)):  # placement needs no tiles: fail before the PSO
+        mine = owner == k
+        try:
+            cells[mine] = place_synapses(graph.activation[mine], endurance_map)
+        except CrossbarOverflow as err:
+            raise CrossbarOverflow(f"cluster {k}: {err}") from None
+    fitness = mapping_fitness(graph, clusters, cluster_loads(graph, clusters), tiles,
+                              comm_weight)
     assignment, trace = pso_assign(len(clusters), len(tiles), fitness,
-                                   pso_config, seed=seed)
-    placements, lifetime = [], np.inf
-    for idxs in owned:
-        synapses = [graph.synapses[i] for i in idxs]
-        local = place_synapses(synapses, endurance_map)
-        placements.append({idxs[k]: cell for k, cell in local.items()})
-        if local:
-            lifetime = min(lifetime,
-                           effective_lifetime(local, synapses, endurance_map))
+                                   pso_config or PsoConfig(), seed=seed)
     return TileMapping(
         clusters=clusters,
         assignment=assignment,
-        placements=placements,
-        lifetime=float(lifetime),
+        owner=owner,
+        cells=cells,
+        lifetime=effective_lifetime(cells, graph.activation, endurance_map)
+        if len(cells) else np.inf,
         fitness=trace[-1],
         cut=cut_cost(graph, clusters),
         trace=trace,

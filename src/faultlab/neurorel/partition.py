@@ -10,34 +10,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .workload import SnnWorkloadGraph
+from .workload import SnnWorkloadGraph, running_sum
 
 # Kernighan-Lin improvement passes per bisection, at most
 MAX_PASSES = 12
 
 
 def _weight_matrix(graph: SnnWorkloadGraph):
-    ids = sorted(graph.neurons)
-    index = {nid: k for k, nid in enumerate(ids)}
+    ids = np.sort(graph.neurons)
+    a, b = np.searchsorted(ids, graph.src), np.searchsorted(ids, graph.dst)
     w = np.zeros((len(ids), len(ids)))
-    for s in graph.synapses:
-        a, b = index[s.src], index[s.dst]
-        w[a, b] += s.activation
-        w[b, a] += s.activation
-    return ids, w
+    # (a, b) then (b, a) of each synapse in turn: add.at adds in index order, so
+    # every entry sums its activations in synapse order, duplicates too
+    np.add.at(w, (np.column_stack((a, b)).ravel(), np.column_stack((b, a)).ravel()),
+              np.repeat(graph.activation, 2))
+    return ids.tolist(), w
 
 
-def cluster_owner(clusters) -> dict:
-    """Neuron id -> index of the cluster holding it."""
-    return {nid: k for k, cluster in enumerate(clusters) for nid in cluster}
+def endpoint_clusters(graph: SnnWorkloadGraph, clusters) -> np.ndarray:
+    """(2, synapses) array: the index of the cluster holding each synapse's src,
+    and that of the one holding its dst."""
+    ids = np.sort(graph.neurons)
+    owner = np.full(len(ids), -1)
+    for k, cluster in enumerate(clusters):
+        owner[np.searchsorted(ids, cluster)] = k
+    if (owner < 0).any():
+        raise ValueError(f"neuron {ids[np.argmax(owner < 0)]} is in no cluster")
+    return owner[np.searchsorted(ids, np.stack([graph.src, graph.dst]))]
 
 
 def cut_cost(graph: SnnWorkloadGraph, clusters) -> float:
     """Total activation on synapses whose endpoints sit in different clusters."""
-    owner = cluster_owner(clusters)
-    return float(
-        sum(s.activation for s in graph.synapses if owner[s.src] != owner[s.dst])
-    )
+    src, dst = endpoint_clusters(graph, clusters)
+    return running_sum(graph.activation[src != dst])
 
 
 def _kl_pass(w, in_a):
@@ -86,14 +91,12 @@ def _bisect(w, rng):
         in_a, improved = _kl_pass(w, in_a)
         if not improved:
             break
-    side_a = [v for v in range(n) if in_a[v]]
-    side_b = [v for v in range(n) if not in_a[v]]
-    return side_a, side_b
+    return np.flatnonzero(in_a).tolist(), np.flatnonzero(in_a == 0).tolist()
 
 
 def kl_partition(graph: SnnWorkloadGraph, capacity: int, seed: int = 0) -> list:
     """Partition neurons into clusters of at most ``capacity`` neurons."""
-    if not graph.neurons:
+    if not len(graph.neurons):
         raise ValueError("graph has no neurons")
     if capacity < 1:
         raise ValueError(

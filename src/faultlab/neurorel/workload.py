@@ -1,95 +1,104 @@
 """SNN workload graphs: neurons plus synapses carrying activation counts.
 
-Activation counts (writes or spikes per workload window) arrive with the
-workload; spiking dynamics are not simulated here. File format
-(faultlab-workload/1): a YAML document with ``neurons`` (list of ids) and
-``synapses`` (list of {src, dst, weight, activation}). The writer emits
-SafeDumper's bytes for this fixed schema itself; the reader uses libyaml.
+A graph is five read-only 1-D arrays: the neuron ids, and per synapse its
+``src`` and ``dst`` ids, ``weight`` and ``activation``. Activation counts
+(writes or spikes per workload window) arrive with the workload; spiking
+dynamics are not simulated here. File format (faultlab-workload/1): a YAML
+document with ``neurons`` (list of ids) and ``synapses`` (list of {src, dst,
+weight, activation}). The writer emits SafeDumper's bytes for this fixed
+schema itself; the reader uses libyaml.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..yamlio import REAL, integer, list_of, naming, read_document, require
+from ..yamlio import REAL, integer, list_of, naming, read_document, require, scalar_text
 
 FORMAT_TAG = "faultlab-workload/1"
-# types only: Synapse checks that weight and activation are finite
-_SYNAPSE_RULES = {"src": integer(), "dst": integer(), "weight": REAL, "activation": REAL}
+_ID = integer(-2**63, 2**63 - 1)  # an id an int64 holds
+# types only: the graph checks that weight and activation are finite
+_SYNAPSE_RULES = {"src": _ID, "dst": _ID, "weight": REAL, "activation": REAL}
 
 
-@dataclass(frozen=True)
-class Synapse:
-    src: int
-    dst: int
-    weight: float
-    activation: float
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError(f"self-loop synapse on neuron {self.src}")
-        if not math.isfinite(self.weight):
-            raise ValueError(f"weight {self.weight} is not finite")
-        if not (math.isfinite(self.activation) and self.activation >= 0):
-            raise ValueError("activation count must be finite and non-negative")
+def running_sum(values) -> float:
+    """``values`` added in order from 0.0, as a Python loop adds them; np.sum's
+    pairwise summation would round non-integer values differently."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnnWorkloadGraph:
-    neurons: tuple
-    synapses: tuple
+    """Neuron ids, and per synapse its src and dst ids, weight and activation."""
+
+    neurons: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    activation: np.ndarray
 
     def __post_init__(self):
-        ids = set(self.neurons)
-        if len(ids) != len(self.neurons):
-            raise ValueError("duplicate neuron ids")
-        for s in self.synapses:
-            if s.src not in ids or s.dst not in ids:
-                raise ValueError(f"synapse {s.src}->{s.dst} references unknown neuron")
-
-    @property
-    def total_activation(self) -> float:
-        return float(sum(s.activation for s in self.synapses))
-
-
-def _scalar(v) -> str:
-    """PyYAML's text of an int or a finite float (its ``represent_float``)."""
-    text = repr(v)
-    return text.replace("e", ".0e", 1) if "e" in text and "." not in text else text
+        for f in fields(self):
+            is_id, value = f.name not in ("weight", "activation"), getattr(self, f.name)
+            array = np.array(value, dtype=np.int64 if is_id else np.float64)
+            if is_id and not np.array_equal(array, value):  # a cast would cut 0.7 to 0
+                raise ValueError(f"{f.name}: ids must be integers")
+            array.flags.writeable = False
+            object.__setattr__(self, f.name, array)
+        src, dst, weight, act = self.src, self.dst, self.weight, self.activation
+        if not len(src) == len(dst) == len(weight) == len(act):
+            raise ValueError("src, dst, weight and activation differ in length")
+        # each synapse's own checks in turn, then the ids': the first failure is named
+        bad = np.stack([src == dst, ~np.isfinite(weight), ~np.isfinite(act) | (act < 0)])
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            raise ValueError(f"synapses[{i}]: " + (
+                f"self-loop synapse on neuron {src[i]}",
+                f"weight {float(weight[i])} is not finite",
+                "activation count must be finite and non-negative")[np.argmax(bad[:, i])])
+        ids, first = np.unique(self.neurons, return_index=True)
+        if len(ids) < len(self.neurons):
+            i = int(np.argmax(np.bincount(first, minlength=len(self.neurons)) == 0))
+            raise ValueError(f"neurons[{i}]: duplicate neuron ids")
+        unknown = ~np.isin(np.stack([src, dst]), ids).all(axis=0)
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            raise ValueError(f"synapses[{i}]: synapse {src[i]}->{dst[i]} "
+                             "references unknown neuron")
 
 
 def save_workload(path, graph: SnnWorkloadGraph):
-    lines = [f"format: {FORMAT_TAG}", "neurons:" + ("" if graph.neurons else " []")]
-    lines += [f"- {n}" for n in graph.neurons]
-    lines.append("synapses:" + ("" if graph.synapses else " []"))
-    lines += [f"- src: {s.src}\n  dst: {s.dst}\n  weight: {_scalar(s.weight)}\n"
-              f"  activation: {_scalar(s.activation)}" for s in graph.synapses]
+    neurons = graph.neurons.tolist()
+    lines = [f"format: {FORMAT_TAG}", "neurons:" + ("" if neurons else " []")]
+    lines += [f"- {n}" for n in neurons]
+    lines.append("synapses:" + ("" if len(graph.src) else " []"))
+    lines += [f"- src: {s}\n  dst: {d}\n  weight: {scalar_text(w)}\n"
+              f"  activation: {scalar_text(a)}"
+              for s, d, w, a in zip(*(getattr(graph, k).tolist() for k in _SYNAPSE_RULES))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_workload(path) -> SnnWorkloadGraph:
     """Read a workload file; a malformed entry raises ValueError naming it."""
     doc = read_document(path, FORMAT_TAG)
-    neurons = require(doc.get("neurons"), list_of(integer(), min_len=1),
-                      f"{path}: neurons")
+    neurons = require(doc.get("neurons"), list_of(_ID, min_len=1), f"{path}: neurons")
     entries = doc.get("synapses", [])
     if not isinstance(entries, list):
         raise ValueError(f"{path}: synapses: expected a list")
-    synapses = []
+    columns = {key: [] for key in _SYNAPSE_RULES}
     for i, s in enumerate(entries):
         where = f"{path}: synapses[{i}]"
         if not isinstance(s, dict):
             raise ValueError(f"{where}: expected a mapping of {', '.join(_SYNAPSE_RULES)}")
-        with naming(where):  # a missing key too
-            src, dst, weight, activation = (require(s[key], rule, key)
-                                            for key, rule in _SYNAPSE_RULES.items())
-            synapses.append(Synapse(src, dst, float(weight), float(activation)))
+        with naming(where):  # a missing key, or an int too large for a float
+            for key, rule in _SYNAPSE_RULES.items():
+                value = require(s[key], rule, key)
+                columns[key].append(float(value) if rule is REAL else value)
     with naming(path):
-        return SnnWorkloadGraph(neurons=tuple(neurons), synapses=tuple(synapses))
+        return SnnWorkloadGraph(neurons=neurons, **columns)
 
 
 def random_workload(n_neurons: int, n_synapses: int, seed: int = 0,
@@ -101,13 +110,10 @@ def random_workload(n_neurons: int, n_synapses: int, seed: int = 0,
     if n_synapses > limit:
         raise ValueError(f"at most {limit} distinct synapses for {n_neurons} neurons")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(limit, size=n_synapses, replace=False)
-    synapses = []
-    for p in picks:
-        src, rest = divmod(int(p), n_neurons - 1)
-        dst = rest if rest < src else rest + 1
-        synapses.append(
-            Synapse(src=src, dst=dst, weight=float(rng.uniform(-1, 1)),
-                    activation=float(rng.integers(0, max_activation + 1)))
-        )
-    return SnnWorkloadGraph(neurons=tuple(range(n_neurons)), synapses=tuple(synapses))
+    src, rest = np.divmod(rng.choice(limit, size=n_synapses, replace=False), n_neurons - 1)
+    weight, activation = [], []
+    for _ in range(n_synapses):  # one uniform, then one integer draw per synapse
+        weight.append(rng.uniform(-1, 1))
+        activation.append(rng.integers(0, max_activation + 1))
+    return SnnWorkloadGraph(neurons=np.arange(n_neurons), src=src,
+                            dst=rest + (rest >= src), weight=weight, activation=activation)

@@ -1,6 +1,14 @@
 """Per-run seeds derived from a campaign's master seed."""
 
+import hashlib
+
 import numpy as np
+
+
+def derive_seed(master: int, kind: str, tag) -> int:
+    """31-bit seed of a run's master seed, experiment kind and tag (SHA-256)."""
+    digest = hashlib.sha256(f"{master}:{kind}:{tag}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") % (2**31)
 
 
 def derived_seed(master: int, *tags: int) -> int:

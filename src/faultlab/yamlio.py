@@ -6,10 +6,12 @@ A rule is (check, message). The vocabulary ``integer``, ``number``,
 value: configs apply it through ``check_mapping``, file readers through
 ``require``, and ``naming`` names the file and entry of a bad value.
 
-For the fault maps faultlab writes libyaml emits the same bytes as
-``yaml.safe_dump``, and for every document it parses to the same objects
-as ``yaml.safe_load``, several times faster. ``render`` writes a config's
-canonical text, which ``yaml.safe_load`` reads back to the same mapping.
+The files faultlab writes (workloads, fault maps) have fixed schemas that
+their modules emit line by line, each scalar through ``scalar_text``, so a
+file holds the bytes ``yaml.safe_dump`` would write. libyaml only reads: for
+every document it parses to the same objects as ``yaml.safe_load``, several
+times faster. ``render`` writes a config's canonical text, which
+``yaml.safe_load`` reads back to the same mapping.
 """
 
 from __future__ import annotations
@@ -22,15 +24,16 @@ from pathlib import Path
 import yaml
 
 try:
-    from yaml import CSafeDumper as _SafeDumper, CSafeLoader as _Loader
+    from yaml import CSafeLoader as _Loader
 except ImportError:  # PyYAML built without libyaml
-    from yaml import SafeDumper as _SafeDumper, SafeLoader as _Loader
+    from yaml import SafeLoader as _Loader
 
 
 def _range(lo, hi, open_lo, open_hi) -> str:
+    lo_text, hi_text = (str(x) if isinstance(x, int) else f"{x:g}" for x in (lo, hi))
     if hi == math.inf:
-        return "" if lo == -math.inf else f" {'>' if open_lo else '>='} {lo:g}"
-    return f" in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+        return "" if lo == -math.inf else f" {'>' if open_lo else '>='} {lo_text}"
+    return f" in {'(' if open_lo else '['}{lo_text}, {hi_text}{')' if open_hi else ']'}"
 
 
 def integer(lo=-math.inf, hi=math.inf):
@@ -94,21 +97,13 @@ def require(value, rule, what: str):
     return value
 
 
-class _TreeDumper(_SafeDumper):
-    """The safe dumper without alias tracking.
-
-    The documents are trees built fresh for each write, so no object
-    repeats and no anchor could be emitted; skipping the per-object
-    bookkeeping saves a fifth of the dump time.
-    """
-
-    def ignore_aliases(self, data):
-        return True
-
-
-def write_document(path, doc: dict) -> None:
-    """Write ``doc`` as block-style YAML, keys in insertion order."""
-    Path(path).write_text(yaml.dump(doc, Dumper=_TreeDumper, sort_keys=False))
+def scalar_text(v) -> str:
+    """PyYAML's safe-dumper text of None, a bool, an int or a finite float
+    (its ``represent_float``: ``repr``, with ``.0`` before a bare exponent)."""
+    if v is None or isinstance(v, bool):
+        return {None: "null", True: "true", False: "false"}[v]
+    text = repr(v)
+    return text.replace("e", ".0e", 1) if "e" in text and "." not in text else text
 
 
 def read_document(path, format_tag: str) -> dict:

@@ -1,16 +1,93 @@
-"""The SNN mapper's per-item fitness and Kernighan-Lin pass, kept as a reference.
+"""The SNN mapper's per-synapse loops, kept as a reference.
 
 ``mapping_fitness`` used to rebuild the crossing term in a Python
 generator over inter-cluster synapses on every call, and ``_kl_pass``
 gathered the live gain matrix with ``np.ix_`` after popping the swapped
-pair from Python lists. The array versions must reproduce these bit for
-bit.
+pair from Python lists. The weight matrix, cut cost, cluster loads,
+placement and lifetime looped over one synapse object at a time; here they
+loop over ``(src, dst, weight, activation)`` tuples. Their sums run left
+to right from 0, as ``sum`` does on Python 3.11. The array versions must
+reproduce all of these bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from faultlab.neurorel.aging import StressProfile, aging_fitness
-from faultlab.neurorel.partition import cluster_owner
+
+
+def synapses(graph) -> list:
+    """The graph's synapses as ``(src, dst, weight, activation)`` tuples."""
+    return list(zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist(),
+                    graph.activation.tolist()))
+
+
+def cluster_owner(clusters) -> dict:
+    """Neuron id -> index of the cluster holding it."""
+    return {nid: k for k, cluster in enumerate(clusters) for nid in cluster}
+
+
+def weight_matrix(neurons, syns):
+    ids = sorted(neurons)
+    index = {nid: k for k, nid in enumerate(ids)}
+    w = np.zeros((len(ids), len(ids)))
+    for src, dst, _, activation in syns:
+        a, b = index[src], index[dst]
+        w[a, b] += activation
+        w[b, a] += activation
+    return ids, w
+
+
+def cut_cost(syns, clusters) -> float:
+    owner = cluster_owner(clusters)
+    total = 0
+    for src, dst, _, activation in syns:
+        if owner[src] != owner[dst]:
+            total += activation
+    return float(total)
+
+
+def cluster_loads(syns, clusters) -> np.ndarray:
+    """The activation each cluster owns (a synapse is its dst's cluster's)."""
+    owner = cluster_owner(clusters)
+    owned = [[] for _ in clusters]
+    for idx, (_, dst, _, _) in enumerate(syns):
+        owned[owner[dst]].append(idx)
+    loads = []
+    for idxs in owned:
+        total = 0
+        for i in idxs:
+            total += syns[i][3]
+        loads.append(total)
+    return np.array(loads)
+
+
+def place_synapses(activations, endurance_map) -> dict:
+    """Synapse index -> (row, col)."""
+    n = endurance_map.n
+    if len(activations) > n * n:
+        raise ValueError("more synapses than cells")
+    order = sorted(range(len(activations)), key=lambda k: (-activations[k], k))
+    flat = endurance_map.endurance.ravel()
+    cell_order = np.lexsort(
+        (np.arange(flat.size) % n, np.arange(flat.size) // n, -flat)
+    )
+    return {
+        k: (int(cell_order[slot] // n), int(cell_order[slot] % n))
+        for slot, k in enumerate(order)
+    }
+
+
+def effective_lifetime(assignment: dict, activations, endurance_map) -> float:
+    if not assignment:
+        raise ValueError("no mapped synapses")
+    best = math.inf
+    for k, (row, col) in assignment.items():
+        activation = activations[k]
+        if activation > 0:
+            best = min(best, float(endurance_map.endurance[row, col]) / activation)
+    return best
 
 
 def tile_duties(loads, assignment, n_tiles):
@@ -23,17 +100,16 @@ def tile_duties(loads, assignment, n_tiles):
     return duties / total
 
 
-def mapping_fitness(graph, clusters, owned, loads, tiles, tddb, bti,
-                    comm_weight=0.0):
+def mapping_fitness(syns, clusters, loads, tiles, tddb, bti, comm_weight=0.0):
     inter = None
     if comm_weight > 0:
         owner = cluster_owner(clusters)
         inter = [
-            (owner[s.src], owner[s.dst], s.activation)
-            for s in graph.synapses
-            if owner[s.src] != owner[s.dst]
+            (owner[src], owner[dst], activation)
+            for src, dst, _, activation in syns
+            if owner[src] != owner[dst]
         ]
-        total = graph.total_activation or 1.0
+        total = float(sum(activation for *_, activation in syns)) or 1.0
 
     def fitness(assignment):
         duties = tile_duties(loads, assignment, len(tiles))

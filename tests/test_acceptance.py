@@ -41,7 +41,6 @@ from faultlab.neurorel import (
     BtiParams,
     CrossbarConfig,
     PsoConfig,
-    Synapse,
     TddbParams,
     TileSpec,
     build_endurance_map,
@@ -58,7 +57,6 @@ from faultlab.neurorel import (
 from faultlab.neurorel.mapping import (
     cluster_loads,
     mapping_fitness,
-    owned_synapses,
     random_baseline_fitness,
 )
 from faultlab.cli.config import validate as validate_config
@@ -446,25 +444,18 @@ def test_c11_placement(rng):
     emap = build_endurance_map(CrossbarConfig(n=16))
     for workload_seed in range(10):
         wrng = np.random.default_rng(5000 + workload_seed)
-        synapses = [
-            Synapse(src=2 * k, dst=2 * k + 1, weight=1.0,
-                    activation=float(wrng.integers(1, 500)))
-            for k in range(int(wrng.integers(10, 120)))
-        ]
-        assign = place_synapses(synapses, emap)
-        acts = [s.activation for s in synapses]
-        ends = [float(emap.endurance[assign[k]]) for k in range(len(synapses))]
-        for a in range(len(synapses)):
-            for b in range(len(synapses)):
+        acts = [float(wrng.integers(1, 500)) for _ in range(int(wrng.integers(10, 120)))]
+        cells = place_synapses(acts, emap)
+        ends = [float(emap.endurance[row, col]) for row, col in cells.tolist()]
+        for a in range(len(acts)):
+            for b in range(len(acts)):
                 if acts[a] > acts[b]:
                     assert ends[a] >= ends[b]
-        optimized = effective_lifetime(assign, synapses, emap)
-        cells = [assign[k] for k in range(len(synapses))]
+        optimized = effective_lifetime(cells, acts, emap)
         for placement_seed in range(10):
             prng = np.random.default_rng(9000 + placement_seed)
-            shuffled = [cells[i] for i in prng.permutation(len(cells))]
-            random_assign = dict(enumerate(shuffled))
-            assert optimized >= effective_lifetime(random_assign, synapses, emap)
+            shuffled = cells[prng.permutation(len(cells))]
+            assert optimized >= effective_lifetime(shuffled, acts, emap)
 
 
 # --- criterion 12: KL + PSO ---------------------------------------------------------
@@ -478,21 +469,21 @@ def test_c12_kl_and_pso(rng):
         g = random_workload(n, m, seed=2000 + trial)
         clusters = kl_partition(g, capacity=(n + 1) // 2, seed=trial)
         kl_cut = cut_cost(g, clusters)
-        nodes = sorted(g.neurons)
+        nodes = sorted(g.neurons.tolist())
+        synapses = list(zip(g.src.tolist(), g.dst.tolist(), g.activation.tolist()))
         cuts = []
         for _ in range(20):
             perm = rng.permutation(n)
             half = {nodes[v] for v in perm[: (n + 1) // 2]}
-            cuts.append(sum(s.activation for s in g.synapses
-                            if (s.src in half) != (s.dst in half)))
+            cuts.append(sum(activation for src, dst, activation in synapses
+                            if (src in half) != (dst in half)))
         assert kl_cut <= np.mean(cuts)
 
     # 3 clusters / 2 tiles: exhaustive enumeration of every assignment
     g = random_workload(24, 120, seed=7)
     clusters = [list(range(0, 8)), list(range(8, 16)), list(range(16, 24))]
     tiles = [TileSpec(3.0), TileSpec(1.8)]
-    owned = owned_synapses(g, clusters)
-    loads = cluster_loads(g, owned)
+    loads = cluster_loads(g, clusters)
     fitness = mapping_fitness(g, clusters, loads, tiles)
     optimum = min(fitness(np.array(a)) for a in itertools.product(range(2),
                                                                   repeat=3))

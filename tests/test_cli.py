@@ -19,8 +19,9 @@ import faultlab
 from faultlab.cli.config import load_config, validate
 from faultlab.cli.main import main
 from faultlab.cli.report import ReportError, report
-from faultlab.cli.runner import derive_seed, run
+from faultlab.cli.runner import run
 from faultlab.netcore import init_lenet5, init_mlp, save_model
+from faultlab.seeds import derive_seed
 from faultlab.yamlio import render
 
 
@@ -375,6 +376,18 @@ def test_run_names_network_input_mismatch(tmp_path, capsys, rng, case):
     path = _write_config(tmp_path, {"seed": 1, **doc})
     assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_names_the_cluster_that_overflows_its_crossbar(tmp_path, capsys):
+    # 4 neurons fit one cluster, whose 10 synapses outnumber a 3x3 crossbar's cells
+    path = _write_config(tmp_path, {
+        "experiment": "neuro-map", "workload": {"neurons": 4, "synapses": 10},
+        "campaign": {"capacity": 4, "crossbar_n": 3}})
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "run failed: cluster 0: 10 synapses exceed the 3x3 crossbar's 9 cells: "
+        "raise campaign.crossbar_n or lower campaign.capacity\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from faultlab.macfault import (
@@ -22,7 +24,7 @@ from faultlab.macfault import (
     save_fault_map,
     seed_fault_map,
 )
-from faultlab.macfault.mapfile import cone_masks
+from faultlab.macfault.mapfile import cone_bits, cone_masks
 from faultlab.netcore import evaluate, init_mlp
 
 
@@ -531,3 +533,45 @@ def test_fault_map_file_bytes_equal_pure_python_dumper(tmp_path):
     doc = yaml.safe_load(text)
     assert text == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False)
     assert len(doc["faults"]) == len(faults) and "fsr" in doc
+
+
+def _fault_map_document(config, faults, fsr, seed):
+    """The mapping a faultlab-faultmap/1 file holds."""
+    doc = {"format": "faultlab-faultmap/1",
+           "config": {"n_row": config.n_row, "n_col": config.n_col, "fmt": config.fmt},
+           "seed": seed, "fr_max_non_crit": None if fsr is None else fsr.fr_max_non_crit,
+           "faults": [{"row": r, "col": c, "cone_bits": [list(b) for b in cone_bits(s0, s1)],
+                       "carry": carry} for r, c, s0, s1, carry in faults.entries()]}
+    if fsr is not None:
+        doc["fsr"] = [{"row": r, "col": c, "criticality": "critical" if crit
+                       else "non-critical"} for r, c, crit in
+                      zip(fsr.rows.tolist(), fsr.cols.tolist(), fsr.critical.tolist())]
+    return doc
+
+
+@st.composite
+def _fault_map_files(draw):
+    """(config, map, FSR or None, seed or None) of an arbitrary fault map file."""
+    config = ArrayConfig(n_row=draw(st.integers(1, 300)), n_col=draw(st.integers(1, 300)),
+                         fmt=draw(st.sampled_from(["int8", "bfloat16"])))
+    pes = draw(st.lists(st.tuples(st.integers(0, config.n_row - 1),
+                                  st.integers(0, config.n_col - 1)),
+                        unique=True, max_size=6))
+    entries = []
+    for pe in sorted(pes):
+        bits = draw(st.integers(1, 2**16 - 1))
+        ones = bits & draw(st.integers(0, 2**16 - 1))
+        entries.append((*pe, bits ^ ones, ones, draw(st.booleans())))
+    faults = FaultMap.from_entries(entries)
+    fsr = draw(st.none() | st.floats(0, 1).map(lambda fr: build_fsr(faults, config.fmt, fr)))
+    return config, faults, fsr, draw(st.none() | st.integers(-2**63, 2**64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fault_map_files())
+def test_fault_map_file_is_what_the_safe_dumper_writes(tmp_path, case):
+    path = tmp_path / "map.yaml"
+    save_fault_map(path, *case)
+    assert path.read_text() == yaml.dump(_fault_map_document(*case),
+                                         Dumper=yaml.SafeDumper, sort_keys=False)

@@ -1,4 +1,4 @@
-"""The array fitness and Kernighan-Lin pass against their frozen references."""
+"""The mapper's array paths against their frozen per-synapse references."""
 
 from dataclasses import replace
 
@@ -8,16 +8,22 @@ import pytest
 import frozen_neuro
 from faultlab.neurorel import (
     BtiParams,
+    CrossbarConfig,
     PsoConfig,
     SnnWorkloadGraph,
     TddbParams,
     TileSpec,
+    build_endurance_map,
+    cut_cost,
+    effective_lifetime,
     kl_partition,
+    map_workload,
+    place_synapses,
     pso_assign,
     random_workload,
 )
 from faultlab.neurorel import partition
-from faultlab.neurorel.mapping import cluster_loads, mapping_fitness, owned_synapses
+from faultlab.neurorel.mapping import cluster_loads, mapping_fitness
 
 ACTIVATIONS = ("integer", "fractional", "zero", "equal")
 TILES = [TileSpec(3.0), TileSpec(1.8), TileSpec(2.4, 340.0)]
@@ -34,16 +40,14 @@ def _graph(n_neurons, n_synapses, seed, activations):
         "zero": np.zeros(n_synapses),
         "equal": np.full(n_synapses, 7.0),
     }[activations]
-    synapses = tuple(replace(s, activation=float(a)) for s, a in zip(g.synapses, values))
-    return SnnWorkloadGraph(neurons=g.neurons, synapses=synapses)
+    return replace(g, activation=values)
 
 
 def _fitness_pair(g, clusters, comm_weight):
-    owned = owned_synapses(g, clusters)
-    loads = cluster_loads(g, owned)
+    loads = cluster_loads(g, clusters)
     return (mapping_fitness(g, clusters, loads, TILES, comm_weight),
-            frozen_neuro.mapping_fitness(g, clusters, owned, loads, TILES, TddbParams(),
-                                         BtiParams(), comm_weight))
+            frozen_neuro.mapping_fitness(frozen_neuro.synapses(g), clusters, loads, TILES,
+                                         TddbParams(), BtiParams(), comm_weight))
 
 
 @pytest.mark.parametrize("comm_weight", [0.0, 0.5])
@@ -75,11 +79,10 @@ def test_crossing_term_alone_equals_frozen_reference():
     # zero loads leave no aging term, so the crossing sum's last bit shows
     g = _graph(40, 300, seed=6, activations="fractional")
     clusters = kl_partition(g, capacity=6, seed=0)
-    owned = owned_synapses(g, clusters)
     loads = np.zeros(len(clusters))
     new = mapping_fitness(g, clusters, loads, TILES, 0.5)
-    old = frozen_neuro.mapping_fitness(g, clusters, owned, loads, TILES, TddbParams(),
-                                       BtiParams(), 0.5)
+    old = frozen_neuro.mapping_fitness(frozen_neuro.synapses(g), clusters, loads, TILES,
+                                       TddbParams(), BtiParams(), 0.5)
     rng = np.random.default_rng(2)
     for _ in range(50):
         a = rng.integers(0, len(TILES), size=len(clusters))
@@ -125,3 +128,62 @@ def test_kl_partition_equals_frozen_reference(monkeypatch, activations):
     clusters = kl_partition(g, capacity=7, seed=4)
     monkeypatch.setattr(partition, "_kl_pass", frozen_neuro.kl_pass)
     assert clusters == kl_partition(g, capacity=7, seed=4)
+
+
+def _odd_graph(seed, activations, shape):
+    """A workload whose ids are scattered and unsorted, with reversed and repeated
+    synapses in shuffled order; "empty" keeps the neurons and drops every synapse."""
+    rng = np.random.default_rng(seed)
+    g = _graph(30, 150, seed, activations)
+    ids = rng.choice(np.arange(-500, 10**6), 30, replace=False)
+    src, dst = ids[g.src], ids[g.dst]
+    twin = rng.choice(150, 60)  # 40 reversed, then 20 repeated
+    src, dst = (np.concatenate([src, dst[twin[:40]], src[twin[40:]]]),
+                np.concatenate([dst, src[twin[:40]], dst[twin[40:]]]))
+    activation = np.concatenate([g.activation, g.activation[rng.choice(150, 60)]])
+    keep = rng.permutation(len(src))[:0 if shape == "empty" else None]
+    return SnnWorkloadGraph(neurons=ids, src=src[keep], dst=dst[keep],
+                            weight=np.ones(len(keep)), activation=activation[keep])
+
+
+@pytest.mark.parametrize("shape", ["full", "empty"])
+@pytest.mark.parametrize("activations", ACTIVATIONS)
+def test_array_paths_equal_loop_reference(activations, shape):
+    g = _odd_graph(11, activations, shape)
+    syns = frozen_neuro.synapses(g)
+    ids, w = partition._weight_matrix(g)
+    ref_ids, ref_w = frozen_neuro.weight_matrix(g.neurons.tolist(), syns)
+    assert ids == ref_ids and np.array_equal(w, ref_w)
+
+    for capacity in (3, 7, 10):
+        clusters = kl_partition(g, capacity=capacity, seed=1)
+        assert cut_cost(g, clusters) == frozen_neuro.cut_cost(syns, clusters)
+        assert np.array_equal(cluster_loads(g, clusters),
+                              frozen_neuro.cluster_loads(syns, clusters))
+
+    # the 16x16 map's mirror cells tie in endurance
+    emap = build_endurance_map(CrossbarConfig(n=16))
+    cells = place_synapses(g.activation, emap)
+    ref = frozen_neuro.place_synapses(g.activation.tolist(), emap)
+    assert dict(enumerate(map(tuple, cells.tolist()))) == ref
+    if not syns:
+        with pytest.raises(ValueError):
+            effective_lifetime(cells, g.activation, emap)
+        return
+    assert (effective_lifetime(cells, g.activation, emap)
+            == frozen_neuro.effective_lifetime(ref, g.activation.tolist(), emap))
+
+    # each cluster's synapses placed on its own crossbar, as map_workload places them
+    mapping = map_workload(g, TILES, capacity=7, endurance_map=emap,
+                           pso_config=PsoConfig(particles=2, iterations=1), seed=1)
+    owner = frozen_neuro.cluster_owner(mapping.clusters)
+    lifetime = np.inf
+    for k in range(len(mapping.clusters)):
+        owned = [i for i, s in enumerate(syns) if owner[s[1]] == k]
+        local = frozen_neuro.place_synapses([syns[i][3] for i in owned], emap)
+        for j, cell in local.items():
+            assert mapping.owner[owned[j]] == k and tuple(mapping.cells[owned[j]]) == cell
+        if local:
+            lifetime = min(lifetime, frozen_neuro.effective_lifetime(
+                local, [syns[i][3] for i in owned], emap))
+    assert mapping.lifetime == lifetime

@@ -7,11 +7,15 @@ import pytest
 
 from faultlab.neurorel import (
     SnnWorkloadGraph,
-    Synapse,
     cut_cost,
     kl_partition,
     random_workload,
 )
+
+
+def _synapses(g):
+    """(src, dst, activation) of each synapse."""
+    return list(zip(g.src.tolist(), g.dst.tolist(), g.activation.tolist()))
 
 
 def _two_cliques_graph(bridge_activation=7.0):
@@ -19,15 +23,15 @@ def _two_cliques_graph(bridge_activation=7.0):
     for base in (0, 8):
         for i in range(8):
             for j in range(i + 1, 8):
-                synapses.append(Synapse(base + i, base + j, 1.0, 100.0))
-    synapses.append(Synapse(3, 11, 1.0, bridge_activation))
-    return SnnWorkloadGraph(neurons=tuple(range(16)), synapses=tuple(synapses))
+                synapses.append((base + i, base + j, 1.0, 100.0))
+    synapses.append((3, 11, 1.0, bridge_activation))
+    return SnnWorkloadGraph(range(16), *zip(*synapses))
 
 
 def test_graph_fitting_one_crossbar_is_single_cluster():
     g = random_workload(10, 30, seed=1)
     clusters = kl_partition(g, capacity=10, seed=0)
-    assert clusters == [sorted(g.neurons)]
+    assert clusters == [sorted(g.neurons.tolist())]
     assert cut_cost(g, clusters) == 0.0
 
 
@@ -38,7 +42,7 @@ def test_capacity_below_one_neuron_rejected():
 
 
 def test_empty_graph_rejected():
-    g = SnnWorkloadGraph(neurons=(), synapses=())
+    g = SnnWorkloadGraph(neurons=(), src=(), dst=(), weight=(), activation=())
     with pytest.raises(ValueError):
         kl_partition(g, capacity=4)
 
@@ -54,9 +58,9 @@ def test_two_cliques_cut_is_exhaustively_optimal():
     for side in itertools.combinations(nodes, 8):
         side_set = set(side)
         cut = sum(
-            s.activation
-            for s in g.synapses
-            if (s.src in side_set) != (s.dst in side_set)
+            activation
+            for src, dst, activation in _synapses(g)
+            if (src in side_set) != (dst in side_set)
         )
         best = min(best, cut)
     assert got == best == 7.0
@@ -67,7 +71,7 @@ def test_partition_is_exact_and_capacity_bounded():
     clusters = kl_partition(g, capacity=12, seed=1)
     assert all(len(c) <= 12 for c in clusters)
     flat = sorted(n for c in clusters for n in c)
-    assert flat == sorted(g.neurons)
+    assert flat == sorted(g.neurons.tolist())
 
 
 def test_partition_deterministic():
@@ -86,13 +90,13 @@ def test_kl_beats_mean_random_bipartition_on_random_graphs(rng):
 
         # random balanced bipartition baseline, averaged in-run
         cuts = []
-        nodes = sorted(g.neurons)
+        nodes = sorted(g.neurons.tolist())
         for k in range(20):
             perm = rng.permutation(n)
             half = {nodes[v] for v in perm[: (n + 1) // 2]}
             cuts.append(
-                sum(s.activation for s in g.synapses
-                    if (s.src in half) != (s.dst in half))
+                sum(activation for src, dst, activation in _synapses(g)
+                    if (src in half) != (dst in half))
             )
         wins.append(kl_cut <= np.mean(cuts))
     assert all(wins)

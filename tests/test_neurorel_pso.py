@@ -18,15 +18,13 @@ from faultlab.neurorel import (
 from faultlab.neurorel.mapping import (
     cluster_loads,
     mapping_fitness,
-    owned_synapses,
     tile_duties,
 )
 from faultlab.neurorel.partition import kl_partition
 
 
 def _fitness_for(graph, clusters, tiles, comm_weight=0.0):
-    owned = owned_synapses(graph, clusters)
-    loads = cluster_loads(graph, owned)
+    loads = cluster_loads(graph, clusters)
     return mapping_fitness(graph, clusters, loads, tiles, comm_weight)
 
 
@@ -107,8 +105,7 @@ def test_pso_not_worse_than_random_baseline():
 def test_tile_duties_sum_to_one():
     g = random_workload(20, 80, seed=5)
     clusters = kl_partition(g, capacity=5, seed=0)
-    owned = owned_synapses(g, clusters)
-    loads = cluster_loads(g, owned)
+    loads = cluster_loads(g, clusters)
     duties = tile_duties(loads, np.zeros(len(clusters), dtype=int), 3)
     assert duties.sum() == pytest.approx(1.0)
     assert duties[0] == pytest.approx(1.0)
@@ -122,14 +119,10 @@ def test_map_workload_end_to_end():
         g, tiles, capacity=10, endurance_map=emap,
         pso_config=PsoConfig(particles=10, iterations=20), seed=4,
     )
-    # every synapse is mapped exactly once, within its cluster's crossbar
-    seen = set()
-    for placement in mapping.placements:
-        for idx, cell in placement.items():
-            assert idx not in seen
-            seen.add(idx)
-            assert 0 <= cell[0] < 16 and 0 <= cell[1] < 16
-    assert seen == set(range(len(g.synapses)))
+    # every synapse is mapped once, to its own cell of its cluster's crossbar
+    cells = list(zip(mapping.owner.tolist(), *mapping.cells.T.tolist()))
+    assert len(set(cells)) == len(cells) == len(g.src)
+    assert all(0 <= row < 16 and 0 <= col < 16 for _, row, col in cells)
     assert mapping.lifetime > 0
     assert all(a >= b for a, b in zip(mapping.trace, mapping.trace[1:]))
     assert mapping.fitness == mapping.fitness_fn(mapping.assignment) == mapping.trace[-1]

@@ -2,26 +2,33 @@
 
 import math
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from faultlab.neurorel import (SnnWorkloadGraph, Synapse, load_workload, random_workload,
-                               save_workload)
+from faultlab.neurorel import SnnWorkloadGraph, load_workload, random_workload, save_workload
+
+KEYS = ("src", "dst", "weight", "activation")
 
 
 def _document(g):
-    return {"format": "faultlab-workload/1", "neurons": list(g.neurons),
-            "synapses": [{"src": s.src, "dst": s.dst, "weight": s.weight,
-                          "activation": s.activation} for s in g.synapses]}
+    return {"format": "faultlab-workload/1", "neurons": g.neurons.tolist(),
+            "synapses": [dict(zip(KEYS, s))
+                         for s in zip(*(getattr(g, key).tolist() for key in KEYS))]}
+
+
+def _graph(neurons, synapses):
+    """The graph of ``neurons`` and ``(src, dst, weight, activation)`` tuples."""
+    return SnnWorkloadGraph(neurons, *(list(zip(*synapses)) or [()] * 4))
 
 
 def _assert_safe_dumper_bytes(path, g):
     save_workload(path, g)
     assert path.read_text() == yaml.dump(_document(g), Dumper=yaml.SafeDumper,
                                          sort_keys=False)
-    assert load_workload(path) == g
+    assert _document(load_workload(path)) == _document(g)
 
 
 # repr writes 1e16, 1e17, 1e-7, 5e-324 and -1e22 with no "." before the
@@ -31,9 +38,8 @@ EDGE_FLOATS = [-0.0, 0.0, 1e16, 1e17, 1e-7, -1.5e-300, 1.2345678901234567e19, 5e
 
 
 def test_save_writes_the_pure_python_dumper_bytes(tmp_path):
-    edges = SnnWorkloadGraph(neurons=(0, 1), synapses=tuple(
-        Synapse(0, 1, weight=v, activation=abs(v)) for v in EDGE_FLOATS))
-    empty = SnnWorkloadGraph(neurons=(3, 7, 9), synapses=())
+    edges = _graph((0, 1), [(0, 1, v, abs(v)) for v in EDGE_FLOATS])
+    empty = _graph((3, 7, 9), [])
     for name, g in [("random", random_workload(30, 200, seed=4)), ("edges", edges),
                     ("empty", empty)]:
         _assert_safe_dumper_bytes(tmp_path / f"{name}.yaml", g)
@@ -51,8 +57,8 @@ def _graphs(draw):
     n = draw(st.integers(2, 6))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                           .filter(lambda p: p[0] != p[1]), max_size=8))
-    return SnnWorkloadGraph(neurons=tuple(range(n)), synapses=tuple(
-        Synapse(src, dst, draw(_FINITE), abs(draw(_FINITE))) for src, dst in pairs))
+    return _graph(range(n), [(src, dst, draw(_FINITE), abs(draw(_FINITE)))
+                             for src, dst in pairs])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -67,7 +73,16 @@ def test_save_writes_what_the_safe_dumper_writes(tmp_path, g):
 def test_synapse_rejects_non_finite_values(field, value):
     kwargs = {"src": 0, "dst": 1, "weight": 0.5, "activation": 3.0, field: value}
     with pytest.raises(ValueError, match=field):
-        Synapse(**kwargs)
+        SnnWorkloadGraph(neurons=(0, 1), **{key: [v] for key, v in kwargs.items()})
+
+
+@pytest.mark.parametrize("field, ids", [("neurons", [0, 1.5]), ("src", [0.7]),
+                                        ("dst", [1.25])])
+def test_graph_rejects_fractional_ids(field, ids):
+    columns = {"neurons": [0, 1], "src": [0], "dst": [1], "weight": [0.5],
+               "activation": [3.0], field: ids}
+    with pytest.raises(ValueError, match=f"{field}: ids must be integers"):
+        SnnWorkloadGraph(**columns)
 
 
 def _write(tmp_path, text):
@@ -90,6 +105,13 @@ GOOD = "format: faultlab-workload/1\nneurons: [0, 1, 2]\nsynapses:\n"
      r"synapses\[0\]: activation count must be finite"),
     ("- {src: zero, dst: 1, weight: 0.5, activation: 2}\n", r"synapses\[0\]: "),
     ("- {src: 0, dst: 7, weight: 0.5, activation: 2}\n", r"unknown neuron"),
+    ("- {src: 0, dst: 1, weight: 0.5, activation: 2}\n- {src: 1, dst: 7, weight: 0.5, "
+     "activation: 2}\n", r"synapses\[1\]: synapse 1->7 references unknown neuron"),
+    ("- {src: 0, dst: 7, weight: 0.5, activation: 2}\n- {src: 2, dst: 2, weight: 0.5, "
+     "activation: 2}\n", r"synapses\[1\]: self-loop synapse on neuron 2"),
+    ("- {src: 0, dst: 1, weight: 0.5, activation: 2}\n- {src: 2, dst: 2, weight: .nan, "
+     "activation: .nan}\n- {src: 0, dst: 1, weight: .nan, activation: 2}\n",
+     r"synapses\[1\]: self-loop synapse on neuron 2"),
 ])
 def test_load_names_the_bad_entry(tmp_path, entries, message):
     with pytest.raises(ValueError, match=message):
@@ -106,23 +128,30 @@ def test_load_rejects_document_without_neuron_list(tmp_path):
         load_workload(_write(tmp_path, "format: faultlab-workload/1\nsynapses: []\n"))
 
 
-NEURON_LIST = "neurons: need a list of at least 1, each of which must be an integer"
+ID = f"must be an integer in [{-2**63}, {2**63 - 1}]"
+NEURON_LIST = f"neurons: need a list of at least 1, each of which {ID}"
 
 
 @pytest.mark.parametrize("neurons, synapse, message", [
     ("[0, 1, 2]", "{src: 0.7, dst: 1, weight: 0.5, activation: 2}",
-     "synapses[0]: src: must be an integer"),
+     f"synapses[0]: src: {ID}"),
     ("[0, 1, 2]", "{src: 1, dst: 2.9, weight: 0.5, activation: 2}",
-     "synapses[0]: dst: must be an integer"),
+     f"synapses[0]: dst: {ID}"),
     ("[0, 1, 2]", "{src: true, dst: 2, weight: 0.5, activation: 2}",
-     "synapses[0]: src: must be an integer"),
+     f"synapses[0]: src: {ID}"),
     ("[0, 1, 2]", "{src: 0, dst: 1, weight: '0.5', activation: 2}",
      "synapses[0]: weight: must be a number"),
     ("[0, 1, 0.5]", "{src: 0, dst: 1, weight: 0.5, activation: 2}", NEURON_LIST),
     ("[0, 1, a]", "{src: 0, dst: 1, weight: 0.5, activation: 2}", NEURON_LIST),
     ("[]", "{src: 0, dst: 1, weight: 0.5, activation: 2}", NEURON_LIST),
+    (f"[0, 1, {2**70}]", "{src: 0, dst: 1, weight: 0.5, activation: 2}", NEURON_LIST),
+    ("[0, 1, 2, 1, 0]", "{src: 0, dst: 1, weight: 0.5, activation: 2}",
+     "neurons[3]: duplicate neuron ids"),
+    ("[0, 1, 2]", f"{{src: 0, dst: {-2**63 - 1}, weight: 0.5, activation: 2}}",
+     f"synapses[0]: dst: {ID}"),
 ], ids=["src-fraction", "dst-fraction", "src-bool", "weight-string", "neuron-fraction",
-        "neuron-string", "no-neurons"])
+        "neuron-string", "no-neurons", "neuron-past-int64", "duplicate-neuron",
+        "dst-past-int64"])
 def test_load_checks_each_value_by_its_rule(tmp_path, neurons, synapse, message):
     # no value is cast: a fraction is not cut to an integer id
     path = _write(tmp_path, f"format: faultlab-workload/1\nneurons: {neurons}\n"
@@ -169,9 +198,9 @@ def test_mutated_workload_loads_valid_or_names_its_path(tmp_path, data):
     except ValueError as err:
         assert str(err).startswith(f"{path}: ")
         return
-    ids = set(g.neurons)
-    assert all(type(n) is int for n in g.neurons) and len(ids) == len(g.neurons)
-    for s in g.synapses:
-        assert type(s.src) is int and type(s.dst) is int and {s.src, s.dst} <= ids
-        assert math.isfinite(s.weight) and math.isfinite(s.activation)
-        assert s.activation >= 0
+    ids = set(g.neurons.tolist())
+    assert g.neurons.dtype == np.int64 and len(ids) == len(g.neurons)
+    for src, dst, weight, activation in zip(*(getattr(g, key).tolist() for key in KEYS)):
+        assert type(src) is int and type(dst) is int and {src, dst} <= ids
+        assert math.isfinite(weight) and math.isfinite(activation)
+        assert activation >= 0
