@@ -12,11 +12,13 @@ arrays. Seeding draws every per-PE random value in bulk, indexed in
 column-major PE order (column by column, rows ascending), so a given
 seed keeps its map; the map is then reordered to row-major storage.
 
-Deactivation finds the fewest PEs to disable such that no critical-faulty
-PE stays active, the active-faulty rate is within FR_max_non_crit, and no
-two active faulty PEs are 4-neighbour adjacent. The adjacency part is a
-minimum vertex cover, solved exactly per connected component by branch
-and bound (components beyond a size cap fall back to max-degree greedy).
+The FSR (fault status register) is the criticality of each PE of a map,
+in the map's order. Deactivation finds the fewest PEs to disable such
+that no critical-faulty PE stays active, the active-faulty rate is within
+FR_max_non_crit, and no two active faulty PEs are 4-neighbour adjacent.
+The adjacency part is a minimum vertex cover of a graph whose vertices
+are map indices, solved exactly per connected component by branch and
+bound (components beyond a size cap fall back to max-degree greedy).
 
 Faulty inference adds, per output column, the difference between the
 faulty and the exact products of every fault site (a weight hosted by an
@@ -155,22 +157,18 @@ def seed_fault_map(config: ArrayConfig, fr_percent: float, mix: SignatureMix,
 
 @dataclass(frozen=True, eq=False)
 class FaultStatusRegister:
-    """Criticality of each faulty PE, in the fault map's order."""
+    """The FSR: the criticality of each faulty PE, in the fault map's order.
 
-    rows: np.ndarray
-    cols: np.ndarray
+    ``critical[i]`` belongs to PE i of the map it was built from; the FSR
+    names no PE itself, so it is read together with that map.
+    """
+
     critical: np.ndarray
     fr_max_non_crit: float
 
     def __post_init__(self):
         if not 0.0 <= self.fr_max_non_crit <= 1.0:
             raise ValueError("FR_max_non_crit must be in [0, 1]")
-
-    def check(self, fault_map: FaultMap) -> None:
-        """ValueError unless the entries are the map's PEs, in its order."""
-        if not (np.array_equal(self.rows, fault_map.rows)
-                and np.array_equal(self.cols, fault_map.cols)):
-            raise ValueError("FSR entries do not match the fault map")
 
 
 def build_fsr(fault_map: FaultMap, fmt: str,
@@ -182,8 +180,7 @@ def build_fsr(fault_map: FaultMap, fmt: str,
     stays within the next bit's bound, so carry does not make a fault
     critical on its own.
     """
-    return FaultStatusRegister(rows=fault_map.rows, cols=fault_map.cols,
-                               critical=fault_map.max_bit >= NON_CRITICAL_LSBS[fmt],
+    return FaultStatusRegister(critical=fault_map.max_bit >= NON_CRITICAL_LSBS[fmt],
                                fr_max_non_crit=fr_max_non_crit)
 
 
@@ -209,41 +206,42 @@ class DeactivationInfeasible(RuntimeError):
     pass
 
 
-def _neighbors(pe, shape):
-    r, c = pe
-    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        rr, cc = r + dr, c + dc
-        if 0 <= rr < shape[0] and 0 <= cc < shape[1]:
-            yield (rr, cc)
-
-
-def _components(vertices, adj):
-    remaining = set(vertices)
-    while remaining:
-        start = min(remaining)
+def _components(adj):
+    """Vertex sets of the components with an edge, each from its lowest vertex."""
+    seen = set()
+    for start in adj:
+        if start in seen or not adj[start]:
+            continue
         comp, stack = {start}, [start]
         while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u in remaining and u not in comp:
+            for u in adj[stack.pop()]:
+                if u not in comp:
                     comp.add(u)
                     stack.append(u)
-        remaining -= comp
-        yield sorted(comp)
+        seen |= comp
+        yield comp
+
+
+def _branch_vertex(adj):
+    """The vertex with the most edges, the lowest on a tie; None if no edge is left.
+
+    Vertices are indices into PEs in (row, col) order, so they sort as the
+    PEs' (row, col) tuples do. This tie-break is why the covers are the ones
+    a graph over (row, col) tuples gives.
+    """
+    live = [v for v in adj if adj[v]]
+    return min(live, key=lambda v: (-len(adj[v]), v)) if live else None
 
 
 def _greedy_cover(adj):
     adj = {v: set(ns) for v, ns in adj.items()}
     cover = set()
-    while True:
-        live = [v for v in adj if adj[v]]
-        if not live:
-            return cover
-        v = min(live, key=lambda v: (-len(adj[v]), v))
+    while (v := _branch_vertex(adj)) is not None:
         cover.add(v)
         for u in adj[v]:
             adj[u].discard(v)
         adj[v] = set()
+    return cover
 
 
 def _exact_cover(adj):
@@ -253,11 +251,10 @@ def _exact_cover(adj):
     def search(adj, cover):
         if len(cover) >= len(best[0]):
             return
-        live = [v for v in adj if adj[v]]
-        if not live:
+        v = _branch_vertex(adj)
+        if v is None:
             best[0] = set(cover)
             return
-        v = min(live, key=lambda v: (-len(adj[v]), v))
         neighbors = set(adj[v])
         # branch 1: v joins the cover
         sub = {u: ns - {v} for u, ns in adj.items() if u != v}
@@ -272,15 +269,22 @@ def _exact_cover(adj):
     return best[0]
 
 
-def min_adjacency_cover(vertices, shape) -> set:
-    """Fewest vertices whose removal leaves no two 4-adjacent vertices."""
-    vertex_set = set(vertices)
-    adj = {v: {u for u in _neighbors(v, shape) if u in vertex_set} for v in vertex_set}
+def min_adjacency_cover(rows, cols, n_col) -> set:
+    """Indices of PEs whose removal leaves no two of the PEs 4-adjacent.
+
+    ``rows`` and ``cols`` hold the PEs in (row, col) order, on an array of
+    ``n_col`` columns. Each connected component of at most
+    ``_EXACT_COVER_LIMIT`` PEs gets a minimum cover; a larger one gets the
+    greedy max-degree cover, which may not be the fewest PEs.
+    """
+    # one key per PE, with a gap column so no right neighbour wraps a row
+    stride = n_col + 1
+    index = {k: i for i, k in enumerate((rows * stride + cols).tolist())}
+    adj = {i: {index[n] for n in (k - stride, k - 1, k + 1, k + stride) if n in index}
+           for k, i in index.items()}
     cover = set()
-    for comp in _components(vertex_set, adj):
+    for comp in _components(adj):
         comp_adj = {v: adj[v] for v in comp}
-        if not any(comp_adj.values()):
-            continue
         if len(comp) <= _EXACT_COVER_LIMIT:
             cover |= _exact_cover(comp_adj)
         else:
@@ -291,31 +295,26 @@ def min_adjacency_cover(vertices, shape) -> set:
 def deactivate(state: ArrayState, fsr: FaultStatusRegister) -> np.ndarray:
     """Updated active mask meeting the deactivation protocol's constraints.
 
-    Returns a new mask; the input state is not modified. Raises
-    DeactivationInfeasible when the constraints would disable every PE.
+    ``fsr`` is the FSR of ``state.faults``. Returns a new mask; the input
+    state is not modified. Raises DeactivationInfeasible when the
+    constraints would disable every PE.
     """
     faults = state.faults
-    fsr.check(faults)
-
     active = state.active.copy()
-    active[fsr.rows[fsr.critical], fsr.cols[fsr.critical]] = False
-
-    shape = (state.config.n_row, state.config.n_col)
-    live = active[faults.rows, faults.cols]
-    live_faulty = zip(faults.rows[live].tolist(), faults.cols[live].tolist())
-    for pe in min_adjacency_cover(live_faulty, shape):
-        active[pe] = False
+    active[faults.rows[fsr.critical], faults.cols[fsr.critical]] = False
 
     live = np.flatnonzero(active[faults.rows, faults.cols])
-    n_active = int(active.sum())
-    n_faulty = len(live)
-    idx = 0
-    while n_active > 0 and n_faulty / n_active > fsr.fr_max_non_crit:
-        active[faults.rows[live[idx]], faults.cols[live[idx]]] = False
-        idx += 1
-        n_active -= 1
-        n_faulty -= 1
-    if int(active.sum()) == 0:
+    cover = live[list(min_adjacency_cover(faults.rows[live], faults.cols[live],
+                                          state.config.n_col))]
+    active[faults.rows[cover], faults.cols[cover]] = False
+
+    # the rate cap disables the first live faulty PEs in map order
+    live = np.flatnonzero(active[faults.rows, faults.cols])
+    n_active, n_faulty, k = int(active.sum()), len(live), 0
+    while k < n_active and (n_faulty - k) / (n_active - k) > fsr.fr_max_non_crit:
+        k += 1
+    active[faults.rows[live[:k]], faults.cols[live[:k]]] = False
+    if k == n_active:
         raise DeactivationInfeasible(
             "constraints disable every PE "
             f"(fr_max_non_crit={fsr.fr_max_non_crit}, all PEs faulty)"

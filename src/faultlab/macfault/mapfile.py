@@ -53,9 +53,8 @@ def save_fault_map(path, config: ArrayConfig, fault_map: FaultMap,
         lines += [f"  - - {bit}\n    - {value}" for bit, value in cone_bits(zeros, ones)]
         lines.append(f"  carry: {scalar_text(carry)}")
     if fsr is not None:
-        lines.append("fsr:" + ("" if len(fsr.rows) else " []"))
+        lines.append("fsr:" + ("" if len(fault_map) else " []"))
         lines += [f"- row: {r}\n  col: {c}\n  criticality: "
                   f"{CRITICAL if crit else NON_CRITICAL}"
-                  for r, c, crit in zip(fsr.rows.tolist(), fsr.cols.tolist(),
-                                        fsr.critical.tolist())]
+                  for (r, c), crit in zip(fault_map, fsr.critical.tolist(), strict=True)]
     Path(path).write_text("\n".join(lines) + "\n")

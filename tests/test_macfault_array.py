@@ -14,7 +14,6 @@ from faultlab.macfault import (
     ArrayState,
     DeactivationInfeasible,
     FaultMap,
-    FaultStatusRegister,
     SignatureMix,
     apply_fault_to_products,
     build_fsr,
@@ -164,7 +163,7 @@ def test_array_state_rejects_fault_outside_array():
 def test_build_fsr_classifies_each_entry():
     faults = FaultMap.from_entries([_non_crit((0, 0)), _crit((1, 1))])
     fsr = build_fsr(faults, "int8", fr_max_non_crit=0.5)
-    by_pe = dict(zip(zip(fsr.rows.tolist(), fsr.cols.tolist()), fsr.critical.tolist()))
+    by_pe = dict(zip(faults, fsr.critical.tolist()))
     assert by_pe == {(0, 0): False, (1, 1): True}
 
 
@@ -192,6 +191,7 @@ def test_deactivate_critical_always_disabled():
     mask = deactivate(state, build_fsr(faults, "int8", 1.0))
     assert not mask[1, 1]
     assert mask[3, 0]
+    assert state.active.all()
 
 
 def test_deactivate_2x2_block_example():
@@ -216,26 +216,6 @@ def test_deactivate_infeasible_when_everything_faulty():
     state = ArrayState(config=cfg, faults=faults)
     with pytest.raises(DeactivationInfeasible):
         deactivate(state, build_fsr(faults, "int8", 0.0))
-
-
-def test_deactivate_rejects_mismatched_fsr():
-    cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = FaultMap.from_entries([_non_crit((0, 0))])
-    state = ArrayState(config=cfg, faults=faults)
-    bad = FaultStatusRegister(rows=np.array([3]), cols=np.array([3]),
-                              critical=np.array([True]), fr_max_non_crit=0.2)
-    with pytest.raises(ValueError):
-        deactivate(state, bad)
-
-
-def test_deactivate_rejects_fsr_of_another_map():
-    # same number of PEs, one of them different
-    cfg = ArrayConfig(n_row=4, n_col=4)
-    faults = FaultMap.from_entries([_non_crit((0, 0)), _non_crit((2, 2))])
-    other = FaultMap.from_entries([_non_crit((0, 0)), _non_crit((2, 3))])
-    state = ArrayState(config=cfg, faults=faults)
-    with pytest.raises(ValueError, match="FSR entries do not match the fault map"):
-        deactivate(state, build_fsr(other, "int8", 0.5))
 
 
 def brute_force_min_deactivations(fault_set, fr_max, n=4):
@@ -278,7 +258,7 @@ def test_deactivation_matches_brute_force_on_samples(rng, fr_max):
 def _assert_protocol_holds(faults, fsr, mask):
     """No critical PE stays active, the rate cap holds, and no two active
     faulty PEs are adjacent."""
-    crit = set(zip(fsr.rows[fsr.critical].tolist(), fsr.cols[fsr.critical].tolist()))
+    crit = {pe for pe, critical in zip(faults, fsr.critical.tolist()) if critical}
     live = [pe for pe in faults if mask[pe]]
     assert not any(pe in crit for pe in live)
     assert len(live) / mask.sum() <= fsr.fr_max_non_crit
@@ -315,6 +295,43 @@ def test_deactivation_past_the_exact_cover_limit(monkeypatch, critical_fraction,
     assert sizes == [component] and component > array._EXACT_COVER_LIMIT
     assert fsr.critical.any() == (critical_fraction > 0)
     _assert_protocol_holds(faults, fsr, mask)
+
+
+def _outcome(deactivate_fn, state, fsr):
+    """The mask ``deactivate_fn`` returns, or the infeasibility it raises."""
+    try:
+        return deactivate_fn(state, fsr).tolist()
+    except DeactivationInfeasible as e:
+        return f"infeasible: {e}"
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 8), (8, 1), (16, 16), (16, 40), (40, 16),
+                                   (128, 128)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_deactivation_equals_frozen_tuple_graph(shape):
+    # the cover over map indices disables the PEs the (row, col) graph did;
+    # the cases reach infeasible maps and components past the exact limit
+    from frozen_deactivation import deactivate as frozen_deactivate
+
+    cfg = ArrayConfig(*shape)
+    rates = (7.5,) if shape == (128, 128) else (5, 10, 30, 60)
+    for seed, (fr, crit, fr_max) in enumerate(itertools.product(
+            rates, (0.0, 0.1, 0.3), (0.0, 0.02, 0.2))):
+        faults = seed_fault_map(cfg, fr, SignatureMix(critical_fraction=crit), seed=seed)
+        state = ArrayState(config=cfg, faults=faults)
+        fsr = build_fsr(faults, "int8", fr_max)
+        assert _outcome(deactivate, state, fsr) == _outcome(frozen_deactivate, state, fsr)
+
+
+def test_deactivation_keeps_a_row_end_apart_from_the_next_row():
+    # (1, 3) and (2, 0) are consecutive in row-major order but not adjacent
+    from frozen_deactivation import deactivate as frozen_deactivate
+
+    cfg = ArrayConfig(n_row=4, n_col=4)
+    faults = FaultMap.from_entries([_non_crit((1, 3)), _non_crit((2, 0))])
+    state = ArrayState(config=cfg, faults=faults)
+    fsr = build_fsr(faults, "int8", 0.2)
+    assert deactivate(state, fsr).all()
+    assert _outcome(deactivate, state, fsr) == _outcome(frozen_deactivate, state, fsr)
 
 
 # --- faulty inference --------------------------------------------------------
@@ -544,8 +561,8 @@ def _fault_map_document(config, faults, fsr, seed):
                        "carry": carry} for r, c, s0, s1, carry in faults.entries()]}
     if fsr is not None:
         doc["fsr"] = [{"row": r, "col": c, "criticality": "critical" if crit
-                       else "non-critical"} for r, c, crit in
-                      zip(fsr.rows.tolist(), fsr.cols.tolist(), fsr.critical.tolist())]
+                       else "non-critical"} for (r, c), crit in
+                      zip(faults, fsr.critical.tolist())]
     return doc
 
 
