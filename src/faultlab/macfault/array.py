@@ -49,6 +49,7 @@ row tile by row tile. A drawn 1 adds the carry weight, a 0 subtracts it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -234,12 +235,25 @@ def _branch_vertex(adj):
 
 
 def _greedy_cover(adj):
+    """Take ``_branch_vertex``'s pick until no edge is left.
+
+    A heap keyed on (-degree, vertex) yields that pick. A degree only falls,
+    so an entry whose degree is no longer the vertex's is stale and skipped,
+    and the vertex's current entry is in the heap.
+    """
     adj = {v: set(ns) for v, ns in adj.items()}
+    heap = [(-len(ns), v) for v, ns in adj.items() if ns]
+    heapq.heapify(heap)
     cover = set()
-    while (v := _branch_vertex(adj)) is not None:
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if -degree != len(adj[v]):
+            continue
         cover.add(v)
         for u in adj[v]:
             adj[u].discard(v)
+            if adj[u]:
+                heapq.heappush(heap, (-len(adj[u]), u))
         adj[v] = set()
     return cover
 

@@ -4,6 +4,13 @@ Recursive balanced bisection until every cluster fits the crossbar
 capacity (neurons per cluster). Edge weights are the summed activation
 counts of the synapses between a neuron pair, so the reported cut cost
 is the total activation crossing cluster boundaries.
+
+A pass swaps, one pair at a time, the pair of largest gain, taking the
+first in row-major order on a tie. Activations are non-negative, so no
+gain exceeds ``d_a[i] + d_b[j]``, and each swap scans only the rows that
+this bound cannot rule out. Swapped rows are dropped once they make up half
+the block, and the rows keep their ascending order, so ties break as in a
+scan of the whole block and the clusters are those of a full scan.
 """
 
 from __future__ import annotations
@@ -14,6 +21,11 @@ from .workload import SnnWorkloadGraph, running_sum
 
 # Kernighan-Lin improvement passes per bisection, at most
 MAX_PASSES = 12
+# a gain block with fewer rows is scanned whole: below this, bounding the
+# scan costs more than it saves
+_FULL_SCAN_ROWS = 64
+# the largest total activation whose gains stay finite (see kl_partition)
+_MAX_TOTAL_ACTIVATION = np.finfo(np.float64).max / 8
 
 
 def _weight_matrix(graph: SnnWorkloadGraph):
@@ -48,29 +60,64 @@ def cut_cost(graph: SnnWorkloadGraph, clusters) -> float:
 def _kl_pass(w, in_a):
     """One Kernighan-Lin improvement pass; mutates nothing, returns new in_a.
 
-    Both sides keep fixed index arrays and a swapped vertex's gain turns
-    -inf, so the first maximum of the whole gain matrix in row-major order
-    is the first maximum over the live pairs: ties break as they would in
-    a gather of the live pairs.
+    Each swap takes the first maximum, in row-major order, of the gains
+    ``d_a[i] + d_b[j] - 2 w[a_i, b_j]`` over the live pairs. A swapped
+    vertex's ``d`` turns -inf, so its row and column never win again.
+
+    - **Bound.** Activations are non-negative, so ``w`` is too, and no gain
+      in row ``i`` exceeds ``d_a[i] + max(d_b)`` (Kernighan & Lin, 1970).
+      Rounding is monotone, so this holds for the computed sums as well.
+      The gain ``g0`` at the pair of the largest ``d_a`` and ``d_b`` is at
+      most the maximum gain, so a row whose bound is below ``g0`` holds no
+      maximum, and only the other rows are scanned. About two rows are left
+      on random workloads, so a bound on the columns would cost more than
+      it saves.
+    - **Compaction.** Once half a block's rows are dead, its dead rows and
+      columns are dropped. A boolean mask keeps the indices ascending, and
+      so does the bound's choice of rows, so the first maximum of the
+      scanned rows in their row-major order is the first maximum of the
+      whole block.
+
+    Blocks of fewer than ``_FULL_SCAN_ROWS`` rows are scanned whole and never
+    compacted. ``m`` holds ``2 w`` over side A's vertices, then side B's,
+    with B's columns negated. Doubling and negating are exact, and
+    ``x - y == x + (-y)`` and ``y - x == -x + y`` hold bit for bit, so its
+    A-by-B block gives every gain and one row difference updates both
+    sides' ``d`` with the values the plain formulas give. This needs ``w``
+    symmetric bit for bit, as ``_weight_matrix`` builds it, so that a
+    vertex's row holds its column.
     """
     to_a = w @ in_a
     to_b = w @ (1.0 - in_a)
     d = np.where(in_a > 0, to_b - to_a, to_a - to_b)
     side_a, side_b = np.flatnonzero(in_a), np.flatnonzero(in_a == 0)
-    d_a, d_b = d[side_a], d[side_b]
-    w2_ab = 2.0 * w[np.ix_(side_a, side_b)]
-    gain = np.empty_like(w2_ab)
-    swaps, gains = [], []
+    side, n_a = np.append(side_a, side_b), len(side_a)
+    d, m = d[side], 2.0 * w[side][:, side]
+    m[:, n_a:] *= -1.0
+    swaps, gains, dead = [], [], 0
     for _ in range(min(len(side_a), len(side_b))):
-        np.add(d_a[:, None], d_b[None, :], out=gain)
-        gain -= w2_ab
-        ai, bi = divmod(int(np.argmax(gain)), len(side_b))
-        a, b = side_a[ai], side_b[bi]
-        swaps.append((a, b))
-        gains.append(float(gain[ai, bi]))
-        d_a[ai] = d_b[bi] = -np.inf
-        d_a += 2.0 * w[side_a, a] - 2.0 * w[side_a, b]
-        d_b += 2.0 * w[side_b, b] - 2.0 * w[side_b, a]
+        if n_a >= _FULL_SCAN_ROWS and 2 * dead >= n_a:
+            live = d > -np.inf
+            side, d, m = side[live], d[live], m[live][:, live]
+            n_a, dead = int(np.count_nonzero(live[:n_a])), 0
+        d_a, d_b = d[:n_a], d[n_a:]
+        if n_a < _FULL_SCAN_ROWS:
+            gain = (d_a[:, None] + d_b) + m[:n_a, n_a:]
+            ai, bi = divmod(int(gain.argmax()), len(d_b))
+            gains.append(float(gain[ai, bi]))
+        else:
+            i0, j0 = int(d_a.argmax()), int(d_b.argmax())
+            g0 = (d_a[i0] + d_b[j0]) + m[i0, n_a + j0]
+            rows = (d_a + d_b[j0] >= g0).nonzero()[0]
+            gain = (d_a[rows, None] + d_b) + m[rows, n_a:]
+            r, bi = divmod(int(gain.argmax()), len(d_b))
+            ai = rows[r]
+            gains.append(float(gain[r, bi]))
+        bj = n_a + bi
+        swaps.append((side[ai], side[bj]))
+        d += m[ai] - m[bj]
+        d[ai] = d[bj] = -np.inf
+        dead += 1
     prefix = np.cumsum(gains)
     best = int(np.argmax(prefix))
     if prefix[best] <= 1e-12:
@@ -95,13 +142,27 @@ def _bisect(w, rng):
 
 
 def kl_partition(graph: SnnWorkloadGraph, capacity: int, seed: int = 0) -> list:
-    """Partition neurons into clusters of at most ``capacity`` neurons."""
+    """Partition neurons into clusters of at most ``capacity`` neurons.
+
+    Raises ValueError when the activations sum to more than
+    ``_MAX_TOTAL_ACTIVATION``, an eighth of the largest float64. No weight,
+    ``d`` or gain of a pass can exceed four times that sum in magnitude: a
+    neuron's weights sum to at most the total, so ``|d|`` does too, and a
+    gain adds two ``d`` and subtracts a doubled weight. The spare factor of
+    two absorbs rounding, so every gain stays finite.
+    """
     if not len(graph.neurons):
         raise ValueError("graph has no neurons")
     if capacity < 1:
         raise ValueError(
             f"capacity {capacity} cannot hold a single neuron"
         )
+    with np.errstate(over="ignore"):  # an overflow to inf is the failure named here
+        total = running_sum(graph.activation)
+    if total > _MAX_TOTAL_ACTIVATION:
+        raise ValueError(f"the activations sum to {total:g}, above "
+                         f"{_MAX_TOTAL_ACTIVATION:g}: the partition's gains would "
+                         "overflow float64")
     ids, w = _weight_matrix(graph)
     rng = np.random.default_rng(seed)
     done, work = [], [list(range(len(ids)))]

@@ -21,6 +21,7 @@ from faultlab.cli.main import main
 from faultlab.cli.report import ReportError, report
 from faultlab.cli.runner import run
 from faultlab.netcore import init_lenet5, init_mlp, save_model
+from faultlab.neurorel import SnnWorkloadGraph, save_workload
 from faultlab.seeds import derive_seed
 from faultlab.yamlio import render
 
@@ -388,6 +389,22 @@ def test_run_names_the_cluster_that_overflows_its_crossbar(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "run failed: cluster 0: 10 synapses exceed the 3x3 crossbar's 9 cells: "
         "raise campaign.crossbar_n or lower campaign.capacity\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_names_workload_whose_activations_overflow(tmp_path, capsys):
+    # every activation is finite, their sum is not: fails before the first KL pass
+    rng = np.random.default_rng(0)
+    src, rest = np.divmod(rng.choice(40 * 39, 200, replace=False), 39)
+    save_workload(tmp_path / "workload.yaml", SnnWorkloadGraph(
+        neurons=range(40), src=src, dst=rest + (rest >= src), weight=np.ones(200),
+        activation=np.full(200, 1e308)))
+    path = _write_config(tmp_path, {"experiment": "neuro-map",
+                                    "workload": {"path": "workload.yaml"}})
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "run failed: the activations sum to inf, above 2.24712e+307: the partition's "
+        "gains would overflow float64\n")
     assert not (tmp_path / "out").exists()
 
 

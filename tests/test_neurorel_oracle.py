@@ -31,10 +31,16 @@ TILES = [TileSpec(3.0), TileSpec(1.8), TileSpec(2.4, 340.0)]
 
 def _graph(n_neurons, n_synapses, seed, activations):
     """A random workload whose activations are replaced by the named kind."""
-    g = random_workload(n_neurons, n_synapses, seed=seed)
+    return _with_activations(random_workload(n_neurons, n_synapses, seed=seed), seed,
+                             activations)
+
+
+def _with_activations(g, seed, activations):
+    """``g`` with its activations replaced by the named kind; "integer" keeps them."""
     if activations == "integer":
         return g
     rng = np.random.default_rng(seed)
+    n_synapses = len(g.src)
     values = {
         "fractional": rng.uniform(0, 1000, n_synapses),
         "zero": np.zeros(n_synapses),
@@ -110,16 +116,36 @@ def _passes_equal(w, in_a):
         in_a = out
 
 
-@pytest.mark.parametrize("n_neurons", [17, 40])
+# 17 and 40 neurons scan whole blocks; at 100 and 300, a side A of at least
+# _FULL_SCAN_ROWS neurons is bounded, and compacted once half of it has swapped
+@pytest.mark.parametrize("n_neurons", [17, 40, 100, 300])
 @pytest.mark.parametrize("activations", ACTIVATIONS)
 def test_kl_pass_equals_frozen_reference(activations, n_neurons):
     g = _graph(n_neurons, 6 * n_neurons, seed=n_neurons, activations=activations)
     _, w = partition._weight_matrix(g)
     rng = np.random.default_rng(n_neurons)
-    for split in ((n_neurons + 1) // 2, n_neurons // 3):  # balanced, then lopsided
+    # balanced, then lopsided with the smaller and with the larger side A
+    for split in ((n_neurons + 1) // 2, n_neurons // 3, 2 * n_neurons // 3):
         in_a = np.zeros(n_neurons)
         in_a[rng.permutation(n_neurons)[:split]] = 1.0
         _passes_equal(w, in_a)
+
+
+@pytest.mark.parametrize("activations", ACTIVATIONS)
+def test_kl_pass_on_a_complete_bipartite_split_equals_frozen_reference(activations):
+    # every synapse crosses a 100-by-200 split: k swaps leave a cut of
+    # (100 - k)(200 - k) + k^2 synapses, least at k = 75, past the compaction
+    # at 50 swaps; with equal activations, each of those swaps breaks a tie
+    n = 300
+    in_a = np.zeros(n)
+    in_a[np.random.default_rng(3).permutation(n)[:n // 3]] = 1.0
+    side_a, side_b = np.flatnonzero(in_a), np.flatnonzero(in_a == 0)
+    src, dst = np.repeat(side_a, len(side_b)), np.tile(side_b, len(side_a))
+    activation = np.random.default_rng(3).integers(0, 1001, len(src))
+    g = _with_activations(SnnWorkloadGraph(neurons=np.arange(n), src=src, dst=dst,
+                                           weight=np.ones(len(src)), activation=activation),
+                          3, activations)
+    _passes_equal(partition._weight_matrix(g)[1], in_a)
 
 
 @pytest.mark.parametrize("activations", ACTIVATIONS)
@@ -128,6 +154,13 @@ def test_kl_partition_equals_frozen_reference(monkeypatch, activations):
     clusters = kl_partition(g, capacity=7, seed=4)
     monkeypatch.setattr(partition, "_kl_pass", frozen_neuro.kl_pass)
     assert clusters == kl_partition(g, capacity=7, seed=4)
+
+
+def test_kl_partition_of_a_bench_sized_workload_equals_frozen_reference(monkeypatch):
+    g = random_workload(512, 8000, seed=13)  # the bench's neuro-map size
+    clusters = kl_partition(g, capacity=10, seed=0)
+    monkeypatch.setattr(partition, "_kl_pass", frozen_neuro.kl_pass)
+    assert clusters == kl_partition(g, capacity=10, seed=0)
 
 
 def _odd_graph(seed, activations, shape):

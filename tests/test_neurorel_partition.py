@@ -1,6 +1,7 @@
 """Kernighan-Lin partitioning tests with exhaustive and random oracles."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from faultlab.neurorel import (
     kl_partition,
     random_workload,
 )
+from faultlab.neurorel import partition
 
 
 def _synapses(g):
@@ -100,3 +102,33 @@ def test_kl_beats_mean_random_bipartition_on_random_graphs(rng):
             )
         wins.append(kl_cut <= np.mean(cuts))
     assert all(wins)
+
+
+def _overflow_graph(activation):
+    """40 neurons and 200 synapses, each carrying ``activation``."""
+    rng = np.random.default_rng(0)
+    src, rest = np.divmod(rng.choice(40 * 39, 200, replace=False), 39)
+    return SnnWorkloadGraph(neurons=range(40), src=src, dst=rest + (rest >= src),
+                            weight=np.ones(200), activation=np.full(200, activation))
+
+
+def test_activations_summing_past_the_gain_bound_rejected():
+    with pytest.raises(ValueError, match=r"the activations sum to inf, above .*: "
+                                         r"the partition's gains would overflow float64"):
+        kl_partition(_overflow_graph(1e308), capacity=10)
+    # finite, but a gain could still reach four times it
+    limit = partition._MAX_TOTAL_ACTIVATION
+    with pytest.raises(ValueError, match="the activations sum to"):
+        kl_partition(_overflow_graph(limit / 100), capacity=10)
+
+
+def test_activations_summing_to_the_gain_bound_partition_as_scaled_down():
+    # scaling by a power of two is exact, so any overflow would change the clusters
+    g = random_workload(60, 400, seed=3)
+    scale = 2.0 ** np.floor(np.log2(partition._MAX_TOTAL_ACTIVATION / g.activation.sum()))
+    big = replace(g, activation=g.activation * scale)
+    assert big.activation.sum() <= partition._MAX_TOTAL_ACTIVATION
+    assert big.activation.sum() * 2 > partition._MAX_TOTAL_ACTIVATION
+    clusters = kl_partition(g, capacity=7, seed=2)
+    assert kl_partition(big, capacity=7, seed=2) == clusters
+    assert cut_cost(big, clusters) == cut_cost(g, clusters) * scale
