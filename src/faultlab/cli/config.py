@@ -51,7 +51,9 @@ SECTIONS = {
         "neurons": (40, integer(2)),
         "synapses": (250, integer(1)),
         "seed": (11, integer(0)),
-        "max_activation": (1000.0, number(0)),
+        # random_workload draws rng.integers(0, max_activation + 1), an int64:
+        # 2**63 - 1024 is the largest float at or below the int64 maximum
+        "max_activation": (1000.0, number(0, 2.0**63 - 1024)),
     },
 }
 

@@ -6,6 +6,12 @@ layer's 10 neurons occupy columns 0-9. A column campaign also attacks
 padding columns past the last neuron, which hold no weight. Campaigns flip
 chosen bit positions at seeded random cells and measure the int8 inference
 accuracy drop against the fault-free baseline, in percentage points.
+
+Every trial, the baseline included, runs its own int8 forward pass over the
+whole evaluation set. The input never changes within a campaign, so where
+the first weighted stage takes it flattened (an MLP) its int8 quantization
+is computed once per campaign and shared by every pass; a network that
+opens with a convolution quantizes its patches in each pass.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import numpy as np
 
 from .netcore.data import LabeledDataset
 from .netcore.inference import model_input, quant_forward, quantize_weights
-from .quantnum import SIGN_BIT, Int8Tensor, int8_to_byte
+from .netcore.network import DenseStage, FlattenStage
+from .quantnum import SIGN_BIT, Int8Tensor, int8_to_byte, quantize_int8
 from .seeds import derived_seed
 
 
@@ -55,8 +62,15 @@ def model_grids(model) -> list[Int8Tensor]:
     return quantize_weights(model)
 
 
-def _int8_predictions(model, x: np.ndarray, weights_q) -> np.ndarray:
-    logits = quant_forward(model, x, fmt="int8", weights_q=weights_q)
+def _fixed_input_q(model, x: np.ndarray) -> Int8Tensor | None:
+    """The int8 quantization of the first weighted stage's input when that
+    stage is Dense and takes ``x`` flattened, else None."""
+    first = next(s for s in model.stages if not isinstance(s, FlattenStage))
+    return quantize_int8(x.reshape(len(x), -1)) if isinstance(first, DenseStage) else None
+
+
+def _int8_predictions(model, x: np.ndarray, weights_q, input_q=None) -> np.ndarray:
+    logits = quant_forward(model, x, fmt="int8", weights_q=weights_q, input_q=input_q)
     return np.argmax(logits, axis=1)
 
 
@@ -91,8 +105,9 @@ def bitpos_campaign(
         raise ValueError("runs must be >= 1")
     data = dataset.subset(eval_samples)
     x = model_input(data)
+    xq = _fixed_input_q(model, x)
     baseline_wq = model_grids(model)
-    baseline = float(np.mean(_int8_predictions(model, x, baseline_wq) == data.labels))
+    baseline = float(np.mean(_int8_predictions(model, x, baseline_wq, xq) == data.labels))
 
     rows = []
     for bit_pos in bit_positions:
@@ -101,7 +116,7 @@ def bitpos_campaign(
                 run_seed = derived_seed(seed, bit_pos, count, run)
                 faulty = [inject(wq, bit_pos, count, seed=derived_seed(run_seed, l))[0]
                           for l, wq in enumerate(baseline_wq)]
-                acc = float(np.mean(_int8_predictions(model, x, faulty) == data.labels))
+                acc = float(np.mean(_int8_predictions(model, x, faulty, xq) == data.labels))
                 rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
                                         acc, (baseline - acc) * 100.0))
     mean_table = {}
@@ -138,8 +153,9 @@ def column_campaign(
         raise ValueError(f"grid width {grid_width} below neuron count {n_classes}")
     data = dataset.subset(eval_samples)
     x = model_input(data)
+    xq = _fixed_input_q(model, x)
     baseline_wq = model_grids(model)
-    base_pred = _int8_predictions(model, x, baseline_wq)
+    base_pred = _int8_predictions(model, x, baseline_wq, xq)
     baseline = float(np.mean(base_pred == data.labels))
     baseline_recall = _recall_from(base_pred, data.labels, n_classes)
 
@@ -151,7 +167,7 @@ def column_campaign(
             mutated, _ = inject(baseline_wq[-1], bit_pos, faults_per_column, run_seed,
                                 target=column)
             faulty = baseline_wq[:-1] + [mutated]
-            pred = _int8_predictions(model, x, faulty)
+            pred = _int8_predictions(model, x, faulty, xq)
             acc = float(np.mean(pred == data.labels))
             rows.append(CampaignRow("column", bit_pos, column, faults_per_column,
                                     run_seed, acc, (baseline - acc) * 100.0))

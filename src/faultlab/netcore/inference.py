@@ -10,6 +10,8 @@ are the fault-free baselines. No mode keeps the backward caches.
 
 int8 mode: weights quantized once per tensor, activations re-quantized
 per layer (symmetric, max/127), products and sums accumulated exactly.
+A caller that runs many passes over one input may quantize it once and
+pass it as ``input_q``, as it may pass stored weights as ``weights_q``.
 Integer matmuls run in floating point with every partial sum an integer
 the format holds exactly, so results are bit-stable regardless of BLAS
 order (see ``exact_int_matmul``); each new accumulator is rescaled and
@@ -61,19 +63,29 @@ def model_input(dataset: LabeledDataset) -> np.ndarray:
 
 
 def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
-                  weights_q=None) -> np.ndarray:
+                  weights_q=None, input_q=None) -> np.ndarray:
     """Quantized forward pass with an injectable integer matmul.
 
     ``matmul_fn(weight_idx, aq, wq) -> accumulator array`` defaults to the
     exact product-and-sum; it returns a new float64 array, which int8 mode
     rescales in place. For int8, ``weights_q`` may supply pre-quantized
-    ``Int8Tensor`` weights (e.g. after fault injection into stored bytes).
+    ``Int8Tensor`` weights (e.g. after fault injection into stored bytes),
+    and ``input_q`` the ``quantize_int8`` of the first weighted stage's
+    input (e.g. an evaluation input shared by many forward passes). That
+    input must have ``input_q.raw``'s shape, or a ValueError names both;
+    a convolution's input is its im2col patches, not ``x``.
     """
     if fmt == "int8":
         wq = weights_q if weights_q is not None else quantize_weights(model)
 
         def linear(mdl, idx, a):
-            q = quantize_int8(a)
+            if idx == 0 and input_q is not None:
+                if input_q.raw.shape != a.shape:
+                    raise ValueError(f"input_q has shape {input_q.raw.shape}, but the "
+                                     f"first weighted stage's input has shape {a.shape}")
+                q = input_q
+            else:
+                q = quantize_int8(a)
             acc = (
                 exact_int_matmul(q.raw, wq[idx].raw)
                 if matmul_fn is None

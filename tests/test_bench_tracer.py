@@ -5,8 +5,9 @@ counters read their arguments and results: ``len(faults)``, ``for pe in
 state.faults``, ``state.active[pe]`` and the parameter names ``state``,
 ``weight_shapes``, ``dataset``, ``eval_samples`` and ``x``; the SNN mapper's
 fitness is a callable that ``pso_assign`` calls once per particle and
-iteration, and every DRAM trial makes its own ``quant_forward`` call. A
-change that breaks any of these fails here instead of in a benchmark run.
+iteration, and every DRAM trial, the baseline included, makes its own
+``quant_forward`` call over the whole evaluation set. A change that breaks
+any of these fails here instead of in a benchmark run.
 """
 
 import functools
@@ -99,17 +100,26 @@ def test_traced_neuro_map_counts_one_fitness_call_per_particle(tmp_path):
                   "fitness_evals") == 2
 
 
+_DRAM = {"model": {"layers": [64, 16, 10]}, "dataset": {"train": 200, "test": 200, "size": 8},
+         "train": {"epochs": 1}}
+
+
+def _forward_samples(tracer) -> list:
+    """The samples of each traced ``quant_forward`` call, in call order."""
+    return [s.counts["samples"] for s in tracer.spans
+            if s.name == "netcore.inference.quant_forward"]
+
+
 def test_traced_dram_column_makes_one_forward_per_trial(tmp_path):
     camp = {"faults_per_column": 3, "runs": 2, "grid_width": 12, "eval_samples": 100}
-    tracer = _traced_run(tmp_path, {
-        "experiment": "dram-column",
-        "model": {"layers": [64, 16, 10]},
-        "dataset": {"train": 200, "test": 200, "size": 8},
-        "train": {"epochs": 1},
-        "campaign": camp,
-    })
+    tracer = _traced_run(tmp_path, {"experiment": "dram-column", "campaign": camp, **_DRAM})
     forwards = camp["runs"] * camp["grid_width"] + 1  # trials plus the baseline
-    assert sum(s.name == "netcore.inference.quant_forward"
-               for s in tracer.spans) == forwards
-    assert _count(tracer, "netcore.inference.quant_forward", "samples") == (
-        forwards * camp["eval_samples"])
+    assert _forward_samples(tracer) == [camp["eval_samples"]] * forwards
+
+
+def test_traced_dram_bitpos_makes_one_forward_per_trial(tmp_path):
+    camp = {"counts": [3, 5], "bit_positions": [7, 6], "runs": 2, "eval_samples": 100}
+    tracer = _traced_run(tmp_path, {"experiment": "dram-bitpos", "campaign": camp, **_DRAM})
+    # trials plus the baseline, each over the whole evaluation set
+    forwards = 1 + len(camp["counts"]) * len(camp["bit_positions"]) * camp["runs"]
+    assert _forward_samples(tracer) == [camp["eval_samples"]] * forwards

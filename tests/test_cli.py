@@ -21,7 +21,7 @@ from faultlab.cli.main import main
 from faultlab.cli.report import ReportError, report
 from faultlab.cli.runner import run
 from faultlab.netcore import init_lenet5, init_mlp, save_model
-from faultlab.neurorel import SnnWorkloadGraph, save_workload
+from faultlab.neurorel import SnnWorkloadGraph, random_workload, save_workload
 from faultlab.seeds import derive_seed
 from faultlab.yamlio import render
 
@@ -136,11 +136,24 @@ def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field
     ({"max_activation": -1}, "workload.max_activation:"),
     ({"neurons": 3, "synapses": 7}, "workload.synapses:"),
     ({"neurons": 1.5}, "workload.neurons:"),
+    # no int64 draw reaches these: random_workload would fail naming no field
+    ({"max_activation": 2.0**63}, "workload.max_activation:"),
+    ({"max_activation": 1e19}, "workload.max_activation:"),
 ])
 def test_validate_names_wrong_workload_field(workload, field):
     cfg, errors = validate({"experiment": "neuro-map", "workload": workload})
     assert cfg is None
     assert len(errors) == 1 and errors[0].startswith(field), errors
+
+
+def test_validate_accepts_largest_drawable_max_activation():
+    top = 2.0**63 - 1024  # the float just below 2**63
+    cfg, errors = validate({"experiment": "neuro-map",
+                            "workload": {"neurons": 4, "synapses": 5,
+                                         "max_activation": top}})
+    assert errors == [] and cfg["workload"]["max_activation"] == top
+    graph = random_workload(4, 5, max_activation=top)
+    assert 0 <= min(graph.activation) and max(graph.activation) <= top
 
 
 @pytest.mark.parametrize("params", [{"sigma_min_frac": 0.15}, {"sigma_max_frac": 0.09},

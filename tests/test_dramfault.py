@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import frozen_dram
 from faultlab import dramfault as df
-from faultlab.netcore import evaluate, init_mlp
+from faultlab.netcore import evaluate, init_lenet5, init_mlp
+from faultlab.netcore import inference
 from faultlab.netcore.inference import model_input
 from faultlab.quantnum import Int8Tensor, int8_to_byte, quantize_int8
 
@@ -161,16 +163,40 @@ def test_column_campaign_padding_columns_exact_zero(small_mlp, blob_test):
 ])
 def test_campaign_converts_input_and_quantizes_weights_once(
         monkeypatch, small_mlp, blob_test, campaign, kwargs):
-    calls = {"model_input": 0, "quantize_weights": 0}
+    calls = {"model_input": 0, "quantize_weights": 0, "quantize_input": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, when=lambda *args: True):
         def wrapper(*args, **kw):
-            calls[name] += 1
+            calls[name] += when(*args)
             return fn(*args, **kw)
         return wrapper
 
     monkeypatch.setattr(df, "model_input", counted("model_input", df.model_input))
     monkeypatch.setattr(df, "quantize_weights",
                         counted("quantize_weights", df.quantize_weights))
+    # every binding of the quantizer, counting the calls on the flat input
+    quantize_input = counted("quantize_input", df.quantize_int8,
+                             lambda values, *rest: np.shape(values) == (100, 784))
+    for module in (df, inference):
+        monkeypatch.setattr(module, "quantize_int8", quantize_input)
     campaign(small_mlp, blob_test, seed=1, eval_samples=100, **kwargs)
-    assert calls == {"model_input": 1, "quantize_weights": 1}
+    assert calls == {"model_input": 1, "quantize_weights": 1, "quantize_input": 1}
+
+
+@pytest.mark.parametrize("model, campaign, kwargs", [
+    ("mlp", "bitpos_campaign", {"counts": [10, 60], "bit_positions": (7, 5), "runs": 2}),
+    ("mlp", "column_campaign", {"faults_per_column": 30, "runs": 2, "grid_width": 12}),
+    # a convolution first: every pass quantizes its own patches
+    ("lenet5", "bitpos_campaign", {"counts": [5, 40], "bit_positions": (7, 6), "runs": 2}),
+])
+def test_campaign_equals_frozen_per_trial_forward(small_mlp, blob_test, model, campaign,
+                                                  kwargs):
+    net = small_mlp if model == "mlp" else init_lenet5(28, seed=5)
+    args = dict(seed=4, eval_samples=300, **kwargs)
+    got = getattr(df, campaign)(net, blob_test, **args)
+    want = getattr(frozen_dram, campaign)(net, blob_test, **args)
+    assert got[:2] == want[:2]
+    assert any(row.drop_pp != 0.0 for row in got[0])  # the flips reach the predictions
+    if campaign == "column_campaign":
+        assert got[2].keys() == want[2].keys()
+        assert all(np.array_equal(got[2][c], want[2][c]) for c in want[2])

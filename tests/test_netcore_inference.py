@@ -19,6 +19,7 @@ from faultlab.netcore.data import LabeledDataset, synthetic_blobs
 from faultlab.netcore.inference import model_input, quant_forward
 from faultlab.netcore.network import forward
 from faultlab.netcore.checkpoint import load_model, save_model
+from faultlab.quantnum import quantize_int8
 
 
 def _round_half_away(x: float) -> float:
@@ -320,6 +321,26 @@ def test_int8_logits_match_frozen_quantizer(monkeypatch, model):
     got = quant_forward(model, x, "int8")
     monkeypatch.setattr(inference, "quantize_int8", frozen_quant.quantize_int8)
     assert np.array_equal(got, quant_forward(model, x, "int8"))
+
+
+def test_int8_logits_with_input_q_equal_quantizing_in_pass():
+    model = init_mlp((256, 32, 10), seed=2)
+    x = model_input(synthetic_blobs(300, size=16, seed=5))
+    xq = quantize_int8(x.reshape(len(x), -1))
+    assert np.array_equal(quant_forward(model, x, "int8", input_q=xq),
+                          quant_forward(model, x, "int8"))
+
+
+@pytest.mark.parametrize("model, input_q, shapes", [
+    (init_mlp((256, 32, 10), seed=2), np.ones((299, 256)), r"\(299, 256\).*\(300, 256\)"),
+    (init_mlp((256, 32, 10), seed=2), np.ones((300, 255)), r"\(300, 255\).*\(300, 256\)"),
+    # a convolution's input is its patches: 300 images of 12x12 5x5 windows
+    (init_lenet5(16, seed=2), np.ones((300, 256)), r"\(300, 256\).*\(43200, 25\)"),
+], ids=["rows", "width", "conv-first"])
+def test_input_q_of_another_shape_rejected(model, input_q, shapes):
+    x = model_input(synthetic_blobs(300, size=16, seed=5))
+    with pytest.raises(ValueError, match=f"input_q has shape {shapes}"):
+        quant_forward(model, x, "int8", input_q=quantize_int8(input_q))
 
 
 @pytest.mark.parametrize("fan_in", [1024, 2048])
