@@ -7,11 +7,16 @@ padding columns past the last neuron, which hold no weight. Campaigns flip
 chosen bit positions at seeded random cells and measure the int8 inference
 accuracy drop against the fault-free baseline, in percentage points.
 
-Every trial, the baseline included, runs its own int8 forward pass over the
-whole evaluation set. The input never changes within a campaign, so where
-the first weighted stage takes it flattened (an MLP) its int8 quantization
-is computed once per campaign and shared by every pass; a network that
-opens with a convolution quantizes its patches in each pass.
+Every trial, the baseline included, makes its own int8 ``quant_forward``
+call over the whole evaluation set. The input never changes within a
+campaign, so where the first weighted stage takes it flattened (an MLP) its
+int8 quantization is computed once per campaign and shared by every pass; a
+network that opens with a convolution quantizes its patches in each pass.
+A bit-position trial flips every layer and runs the whole network. A column
+trial changes only the output layer, so the column campaign records its
+fault-free pass and each trial reuses every stage before the output layer
+from that record: one output-layer matmul per trial, and none for a padding
+column, which changes no weight.
 """
 
 from __future__ import annotations
@@ -69,8 +74,10 @@ def _fixed_input_q(model, x: np.ndarray) -> Int8Tensor | None:
     return quantize_int8(x.reshape(len(x), -1)) if isinstance(first, DenseStage) else None
 
 
-def _int8_predictions(model, x: np.ndarray, weights_q, input_q=None) -> np.ndarray:
-    logits = quant_forward(model, x, fmt="int8", weights_q=weights_q, input_q=input_q)
+def _int8_predictions(model, x: np.ndarray, weights_q, input_q=None,
+                      baseline=None) -> np.ndarray:
+    logits = quant_forward(model, x, fmt="int8", weights_q=weights_q, input_q=input_q,
+                           baseline=baseline)
     return np.argmax(logits, axis=1)
 
 
@@ -155,7 +162,8 @@ def column_campaign(
     x = model_input(data)
     xq = _fixed_input_q(model, x)
     baseline_wq = model_grids(model)
-    base_pred = _int8_predictions(model, x, baseline_wq, xq)
+    record = []
+    base_pred = _int8_predictions(model, x, baseline_wq, xq, baseline=record)
     baseline = float(np.mean(base_pred == data.labels))
     baseline_recall = _recall_from(base_pred, data.labels, n_classes)
 
@@ -167,7 +175,7 @@ def column_campaign(
             mutated, _ = inject(baseline_wq[-1], bit_pos, faults_per_column, run_seed,
                                 target=column)
             faulty = baseline_wq[:-1] + [mutated]
-            pred = _int8_predictions(model, x, faulty, xq)
+            pred = _int8_predictions(model, x, faulty, xq, baseline=record)
             acc = float(np.mean(pred == data.labels))
             rows.append(CampaignRow("column", bit_pos, column, faults_per_column,
                                     run_seed, acc, (baseline - acc) * 100.0))

@@ -16,7 +16,11 @@ Integer matmuls run in floating point with every partial sum an integer
 the format holds exactly, so results are bit-stable regardless of BLAS
 order (see ``exact_int_matmul``); each new accumulator is rescaled and
 biased in place. Images, ReLU and pool outputs are never negative, so
-``quantize_int8`` rounds them on its non-negative path.
+``quantize_int8`` rounds them on its non-negative path. A fault-free pass
+can record, per weighted stage, its stored weights and its output after
+scale and bias; a later pass on the same input reuses every stage before
+the first one whose weights differ from the record, so a change to the
+output layer alone costs one matmul.
 
 bfloat16 mode: weights and activations rounded to bfloat16; products of
 two bfloat16 values are exact in float64, accumulation stays in full
@@ -63,7 +67,7 @@ def model_input(dataset: LabeledDataset) -> np.ndarray:
 
 
 def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
-                  weights_q=None, input_q=None) -> np.ndarray:
+                  weights_q=None, input_q=None, baseline=None) -> np.ndarray:
     """Quantized forward pass with an injectable integer matmul.
 
     ``matmul_fn(weight_idx, aq, wq) -> accumulator array`` defaults to the
@@ -74,11 +78,41 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
     input (e.g. an evaluation input shared by many forward passes). That
     input must have ``input_q.raw``'s shape, or a ValueError names both;
     a convolution's input is its im2col patches, not ``x``.
+
+    ``baseline`` records one pass of ``model`` on ``x`` for later passes
+    to reuse; it is for int8 mode with the exact matmul only. Given an
+    empty list, the pass appends ``x``, then each weighted stage's
+    ``(stored weights, output after scale and bias)``. Given a filled list,
+    the pass takes every stage's output from the record up to the first
+    stage whose ``Int8Tensor`` differs from the recorded one (another
+    object, and unequal ``scale`` or ``raw``), and computes from that stage
+    on as it would without a record: the same arrays flow into it, so the
+    logits are bit-identical. With no weights differing it returns a copy
+    of the recorded logits. The record belongs to ``model`` (its outputs
+    hold the biases); a ValueError names a record used with another ``x``.
     """
+    if baseline is not None and (fmt != "int8" or matmul_fn is not None):
+        raise ValueError(f"a baseline record needs fmt 'int8' and the exact matmul, "
+                         f"got fmt {fmt!r}"
+                         + ("" if matmul_fn is None else " and a matmul_fn"))
+    recording = baseline is not None and not baseline
     if fmt == "int8":
         wq = weights_q if weights_q is not None else quantize_weights(model)
+        reused = 0
+        if baseline:
+            recorded_x, *recorded = baseline
+            if x is not recorded_x and not np.array_equal(x, recorded_x):
+                raise ValueError("the baseline record was made on another input x")
+            reused = next((idx for idx, (w, _) in enumerate(recorded)
+                           if not _same_weights(w, wq[idx])), len(recorded))
+            if reused == len(recorded):
+                return recorded[-1][1].copy()
+        elif recording:
+            baseline.append(x)
 
         def linear(mdl, idx, a):
+            if idx < reused:
+                return recorded[idx][1]
             if idx == 0 and input_q is not None:
                 if input_q.raw.shape != a.shape:
                     raise ValueError(f"input_q has shape {input_q.raw.shape}, but the "
@@ -92,7 +126,10 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
                 else matmul_fn(idx, q.raw, wq[idx].raw)
             )
             acc *= q.scale * wq[idx].scale
-            return np.add(acc, mdl.biases[idx], out=acc)
+            np.add(acc, mdl.biases[idx], out=acc)
+            if recording:
+                baseline.append((wq[idx], acc))
+            return acc
 
     elif fmt == "bfloat16":
         wb = [bf16_round_array(w).astype(np.float64) for w in model.weights]
@@ -105,7 +142,13 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
     else:
         raise ValueError(f"unknown quantized mode {fmt!r}, expected int8 or bfloat16")
 
-    return forward(model, x, linear_fn=linear)
+    logits = forward(model, x, linear_fn=linear)
+    # the recorded logits stay the record's own
+    return logits.copy() if recording else logits
+
+
+def _same_weights(a: Int8Tensor, b: Int8Tensor) -> bool:
+    return a is b or (a.scale == b.scale and np.array_equal(a.raw, b.raw))
 
 
 def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:

@@ -29,8 +29,17 @@ except ImportError:  # PyYAML built without libyaml
     from yaml import SafeLoader as _Loader
 
 
+def _bound_text(x) -> str:
+    """An int as ``str``; a float as ``%g`` where that reads back as the same
+    float, else as ``repr``, so no message names a bound it does not check."""
+    if isinstance(x, int):
+        return str(x)
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def _range(lo, hi, open_lo, open_hi) -> str:
-    lo_text, hi_text = (str(x) if isinstance(x, int) else f"{x:g}" for x in (lo, hi))
+    lo_text, hi_text = _bound_text(lo), _bound_text(hi)
     if hi == math.inf:
         return "" if lo == -math.inf else f" {'>' if open_lo else '>='} {lo_text}"
     return f" in {'(' if open_lo else '['}{lo_text}, {hi_text}{')' if open_hi else ']'}"

@@ -156,6 +156,14 @@ def test_validate_accepts_largest_drawable_max_activation():
     assert 0 <= min(graph.activation) and max(graph.activation) <= top
 
 
+def test_validate_names_the_exact_max_activation_bound():
+    # %g would print 9.22337e+18, below the bound checked; repr reads back as it
+    _, errors = validate({"experiment": "neuro-map", "workload": {"max_activation": 1e19}})
+    assert errors == ["workload.max_activation: must be a number in "
+                      "[0, 9.223372036854775e+18]"]
+    assert float("9.223372036854775e+18") == 2.0**63 - 1024
+
+
 @pytest.mark.parametrize("params", [{"sigma_min_frac": 0.15}, {"sigma_max_frac": 0.09},
                                     {"sigma_min_frac": 0.2, "sigma_max_frac": 0.2}])
 def test_validate_accepts_blob_widths_in_order(params):

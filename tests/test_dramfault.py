@@ -1,5 +1,7 @@
 """Bit-flip injection into stored int8 weights, and the DRAM campaigns."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -183,11 +185,40 @@ def test_campaign_converts_input_and_quantizes_weights_once(
     assert calls == {"model_input": 1, "quantize_weights": 1, "quantize_input": 1}
 
 
+def test_column_trials_reuse_the_baseline_pass_before_the_output_layer(monkeypatch,
+                                                                       blob_test):
+    # the weights are quantized once, and the hidden stages' inputs are
+    # quantized and multiplied in the baseline pass alone; each of the 10
+    # neuron columns' trials quantizes the output layer's input and runs its
+    # matmul, and the 2 padding columns run neither
+    calls = {"quantize": Counter(), "matmul": Counter()}
+
+    def counted(name, fn, shape_of):
+        def wrapper(*args, **kw):
+            calls[name][shape_of(*args)] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    quantize = counted("quantize", df.quantize_int8, lambda values, *rest: np.shape(values))
+    for module in (df, inference):
+        monkeypatch.setattr(module, "quantize_int8", quantize)
+    monkeypatch.setattr(inference, "exact_int_matmul",
+                        counted("matmul", inference.exact_int_matmul,
+                                lambda aq, wq: wq.shape))
+    model = init_mlp((784, 48, 32, 10), seed=2)
+    df.column_campaign(model, blob_test, runs=1, seed=1, grid_width=12, eval_samples=100)
+    assert calls == {"quantize": {(784, 48): 1, (48, 32): 1, (32, 10): 1,
+                                  (100, 784): 1, (100, 48): 1, (100, 32): 11},
+                     "matmul": {(784, 48): 1, (48, 32): 1, (32, 10): 11}}
+
+
 @pytest.mark.parametrize("model, campaign, kwargs", [
     ("mlp", "bitpos_campaign", {"counts": [10, 60], "bit_positions": (7, 5), "runs": 2}),
     ("mlp", "column_campaign", {"faults_per_column": 30, "runs": 2, "grid_width": 12}),
     # a convolution first: every pass quantizes its own patches
     ("lenet5", "bitpos_campaign", {"counts": [5, 40], "bit_positions": (7, 6), "runs": 2}),
+    # the column trials reuse the recorded conv stages
+    ("lenet5", "column_campaign", {"faults_per_column": 30, "runs": 2, "grid_width": 12}),
 ])
 def test_campaign_equals_frozen_per_trial_forward(small_mlp, blob_test, model, campaign,
                                                   kwargs):

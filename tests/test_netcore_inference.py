@@ -19,7 +19,7 @@ from faultlab.netcore.data import LabeledDataset, synthetic_blobs
 from faultlab.netcore.inference import model_input, quant_forward
 from faultlab.netcore.network import forward
 from faultlab.netcore.checkpoint import load_model, save_model
-from faultlab.quantnum import quantize_int8
+from faultlab.quantnum import Int8Tensor, quantize_int8
 
 
 def _round_half_away(x: float) -> float:
@@ -341,6 +341,87 @@ def test_input_q_of_another_shape_rejected(model, input_q, shapes):
     x = model_input(synthetic_blobs(300, size=16, seed=5))
     with pytest.raises(ValueError, match=f"input_q has shape {shapes}"):
         quant_forward(model, x, "int8", input_q=quantize_int8(input_q))
+
+
+def _recorded(model, x):
+    """(stored weights, logits of a recording pass, its record)."""
+    wq, record = inference.quantize_weights(model), []
+    return wq, quant_forward(model, x, "int8", weights_q=wq, baseline=record), record
+
+
+def _changed(w, change, row):
+    """``w`` with every bit of weight (row, 0) flipped, or with another scale."""
+    if change == "scale":
+        return Int8Tensor(raw=w.raw, scale=w.scale * (1.5 + row))
+    raw = w.raw.copy()
+    raw[row, 0] = ~raw[row, 0]
+    return Int8Tensor(raw=raw, scale=w.scale)
+
+
+@pytest.mark.parametrize("model, stage", [
+    pytest.param(model, k, id=f"{name}-stage{k}")
+    for name, model in [("mlp", init_mlp((256, 32, 16, 10), seed=2)),
+                        ("lenet5", init_lenet5(16, seed=2))]
+    for k in range(len(model.weights))])
+@pytest.mark.parametrize("change", ["raw", "scale"])
+def test_reused_pass_equals_a_fresh_pass(model, stage, change):
+    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    wq, base, record = _recorded(model, x)
+    assert record[0] is x and len(record) == 1 + len(model.weights)
+    assert np.array_equal(base, record[-1][1])
+    for row in range(len(wq[stage].raw)):  # the first change that reaches the logits
+        faulty = wq[:stage] + [_changed(wq[stage], change, row)] + wq[stage + 1:]
+        fresh = quant_forward(model, x, "int8", weights_q=faulty)
+        if not np.array_equal(fresh, base):
+            break
+    else:
+        pytest.fail(f"no {change} change of stage {stage} reaches the logits")
+    assert np.array_equal(quant_forward(model, x, "int8", weights_q=faulty,
+                                        baseline=record), fresh)
+
+
+def test_unchanged_weights_return_the_recorded_logits_by_copy(monkeypatch):
+    model = init_mlp((256, 32, 16, 10), seed=2)
+    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    wq, base, record = _recorded(model, x)
+    want = base.copy()
+    base[:] = 0.0  # the recording pass's logits are not the record's
+    monkeypatch.setattr(inference, "exact_int_matmul", None)  # no stage runs
+    # equal weights count as unchanged, whether the same objects or not, and
+    # so does an equal input
+    for weights in (wq, [Int8Tensor(raw=w.raw.copy(), scale=w.scale) for w in wq]):
+        got = quant_forward(model, x.copy(), "int8", weights_q=weights, baseline=record)
+        assert np.array_equal(got, want)
+        got[:] = 0.0  # nor are a reused pass's
+
+
+_MISUSES = [
+    ({"matmul_fn": lambda idx, aq, wq: inference.exact_int_matmul(aq, wq)},
+     "needs fmt 'int8' and the exact matmul, got fmt 'int8' and a matmul_fn"),
+    ({"fmt": "bfloat16"}, "needs fmt 'int8' and the exact matmul, got fmt 'bfloat16'$"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", _MISUSES + [
+    ({"x": np.zeros((40, 16, 16, 1))}, "made on another input x"),
+    ({"x": np.ones((39, 16, 16, 1))}, "made on another input x"),
+], ids=["matmul-fn", "bfloat16", "other-values", "other-shape"])
+def test_record_misused_rejected(kwargs, message):
+    model = init_mlp((256, 32, 16, 10), seed=2)
+    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    _, _, record = _recorded(model, x)
+    with pytest.raises(ValueError, match=message):
+        quant_forward(model, **{"x": x, "baseline": record, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, message", _MISUSES, ids=["matmul-fn", "bfloat16"])
+def test_recording_rejected_outside_exact_int8(kwargs, message):
+    model = init_mlp((256, 32, 16, 10), seed=2)
+    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    record = []
+    with pytest.raises(ValueError, match=message):
+        quant_forward(model, x, baseline=record, **kwargs)
+    assert record == []
 
 
 @pytest.mark.parametrize("fan_in", [1024, 2048])
