@@ -685,7 +685,8 @@ GOLDEN_CONFIGS = {
 
 
 def _golden_digests(out_dir: Path) -> dict:
-    """sha256 of each CSV and YAML output and of the manifest without its clock."""
+    """sha256 of each CSV and YAML output, of the manifest without its clock and
+    of the text ``report`` prints for the run."""
     manifest = json.loads((out_dir / "manifest.json").read_text())
     del manifest["wall_clock_s"]
     digests = {"manifest": hashlib.sha256(
@@ -693,6 +694,8 @@ def _golden_digests(out_dir: Path) -> dict:
     for name in sorted(manifest["outputs"]):
         if name.endswith((".csv", ".yaml")):
             digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    text = report(out_dir, write_svg=False)
+    digests["report"] = hashlib.sha256(text.encode()).hexdigest()
     return digests
 
 
@@ -701,53 +704,64 @@ GOLDEN_DIGESTS = {
         "manifest": "d61e735b9f105ef215e3c41fa09cad39a8a2ca27ebd0e88bf109e26eb64d2241",
         "history.csv": "db0cfbec384f4ef3b8ea6d3cb0dca3ce178e3ee92bb03fc2e29e00820e8a37f3",
         "summary.csv": "de0ae9d9604050859927e177c175c62b7cfc3c29b5e9e0a002575a65c2c3e98e",
+        "report": "b7508396c88d8100e5cff4785bc4a4bac5a7d09a28fc12ba0b1e35fd634270ca",
     },
     "dram-bitpos": {
         "manifest": "79ee625651b7af443b82e69d6696f8b051c38a7dd23fb00e5ee3ac83e2007663",
         "bitpos.csv": "5554636520aa3603f698098b010f569df0a152ff70eb5ccd697249c760929952",
+        "report": "937234390211cf5a823ab0bdb84e1d5b4ded3e0669e24fd8cc0c0fbbb1a1b1e5",
     },
     "dram-column": {
         # config_hash changed when campaign.track_recall left the config
         "manifest": "6ee6e7abc337177f88e95eb1151780794d00a9e7b6e70f51ef8bb88eb58e3272",
         "column.csv": "0c4bff1b1fdbf155495f6fb35b0a37db6645782efdedbecf0e693bd07ed5d754",
+        "report": "eeb5b4ba051a660f6a56f3e6146873bf5a6a0d41b1159e5bbebb3c478ae2ce69",
     },
     "mac-sweep": {
         "manifest": "39861fa7568e23758f85a3473af6d542195838763f260a2d80fbcfe4b7b85bf0",
         "sweep.csv": "f9194b88d24a399c45a2b0bcb76e82616ee79203808926498778797fa789cca8",
+        "report": "0b10431481e43b7c3fda3f3b01839dfb58e424661067a2bafab3e4372e3ee807",
     },
     "mac-sweep:bf16-sim": {
         "manifest": "fbaad9ef3176436803a4647011bf93a0907b88173fbd6e45a3ed7549a51dc08c",
         "sweep.csv": "330f1c36d2abe45ad312726d42f652d5d27965aebf7357da3ea32458da91ea69",
+        "report": "0ac60798e3c77802a5dc344e4d3b8a381655c68abf3272659d2e8e4823607735",
     },
     "mac-sweep:bf16-worst": {
         "manifest": "b6c0d1bafa31151c79d8ed8868d97199fa1dfe2eac92d12239e275d5d3830096",
         "sweep.csv": "b92b69b7c7173f9cf7a14d55c59ea36097d8431b05b95a43ccaef9e8a1f18540",
+        "report": "3103aaefeedba18cfbe72c0657624710e3daab1d2badbb7509b46548eb066c9e",
     },
     "deactivate:bf16": {
         "manifest": "29c9798968dbea3b46e53bff73956eb9e725e60b0ec91c91e808bf52cf4a8cd0",
         "deactivate.csv": "767e003deb4b44495ff7b9568ac559f50717af88914122068bfebf989157f8f3",
         "faultmap_run0.yaml": "df89f8d62b12482ce0b1b48ea10fc4bcc9fe77776fe0c0ef6a0ca4e23bc6f0ea",
         "faultmap_run1.yaml": "d262316eece99b9822a5770c84edab5f0718fb1429aacc5fce9d33f8ff0e78af",
+        "report": "5b24c88dcbaf2d436eb88ab1a3d9b3b3ddbff7bdfc35b738214fdc239cb284bb",
     },
     "deactivate": {
         "manifest": "9e3231a9dcd027b5331d53ed1e00a6cb9f120475c08f0fb961a1918273de02b4",
         "deactivate.csv": "c6983e3d5a944d38c9ecb44a3678e0b7e51af1fe05c9193b0b0a3d2d31ccdd9c",
         "faultmap_run0.yaml": "49f67f165fbbaaac2a842caa1e511e5ea4c4c4a23557daa0bde3eeb81fe8b443",
         "faultmap_run1.yaml": "c6320c16e9e29ffc7e599576cc18c6b9a358db3d3701caaa49d9052386e42509",
+        "report": "e2845236f1de0e84284f66ec2fa03a3a7e989630af95eb61c232319344d507a4",
     },
     "fault-train": {
         "manifest": "28f7e021b5945fd283317200f0e482bd4981beaf1e9fcbf0c02c62ace370a88a",
         "fault_train.csv": "41bfa042a620d74d2d567fa5b0df88e69cffb757f30af0426312744be7a1115a",
+        "report": "85dddf495a43ed1738f5658c2bc38374c42fcb59b79c2ca563f35fcd61d391fe",
     },
     "endurance-map": {
         "manifest": "e45fa1449ab861c53e0942d30f0f144eaa561e24a4d2e9b2f6bbb412322d373d",
         "endurance.csv": "dc65f3c126e56b2c58456da0698552656a7a5204949152799f0c3cd370a687b7",
+        "report": "af24f61620ceb83696fbf4805e4fe6cce62d28925ba5eb6d8f790bf40e87ce57",
     },
     "neuro-map": {
         "manifest": "1b4474077e746964b148ad4c7569c611c873c4320e31fd7cf67d4369c6b18f55",
         "mapping.csv": "e6b7334ee14be7aec8b42556331c0aa3ebaad968a0d70d3d5a60219ce9938d38",
         "summary.csv": "033a7315131f997875d93f1c069ddda1c920eb7a1b1e5d8f915c832691141f74",
         "workload.yaml": "33c53c533956be5e9fda9a2926817e871d9fb9f4c8a051dfe1d58bec2ef0dc47",
+        "report": "08c13221021dca94ce6d29579b574b269150195bff248e586eb784979f4b3832",
     },
 }
 
