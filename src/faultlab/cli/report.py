@@ -5,6 +5,9 @@
 its schema and draws the chart from the rows it wrote; ``report`` knows a
 file by its header (naming a deviating column) and draws the same chart from
 the rows it reads. A new CSV layout means one new record.
+
+``cells`` and ``cell_stats`` are the one rule from campaign rows to per-cell
+statistics, for the CSV rows report reads and the rows a campaign returns.
 """
 
 from __future__ import annotations
@@ -44,29 +47,32 @@ def _classify(path: Path, header):
     for name, schema in SCHEMAS.items():
         if header == schema.header:
             return name
-    for schema in SCHEMAS.values():
-        if len(header) == len(schema.header):
-            for got, want in zip(header, schema.header):
-                if got != want:
-                    raise ReportError(
-                        f"{path.name}: unexpected column '{got}' (expected '{want}')"
-                    )
+    same_width = [s.header for s in SCHEMAS.values() if len(s.header) == len(header)]
+    if same_width:  # name the first mismatch of the closest layout
+        closest = max(same_width, key=lambda want: sum(map(str.__eq__, header, want)))
+        got, want = next((g, w) for g, w in zip(header, closest) if g != w)
+        raise ReportError(f"{path.name}: unexpected column '{got}' (expected '{want}')")
     raise ReportError(f"{path.name}: unrecognized schema {header}")
 
 
-def _mean_std(values):
+def cell_stats(values):
+    """(mean, deviation) of one cell's values: the sequential ``sum(values) / n``
+    and the population deviation (over n). report's text depends on both."""
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)
 
 
-def _aggregate(rows, key_idx, value_idx):
+def cells(rows, key_idx, value_idx):
+    """{key: cell_stats of its values}, sorted by key, where a row's key is the
+    tuple of its ``key_idx`` entries and its value is ``float(row[value_idx])``.
+    A value that is "" (a NaN the runner wrote) is skipped, a zero is not."""
     groups = defaultdict(list)
     for row in rows:
-        if row[value_idx]:  # an empty cell is a NaN the runner wrote
+        if row[value_idx] != "":
             groups[tuple(row[k] for k in key_idx)].append(float(row[value_idx]))
-    return {k: _mean_std(v) for k, v in sorted(groups.items())}
+    return {k: cell_stats(v) for k, v in sorted(groups.items())}
 
 
 def report(directory, write_svg: bool = True) -> str:
@@ -99,15 +105,14 @@ def report(directory, write_svg: bool = True) -> str:
 def _drops(key_idx, value_idx, where):
     """Summary: the mean and spread of a drop column per key, named by ``where``."""
     return lambda rows: [f"   {where(*key)}: drop {mean:+.3f} ± {std:.3f} pp"
-                         for key, (mean, std) in _aggregate(rows, key_idx,
-                                                            value_idx).items()]
+                         for key, (mean, std) in cells(rows, key_idx, value_idx).items()]
 
 
 def _drop_chart(rows, label, x_idx, drop_idx, title, xlabel):
     """Mean drop (pp) against column ``x_idx``, one line per value of column 1,
     named by ``label`` and the value."""
     series = defaultdict(list)
-    for (key, x), (mean, _) in _aggregate(rows, (1, x_idx), drop_idx).items():
+    for (key, x), (mean, _) in cells(rows, (1, x_idx), drop_idx).items():
         series[label + key].append((float(x), mean))
     return svgplot.line_chart({k: sorted(v) for k, v in series.items()}, title,
                               xlabel, "mean drop (pp)")
@@ -129,31 +134,31 @@ def _sweep_chart(stem, rows):
 
 
 def _fault_train_summary(rows):
-    before, after = (_aggregate(rows, (), col).get((), (math.nan,))[0]
+    before, after = (cells(rows, (), col).get((), (math.nan,))[0]
                      for col in (4, 5))
     return [f"   normalized loss {before:.4f} -> {after:.4f} over {len(rows)} seeds"]
 
 
 def _endurance_cells(rows):
     """(n, {(row, col): (temperature, endurance)}) of a square map."""
-    cells = {(int(r[0]), int(r[1])): (float(r[3]), float(r[4])) for r in rows}
-    n = max(max(i, j) for i, j in cells) + 1
-    if set(cells) != {(i, j) for i in range(n) for j in range(n)}:
+    by_cell = {(int(r[0]), int(r[1])): (float(r[3]), float(r[4])) for r in rows}
+    n = max(max(i, j) for i, j in by_cell) + 1
+    if set(by_cell) != {(i, j) for i in range(n) for j in range(n)}:
         raise ValueError(f"the cells do not fill a {n}x{n} map")
-    return n, cells
+    return n, by_cell
 
 
 def _endurance_summary(rows):
-    n, cells = _endurance_cells(rows)
-    return [f"   {n}x{n} map, endurance {cells[(0, 0)][1]:.3g} (driver corner) "
-            f"to {cells[(n - 1, n - 1)][1]:.3g} (far corner)"]
+    n, by_cell = _endurance_cells(rows)
+    return [f"   {n}x{n} map, endurance {by_cell[(0, 0)][1]:.3g} (driver corner) "
+            f"to {by_cell[(n - 1, n - 1)][1]:.3g} (far corner)"]
 
 
 def _endurance_chart(stem, rows):
-    n, cells = _endurance_cells(rows)
+    n, by_cell = _endurance_cells(rows)
 
     def grid(k):
-        return [[cells[(i, j)][k] for j in range(n)] for i in range(n)]
+        return [[by_cell[(i, j)][k] for j in range(n)] for i in range(n)]
 
     return {
         stem: svgplot.heatmap(grid(1), f"Endurance map ({n}x{n}, log10 cycles)"),

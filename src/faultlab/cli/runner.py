@@ -398,7 +398,7 @@ KINDS = {
     "train": Experiment(_train, {}, history=True),
     # a DRAM campaign section holds exactly the campaign's keyword arguments
     "dram-bitpos": Experiment(_campaign("bitpos", "dram", lambda ctx, seed: (
-        dramfault.bitpos_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp)[0])), {
+        dramfault.bitpos_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp))), {
         "counts": ([40, 250], list_of(integer(0))),
         "bit_positions": ([7, 6, 5], list_of(integer(0, 7))),
         "runs": (10, integer(1)),

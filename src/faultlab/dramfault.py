@@ -104,9 +104,9 @@ def bitpos_campaign(
     """Whole-matrix flips at each (bit position, fault count) pair.
 
     Injects ``count`` faults into every layer's weights (independent draws per
-    layer), evaluates int8 accuracy, and averages the drop over ``runs``
-    seeded runs. Returns (rows, mean_table) where mean_table maps
-    (bit_pos, count) -> mean drop in percentage points.
+    layer) and evaluates int8 accuracy, in ``runs`` seeded runs per pair.
+    Returns the rows, one per run; ``cli.report.cells`` gives each pair's
+    mean drop.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -126,13 +126,7 @@ def bitpos_campaign(
                 acc = float(np.mean(_int8_predictions(model, x, faulty, xq) == data.labels))
                 rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
                                         acc, (baseline - acc) * 100.0))
-    mean_table = {}
-    for bit_pos in bit_positions:
-        for count in counts:
-            drops = [r.drop_pp for r in rows
-                     if r.bit_pos == bit_pos and r.fault_count == count]
-            mean_table[(bit_pos, count)] = float(np.mean(drops))
-    return rows, mean_table
+    return rows
 
 
 def column_campaign(
@@ -148,11 +142,13 @@ def column_campaign(
     """Column-targeted sign-bit attack on the output layer's stored weights.
 
     For each of ``grid_width`` columns, flips ``faults_per_column`` cells in
-    that column only and measures the accuracy drop; padding columns (index
-    >= class count) leave the model untouched. Returns (rows, mean_drops,
-    recall_drops) where mean_drops is indexed by column and recall_drops
-    maps column -> mean per-class recall drop array over runs.
+    that column only and measures the accuracy drop, in ``runs`` seeded runs;
+    padding columns (index >= class count) leave the model untouched. Returns
+    (rows, recall_drops): one row per run, and per column the mean per-class
+    recall drop array over runs, which no row holds.
     """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     n_classes = model.weights[-1].shape[1]
     if n_classes != 10:
         raise ValueError(f"column campaign expects a 10-class output, got {n_classes}")
@@ -182,11 +178,7 @@ def column_campaign(
             per_run_recall.append(baseline_recall
                                   - _recall_from(pred, data.labels, n_classes))
         recall_drops[column] = np.mean(per_run_recall, axis=0)
-    mean_drops = {
-        column: float(np.mean([r.drop_pp for r in rows if r.column == column]))
-        for column in range(grid_width)
-    }
-    return rows, mean_drops, recall_drops
+    return rows, recall_drops
 
 
 def _recall_from(pred: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 Each trial, the baseline included, calls ``quant_forward`` on the float
 input and quantizes every stage's input inside the pass, as the campaigns
 did before they shared one quantized input per campaign. A faster
-campaign must return these rows, mean tables and recall drops exactly.
+campaign must return these rows and recall drops exactly.
 """
 
 import numpy as np
@@ -42,13 +42,7 @@ def bitpos_campaign(model, dataset, counts, bit_positions=(7, 6, 5), runs=10, se
                 acc = float(np.mean(_predictions(model, x, faulty) == data.labels))
                 rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
                                         acc, (baseline - acc) * 100.0))
-    mean_table = {
-        (bit_pos, count): float(np.mean([r.drop_pp for r in rows
-                                         if r.bit_pos == bit_pos
-                                         and r.fault_count == count]))
-        for bit_pos in bit_positions for count in counts
-    }
-    return rows, mean_table
+    return rows
 
 
 def column_campaign(model, dataset, faults_per_column=20, bit_pos=SIGN_BIT, runs=10,
@@ -73,8 +67,4 @@ def column_campaign(model, dataset, faults_per_column=20, bit_pos=SIGN_BIT, runs
                                     run_seed, acc, (baseline - acc) * 100.0))
             per_run_recall.append(baseline_recall - _recall(pred, data.labels, n_classes))
         recall_drops[column] = np.mean(per_run_recall, axis=0)
-    mean_drops = {
-        column: float(np.mean([r.drop_pp for r in rows if r.column == column]))
-        for column in range(grid_width)
-    }
-    return rows, mean_drops, recall_drops
+    return rows, recall_drops

@@ -11,6 +11,7 @@ import functools
 import itertools
 import os
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from scipy import stats
 
 from faultlab import dramfault
+from faultlab.cli.report import cells
 from faultlab.macfault import (
     ArrayConfig,
     ArrayState,
@@ -165,29 +167,32 @@ def test_c1_baseline_training_fashion_real():
 @criterion(2, "sign-bit severity band and bit ordering (twins)")
 def test_c2_sign_bit_severity_twins(twin_a, twin_b):
     _, test_a, model_a, _, _ = twin_a
-    rows, table = dramfault.bitpos_campaign(
+    rows = dramfault.bitpos_campaign(
         model_a, test_a, counts=[250, 1000], bit_positions=(7, 6, 5), runs=10,
         seed=5,
     )
+    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 3), 6).items()}
     assert 0.5 <= table[(7, 250)] <= 5.0
     for count in (250, 1000):
         assert table[(7, count)] >= table[(6, count)] >= table[(5, count)]
 
     _, test_b, model_b, _, _ = twin_b
-    _, table_b = dramfault.bitpos_campaign(
+    rows = dramfault.bitpos_campaign(
         model_b, test_b, counts=[40], bit_positions=(7,), runs=20, seed=5,
     )
-    assert 0.5 <= table_b[(7, 40)] <= 5.0
+    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 3), 6).items()}
+    assert 0.5 <= table[(7, 40)] <= 5.0
 
 
 @criterion(2, "250 sign-bit faults per layer drop MNIST by 0.5-5pp (real data)")
 def test_c2_sign_bit_severity_mnist_real():
     train, test = _load_real("mnist")
     model, _, _ = _train_reference(train, test)
-    _, table = dramfault.bitpos_campaign(
+    rows = dramfault.bitpos_campaign(
         model, test, counts=[250], bit_positions=(7, 6, 5), runs=10, seed=5,
         eval_samples=4000,
     )
+    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 3), 6).items()}
     assert 0.5 <= table[(7, 250)] <= 5.0
     assert table[(7, 250)] >= table[(6, 250)] >= table[(5, 250)]
 
@@ -196,10 +201,11 @@ def test_c2_sign_bit_severity_mnist_real():
 def test_c2_sign_bit_severity_fashion_real():
     train, test = _load_real("fashion-mnist")
     model, _, _ = _train_reference(train, test)
-    _, table = dramfault.bitpos_campaign(
+    rows = dramfault.bitpos_campaign(
         model, test, counts=[40], bit_positions=(7,), runs=10, seed=5,
         eval_samples=4000,
     )
+    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 3), 6).items()}
     assert 0.5 <= table[(7, 40)] <= 5.0
 
 
@@ -209,14 +215,15 @@ def test_c2_sign_bit_severity_fashion_real():
 @criterion(3, "column attack: neuron columns drop, padding columns stay flat")
 def test_c3_column_locality(twin_b):
     _, test, model, _, _ = twin_b
-    _, mean_drops, recall_drops = dramfault.column_campaign(
+    rows, recall_drops = dramfault.column_campaign(
         model, test, faults_per_column=20, bit_pos=7, runs=20, seed=7,
         grid_width=16,
     )
+    drops = {col: mean for (col,), (mean, _) in cells(map(astuple, rows), (2,), 6).items()}
     for col in range(10):
-        assert mean_drops[col] > 0.0, f"column {col} drop {mean_drops[col]}"
+        assert drops[col] > 0.0, f"column {col} drop {drops[col]}"
     for col in range(10, 16):
-        assert abs(mean_drops[col]) < 0.2
+        assert abs(drops[col]) < 0.2
     # the attacked class's recall falls the most (confusion-matrix oracle)
     for col in range(10):
         assert int(np.argmax(recall_drops[col])) == col

@@ -557,12 +557,21 @@ def test_report_of_a_run_that_trained_no_epoch(tmp_path, capsys):
 
 
 def test_report_names_offending_column(tmp_path):
-    (tmp_path / "sweep.csv").write_text(
-        "format,k,fr,seed,accuracy,delta\nint8,2,5,1,0.9,0.1\n"
-    )
-    with pytest.raises(ReportError) as err:
-        report(tmp_path)
-    assert "delta" in str(err.value)
+    # three layouts have 7 columns: the closest one names the mismatch
+    for name, header, message in [
+        ("sweep.csv", "format,k,fr,seed,accuracy,delta", "'delta' (expected 'drop_pp')"),
+        ("fault_train.csv", "run_seed,baseline_accuracy,faulty_accuracy,retrained_acc,"
+         "loss_before,loss_after,relative_reduction",
+         "'retrained_acc' (expected 'retrained_accuracy')"),
+        ("mapping.csv", "cluster,tile,synapse,cell_row,cell_col,endurance,life",
+         "'life' (expected 'lifetime')"),
+    ]:
+        out = tmp_path / name.split(".")[0]
+        out.mkdir()
+        (out / name).write_text(header + "\n" + ",".join(["1"] * 7) + "\n")
+        with pytest.raises(ReportError) as err:
+            report(out)
+        assert str(err.value) == f"{name}: unexpected column {message}"
 
 
 DRAM_HEADER = "campaign,bit_pos,column,fault_count,run_seed,accuracy,drop_pp\n"

@@ -1,12 +1,14 @@
 """Bit-flip injection into stored int8 weights, and the DRAM campaigns."""
 
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import frozen_dram
 from faultlab import dramfault as df
+from faultlab.cli.report import cells
 from faultlab.netcore import evaluate, init_lenet5, init_mlp
 from faultlab.netcore import inference
 from faultlab.netcore.inference import model_input
@@ -123,21 +125,22 @@ def test_restoring_flips_recovers_baseline(small_mlp, blob_test):
 
 
 def test_bitpos_campaign_zero_count_zero_drop(small_mlp, blob_test):
-    rows, table = df.bitpos_campaign(
+    rows = df.bitpos_campaign(
         small_mlp, blob_test, counts=[0], bit_positions=(7,), runs=3, seed=1,
         eval_samples=400,
     )
-    assert table[(7, 0)] == 0.0
+    assert cells(map(astuple, rows), (1, 3), 6) == {(7, 0): (0.0, 0.0)}
     assert all(r.drop_pp == 0.0 for r in rows)
 
 
 def test_bitpos_campaign_row_counts(small_mlp, blob_test):
-    rows, table = df.bitpos_campaign(
+    rows = df.bitpos_campaign(
         small_mlp, blob_test, counts=[10, 50], bit_positions=(7, 6), runs=4, seed=1,
         eval_samples=400,
     )
     assert len(rows) == 2 * 2 * 4
-    assert set(table) == {(7, 10), (7, 50), (6, 10), (6, 50)}
+    assert set(cells(map(astuple, rows), (1, 3), 6)) == {(7, 10), (7, 50), (6, 10),
+                                                        (6, 50)}
 
 
 def test_column_campaign_requires_ten_class_output(blob_test):
@@ -152,11 +155,23 @@ def test_column_campaign_rejects_grid_narrower_than_output(small_mlp, blob_test)
 
 
 def test_column_campaign_padding_columns_exact_zero(small_mlp, blob_test):
-    _, mean_drops, _ = df.column_campaign(
+    rows, recall_drops = df.column_campaign(
         small_mlp, blob_test, runs=2, seed=3, grid_width=12, eval_samples=300,
     )
+    padding = [r for r in rows if r.column >= 10]
+    assert len(padding) == 2 * 2
+    assert all(r.drop_pp == 0.0 for r in padding)
     for col in range(10, 12):
-        assert mean_drops[col] == 0.0
+        assert np.array_equal(recall_drops[col], np.zeros(10))
+
+
+@pytest.mark.parametrize("campaign, kwargs", [
+    (df.bitpos_campaign, {"counts": [10]}),
+    (df.column_campaign, {}),
+])
+def test_campaign_rejects_no_runs(small_mlp, blob_test, campaign, kwargs):
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        campaign(small_mlp, blob_test, runs=0, **kwargs)
 
 
 @pytest.mark.parametrize("campaign, kwargs", [
@@ -226,8 +241,9 @@ def test_campaign_equals_frozen_per_trial_forward(small_mlp, blob_test, model, c
     args = dict(seed=4, eval_samples=300, **kwargs)
     got = getattr(df, campaign)(net, blob_test, **args)
     want = getattr(frozen_dram, campaign)(net, blob_test, **args)
-    assert got[:2] == want[:2]
-    assert any(row.drop_pp != 0.0 for row in got[0])  # the flips reach the predictions
     if campaign == "column_campaign":
-        assert got[2].keys() == want[2].keys()
-        assert all(np.array_equal(got[2][c], want[2][c]) for c in want[2])
+        (got, got_recall), (want, want_recall) = got, want
+        assert got_recall.keys() == want_recall.keys()
+        assert all(np.array_equal(got_recall[c], want_recall[c]) for c in want_recall)
+    assert got == want
+    assert any(row.drop_pp != 0.0 for row in got)  # the flips reach the predictions

@@ -1,8 +1,11 @@
 """Fault-aware training and LSB-sensitivity sweep behavior."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from faultlab.cli.report import cells
 from faultlab.macfault import (
     ArrayConfig,
     ArrayState,
@@ -33,14 +36,6 @@ def _deactivated_state(seed, fr=7.5, fr_max=0.02, fmt="int8"):
     state = ArrayState(config=cfg, faults=faults)
     state.active = deactivate(state, build_fsr(faults, fmt, fr_max))
     return state
-
-
-def _mean_drops(rows):
-    """Mean accuracy drop per (k, fr) over a sweep's runs."""
-    drops = {}
-    for r in rows:
-        drops.setdefault((r.k, r.fr), []).append(r.drop_pp)
-    return {key: float(np.mean(d)) for key, d in drops.items()}
 
 
 def test_training_scores_only_a_given_test_set(monkeypatch, blob_train, blob_test):
@@ -135,19 +130,20 @@ def test_fault_aware_training_recovers_lenet_class_cnn(blob_train, blob_test):
 
 
 def test_sweep_zero_rate_zero_drop(small_mlp, blob_test):
-    table = _mean_drops(lsb_sensitivity_sweep(small_mlp, blob_test, k_values=[2],
-                                              fr_grid=[0.0], runs=2, eval_samples=300))
-    assert table[(2, 0.0)] == 0.0
+    rows = lsb_sensitivity_sweep(small_mlp, blob_test, k_values=[2], fr_grid=[0.0],
+                                 runs=2, eval_samples=300)
+    assert cells(map(astuple, rows), (1, 2), 5) == {(2, 0.0): (0.0, 0.0)}
 
 
 def test_sweep_monotone_in_k_and_fr(small_mlp, blob_test):
     # K values chosen where desk-scale models respond; low-K drops sit at
     # the noise floor, so the rate trend is asserted on the responsive Ks
-    table = _mean_drops(lsb_sensitivity_sweep(
+    rows = lsb_sensitivity_sweep(
         small_mlp, blob_test, k_values=[2, 11, 13], fr_grid=[0.0, 5.0, 10.0],
         runs=8, mode="worst", carry_fraction=0.5, stuck_one_bias=1.0,
         eval_samples=1000,
-    ))
+    )
+    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 2), 5).items()}
     for fr in (5.0, 10.0):
         assert table[(2, fr)] <= table[(11, fr)] <= table[(13, fr)]
     for k in (11, 13):
@@ -162,8 +158,8 @@ def test_sweep_rows_deterministic(small_mlp, blob_test):
 
 
 def test_sweep_bf16_runs(small_mlp, blob_test):
-    table = _mean_drops(lsb_sensitivity_sweep(
+    rows = lsb_sensitivity_sweep(
         small_mlp, blob_test, k_values=[3, 5], fr_grid=[10.0], runs=2,
         config=ArrayConfig(fmt="bfloat16"), eval_samples=200,
-    ))
-    assert set(table) == {(3, 10.0), (5, 10.0)}
+    )
+    assert set(cells(map(astuple, rows), (1, 2), 5)) == {(3, 10.0), (5, 10.0)}
