@@ -8,15 +8,13 @@ chosen bit positions at seeded random cells and measure the int8 inference
 accuracy drop against the fault-free baseline, in percentage points.
 
 Every trial, the baseline included, makes its own int8 ``quant_forward``
-call over the whole evaluation set. The input never changes within a
-campaign, so where the first weighted stage takes it flattened (an MLP) its
-int8 quantization is computed once per campaign and shared by every pass; a
-network that opens with a convolution quantizes its patches in each pass.
-A bit-position trial flips every layer and runs the whole network. A column
-trial changes only the output layer, so the column campaign records its
-fault-free pass and each trial reuses every stage before the output layer
-from that record: one output-layer matmul per trial, and none for a padding
-column, which changes no weight.
+call over the whole evaluation set. Each campaign records its fault-free
+pass, and each trial reuses it up to the first layer it changes. A
+bit-position trial flips every layer: an MLP's trial starts at its first
+dense layer from the recorded quantized input, and a network that opens
+with a convolution reruns from the images. A column trial changes only the
+output layer, so it runs one output-layer matmul on the recorded input of
+that layer, and none for a padding column, which changes no weight.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ import numpy as np
 
 from .netcore.data import LabeledDataset
 from .netcore.inference import model_input, quant_forward, quantize_weights
-from .netcore.network import DenseStage, FlattenStage
-from .quantnum import SIGN_BIT, Int8Tensor, int8_to_byte, quantize_int8
+from .quantnum import SIGN_BIT, Int8Tensor, int8_to_byte
 from .seeds import derived_seed
 
 
@@ -67,17 +64,8 @@ def model_grids(model) -> list[Int8Tensor]:
     return quantize_weights(model)
 
 
-def _fixed_input_q(model, x: np.ndarray) -> Int8Tensor | None:
-    """The int8 quantization of the first weighted stage's input when that
-    stage is Dense and takes ``x`` flattened, else None."""
-    first = next(s for s in model.stages if not isinstance(s, FlattenStage))
-    return quantize_int8(x.reshape(len(x), -1)) if isinstance(first, DenseStage) else None
-
-
-def _int8_predictions(model, x: np.ndarray, weights_q, input_q=None,
-                      baseline=None) -> np.ndarray:
-    logits = quant_forward(model, x, fmt="int8", weights_q=weights_q, input_q=input_q,
-                           baseline=baseline)
+def _int8_predictions(model, x: np.ndarray, weights_q, baseline=None) -> np.ndarray:
+    logits = quant_forward(model, x, fmt="int8", weights_q=weights_q, baseline=baseline)
     return np.argmax(logits, axis=1)
 
 
@@ -112,9 +100,10 @@ def bitpos_campaign(
         raise ValueError("runs must be >= 1")
     data = dataset.subset(eval_samples)
     x = model_input(data)
-    xq = _fixed_input_q(model, x)
     baseline_wq = model_grids(model)
-    baseline = float(np.mean(_int8_predictions(model, x, baseline_wq, xq) == data.labels))
+    record = []
+    baseline = float(np.mean(_int8_predictions(model, x, baseline_wq, record)
+                             == data.labels))
 
     rows = []
     for bit_pos in bit_positions:
@@ -123,7 +112,8 @@ def bitpos_campaign(
                 run_seed = derived_seed(seed, bit_pos, count, run)
                 faulty = [inject(wq, bit_pos, count, seed=derived_seed(run_seed, l))[0]
                           for l, wq in enumerate(baseline_wq)]
-                acc = float(np.mean(_int8_predictions(model, x, faulty, xq) == data.labels))
+                acc = float(np.mean(_int8_predictions(model, x, faulty, record)
+                                    == data.labels))
                 rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
                                         acc, (baseline - acc) * 100.0))
     return rows
@@ -156,10 +146,9 @@ def column_campaign(
         raise ValueError(f"grid width {grid_width} below neuron count {n_classes}")
     data = dataset.subset(eval_samples)
     x = model_input(data)
-    xq = _fixed_input_q(model, x)
     baseline_wq = model_grids(model)
     record = []
-    base_pred = _int8_predictions(model, x, baseline_wq, xq, baseline=record)
+    base_pred = _int8_predictions(model, x, baseline_wq, record)
     baseline = float(np.mean(base_pred == data.labels))
     baseline_recall = _recall_from(base_pred, data.labels, n_classes)
 
@@ -171,7 +160,7 @@ def column_campaign(
             mutated, _ = inject(baseline_wq[-1], bit_pos, faults_per_column, run_seed,
                                 target=column)
             faulty = baseline_wq[:-1] + [mutated]
-            pred = _int8_predictions(model, x, faulty, xq, baseline=record)
+            pred = _int8_predictions(model, x, faulty, record)
             acc = float(np.mean(pred == data.labels))
             rows.append(CampaignRow("column", bit_pos, column, faults_per_column,
                                     run_seed, acc, (baseline - acc) * 100.0))

@@ -10,17 +10,22 @@ are the fault-free baselines. No mode keeps the backward caches.
 
 int8 mode: weights quantized once per tensor, activations re-quantized
 per layer (symmetric, max/127), products and sums accumulated exactly.
-A caller that runs many passes over one input may quantize it once and
-pass it as ``input_q``, as it may pass stored weights as ``weights_q``.
-Integer matmuls run in floating point with every partial sum an integer
-the format holds exactly, so results are bit-stable regardless of BLAS
-order (see ``exact_int_matmul``); each new accumulator is rescaled and
-biased in place. Images, ReLU and pool outputs are never negative, so
-``quantize_int8`` rounds them on its non-negative path. A fault-free pass
-can record, per weighted stage, its stored weights and its output after
-scale and bias; a later pass on the same input reuses every stage before
-the first one whose weights differ from the record, so a change to the
-output layer alone costs one matmul.
+A caller may pass stored weights as ``weights_q``. Integer matmuls run in
+floating point with every partial sum an integer the format holds exactly,
+so results are bit-stable regardless of BLAS order (see
+``exact_int_matmul``); each new accumulator is rescaled and biased in
+place. Images, ReLU and pool outputs are never negative, so
+``quantize_int8`` rounds them on its non-negative path.
+
+One record is the only way a pass reuses fault-free work. A fault-free
+pass can record the input ``x``, then per weighted stage its stored
+weights and its quantized input (None for a convolution, whose patches are
+not kept), then the logits. A later pass on the same input finds the first
+stage whose weights differ from the record: at a dense stage it starts
+there from the recorded input, at a convolution it reruns from ``x``, and
+with none differing it returns the recorded logits. So a change to the
+output layer alone costs one matmul, and a pass whose first layer is
+dense never quantizes its input again.
 
 bfloat16 mode: weights and activations rounded to bfloat16; products of
 two bfloat16 values are exact in float64, accumulation stays in full
@@ -33,7 +38,7 @@ import numpy as np
 
 from ..quantnum import Int8Tensor, bf16_round_array, quantize_int8
 from .data import LabeledDataset
-from .network import forward
+from .network import DenseStage, forward
 
 MODES = ("float", "int8", "bfloat16")
 
@@ -67,59 +72,54 @@ def model_input(dataset: LabeledDataset) -> np.ndarray:
 
 
 def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
-                  weights_q=None, input_q=None, baseline=None) -> np.ndarray:
+                  weights_q=None, baseline=None) -> np.ndarray:
     """Quantized forward pass with an injectable integer matmul.
 
     ``matmul_fn(weight_idx, aq, wq) -> accumulator array`` defaults to the
     exact product-and-sum; it returns a new float64 array, which int8 mode
     rescales in place. For int8, ``weights_q`` may supply pre-quantized
-    ``Int8Tensor`` weights (e.g. after fault injection into stored bytes),
-    and ``input_q`` the ``quantize_int8`` of the first weighted stage's
-    input (e.g. an evaluation input shared by many forward passes). That
-    input must have ``input_q.raw``'s shape, or a ValueError names both;
-    a convolution's input is its im2col patches, not ``x``.
+    ``Int8Tensor`` weights (e.g. after fault injection into stored bytes).
 
     ``baseline`` records one pass of ``model`` on ``x`` for later passes
     to reuse; it is for int8 mode with the exact matmul only. Given an
     empty list, the pass appends ``x``, then each weighted stage's
-    ``(stored weights, output after scale and bias)``. Given a filled list,
-    the pass takes every stage's output from the record up to the first
-    stage whose ``Int8Tensor`` differs from the recorded one (another
-    object, and unequal ``scale`` or ``raw``), and computes from that stage
-    on as it would without a record: the same arrays flow into it, so the
-    logits are bit-identical. With no weights differing it returns a copy
-    of the recorded logits. The record belongs to ``model`` (its outputs
-    hold the biases); a ValueError names a record used with another ``x``.
+    ``(stored weights, quantized input)``, then the logits; a convolution's
+    quantized input is None, since its patches are not kept. Given a filled
+    list, the pass finds the first stage whose ``Int8Tensor`` differs from
+    the recorded one (another object, and unequal ``scale`` or ``raw``). A
+    dense stage starts the pass from its recorded input, a convolution
+    reruns it from ``x``: the same arrays flow into that stage as without a
+    record, so the logits are bit-identical. With no weights differing it
+    returns a copy of the recorded logits. The record belongs to ``model``,
+    whose biases shaped the recorded inputs; a ValueError names a record
+    used with another ``x``.
     """
     if baseline is not None and (fmt != "int8" or matmul_fn is not None):
         raise ValueError(f"a baseline record needs fmt 'int8' and the exact matmul, "
                          f"got fmt {fmt!r}"
                          + ("" if matmul_fn is None else " and a matmul_fn"))
     recording = baseline is not None and not baseline
+    start, stage_input = 0, x
     if fmt == "int8":
         wq = weights_q if weights_q is not None else quantize_weights(model)
-        reused = 0
+        # the stage position of each dense stage, by weight index
+        dense = {s.weight_idx: k for k, s in enumerate(model.stages)
+                 if isinstance(s, DenseStage)}
         if baseline:
-            recorded_x, *recorded = baseline
+            recorded_x, *recorded, logits = baseline
             if x is not recorded_x and not np.array_equal(x, recorded_x):
                 raise ValueError("the baseline record was made on another input x")
-            reused = next((idx for idx, (w, _) in enumerate(recorded)
-                           if not _same_weights(w, wq[idx])), len(recorded))
-            if reused == len(recorded):
-                return recorded[-1][1].copy()
+            changed = next((idx for idx, (w, _) in enumerate(recorded)
+                            if not _same_weights(w, wq[idx])), None)
+            if changed is None:
+                return logits.copy()
+            if changed in dense:
+                start, stage_input = dense[changed], recorded[changed][1]
         elif recording:
             baseline.append(x)
 
         def linear(mdl, idx, a):
-            if idx < reused:
-                return recorded[idx][1]
-            if idx == 0 and input_q is not None:
-                if input_q.raw.shape != a.shape:
-                    raise ValueError(f"input_q has shape {input_q.raw.shape}, but the "
-                                     f"first weighted stage's input has shape {a.shape}")
-                q = input_q
-            else:
-                q = quantize_int8(a)
+            q = a if isinstance(a, Int8Tensor) else quantize_int8(a)
             acc = (
                 exact_int_matmul(q.raw, wq[idx].raw)
                 if matmul_fn is None
@@ -128,7 +128,7 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
             acc *= q.scale * wq[idx].scale
             np.add(acc, mdl.biases[idx], out=acc)
             if recording:
-                baseline.append((wq[idx], acc))
+                baseline.append((wq[idx], q if idx in dense else None))
             return acc
 
     elif fmt == "bfloat16":
@@ -142,9 +142,11 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
     else:
         raise ValueError(f"unknown quantized mode {fmt!r}, expected int8 or bfloat16")
 
-    logits = forward(model, x, linear_fn=linear)
-    # the recorded logits stay the record's own
-    return logits.copy() if recording else logits
+    logits = forward(model, stage_input, linear_fn=linear, start=start)
+    if recording:
+        baseline.append(logits)
+        return logits.copy()  # the recorded logits stay the record's own
+    return logits
 
 
 def _same_weights(a: Int8Tensor, b: Int8Tensor) -> bool:

@@ -200,17 +200,22 @@ def col2im(dcols: np.ndarray, x_shape, k: int) -> np.ndarray:
     return dx
 
 
-def forward(model: Network, x: np.ndarray, linear_fn=None, caches=None) -> np.ndarray:
+def forward(model: Network, x: np.ndarray, linear_fn=None, caches=None,
+            start: int = 0) -> np.ndarray:
     """Forward pass returning the logits.
 
-    ``x`` is (N, H, W, C), or (N, features) for an MLP. ``linear_fn(model,
-    weight_idx, a2d)`` replaces the default ``a2d @ W + b``. Each stage
-    appends what backward needs to ``caches`` when it is a list; without
-    one, no stage's activations outlive the stage after it.
+    Runs ``model.stages[start:]`` on ``x``, the input of the stage at position
+    ``start``: float64 (N, H, W, C), or (N, features) for an MLP's Flatten or
+    first Dense stage. ``linear_fn(model, weight_idx, a2d)`` replaces the
+    default ``a2d @ W + b``; a dense stage hands it its input as given, so a
+    pass that starts at one may pass another form of that input, such as the
+    ``Int8Tensor`` that ``quant_forward`` recorded. Each stage appends what
+    backward needs to ``caches`` when it is a list; without one, no stage's
+    activations outlive the stage after it.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a = x
     keep = caches.append if caches is not None else lambda entry: None
-    for stage in model.stages:
+    for stage in model.stages[start:]:
         if isinstance(stage, PoolStage):
             n, h, w, c = a.shape
             k = stage.kernel
@@ -220,8 +225,8 @@ def forward(model: Network, x: np.ndarray, linear_fn=None, caches=None) -> np.nd
             keep(("flatten", stage, a.shape))
             a = a.reshape(a.shape[0], -1)
         else:
-            conv, in_shape = isinstance(stage, ConvStage), a.shape
-            a2d = im2col(a, stage.kernel) if conv else a
+            conv = isinstance(stage, ConvStage)
+            in_shape, a2d = (a.shape, im2col(a, stage.kernel)) if conv else (None, a)
             idx = stage.weight_idx
             # ``a`` alone names each result, so none outlives the one after it
             a = (

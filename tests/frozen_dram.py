@@ -1,9 +1,9 @@
 """The DRAM campaigns with one self-contained int8 forward pass per trial.
 
 Each trial, the baseline included, calls ``quant_forward`` on the float
-input and quantizes every stage's input inside the pass, as the campaigns
-did before they shared one quantized input per campaign. A faster
-campaign must return these rows and recall drops exactly.
+input with no record, so every pass runs every stage and quantizes every
+stage's input itself. The campaigns reuse a recorded fault-free pass
+instead; they must return these rows and recall drops exactly.
 """
 
 import numpy as np

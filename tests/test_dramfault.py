@@ -191,21 +191,20 @@ def test_campaign_converts_input_and_quantizes_weights_once(
     monkeypatch.setattr(df, "model_input", counted("model_input", df.model_input))
     monkeypatch.setattr(df, "quantize_weights",
                         counted("quantize_weights", df.quantize_weights))
-    # every binding of the quantizer, counting the calls on the flat input
-    quantize_input = counted("quantize_input", df.quantize_int8,
-                             lambda values, *rest: np.shape(values) == (100, 784))
-    for module in (df, inference):
-        monkeypatch.setattr(module, "quantize_int8", quantize_input)
+    # the quantizer, counting the calls on the flat input
+    monkeypatch.setattr(inference, "quantize_int8", counted(
+        "quantize_input", inference.quantize_int8,
+        lambda values, *rest: np.shape(values) == (100, 784)))
     campaign(small_mlp, blob_test, seed=1, eval_samples=100, **kwargs)
     assert calls == {"model_input": 1, "quantize_weights": 1, "quantize_input": 1}
 
 
 def test_column_trials_reuse_the_baseline_pass_before_the_output_layer(monkeypatch,
                                                                        blob_test):
-    # the weights are quantized once, and the hidden stages' inputs are
-    # quantized and multiplied in the baseline pass alone; each of the 10
-    # neuron columns' trials quantizes the output layer's input and runs its
-    # matmul, and the 2 padding columns run neither
+    # the weights are quantized once, and every stage's input is quantized
+    # in the baseline pass alone; each of the 10 neuron columns' trials runs
+    # the output layer's matmul on its recorded input, and the 2 padding
+    # columns run none
     calls = {"quantize": Counter(), "matmul": Counter()}
 
     def counted(name, fn, shape_of):
@@ -214,23 +213,22 @@ def test_column_trials_reuse_the_baseline_pass_before_the_output_layer(monkeypat
             return fn(*args, **kw)
         return wrapper
 
-    quantize = counted("quantize", df.quantize_int8, lambda values, *rest: np.shape(values))
-    for module in (df, inference):
-        monkeypatch.setattr(module, "quantize_int8", quantize)
+    monkeypatch.setattr(inference, "quantize_int8", counted(
+        "quantize", inference.quantize_int8, lambda values, *rest: np.shape(values)))
     monkeypatch.setattr(inference, "exact_int_matmul",
                         counted("matmul", inference.exact_int_matmul,
                                 lambda aq, wq: wq.shape))
     model = init_mlp((784, 48, 32, 10), seed=2)
     df.column_campaign(model, blob_test, runs=1, seed=1, grid_width=12, eval_samples=100)
     assert calls == {"quantize": {(784, 48): 1, (48, 32): 1, (32, 10): 1,
-                                  (100, 784): 1, (100, 48): 1, (100, 32): 11},
+                                  (100, 784): 1, (100, 48): 1, (100, 32): 1},
                      "matmul": {(784, 48): 1, (48, 32): 1, (32, 10): 11}}
 
 
 @pytest.mark.parametrize("model, campaign, kwargs", [
     ("mlp", "bitpos_campaign", {"counts": [10, 60], "bit_positions": (7, 5), "runs": 2}),
     ("mlp", "column_campaign", {"faults_per_column": 30, "runs": 2, "grid_width": 12}),
-    # a convolution first: every pass quantizes its own patches
+    # a convolution first: every trial reruns from the images
     ("lenet5", "bitpos_campaign", {"counts": [5, 40], "bit_positions": (7, 6), "runs": 2}),
     # the column trials reuse the recorded conv stages
     ("lenet5", "column_campaign", {"faults_per_column": 30, "runs": 2, "grid_width": 12}),

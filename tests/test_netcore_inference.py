@@ -17,9 +17,10 @@ from faultlab.netcore import evaluate, forward_hooked, init_lenet5, init_mlp
 from faultlab.netcore import inference
 from faultlab.netcore.data import LabeledDataset, synthetic_blobs
 from faultlab.netcore.inference import model_input, quant_forward
-from faultlab.netcore.network import forward
+from faultlab.netcore.network import (ConvStage, DenseStage, forward, he_uniform,
+                                      mlp_stages)
 from faultlab.netcore.checkpoint import load_model, save_model
-from faultlab.quantnum import Int8Tensor, quantize_int8
+from faultlab.quantnum import Int8Tensor
 
 
 def _round_half_away(x: float) -> float:
@@ -299,7 +300,7 @@ def test_mlp_logits_match_frozen_mlp_forward(monkeypatch, small_mlp, blob_test):
                           frozen_mlp.mlp_forward(small_mlp, flat)[0])
     got = {fmt: quant_forward(small_mlp, x, fmt) for fmt in ("int8", "bfloat16")}
     # the same quantized linear layers, run through the frozen pass
-    monkeypatch.setattr(inference, "forward", lambda model, a, linear_fn=None:
+    monkeypatch.setattr(inference, "forward", lambda model, a, linear_fn=None, start=0:
                         frozen_mlp.mlp_forward(model, flat, linear_fn)[0])
     for fmt in ("int8", "bfloat16"):
         assert np.array_equal(got[fmt], quant_forward(small_mlp, x, fmt))
@@ -323,26 +324,6 @@ def test_int8_logits_match_frozen_quantizer(monkeypatch, model):
     assert np.array_equal(got, quant_forward(model, x, "int8"))
 
 
-def test_int8_logits_with_input_q_equal_quantizing_in_pass():
-    model = init_mlp((256, 32, 10), seed=2)
-    x = model_input(synthetic_blobs(300, size=16, seed=5))
-    xq = quantize_int8(x.reshape(len(x), -1))
-    assert np.array_equal(quant_forward(model, x, "int8", input_q=xq),
-                          quant_forward(model, x, "int8"))
-
-
-@pytest.mark.parametrize("model, input_q, shapes", [
-    (init_mlp((256, 32, 10), seed=2), np.ones((299, 256)), r"\(299, 256\).*\(300, 256\)"),
-    (init_mlp((256, 32, 10), seed=2), np.ones((300, 255)), r"\(300, 255\).*\(300, 256\)"),
-    # a convolution's input is its patches: 300 images of 12x12 5x5 windows
-    (init_lenet5(16, seed=2), np.ones((300, 256)), r"\(300, 256\).*\(43200, 25\)"),
-], ids=["rows", "width", "conv-first"])
-def test_input_q_of_another_shape_rejected(model, input_q, shapes):
-    x = model_input(synthetic_blobs(300, size=16, seed=5))
-    with pytest.raises(ValueError, match=f"input_q has shape {shapes}"):
-        quant_forward(model, x, "int8", input_q=quantize_int8(input_q))
-
-
 def _recorded(model, x):
     """(stored weights, logits of a recording pass, its record)."""
     wq, record = inference.quantize_weights(model), []
@@ -358,17 +339,24 @@ def _changed(w, change, row):
     return Int8Tensor(raw=raw, scale=w.scale)
 
 
+# a first dense stage with no Flatten takes 2-D rows: the pass restarts at position 0
+_DENSE_FIRST = he_uniform(None, mlp_stages((256, 32, 16, 10))[1:], seed=2)
+
+
 @pytest.mark.parametrize("model, stage", [
     pytest.param(model, k, id=f"{name}-stage{k}")
     for name, model in [("mlp", init_mlp((256, 32, 16, 10), seed=2)),
-                        ("lenet5", init_lenet5(16, seed=2))]
+                        ("lenet5", init_lenet5(16, seed=2)),
+                        ("dense-first", _DENSE_FIRST)]
     for k in range(len(model.weights))])
 @pytest.mark.parametrize("change", ["raw", "scale"])
 def test_reused_pass_equals_a_fresh_pass(model, stage, change):
     x = model_input(synthetic_blobs(40, size=16, seed=5))
+    if model is _DENSE_FIRST:
+        x = x.reshape(len(x), -1)
     wq, base, record = _recorded(model, x)
-    assert record[0] is x and len(record) == 1 + len(model.weights)
-    assert np.array_equal(base, record[-1][1])
+    assert record[0] is x and len(record) == 2 + len(model.weights)
+    assert np.array_equal(base, record[-1])
     for row in range(len(wq[stage].raw)):  # the first change that reaches the logits
         faulty = wq[:stage] + [_changed(wq[stage], change, row)] + wq[stage + 1:]
         fresh = quant_forward(model, x, "int8", weights_q=faulty)
@@ -378,6 +366,23 @@ def test_reused_pass_equals_a_fresh_pass(model, stage, change):
         pytest.fail(f"no {change} change of stage {stage} reaches the logits")
     assert np.array_equal(quant_forward(model, x, "int8", weights_q=faulty,
                                         baseline=record), fresh)
+
+
+@pytest.mark.parametrize("model", [init_mlp((256, 32, 16, 10), seed=2),
+                                   init_lenet5(16, seed=2)], ids=["mlp", "lenet5"])
+def test_record_keeps_quantized_dense_inputs_and_no_float_stage_output(model):
+    # x and the logits are the record's only float arrays: a dense stage keeps
+    # its quantized input, a convolution nothing
+    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    wq, base, record = _recorded(model, x)
+    assert record[0] is x and np.array_equal(record[-1], base)
+    weighted = [s for s in model.stages if isinstance(s, (ConvStage, DenseStage))]
+    for (w, q), stage in zip(record[1:-1], weighted, strict=True):
+        assert w is wq[stage.weight_idx]
+        if isinstance(stage, DenseStage):
+            assert isinstance(q, Int8Tensor) and q.raw.shape == (len(x), stage.in_features)
+        else:
+            assert q is None
 
 
 def test_unchanged_weights_return_the_recorded_logits_by_copy(monkeypatch):
