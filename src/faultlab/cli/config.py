@@ -3,12 +3,12 @@
 A config is a YAML mapping with an ``experiment`` kind, a master ``seed``
 and sections. Each field is declared once, with its default and its rule:
 the fixed sections in ``SECTIONS``, a campaign section in its kind's record
-of the experiment table (``runner.KINDS``), which also says which sections
-the kind reads. ``validate`` fills every default, checks every field and
-returns every offending field at once; a fresh network must take the
-synthetic images, by the rule a run applies to every dataset it builds.
-The rules themselves (``integer``, ``number``, ``one_of``, ...) and the
-canonical text (``render``) are ``yamlio``'s, which the file readers share.
+of the experiment table (``runner.KINDS``), which also lists the optional
+sections the kind reads. ``validate`` fills every default and returns every
+offence at once: a section the kind does not read, a field that breaks its
+rule, a fresh network that cannot take the synthetic images (the rule a run
+applies to every dataset it builds). The rules (``integer``, ``one_of``, ...)
+and the canonical text (``render``) are ``yamlio``'s, shared by file readers.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def _section(name: str, spec: dict, raw: dict, errors) -> tuple[dict, bool]:
 
 
 def validate(raw: dict, base_dir: Path | None = None):
-    """Normalize a raw config dict; returns (config, list of field errors)."""
+    """Normalize a raw config dict; returns (config, list of field errors).
+    Each section given that the kind does not read is one error, by name."""
     if not isinstance(raw, dict):
         return None, ["config: expected a YAML mapping"]
     kind = raw.get("experiment")
@@ -99,10 +100,11 @@ def validate(raw: dict, base_dir: Path | None = None):
            "output_dir": raw.get("output_dir")}
     errors = [f"{key}: {message}" for key, (check, message) in _TOP.items()
               if not check(cfg[key])]
-    errors.extend(f"{key}: unknown key" for key in raw
-                  if key not in {"experiment", "campaign", *_TOP, *SECTIONS})
+    read = {"experiment", "campaign", "report", *_TOP, *experiment.sections}
+    errors.extend(f"{key}: not read by {kind}" if key in SECTIONS else f"{key}: unknown key"
+                  for key in raw if key not in read)
 
-    if experiment.needs_model:
+    if "model" in experiment.sections:
         cfg["model"], model_ok = _section("model", SECTIONS["model"], raw, errors)
         cfg["model"]["checkpoint"] = _existing(cfg["model"]["checkpoint"], base_dir,
                                                "model.checkpoint", errors)
@@ -122,7 +124,7 @@ def validate(raw: dict, base_dir: Path | None = None):
             ds[key] = _existing(ds[key], base_dir, f"dataset.{key}", errors)
         cfg["train"], _ = _section("train", SECTIONS["train"], raw, errors)
 
-    if experiment.needs_workload:
+    if "workload" in experiment.sections:
         cfg["workload"], wl_ok = _section("workload", SECTIONS["workload"], raw,
                                           errors)
         wl = cfg["workload"]
@@ -136,7 +138,7 @@ def validate(raw: dict, base_dir: Path | None = None):
         _check_tiles(cfg["campaign"]["tiles"], errors)
     cfg["report"], _ = _section("report", SECTIONS["report"], raw, errors)
 
-    if (experiment.needs_model and model_ok and ds_ok and ds["kind"] == "synthetic"
+    if ("model" in experiment.sections and model_ok and ds_ok and ds["kind"] == "synthetic"
             and cfg["model"]["checkpoint"] is None):
         _check_model_fits(cfg["model"], ds["size"], ds["classes"], errors)
     if not errors and experiment.check:

@@ -1,11 +1,11 @@
 """Experiment runner: the experiment table, and runs that write CSVs and a manifest.
 
 ``KINDS`` holds one ``Experiment`` record per kind: its campaign fields with
-their defaults and rules, the set-up it needs, a check across fields, and its
-run function. ``config.validate`` reads the kinds and sections from it; ``run``
-builds the set-up into a ``RunContext`` and calls the run function, which
-writes each CSV and its chart through ``RunContext.emit`` under a schema of
-``report.SCHEMAS``. Adding a kind means adding one record.
+their defaults and rules, the optional sections it reads, a check across
+fields, and its run function. ``config.validate`` reads the kinds and sections
+from it; ``run`` builds their set-up into a ``RunContext`` and calls the run
+function, which writes each CSV and its chart through ``RunContext.emit``
+under a schema of ``report.SCHEMAS``. Adding a kind means adding one record.
 
 Run functions look library functions up on their modules at call time, so a
 tracer or test double that rebinds them sees the calls. Seeds derive from the
@@ -70,9 +70,9 @@ def _fmt_value(v):
 class Experiment:
     run: Callable  # (RunContext) -> extra manifest entries
     campaign: dict  # field -> (default, rule); a rule of None is checked elsewhere
-    needs_model: bool = True
+    # the optional sections its run reads; model, dataset and train go together
+    sections: tuple = ("model", "dataset", "train")
     needs_train: bool = False  # build the training set even from a checkpoint
-    needs_workload: bool = False
     history: bool = False  # score the test set after each epoch of training
     check: Callable | None = None  # (valid config) -> errors relating its fields
 
@@ -173,7 +173,7 @@ def run(config: dict, output_override=None) -> dict:
     ctx = RunContext(config, out_dir, files=[])
     t0 = time.time()
     try:
-        if experiment.needs_model:
+        if "model" in experiment.sections:
             ctx.train, ctx.test = _build_datasets(config, experiment.needs_train)
             ctx.model, ctx.history = _build_model(ctx)
         extra = experiment.run(ctx)
@@ -447,7 +447,7 @@ KINDS = {
         # the endurance calibration heats the driver corner to T_HOT
         "t_amb": (298.0, number(0, neurorel.crossbar.T_HOT, open_lo=True,
                                 open_hi=True)),
-    }, needs_model=False,
+    }, sections=(),
         check=lambda config: _crossbar_errors(
             neurorel.CrossbarConfig(**config["campaign"]), "n")),
     "neuro-map": Experiment(_neuro_map, {
@@ -461,6 +461,6 @@ KINDS = {
         "iterations": (50, integer(1)),
         "comm_weight": (0.0, number(0)),
         "baseline_seeds": (10, integer(1)),
-    }, needs_model=False, needs_workload=True, check=lambda config: _crossbar_errors(
+    }, sections=("workload",), check=lambda config: _crossbar_errors(
         neurorel.CrossbarConfig(n=config["campaign"]["crossbar_n"]), "crossbar_n")),
 }

@@ -110,7 +110,7 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
             if x is not recorded_x and not np.array_equal(x, recorded_x):
                 raise ValueError("the baseline record was made on another input x")
             changed = next((idx for idx, (w, _) in enumerate(recorded)
-                            if not _same_weights(w, wq[idx])), None)
+                            if w != wq[idx]), None)
             if changed is None:
                 return logits.copy()
             if changed in dense:
@@ -147,10 +147,6 @@ def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
         baseline.append(logits)
         return logits.copy()  # the recorded logits stay the record's own
     return logits
-
-
-def _same_weights(a: Int8Tensor, b: Int8Tensor) -> bool:
-    return a is b or (a.scale == b.scale and np.array_equal(a.raw, b.raw))
 
 
 def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:

@@ -27,12 +27,13 @@ SIGN_BIT = 7
 BLOCK = 1 << 14  # elements per block: its float64 buffers stay in cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Int8Tensor:
     """An int8 weight/activation array plus its quantization scale.
 
     ``raw`` is two's-complement int8; ``scale`` is in value units per LSB,
-    so the tensor stands for ``raw * scale``.
+    so the tensor stands for ``raw * scale``. Two tensors are equal when
+    they hold the same scale and the same raw array; the type is unhashable.
     """
 
     raw: np.ndarray
@@ -43,6 +44,12 @@ class Int8Tensor:
             raise ValueError(f"raw must be int8, got {self.raw.dtype}")
         if not (self.scale > 0):
             raise ValueError(f"scale must be positive, got {self.scale}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Int8Tensor):
+            return NotImplemented
+        return self is other or (self.scale == other.scale
+                                 and np.array_equal(self.raw, other.raw))
 
 
 def _scale_and_min(values: np.ndarray) -> tuple[float, float]:

@@ -19,11 +19,14 @@ import faultlab
 from faultlab.cli.config import load_config, validate
 from faultlab.cli.main import main
 from faultlab.cli.report import ReportError, report
-from faultlab.cli.runner import run
+from faultlab.cli.runner import KINDS, run
 from faultlab.netcore import init_lenet5, init_mlp, save_model
 from faultlab.neurorel import SnnWorkloadGraph, random_workload, save_workload
 from faultlab.seeds import derive_seed
 from faultlab.yamlio import render
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _write_config(tmp_path, doc, name="config.yaml"):
@@ -122,13 +125,57 @@ class _Sections(dict):
     # the other width is synthetic_blobs' default, 0.08 or 0.16
     ("train", {"params": {"sigma_min_frac": 0.2}}, "dataset.params.sigma_min_frac:"),
     ("train", {"params": {"sigma_max_frac": 0.05}}, "dataset.params.sigma_max_frac:"),
+    # a section the kind does not read is named, whatever its fields hold
+    ("dram-bitpos", _Sections(workload={"neurons": 8}), "workload: not read by dram-bitpos"),
+    ("fault-train", _Sections(workload={}), "workload: not read by fault-train"),
+    ("neuro-map", _Sections(model={"layers": [1]}), "model: not read by neuro-map"),
+    ("neuro-map", _Sections(dataset={"size": "x"}), "dataset: not read by neuro-map"),
+    ("neuro-map", _Sections(train={"lr": -1}), "train: not read by neuro-map"),
+    ("endurance-map", _Sections(model={"kind": "mlp"}), "model: not read by endurance-map"),
+    ("endurance-map", _Sections(dataset={"train": 10}),
+     "dataset: not read by endurance-map"),
+    ("endurance-map", _Sections(train={"epochs": 1}), "train: not read by endurance-map"),
+    ("endurance-map", _Sections(workload={"neurons": "x"}),
+     "workload: not read by endurance-map"),
+    # every offence at once: a section not read, then a campaign field
+    ("neuro-map", _Sections(dataset={"size": 28}, campaign={"capacity": "a"}),
+     ("dataset: not read by neuro-map", "campaign.capacity:")),
+    # a key that is no section stays unknown
+    ("neuro-map", _Sections(model={}, modle={}),
+     ("model: not read by neuro-map", "modle: unknown key")),
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
     sections = (campaign if isinstance(campaign, _Sections)
                 else {field.split(".")[0]: campaign})
+    fields = field if isinstance(field, tuple) else (field,)
     cfg, errors = validate({"experiment": experiment, **sections})
     assert cfg is None
-    assert len(errors) == 1 and errors[0].startswith(field), errors
+    assert len(errors) == len(fields), errors
+    assert all(e.startswith(f) for e, f in zip(errors, fields)), errors
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "neuro-map", "model": {"layers": [1]}, "dataset": {"size": "x"},
+     "train": {"lr": -1}},
+    {"experiment": "dram-bitpos", "workload": {"neurons": 8}},
+    {"experiment": "endurance-map", "workload": {"neurons": "x"}},
+])
+def test_validate_command_names_each_section_not_read(tmp_path, capsys, doc):
+    assert main(["validate", str(_write_config(tmp_path, doc))]) == 1
+    named = sorted(f"invalid: {name}: not read by {doc['experiment']}"
+                   for name in doc if name != "experiment")
+    assert sorted(capsys.readouterr().err.splitlines()) == named
+
+
+def test_validate_accepts_every_benchmark_config(tmp_path):
+    # the benchmark's configs change only with the benchmark, so every rule
+    # validate gains must keep them valid
+    checkpoint = tmp_path / "baseline.npz"
+    save_model(init_mlp([784, 16, 10], seed=0), checkpoint)
+    for workload in workloads.WORKLOADS.values():
+        for raw in workload.configs(3, str(checkpoint)):
+            cfg, errors = validate(raw)
+            assert cfg is not None and errors == [], (workload.name, raw["experiment"])
 
 
 @pytest.mark.parametrize("workload, field", [
@@ -798,9 +845,10 @@ def test_run_reproduces_golden_outputs(tmp_path, kind):
 
 # --- validate-or-run property over every kind ---------------------------------
 #
-# A config draws every field that sets a run's size, and some others, from
-# tiny values (a few of which break a rule or another field), then maybe sets
-# one field or an unknown key to junk. Two limits only a run can meet stay out
+# A config draws every field that sets a run's size, and some others, in the
+# sections its kind reads, from tiny values (a few of which break a rule or
+# another field), then maybe sets one field, an unknown key or a field of a
+# section the kind does not read to junk. Two limits only a run can meet stay out
 # of reach, as each stops its run with a named error: fault rates stay below
 # the point where every PE of a column is faulty (DeactivationInfeasible), and
 # every crossbar holds every synapse its workload could give one cluster.
@@ -863,30 +911,36 @@ def _tiny_configs(draw):
     size = draw(st.sampled_from([2, 4, 6]))
     hidden = draw(st.sampled_from([1, 4, 8]))
     width = size * size
+    sections = {
+        "model": _fields(
+            {"layers": [[width, hidden, 10], [width, 10], [width, hidden, 5],
+                        [width + 1, hidden, 10]]},
+            {"kind": ["mlp", "lenet5"]}),
+        "dataset": _fields(
+            {"train": [1, 10, 40], "test": [1, 20], "size": [size]},
+            {"classes": [1, 4, 10], "seed": [0, 3], "test_seed": [1],
+             "params": [{}, {"pixel_noise": 5.0, "blobs_per_class": 2}, {"size": 3},
+                        {"blobs_per_class": 1.5}, {"template_seed": -1}]}),
+        "train": _fields({"epochs": [0, 1, 2]}, {"lr": [0.1, 0.3], "batch": [4, 64]}),
+        "workload": _fields(
+            {"neurons": [2, 4, 8], "synapses": [0, 1, 3, 10, 100]},
+            {"seed": [0, 5], "max_activation": [0.0, 10.0, 1000.0]}),
+    }
     doc = {
         "experiment": kind,
         "seed": draw(st.integers(0, 3)),
         "campaign": draw(_fields(*_CAMPAIGN_FIELDS[kind])),
         "report": draw(_fields({}, {"svg": [True, False]})),
-        "model": draw(_fields(
-            {"layers": [[width, hidden, 10], [width, 10], [width, hidden, 5],
-                        [width + 1, hidden, 10]]},
-            {"kind": ["mlp", "lenet5"]})),
-        "dataset": draw(_fields(
-            {"train": [1, 10, 40], "test": [1, 20], "size": [size]},
-            {"classes": [1, 4, 10], "seed": [0, 3], "test_seed": [1],
-             "params": [{}, {"pixel_noise": 5.0, "blobs_per_class": 2}, {"size": 3},
-                        {"blobs_per_class": 1.5}, {"template_seed": -1}]})),
-        "train": draw(_fields({"epochs": [0, 1, 2]},
-                              {"lr": [0.1, 0.3], "batch": [4, 64]})),
-        "workload": draw(_fields(
-            {"neurons": [2, 4, 8], "synapses": [0, 1, 3, 10, 100]},
-            {"seed": [0, 5], "max_activation": [0.0, 10.0, 1000.0]})),
+        # only the sections the kind reads: validate refuses any other
+        **{name: draw(sections[name]) for name in KINDS[kind].sections},
     }
     if draw(st.booleans()):
-        section = draw(st.sampled_from(["campaign", "model", "dataset", "train",
-                                        "workload", "report", None]))
-        fields = doc[section] if section else doc
+        # junk in a field or a key, or in one section the kind does not read
+        section = draw(st.sampled_from(["campaign", *KINDS[kind].sections, "report",
+                                        None, "unread"]))
+        if section == "unread":
+            section = draw(st.sampled_from([name for name in sections if name not in doc]))
+        fields = doc.setdefault(section, {}) if section else doc
         fields[draw(st.sampled_from(sorted(fields) + ["bogus"]))] = draw(_JUNK)
     return doc
 

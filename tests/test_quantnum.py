@@ -119,6 +119,19 @@ def test_quantize_matches_frozen_whole_tensor_quantizer(values, scale):
         assert got[3] == qn.int8_scale(values)
 
 
+def test_int8_tensor_equality_is_by_value():
+    raw = np.array([[1, -2, 3], [0, 127, -128]], dtype=np.int8)
+    t = qn.Int8Tensor(raw, 0.5)
+    assert t == t and t == qn.Int8Tensor(raw.copy(), 0.5)
+    flipped = raw.copy()
+    flipped[1, 2] = 0
+    for other in (qn.Int8Tensor(flipped, 0.5), qn.Int8Tensor(raw, 0.25),
+                  qn.Int8Tensor(raw.reshape(3, 2), 0.5)):
+        assert t != other and not t == other
+    with pytest.raises(TypeError):
+        hash(t)
+
+
 def test_int8_byte_views():
     raw = np.array([-128, -1, 0, 127], dtype=np.int8)
     as_bytes = qn.int8_to_byte(raw)
