@@ -7,8 +7,10 @@ of the experiment table (``runner.KINDS``), which also lists the optional
 sections the kind reads. ``validate`` fills every default and returns every
 offence at once: a section the kind does not read, a field that breaks its
 rule, a fresh network that cannot take the synthetic images (the rule a run
-applies to every dataset it builds). The rules (``integer``, ``one_of``, ...)
-and the canonical text (``render``) are ``yamlio``'s, shared by file readers.
+applies to every dataset it builds), an evaluation subset larger than the
+synthetic test set, a bit count beyond the array format's product width.
+The rules (``integer``, ``one_of``, ...) and the canonical text
+(``render``) are ``yamlio``'s, shared by file readers.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import yaml
 
+from ..macfault import PRODUCT_WIDTH
 from ..netcore.data import synthetic_blobs
 from ..netcore.network import DEFAULT_LAYERS, fit_error
 from ..yamlio import BOOL, PATH, POSITIVE, check_mapping, integer, list_of, number, one_of
@@ -133,9 +136,13 @@ def validate(raw: dict, base_dir: Path | None = None):
                           "distinct synapses")
         wl["path"] = _existing(wl["path"], base_dir, "workload.path", errors)
 
-    cfg["campaign"], _ = _section("campaign", experiment.campaign, raw, errors)
+    cfg["campaign"], camp_ok = _section("campaign", experiment.campaign, raw, errors)
     if "tiles" in cfg["campaign"]:
         _check_tiles(cfg["campaign"]["tiles"], errors)
+    if camp_ok:
+        test = (ds["test"] if "model" in experiment.sections and ds_ok
+                and ds["kind"] == "synthetic" else None)
+        _check_campaign_sizes(cfg["campaign"], test, errors)
     cfg["report"], _ = _section("report", SECTIONS["report"], raw, errors)
 
     if ("model" in experiment.sections and model_ok and ds_ok and ds["kind"] == "synthetic"
@@ -157,6 +164,25 @@ def _check_model_fits(model: dict, size: int, classes: int, errors) -> None:
     reason = fit_error(network, "synthetic", (size, size), classes - 1)
     if reason:
         errors.append(f"model.layers: {reason}")
+
+
+def _check_campaign_sizes(camp: dict, test: int | None, errors) -> None:
+    """No evaluation subset beyond the synthetic test set of ``test`` samples
+    (an IDX set's size is known in the run), and no bit count beyond the
+    array format's product width."""
+    n = camp.get("eval_samples")
+    if n is not None and test is not None and n > test:
+        errors.append(f"campaign.eval_samples: {n} is above the {test} samples "
+                      "of dataset.test")
+    if "fmt" not in camp:
+        return
+    fmt = camp["fmt"]
+    width = PRODUCT_WIDTH[fmt]
+    named = [(f"k_values[{k}]", bits) for k, bits in enumerate(camp.get("k_values", ()))]
+    if "lsb_bits" in camp:
+        named.append(("lsb_bits", camp["lsb_bits"]))
+    errors.extend(f"campaign.{field}: {bits} is above the {width}-bit {fmt} product"
+                  for field, bits in named if bits > width)
 
 
 def _check_tiles(tiles, errors) -> None:

@@ -99,7 +99,7 @@ def bitpos_campaign(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     data = dataset.subset(eval_samples)
-    x = model_input(data)
+    x = model_input(data.images)
     baseline_wq = model_grids(model)
     record = []
     baseline = float(np.mean(_int8_predictions(model, x, baseline_wq, record)
@@ -145,7 +145,7 @@ def column_campaign(
     if grid_width < n_classes:
         raise ValueError(f"grid width {grid_width} below neuron count {n_classes}")
     data = dataset.subset(eval_samples)
-    x = model_input(data)
+    x = model_input(data.images)
     baseline_wq = model_grids(model)
     record = []
     base_pred = _int8_predictions(model, x, baseline_wq, record)

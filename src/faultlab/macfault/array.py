@@ -549,6 +549,6 @@ def run_array(model, state: ArrayState, dataset: LabeledDataset, mode: str = "si
         raise ValueError("cannot evaluate on an empty dataset")
     rng = np.random.default_rng(seed)
     matmul = faulty_matmul_factory(state, [w.shape for w in model.weights], mode, rng)
-    logits = quant_forward(model, model_input(dataset), fmt=state.config.fmt,
+    logits = quant_forward(model, model_input(dataset.images), fmt=state.config.fmt,
                            matmul_fn=matmul)
     return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))

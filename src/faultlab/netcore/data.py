@@ -50,7 +50,10 @@ class LabeledDataset:
         return len(self.labels)
 
     def subset(self, n: int | None) -> "LabeledDataset":
-        """The first n samples (all of them when n is None)."""
+        """The first n samples (all of them when n is None); a ValueError
+        names an n above the set's size."""
+        if n is not None and n > len(self):
+            raise ValueError(f"cannot take {n} samples from a set of {len(self)}")
         return LabeledDataset(self.images[:n], self.labels[:n])
 
 

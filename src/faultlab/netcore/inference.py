@@ -1,8 +1,10 @@
 """Inference in float, int8-quantized, and bfloat16 numeric modes.
 
 Every mode runs the one ``Network`` forward pass on the one model input,
-``model_input(dataset)``: images as (N, H, W, 1) floats in [0, 1], which
-an MLP's Flatten stage turns into (N, H*W) rows. Float mode is that pass
+``model_input(images)``: stored image bytes as (N, H, W, 1) floats in
+[0, 1], which an MLP's Flatten stage turns into (N, H*W) rows. The bytes
+are a whole set (evaluation, whose int8 activation scales are per tensor)
+or one minibatch's rows (training). Float mode is that pass
 as it is; the quantized modes replace its linear operator and expose an
 injectable integer matmul, so the MAC fault model can reroute every
 multiply through a faulty processing element. With the default matmul they
@@ -64,11 +66,16 @@ def exact_int_matmul(aq: np.ndarray, wq: np.ndarray) -> np.ndarray:
     return acc.astype(np.float64, copy=False)
 
 
-def model_input(dataset: LabeledDataset) -> np.ndarray:
-    """Images as (N, H, W, 1) floats in [0, 1], the input of every network."""
+def model_input(images: np.ndarray) -> np.ndarray:
+    """Stored uint8 images (N, H, W) as (N, H, W, 1) floats in [0, 1].
+
+    The one converter from stored bytes to the input of every network.
+    ``images`` is a whole set or one minibatch's rows; each value is its
+    byte divided by 255, so converting rows gives the rows of a converted set.
+    """
     # cast and scaled by one ufunc into one array, before the channel axis is
     # added: numpy divides a trailing length-1 axis about twice as slowly
-    return np.divide(dataset.images, 255.0, dtype=np.float64)[..., None]
+    return np.divide(images, 255.0, dtype=np.float64)[..., None]
 
 
 def quant_forward(model, x: np.ndarray, fmt: str = "int8", matmul_fn=None,
@@ -155,7 +162,7 @@ def evaluate(model, dataset: LabeledDataset, mode: str = "float") -> float:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    x = model_input(dataset)
+    x = model_input(dataset.images)
     if mode == "float":
         logits = forward(model, x)
     else:

@@ -31,13 +31,15 @@ def train_sgd(
     empty without a ``test`` set. ``linear_fn(model, weight_idx, a)``
     may replace the per-layer linear operator in the forward pass; gradients
     then flow straight-through, which is how fault-aware training plugs in.
+
+    Each step converts its minibatch's stored bytes with ``model_input``;
+    no float copy the size of ``train`` is ever kept.
     """
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     model = model.copy()
-    xs, ys = model_input(train), train.labels
     rng = np.random.default_rng(seed)
     history = []
     for epoch in range(epochs):
@@ -45,11 +47,12 @@ def train_sgd(
         for start in range(0, len(train), batch_size):
             idx = order[start : start + batch_size]
             caches = []
-            logits = forward(model, xs[idx], linear_fn, caches)
-            loss = cross_entropy(logits, ys[idx])
+            ys = train.labels[idx]
+            logits = forward(model, model_input(train.images[idx]), linear_fn, caches)
+            loss = cross_entropy(logits, ys)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, loss)
-            grads_w, grads_b = backward(model, caches, ys[idx])
+            grads_w, grads_b = backward(model, caches, ys)
             for l in range(len(model.weights)):
                 model.weights[l] -= lr * grads_w[l]
                 model.biases[l] -= lr * grads_b[l]

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ def twin_b():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def peak_bytes(fn, *args) -> int:
+    """The tracemalloc peak of one call ``fn(*args)``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

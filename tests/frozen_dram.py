@@ -29,7 +29,7 @@ def _recall(pred, labels, n_classes):
 def bitpos_campaign(model, dataset, counts, bit_positions=(7, 6, 5), runs=10, seed=0,
                     eval_samples=None):
     data = dataset.subset(eval_samples)
-    x = model_input(data)
+    x = model_input(data.images)
     baseline_wq = quantize_weights(model)
     baseline = float(np.mean(_predictions(model, x, baseline_wq) == data.labels))
     rows = []
@@ -49,7 +49,7 @@ def column_campaign(model, dataset, faults_per_column=20, bit_pos=SIGN_BIT, runs
                     seed=0, grid_width=16, eval_samples=None):
     n_classes = model.weights[-1].shape[1]
     data = dataset.subset(eval_samples)
-    x = model_input(data)
+    x = model_input(data.images)
     baseline_wq = quantize_weights(model)
     base_pred = _predictions(model, x, baseline_wq)
     baseline = float(np.mean(base_pred == data.labels))

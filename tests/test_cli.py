@@ -143,6 +143,21 @@ class _Sections(dict):
     # a key that is no section stays unknown
     ("neuro-map", _Sections(model={}, modle={}),
      ("model: not read by neuro-map", "modle: unknown key")),
+    # an evaluation subset beyond the synthetic test set, in each kind reading it
+    *[(kind, _Sections(dataset={"test": 50}, campaign={"eval_samples": 5000}),
+       "campaign.eval_samples: 5000 is above the 50 samples of dataset.test")
+      for kind in ("dram-bitpos", "dram-column", "mac-sweep", "deactivate",
+                   "fault-train")],
+    # each bit count beyond the format's product width
+    ("mac-sweep", _Sections(campaign={"fmt": "int8", "k_values": [16, 17, 40]}),
+     ("campaign.k_values[1]: 17 is above the 16-bit int8 product",
+      "campaign.k_values[2]: 40 is above the 16-bit int8 product")),
+    ("mac-sweep", _Sections(campaign={"fmt": "bfloat16", "k_values": [7, 9, 40]}),
+     ("campaign.k_values[1]: 9 is above the 7-bit bfloat16 product",
+      "campaign.k_values[2]: 40 is above the 7-bit bfloat16 product")),
+    ("deactivate", {"fmt": "bfloat16", "lsb_bits": 8},
+     "campaign.lsb_bits: 8 is above the 7-bit bfloat16 product"),
+    ("fault-train", {"lsb_bits": 17}, "campaign.lsb_bits: 17 is above the 16-bit int8 product"),
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
     sections = (campaign if isinstance(campaign, _Sections)

@@ -120,7 +120,7 @@ def test_restoring_flips_recovers_baseline(small_mlp, blob_test):
         cells[r, c] ^= 0x80
     assert np.array_equal(cells, _bytes(grids[0]))
     restored = [Int8Tensor(raw=cells.view(np.int8), scale=grids[0].scale)] + grids[1:]
-    pred = df._int8_predictions(small_mlp, model_input(blob_test), restored)
+    pred = df._int8_predictions(small_mlp, model_input(blob_test.images), restored)
     assert float(np.mean(pred == blob_test.labels)) == base
 
 

@@ -90,6 +90,13 @@ def test_dataset_invariants():
         LabeledDataset(np.zeros((1, 2, 2), dtype=np.uint8), np.array([11]))
 
 
+def test_subset_names_a_count_above_the_set_size():
+    ds = LabeledDataset(np.zeros((5, 2, 2), np.uint8), np.arange(5))
+    assert len(ds.subset(5)) == 5 and len(ds.subset(None)) == 5
+    with pytest.raises(ValueError, match="cannot take 6 samples from a set of 5"):
+        ds.subset(6)
+
+
 def test_synthetic_blobs_deterministic():
     a = synthetic_blobs(50, seed=5)
     b = synthetic_blobs(50, seed=5)

@@ -3,7 +3,6 @@
 import io
 import json
 import math
-import tracemalloc
 import zipfile
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 import frozen_mlp
 import frozen_quant
+from conftest import peak_bytes
 from faultlab.netcore import evaluate, forward_hooked, init_lenet5, init_mlp
 from faultlab.netcore import inference
 from faultlab.netcore.data import LabeledDataset, synthetic_blobs
@@ -63,7 +63,7 @@ def test_int8_matches_hand_computed_forward():
     model.weights[0][:] = weights
     model.biases[0][:] = biases
     ds = LabeledDataset(images, np.array(expected_argmax, dtype=np.int64))
-    logits = quant_forward(model, model_input(ds), fmt="int8")
+    logits = quant_forward(model, model_input(ds.images), fmt="int8")
     assert np.allclose(logits, oracle, atol=1e-12)
     assert evaluate(model, ds, "int8") == 1.0
 
@@ -94,20 +94,11 @@ def test_accuracy_in_unit_interval(small_mlp, blob_test):
 
 
 def test_quantized_argmax_agreement(small_mlp, blob_test):
-    x = model_input(blob_test.subset(1000))
+    x = model_input(blob_test.subset(1000).images)
     ref = np.argmax(forward(small_mlp, x), axis=1)
     for fmt in ("int8", "bfloat16"):
         agree = np.mean(np.argmax(quant_forward(small_mlp, x, fmt), axis=1) == ref)
         assert agree >= 0.99
-
-
-def _peak_bytes(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def _random_images(n: int) -> LabeledDataset:
@@ -118,7 +109,7 @@ def _random_images(n: int) -> LabeledDataset:
 
 def test_model_input_holds_one_float_copy():
     ds = _random_images(2000)
-    assert _peak_bytes(model_input, ds) <= 2000 * 784 * 8 + 2**20
+    assert peak_bytes(model_input, ds.images) <= 2000 * 784 * 8 + 2**20
 
 
 def test_float_evaluate_keeps_no_layer_activations():
@@ -127,7 +118,7 @@ def test_float_evaluate_keeps_no_layer_activations():
     # output, and nothing of the layers before it.
     ds, model = _random_images(2000), init_mlp(seed=0)
     x_bytes, h_bytes = 2000 * 784 * 8, 2000 * 256 * 8
-    assert _peak_bytes(evaluate, model, ds) <= x_bytes + 3 * h_bytes + 2**20
+    assert peak_bytes(evaluate, model, ds) <= x_bytes + 3 * h_bytes + 2**20
 
 
 def test_forward_hooked_identity_is_bit_identical(rng):
@@ -294,7 +285,7 @@ def test_checkpoint_with_wrong_shape_rejected(tmp_path, model, key):
 def test_mlp_logits_match_frozen_mlp_forward(monkeypatch, small_mlp, blob_test):
     # the Flatten + Dense network against the MLP's own forward pass
     ds = blob_test.subset(300)
-    x = model_input(ds)
+    x = model_input(ds.images)
     flat = frozen_mlp.flat_float(ds)
     assert np.array_equal(forward(small_mlp, x),
                           frozen_mlp.mlp_forward(small_mlp, flat)[0])
@@ -318,7 +309,7 @@ def _int8_operands(rng, n, fan_in, fan_out):
 def test_int8_logits_match_frozen_quantizer(monkeypatch, model):
     # every quantized activation is non-negative (images, ReLU and pool
     # outputs, conv patches), the weights are mixed-sign
-    x = model_input(synthetic_blobs(300, size=16, seed=5))
+    x = model_input(synthetic_blobs(300, size=16, seed=5).images)
     got = quant_forward(model, x, "int8")
     monkeypatch.setattr(inference, "quantize_int8", frozen_quant.quantize_int8)
     assert np.array_equal(got, quant_forward(model, x, "int8"))
@@ -351,7 +342,7 @@ _DENSE_FIRST = he_uniform(None, mlp_stages((256, 32, 16, 10))[1:], seed=2)
     for k in range(len(model.weights))])
 @pytest.mark.parametrize("change", ["raw", "scale"])
 def test_reused_pass_equals_a_fresh_pass(model, stage, change):
-    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    x = model_input(synthetic_blobs(40, size=16, seed=5).images)
     if model is _DENSE_FIRST:
         x = x.reshape(len(x), -1)
     wq, base, record = _recorded(model, x)
@@ -373,7 +364,7 @@ def test_reused_pass_equals_a_fresh_pass(model, stage, change):
 def test_record_keeps_quantized_dense_inputs_and_no_float_stage_output(model):
     # x and the logits are the record's only float arrays: a dense stage keeps
     # its quantized input, a convolution nothing
-    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    x = model_input(synthetic_blobs(40, size=16, seed=5).images)
     wq, base, record = _recorded(model, x)
     assert record[0] is x and np.array_equal(record[-1], base)
     weighted = [s for s in model.stages if isinstance(s, (ConvStage, DenseStage))]
@@ -387,7 +378,7 @@ def test_record_keeps_quantized_dense_inputs_and_no_float_stage_output(model):
 
 def test_unchanged_weights_return_the_recorded_logits_by_copy(monkeypatch):
     model = init_mlp((256, 32, 16, 10), seed=2)
-    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    x = model_input(synthetic_blobs(40, size=16, seed=5).images)
     wq, base, record = _recorded(model, x)
     want = base.copy()
     base[:] = 0.0  # the recording pass's logits are not the record's
@@ -413,7 +404,7 @@ _MISUSES = [
 ], ids=["matmul-fn", "bfloat16", "other-values", "other-shape"])
 def test_record_misused_rejected(kwargs, message):
     model = init_mlp((256, 32, 16, 10), seed=2)
-    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    x = model_input(synthetic_blobs(40, size=16, seed=5).images)
     _, _, record = _recorded(model, x)
     with pytest.raises(ValueError, match=message):
         quant_forward(model, **{"x": x, "baseline": record, **kwargs})
@@ -422,7 +413,7 @@ def test_record_misused_rejected(kwargs, message):
 @pytest.mark.parametrize("kwargs, message", _MISUSES, ids=["matmul-fn", "bfloat16"])
 def test_recording_rejected_outside_exact_int8(kwargs, message):
     model = init_mlp((256, 32, 16, 10), seed=2)
-    x = model_input(synthetic_blobs(40, size=16, seed=5))
+    x = model_input(synthetic_blobs(40, size=16, seed=5).images)
     record = []
     with pytest.raises(ValueError, match=message):
         quant_forward(model, x, baseline=record, **kwargs)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import frozen_mlp
+from conftest import peak_bytes
 from faultlab.netcore import (
     TrainingDiverged,
     init_lenet5,
@@ -85,16 +86,30 @@ def test_cnn_gradient_matches_central_differences(rng):
 
 
 def test_mlp_training_matches_frozen_mlp_loop(blob_train, blob_test):
-    # the Flatten + Dense network trains exactly as the MLP's own passes did
-    train, test = blob_train.subset(600), blob_test.subset(300)
-    got, hist = train_sgd(init_mlp((784, 32, 16, 10), seed=5), train, epochs=2,
-                          lr=0.1, seed=6, batch_size=50, test=test)
-    ref, ref_hist = frozen_mlp.train_sgd(init_mlp((784, 32, 16, 10), seed=5), train,
-                                         epochs=2, lr=0.1, seed=6, batch_size=50,
-                                         test=test)
-    assert hist == ref_hist
-    for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
-        assert np.array_equal(a, b)
+    # the Flatten + Dense network trains exactly as the MLP's own passes did;
+    # at 610 samples each epoch ends on a partial batch of 10, whose rows are
+    # converted in their step like every other batch's
+    test = blob_test.subset(300)
+    for n in (600, 610):
+        train = blob_train.subset(n)
+        got, hist = train_sgd(init_mlp((784, 32, 16, 10), seed=5), train, epochs=2,
+                              lr=0.1, seed=6, batch_size=50, test=test)
+        ref, ref_hist = frozen_mlp.train_sgd(init_mlp((784, 32, 16, 10), seed=5),
+                                             train, epochs=2, lr=0.1, seed=6,
+                                             batch_size=50, test=test)
+        assert hist == ref_hist
+        for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+            assert np.array_equal(a, b)
+
+
+def test_training_keeps_no_float_copy_of_the_split():
+    # one epoch of 4000 samples: each step converts its own 64 rows, so the
+    # peak stays below the split's float64 size (about 25 MB)
+    rng = np.random.default_rng(0)
+    train = LabeledDataset(rng.integers(0, 256, (4000, 28, 28), dtype=np.uint8),
+                           rng.integers(0, 10, 4000))
+    model = init_mlp((784, 16, 10), seed=0)
+    assert peak_bytes(train_sgd, model, train, 1, 0.01, 0) < 4000 * 784 * 8
 
 
 def test_softmax_sums_to_one(rng):
