@@ -25,7 +25,7 @@ from ..macfault import PRODUCT_WIDTH
 from ..netcore.data import synthetic_blobs
 from ..netcore.network import DEFAULT_LAYERS, fit_error
 from ..yamlio import BOOL, PATH, POSITIVE, check_mapping, integer, list_of, number, one_of
-from .runner import KINDS, build_network
+from .runner import KINDS, build_network, eval_samples_errors
 
 _TOP = {"seed": integer(), "output_dir": PATH}
 
@@ -168,12 +168,10 @@ def _check_model_fits(model: dict, size: int, classes: int, errors) -> None:
 
 def _check_campaign_sizes(camp: dict, test: int | None, errors) -> None:
     """No evaluation subset beyond the synthetic test set of ``test`` samples
-    (an IDX set's size is known in the run), and no bit count beyond the
-    array format's product width."""
-    n = camp.get("eval_samples")
-    if n is not None and test is not None and n > test:
-        errors.append(f"campaign.eval_samples: {n} is above the {test} samples "
-                      "of dataset.test")
+    (an IDX set's size is known in the run, which checks it there), and no
+    bit count beyond the array format's product width."""
+    if test is not None:
+        errors.extend(eval_samples_errors(camp, test))
     if "fmt" not in camp:
         return
     fmt = camp["fmt"]

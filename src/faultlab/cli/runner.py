@@ -6,6 +6,8 @@ fields, and its run function. ``config.validate`` reads the kinds and sections
 from it; ``run`` builds their set-up into a ``RunContext`` and calls the run
 function, which writes each CSV and its chart through ``RunContext.emit``
 under a schema of ``report.SCHEMAS``. Adding a kind means adding one record.
+A field bounded by data that only the run loads, an IDX test set's size or a
+checkpoint's weights, is checked by ``run`` with the rule ``validate`` uses.
 
 Run functions look library functions up on their modules at call time, so a
 tracer or test double that rebinds them sees the calls. Seeds derive from the
@@ -75,6 +77,8 @@ class Experiment:
     needs_train: bool = False  # build the training set even from a checkpoint
     history: bool = False  # score the test set after each epoch of training
     check: Callable | None = None  # (valid config) -> errors relating its fields
+    # (campaign, weight shapes) -> errors: the campaign must fit the network
+    fits: Callable | None = None
 
 
 @dataclass
@@ -136,10 +140,16 @@ def build_network(model: dict, input_hw: int, seed: int = 0):
     return init_mlp(model["layers"], seed=seed)
 
 
+def _raise_errors(errors: list) -> None:
+    """Fail a run with the errors ``validate`` would name, had it known the data."""
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
 def _build_model(ctx: RunContext):
     """(model, per-epoch history): loaded from its checkpoint, or trained; a
     kind without ``history`` trains unscored."""
-    mc = ctx.config["model"]
+    mc, experiment = ctx.config["model"], KINDS[ctx.config["experiment"]]
     model = (load_model(mc["checkpoint"]) if mc["checkpoint"] else
              build_network(mc, ctx.train.images.shape[1], seed=ctx.seed("init")))
     # the network must take the images and labels, which only the run knows
@@ -150,13 +160,14 @@ def _build_model(ctx: RunContext):
                            int(data.labels.max(initial=-1)))
         if reason:
             raise ValueError(reason)
+    if experiment.fits:
+        _raise_errors(experiment.fits(ctx.camp, [w.shape for w in model.weights]))
     if mc["checkpoint"]:
         return model, []
     tc = ctx.config["train"]
-    scored = KINDS[ctx.config["experiment"]].history
     return train_sgd(model, ctx.train, epochs=tc["epochs"], lr=tc["lr"],
                      seed=ctx.seed("train"), batch_size=tc["batch"],
-                     test=ctx.test if scored else None)
+                     test=ctx.test if experiment.history else None)
 
 
 def run(config: dict, output_override=None) -> dict:
@@ -175,6 +186,7 @@ def run(config: dict, output_override=None) -> dict:
     try:
         if "model" in experiment.sections:
             ctx.train, ctx.test = _build_datasets(config, experiment.needs_train)
+            _raise_errors(eval_samples_errors(ctx.camp, len(ctx.test)))
             ctx.model, ctx.history = _build_model(ctx)
         extra = experiment.run(ctx)
     except Exception:
@@ -221,23 +233,38 @@ def _campaign(stem: str, schema: str, rows_of):
     return run_campaign
 
 
-def _dram_errors(config) -> list:
-    """The DRAM faults must fit the weights of the network the run builds; those
-    of a checkpoint, or of a LeNet-5 on IDX images, are only known in the run."""
-    model, ds, camp = config["model"], config["dataset"], config["campaign"]
-    if model["checkpoint"] or (model["kind"] == "lenet5" and ds["kind"] == "idx"):
-        return []
-    shapes = [w.shape for w in build_network(model, ds["size"]).weights]
+def eval_samples_errors(camp: dict, test: int) -> list:
+    """No evaluation subset beyond the ``test`` samples of the test set."""
+    n = camp.get("eval_samples")
+    if n is not None and n > test:
+        return [f"campaign.eval_samples: {n} is above the {test} samples of "
+                "dataset.test"]
+    return []
+
+
+def dram_size_errors(camp: dict, shapes) -> list:
+    """The DRAM faults must fit weights of these (rows, columns) shapes."""
     errors = []
     cells = min(rows * cols for rows, cols in shapes)
     if max(camp.get("counts", [0])) > cells:
         errors.append(f"campaign.counts: more faults than the {cells} weights of "
                       "the smallest layer")
-    rows, outputs = shapes[-1]
+    rows = shapes[-1][0]
     if camp.get("faults_per_column", 0) > rows:
         errors.append(f"campaign.faults_per_column: more faults than the {rows} "
                       "weights of an output column")
-    if "grid_width" in camp and outputs != 10:
+    return errors
+
+
+def _dram_errors(config) -> list:
+    """The DRAM faults must fit the weights of the network the run builds; those
+    of a checkpoint, or of a LeNet-5 on IDX images, are checked in the run."""
+    model, ds, camp = config["model"], config["dataset"], config["campaign"]
+    if model["checkpoint"] or (model["kind"] == "lenet5" and ds["kind"] == "idx"):
+        return []
+    shapes = [w.shape for w in build_network(model, ds["size"]).weights]
+    errors = dram_size_errors(camp, shapes)
+    if "grid_width" in camp and shapes[-1][1] != 10:
         errors.append("model.layers: the column campaign needs 10 outputs")
     return errors
 
@@ -403,7 +430,7 @@ KINDS = {
         "bit_positions": ([7, 6, 5], list_of(integer(0, 7))),
         "runs": (10, integer(1)),
         "eval_samples": (None, optional(integer(1))),
-    }, check=_dram_errors),
+    }, check=_dram_errors, fits=dram_size_errors),
     "dram-column": Experiment(_campaign("column", "dram", lambda ctx, seed: (
         dramfault.column_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp)[0])), {
         "faults_per_column": (20, integer(0)),
@@ -411,7 +438,7 @@ KINDS = {
         "runs": (10, integer(1)),
         "grid_width": (16, integer(10)),  # at least the output layer's 10 neurons
         "eval_samples": (None, optional(integer(1))),
-    }, check=_dram_errors),
+    }, check=_dram_errors, fits=dram_size_errors),
     "mac-sweep": Experiment(_campaign("sweep", "sweep", _sweep_rows), {
         "k_values": ([2, 3, 4], list_of(integer(1))),
         "fr_grid": ([0.0, 5.0, 10.0], list_of(PERCENT)),

@@ -22,6 +22,25 @@ def _ticks(lo: float, hi: float):
     return [lo + step * k for k in range(TICKS)]
 
 
+def _text(x, y, label, size: int = 11, anchor=None, transform=None) -> str:
+    """A sans-serif label at (x, y), each given as it is to be written."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{label}</text>')
+
+
+def _svg(width: int, height: int, title: str, title_y: int, body: list) -> str:
+    """The document: a white ground, the title centred at ``title_y``, then ``body``."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        _text(f"{width / 2:.0f}", title_y, title, 14, "middle"),
+        *body,
+        "</svg>",
+    ])
+
+
 def line_chart(series: dict, title: str, xlabel: str, ylabel: str) -> str:
     """Polyline chart; ``series`` maps label -> [(x, y), ...]."""
     width, height = LINE_WIDTH, LINE_HEIGHT
@@ -46,43 +65,26 @@ def line_chart(series: dict, title: str, xlabel: str, ylabel: str) -> str:
     def py(y):
         return top + ph - (y - y_lo) / (y_hi - y_lo) * ph
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
-    ]
+    out = []
     for tx in _ticks(x_lo, x_hi):
         out.append(
             f'<line x1="{px(tx):.1f}" y1="{top + ph}" x2="{px(tx):.1f}" '
             f'y2="{top + ph + 4}" stroke="black"/>'
         )
-        out.append(
-            f'<text x="{px(tx):.1f}" y="{top + ph + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-        )
+        out.append(_text(f"{px(tx):.1f}", top + ph + 18, _fmt(tx), anchor="middle"))
     for ty in _ticks(y_lo, y_hi):
         out.append(
             f'<line x1="{left - 4}" y1="{py(ty):.1f}" x2="{left}" '
             f'y2="{py(ty):.1f}" stroke="black"/>'
         )
-        out.append(
-            f'<text x="{left - 8}" y="{py(ty) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
-        )
+        out.append(_text(left - 8, f"{py(ty) + 4:.1f}", _fmt(ty), anchor="end"))
     out.append(
         f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black"/>'
     )
-    out.append(
-        f'<text x="{left + pw / 2:.0f}" y="{height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-    )
-    out.append(
-        f'<text x="16" y="{top + ph / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {top + ph / 2:.0f})">{ylabel}</text>'
-    )
+    out.append(_text(f"{left + pw / 2:.0f}", height - 12, xlabel, 12, "middle"))
+    mid = f"{top + ph / 2:.0f}"
+    out.append(_text(16, mid, ylabel, 12, "middle", transform=f"rotate(-90 16 {mid})"))
     for k, (label, pts) in enumerate(sorted(series.items())):
         color = PALETTE[k % len(PALETTE)]
         path = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in sorted(pts))
@@ -99,12 +101,8 @@ def line_chart(series: dict, title: str, xlabel: str, ylabel: str) -> str:
             f'<line x1="{left + pw - 130}" y1="{ly - 4}" x2="{left + pw - 110}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
-        out.append(
-            f'<text x="{left + pw - 104}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out)
+        out.append(_text(left + pw - 104, ly, label))
+    return _svg(width, height, title, 20, out)
 
 
 def _heat_color(frac: float) -> str:
@@ -136,12 +134,7 @@ def heatmap(matrix, title: str, log_scale: bool = True) -> str:
     cell = max(1, (HEATMAP_SIZE - 2 * margin) // max(rows, cols))
     width = margin * 2 + cell * cols
     height = margin * 2 + cell * rows + legend
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
-    ]
+    out = []
     k = 0
     for i in range(rows):
         for j in range(cols):
@@ -163,13 +156,6 @@ def heatmap(matrix, title: str, log_scale: bool = True) -> str:
         )
     lo_label = f"1e{lo:.1f}" if log_scale else _fmt(lo)
     hi_label = f"1e{hi:.1f}" if log_scale else _fmt(hi)
-    out.append(
-        f'<text x="{margin}" y="{bar_y + 26}" font-family="sans-serif" '
-        f'font-size="11">{lo_label}</text>'
-    )
-    out.append(
-        f'<text x="{margin + cols * cell}" y="{bar_y + 26}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{hi_label}</text>'
-    )
-    out.append("</svg>")
-    return "\n".join(out)
+    out.append(_text(margin, bar_y + 26, lo_label))
+    out.append(_text(margin + cols * cell, bar_y + 26, hi_label, anchor="end"))
+    return _svg(width, height, title, 24, out)

@@ -8,9 +8,9 @@ is the total activation crossing cluster boundaries.
 A pass swaps, one pair at a time, the pair of largest gain, taking the
 first in row-major order on a tie. Activations are non-negative, so no
 gain exceeds ``d_a[i] + d_b[j]``, and each swap scans only the rows that
-this bound cannot rule out. Swapped rows are dropped once they make up half
-the block, and the rows keep their ascending order, so ties break as in a
-scan of the whole block and the clusters are those of a full scan.
+this bound cannot rule out. Swapped rows and columns stay in place at
+``-inf``, so ties break as in a scan of the whole block and the clusters
+are those of a full scan.
 """
 
 from __future__ import annotations
@@ -71,21 +71,17 @@ def _kl_pass(w, in_a):
       most the maximum gain, so a row whose bound is below ``g0`` holds no
       maximum, and only the other rows are scanned. About two rows are left
       on random workloads, so a bound on the columns would cost more than
-      it saves.
-    - **Compaction.** Once half a block's rows are dead, its dead rows and
-      columns are dropped. A boolean mask keeps the indices ascending, and
-      so does the bound's choice of rows, so the first maximum of the
-      scanned rows in their row-major order is the first maximum of the
-      whole block.
+      it saves. The bound's choice of rows keeps them ascending, so the
+      first maximum of the scanned rows in their row-major order is the
+      first maximum of the whole block.
 
-    Blocks of fewer than ``_FULL_SCAN_ROWS`` rows are scanned whole and never
-    compacted. ``m`` holds ``2 w`` over side A's vertices, then side B's,
-    with B's columns negated. Doubling and negating are exact, and
-    ``x - y == x + (-y)`` and ``y - x == -x + y`` hold bit for bit, so its
-    A-by-B block gives every gain and one row difference updates both
-    sides' ``d`` with the values the plain formulas give. This needs ``w``
-    symmetric bit for bit, as ``_weight_matrix`` builds it, so that a
-    vertex's row holds its column.
+    Blocks of fewer than ``_FULL_SCAN_ROWS`` rows are scanned whole. ``m``
+    holds ``2 w`` over side A's vertices, then side B's, with B's columns
+    negated. Doubling and negating are exact, and ``x - y == x + (-y)`` and
+    ``y - x == -x + y`` hold bit for bit, so its A-by-B block gives every
+    gain and one row difference updates both sides' ``d`` with the values
+    the plain formulas give. This needs ``w`` symmetric bit for bit, as
+    ``_weight_matrix`` builds it, so that a vertex's row holds its column.
     """
     to_a = w @ in_a
     to_b = w @ (1.0 - in_a)
@@ -94,12 +90,8 @@ def _kl_pass(w, in_a):
     side, n_a = np.append(side_a, side_b), len(side_a)
     d, m = d[side], 2.0 * w[side][:, side]
     m[:, n_a:] *= -1.0
-    swaps, gains, dead = [], [], 0
+    swaps, gains = [], []
     for _ in range(min(len(side_a), len(side_b))):
-        if n_a >= _FULL_SCAN_ROWS and 2 * dead >= n_a:
-            live = d > -np.inf
-            side, d, m = side[live], d[live], m[live][:, live]
-            n_a, dead = int(np.count_nonzero(live[:n_a])), 0
         d_a, d_b = d[:n_a], d[n_a:]
         if n_a < _FULL_SCAN_ROWS:
             gain = (d_a[:, None] + d_b) + m[:n_a, n_a:]
@@ -117,7 +109,6 @@ def _kl_pass(w, in_a):
         swaps.append((side[ai], side[bj]))
         d += m[ai] - m[bj]
         d[ai] = d[bj] = -np.inf
-        dead += 1
     prefix = np.cumsum(gains)
     best = int(np.argmax(prefix))
     if prefix[best] <= 1e-12:

@@ -521,6 +521,44 @@ def test_run_names_fresh_mlp_with_fewer_outputs_than_idx_labels(tmp_path, rng):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, campaign, message", [
+    ("dram-bitpos", {"counts": [400]},
+     "campaign.counts: more faults than the 120 weights of the smallest layer"),
+    ("dram-column", {"faults_per_column": 30},
+     "campaign.faults_per_column: more faults than the 12 weights of an output column"),
+], ids=["counts", "faults_per_column"])
+def test_run_names_dram_field_too_large_for_checkpoint(tmp_path, capsys, experiment,
+                                                       campaign, message):
+    # validate cannot see a checkpoint's weights; the run names the field in its words
+    save_model(init_mlp((144, 12, 10), seed=0), tmp_path / "model.npz")
+    path = _write_config(tmp_path, {
+        "experiment": experiment, "seed": 1, "model": {"checkpoint": "model.npz"},
+        "dataset": {"test": 20, "size": 12}, "campaign": {"runs": 1, **campaign}})
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run failed: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["dram-bitpos", "dram-column", "mac-sweep",
+                                        "deactivate", "fault-train"])
+def test_run_names_eval_samples_above_idx_test_set(tmp_path, capsys, rng, experiment):
+    # validate cannot count IDX samples; the run names the field before training
+    campaign = {"dram-bitpos": {"counts": [5], "runs": 1},
+                "dram-column": {"faults_per_column": 3, "runs": 1}}.get(
+                    experiment, {"n_row": 8, "n_col": 8})
+    path = _write_config(tmp_path, {
+        "experiment": experiment, "seed": 1, "model": {"layers": [64, 8, 10]},
+        "dataset": _idx_dataset(tmp_path / "data", rng, 8), "train": {"epochs": 1},
+        "campaign": {**campaign, "eval_samples": 100}})
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "run failed: campaign.eval_samples: 100 is above the 30 samples of "
+        "dataset.test\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, scored", [("dram-bitpos", 0), ("train", 2)])
 def test_only_train_scores_each_epoch(tmp_path, monkeypatch, experiment, scored):
     # only the train kind writes the per-epoch accuracy (history.csv)
@@ -720,7 +758,7 @@ def test_fault_train_experiment_csv(tmp_path):
 
 
 # One tiny config per experiment kind, and per bfloat16 faulty path (named
-# "kind:variant"), run with charts on. Its digests pin every CSV and YAML
+# "kind:variant"), run with charts on. Its digests pin every CSV, YAML and SVG
 # output and the manifest less its wall clock, so a change to how the CLI or
 # the fault model is organised must reproduce each run byte for byte.
 _TINY_MODEL = {"model": {"layers": [144, 24, 10]},
@@ -756,14 +794,14 @@ GOLDEN_CONFIGS = {
 
 
 def _golden_digests(out_dir: Path) -> dict:
-    """sha256 of each CSV and YAML output, of the manifest without its clock and
-    of the text ``report`` prints for the run."""
+    """sha256 of each CSV, YAML and SVG output, of the manifest without its clock
+    and of the text ``report`` prints for the run."""
     manifest = json.loads((out_dir / "manifest.json").read_text())
     del manifest["wall_clock_s"]
     digests = {"manifest": hashlib.sha256(
         json.dumps(manifest, sort_keys=True).encode()).hexdigest()}
     for name in sorted(manifest["outputs"]):
-        if name.endswith((".csv", ".yaml")):
+        if name.endswith((".csv", ".yaml", ".svg")):
             digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     text = report(out_dir, write_svg=False)
     digests["report"] = hashlib.sha256(text.encode()).hexdigest()
@@ -780,27 +818,32 @@ GOLDEN_DIGESTS = {
     "dram-bitpos": {
         "manifest": "79ee625651b7af443b82e69d6696f8b051c38a7dd23fb00e5ee3ac83e2007663",
         "bitpos.csv": "5554636520aa3603f698098b010f569df0a152ff70eb5ccd697249c760929952",
+        "bitpos.svg": "8cebce864617e734c2720bde5248ddc2c1a45f4bc013be0b56423e5779ab7972",
         "report": "937234390211cf5a823ab0bdb84e1d5b4ded3e0669e24fd8cc0c0fbbb1a1b1e5",
     },
     "dram-column": {
         # config_hash changed when campaign.track_recall left the config
         "manifest": "6ee6e7abc337177f88e95eb1151780794d00a9e7b6e70f51ef8bb88eb58e3272",
         "column.csv": "0c4bff1b1fdbf155495f6fb35b0a37db6645782efdedbecf0e693bd07ed5d754",
+        "column.svg": "dfd1910688c2acc65527d765e419c76c01498c5c12e9a6d56b0573eb955a83c9",
         "report": "eeb5b4ba051a660f6a56f3e6146873bf5a6a0d41b1159e5bbebb3c478ae2ce69",
     },
     "mac-sweep": {
         "manifest": "39861fa7568e23758f85a3473af6d542195838763f260a2d80fbcfe4b7b85bf0",
         "sweep.csv": "f9194b88d24a399c45a2b0bcb76e82616ee79203808926498778797fa789cca8",
+        "sweep.svg": "02c38fe2d3c55706c7498467bc62e1dc346fd01661ebc6ec8bae30d8e9da47c2",
         "report": "0b10431481e43b7c3fda3f3b01839dfb58e424661067a2bafab3e4372e3ee807",
     },
     "mac-sweep:bf16-sim": {
         "manifest": "fbaad9ef3176436803a4647011bf93a0907b88173fbd6e45a3ed7549a51dc08c",
         "sweep.csv": "330f1c36d2abe45ad312726d42f652d5d27965aebf7357da3ea32458da91ea69",
+        "sweep.svg": "b745ba88ce4f63750ef5b4e0456a537afde82a96cfddbe6fd8bd92c72579f41b",
         "report": "0ac60798e3c77802a5dc344e4d3b8a381655c68abf3272659d2e8e4823607735",
     },
     "mac-sweep:bf16-worst": {
         "manifest": "b6c0d1bafa31151c79d8ed8868d97199fa1dfe2eac92d12239e275d5d3830096",
         "sweep.csv": "b92b69b7c7173f9cf7a14d55c59ea36097d8431b05b95a43ccaef9e8a1f18540",
+        "sweep.svg": "ef1342e5fb5da9338aed22f947471ba3af531231a277339beff74266e2b305b9",
         "report": "3103aaefeedba18cfbe72c0657624710e3daab1d2badbb7509b46548eb066c9e",
     },
     "deactivate:bf16": {
@@ -825,6 +868,8 @@ GOLDEN_DIGESTS = {
     "endurance-map": {
         "manifest": "e45fa1449ab861c53e0942d30f0f144eaa561e24a4d2e9b2f6bbb412322d373d",
         "endurance.csv": "dc65f3c126e56b2c58456da0698552656a7a5204949152799f0c3cd370a687b7",
+        "endurance.svg": "cafec4ee4b17a945edb836e1964ce30db3e5394d325026755ebc499fb0298745",
+        "temperature.svg": "e4a35d2cd6ffdb14f9f49ba2a5f3c745cb982b4a3e1734277bb980dd8842b34b",
         "report": "af24f61620ceb83696fbf4805e4fe6cce62d28925ba5eb6d8f790bf40e87ce57",
     },
     "neuro-map": {

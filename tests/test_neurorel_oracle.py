@@ -104,6 +104,23 @@ def test_fitness_without_inter_cluster_synapses_equals_frozen_reference():
         assert new([tile]) == old([tile])
 
 
+@pytest.mark.parametrize("swarm", [(1, 1), (5, 7), (20, 50)])  # particles, iterations
+@pytest.mark.parametrize("n_tiles", [1, 2, 3])
+@pytest.mark.parametrize("comm_weight", [0.0, 0.5])
+def test_pso_equals_frozen_reference(swarm, n_tiles, comm_weight):
+    g = _graph(40, 300, seed=n_tiles, activations="integer")
+    clusters = kl_partition(g, capacity=6, seed=0)
+    fitness = mapping_fitness(g, clusters, cluster_loads(g, clusters), TILES[:n_tiles],
+                              comm_weight)
+    config = PsoConfig(*swarm)
+    for seed in range(3):
+        best, trace = pso_assign(len(clusters), n_tiles, fitness, config, seed=seed)
+        ref_best, ref_trace = frozen_neuro.pso_assign(len(clusters), n_tiles, fitness,
+                                                      config, seed=seed)
+        assert best.dtype == ref_best.dtype and np.array_equal(best, ref_best)
+        assert trace == ref_trace
+
+
 def _passes_equal(w, in_a):
     """Run KL passes from ``in_a`` until no gain, checking each against the oracle."""
     for _ in range(12):
@@ -117,7 +134,7 @@ def _passes_equal(w, in_a):
 
 
 # 17 and 40 neurons scan whole blocks; at 100 and 300, a side A of at least
-# _FULL_SCAN_ROWS neurons is bounded, and compacted once half of it has swapped
+# _FULL_SCAN_ROWS neurons is bounded, and its swapped rows stay in place at -inf
 @pytest.mark.parametrize("n_neurons", [17, 40, 100, 300])
 @pytest.mark.parametrize("activations", ACTIVATIONS)
 def test_kl_pass_equals_frozen_reference(activations, n_neurons):
@@ -134,8 +151,8 @@ def test_kl_pass_equals_frozen_reference(activations, n_neurons):
 @pytest.mark.parametrize("activations", ACTIVATIONS)
 def test_kl_pass_on_a_complete_bipartite_split_equals_frozen_reference(activations):
     # every synapse crosses a 100-by-200 split: k swaps leave a cut of
-    # (100 - k)(200 - k) + k^2 synapses, least at k = 75, past the compaction
-    # at 50 swaps; with equal activations, each of those swaps breaks a tie
+    # (100 - k)(200 - k) + k^2 synapses, least at k = 75, after most of side A
+    # has swapped; with equal activations, each of those swaps breaks a tie
     n = 300
     in_a = np.zeros(n)
     in_a[np.random.default_rng(3).permutation(n)[:n // 3]] = 1.0
