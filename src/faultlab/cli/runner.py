@@ -77,8 +77,6 @@ class Experiment:
     needs_train: bool = False  # build the training set even from a checkpoint
     history: bool = False  # score the test set after each epoch of training
     check: Callable | None = None  # (valid config) -> errors relating its fields
-    # (campaign, weight shapes) -> errors: the campaign must fit the network
-    fits: Callable | None = None
 
 
 @dataclass
@@ -140,16 +138,10 @@ def build_network(model: dict, input_hw: int, seed: int = 0):
     return init_mlp(model["layers"], seed=seed)
 
 
-def _raise_errors(errors: list) -> None:
-    """Fail a run with the errors ``validate`` would name, had it known the data."""
-    if errors:
-        raise ValueError("; ".join(errors))
-
-
 def _build_model(ctx: RunContext):
     """(model, per-epoch history): loaded from its checkpoint, or trained; a
     kind without ``history`` trains unscored."""
-    mc, experiment = ctx.config["model"], KINDS[ctx.config["experiment"]]
+    mc = ctx.config["model"]
     model = (load_model(mc["checkpoint"]) if mc["checkpoint"] else
              build_network(mc, ctx.train.images.shape[1], seed=ctx.seed("init")))
     # the network must take the images and labels, which only the run knows
@@ -160,14 +152,18 @@ def _build_model(ctx: RunContext):
                            int(data.labels.max(initial=-1)))
         if reason:
             raise ValueError(reason)
-    if experiment.fits:
-        _raise_errors(experiment.fits(ctx.camp, [w.shape for w in model.weights]))
+    # the campaign must fit the test set and the weights, as validate's rules say
+    errors = (eval_samples_errors(ctx.camp, len(ctx.test))
+              + dram_size_errors(ctx.camp, [w.shape for w in model.weights]))
+    if errors:
+        raise ValueError("; ".join(errors))
     if mc["checkpoint"]:
         return model, []
     tc = ctx.config["train"]
+    scored = KINDS[ctx.config["experiment"]].history
     return train_sgd(model, ctx.train, epochs=tc["epochs"], lr=tc["lr"],
                      seed=ctx.seed("train"), batch_size=tc["batch"],
-                     test=ctx.test if experiment.history else None)
+                     test=ctx.test if scored else None)
 
 
 def run(config: dict, output_override=None) -> dict:
@@ -186,7 +182,6 @@ def run(config: dict, output_override=None) -> dict:
     try:
         if "model" in experiment.sections:
             ctx.train, ctx.test = _build_datasets(config, experiment.needs_train)
-            _raise_errors(eval_samples_errors(ctx.camp, len(ctx.test)))
             ctx.model, ctx.history = _build_model(ctx)
         extra = experiment.run(ctx)
     except Exception:
@@ -430,7 +425,7 @@ KINDS = {
         "bit_positions": ([7, 6, 5], list_of(integer(0, 7))),
         "runs": (10, integer(1)),
         "eval_samples": (None, optional(integer(1))),
-    }, check=_dram_errors, fits=dram_size_errors),
+    }, check=_dram_errors),
     "dram-column": Experiment(_campaign("column", "dram", lambda ctx, seed: (
         dramfault.column_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp)[0])), {
         "faults_per_column": (20, integer(0)),
@@ -438,7 +433,7 @@ KINDS = {
         "runs": (10, integer(1)),
         "grid_width": (16, integer(10)),  # at least the output layer's 10 neurons
         "eval_samples": (None, optional(integer(1))),
-    }, check=_dram_errors, fits=dram_size_errors),
+    }, check=_dram_errors),
     "mac-sweep": Experiment(_campaign("sweep", "sweep", _sweep_rows), {
         "k_values": ([2, 3, 4], list_of(integer(1))),
         "fr_grid": ([0.0, 5.0, 10.0], list_of(PERCENT)),
