@@ -6,9 +6,11 @@ the fixed sections in ``SECTIONS``, a campaign section in its kind's record
 of the experiment table (``runner.KINDS``), which also lists the optional
 sections the kind reads. ``validate`` fills every default and returns every
 offence at once: a section the kind does not read, a field that breaks its
-rule, a fresh network that cannot take the synthetic images (the rule a run
-applies to every dataset it builds), an evaluation subset larger than the
-synthetic test set, a bit count beyond the array format's product width.
+rule, a synthetic-data field beside an IDX dataset or a generator field
+beside a workload file, a fresh network that cannot take the synthetic
+images (the rule a run applies to every dataset it builds), an evaluation
+subset larger than the synthetic test set, a bit count beyond the array
+format's product width.
 The rules (``integer``, ``one_of``, ...) and the canonical text
 (``render``) are ``yamlio``'s, shared by file readers.
 """
@@ -123,6 +125,8 @@ def validate(raw: dict, base_dir: Path | None = None):
                 field = "sigma_min_frac" if "sigma_min_frac" in params else "sigma_max_frac"
                 errors.append(f"dataset.params.{field}: sigma_min_frac {lo:g} is above "
                               f"sigma_max_frac {hi:g}")
+        if ds["kind"] == "idx":
+            _unread("dataset", raw["dataset"], "dataset.kind idx", errors)
         for key in _IDX_FILES if ds["kind"] == "idx" else ():
             ds[key] = _existing(ds[key], base_dir, f"dataset.{key}", errors)
         cfg["train"], _ = _section("train", SECTIONS["train"], raw, errors)
@@ -131,7 +135,9 @@ def validate(raw: dict, base_dir: Path | None = None):
         cfg["workload"], wl_ok = _section("workload", SECTIONS["workload"], raw,
                                           errors)
         wl = cfg["workload"]
-        if wl_ok and wl["synapses"] > wl["neurons"] * (wl["neurons"] - 1):
+        if wl["path"]:
+            _unread("workload", raw["workload"], "workload.path", errors)
+        elif wl_ok and wl["synapses"] > wl["neurons"] * (wl["neurons"] - 1):
             errors.append("workload.synapses: more than neurons * (neurons - 1) "
                           "distinct synapses")
         wl["path"] = _existing(wl["path"], base_dir, "workload.path", errors)
@@ -151,6 +157,20 @@ def validate(raw: dict, base_dir: Path | None = None):
     if not errors and experiment.check:
         errors = experiment.check(cfg)
     return (cfg if not errors else None), errors
+
+
+# the fields a run does not read when the given one is set: the synthetic
+# generator's under an IDX dataset, the workload generator's beside a file
+_UNREAD = {
+    "dataset.kind idx": ("train", "test", "seed", "test_seed", "classes", "size", "params"),
+    "workload.path": ("neurons", "synapses", "seed", "max_activation"),
+}
+
+
+def _unread(section: str, given: dict, setting: str, errors) -> None:
+    """Name each field given in a section that a run with ``setting`` does not read."""
+    errors.extend(f"{section}.{key}: not read with {setting}"
+                  for key in _UNREAD[setting] if key in given)
 
 
 def _check_model_fits(model: dict, size: int, classes: int, errors) -> None:

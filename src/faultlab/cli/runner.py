@@ -9,7 +9,9 @@ under a schema of ``report.SCHEMAS``. Adding a kind means adding one record.
 A field bounded by data that only the run loads, an IDX test set's size or a
 checkpoint's weights, is checked by ``run`` with the rule ``validate`` uses.
 
-Run functions look library functions up on their modules at call time, so a
+Each campaign kind's run function makes one ``dramfault`` or ``macfault``
+campaign call, whose keyword arguments are its section's fields, and writes
+what it returns. Run functions look library functions up at call time, so a
 tracer or test double that rebinds them sees the calls. Seeds derive from the
 master seed by stable hashing, so an identical config reproduces identical
 CSVs. A failed run removes its outputs.
@@ -274,87 +276,34 @@ def _crossbar_errors(crossbar: neurorel.CrossbarConfig, field: str) -> list:
     return []
 
 
-def _array(camp) -> macfault.ArrayConfig:
-    return macfault.ArrayConfig(n_row=camp["n_row"], n_col=camp["n_col"],
-                                fmt=camp["fmt"])
-
-
-def _sweep_rows(ctx, seed):
-    camp = ctx.camp
-    return macfault.lsb_sensitivity_sweep(
-        ctx.model, ctx.test, k_values=camp["k_values"], fr_grid=camp["fr_grid"],
-        runs=camp["runs"], config=_array(camp), seed=seed, mode=camp["mode"],
-        carry_fraction=camp["carry_fraction"], stuck_one_bias=camp["stuck_one_bias"],
-        eval_samples=camp["eval_samples"],
-    )
-
-
-def _faulty_arrays(ctx, count):
-    """Set-up shared by deactivate and fault-train: (accuracy, fault-free
-    accuracy, manifest entries, trials). ``accuracy(model, state, seed)`` runs
-    the array on the evaluation subset; each of the ``count`` trials, made when
-    drawn, is a run seed, an array state seeded from it, and the state's FSR."""
-    camp = ctx.camp
-    cfg = _array(camp)
-    # fault-aware training seeds no critical faults
-    mix = macfault.SignatureMix(critical_fraction=camp.get("critical_fraction", 0.0),
-                                lsb_bits=camp["lsb_bits"],
-                                carry_fraction=camp["carry_fraction"])
-    data = ctx.test.subset(camp["eval_samples"])
-    baseline = evaluate(ctx.model, data, camp["fmt"])
-    seeds = {f"run{k}": ctx.seed(k) for k in range(count)}
-
-    def accuracy(model, state, seed):
-        return macfault.run_array(model, state, data, mode="sim", seed=seed)
-
-    def trials():
-        for seed in seeds.values():
-            faults = macfault.seed_fault_map(cfg, camp["fr"], mix, seed=seed)
-            yield (seed, macfault.ArrayState(config=cfg, faults=faults),
-                   macfault.build_fsr(faults, camp["fmt"], camp["fr_max_non_crit"]))
-
-    manifest = {"derived_seeds": seeds, "baseline_accuracy": baseline}
-    return accuracy, baseline, manifest, trials()
+def _fsr_campaign(ctx, count: str, campaign, **data):
+    """(manifest entries, seeds, result) of an FSR campaign call on the run seeds
+    named run0, run1, ..., as many as the campaign field ``count`` asks for. A
+    deactivation that leaves no PE active fails naming the fields behind it."""
+    camp = dict(ctx.camp)
+    seeds = {f"run{k}": ctx.seed(k) for k in range(camp.pop(count))}
+    try:
+        result = campaign(ctx.model, ctx.test, seeds=list(seeds.values()), **data, **camp)
+    except macfault.DeactivationInfeasible as err:
+        raise ValueError(f"{err}: lower campaign.fr or raise "
+                         "campaign.fr_max_non_crit") from None
+    return {"derived_seeds": seeds, "baseline_accuracy": result[0]}, seeds, result
 
 
 def _deactivate(ctx):
-    accuracy, baseline, manifest, trials = _faulty_arrays(ctx, ctx.camp["runs"])
-    rows = []
-    for k, (seed, state, fsr) in enumerate(trials):
-        acc_faulty = accuracy(ctx.model, state, seed)
-        state.active = macfault.deactivate(state, fsr)
-        acc_after = accuracy(ctx.model, state, seed)
-        macfault.save_fault_map(ctx.keep(f"faultmap_run{k}.yaml"), state.config,
-                                state.faults, fsr=fsr, seed=seed)
-        rows.append((seed, "faulty", acc_faulty, (baseline - acc_faulty) * 100,
-                     state.active.size, len(state.faults)))
-        live = state.active[state.faults.rows, state.faults.cols]
-        rows.append((seed, "deactivated", acc_after, (baseline - acc_after) * 100,
-                     int(state.active.sum()), int(live.sum())))
+    manifest, seeds, (_, rows, maps) = _fsr_campaign(
+        ctx, "runs", macfault.deactivation_campaign)
+    config = macfault.ArrayConfig(ctx.camp["n_row"], ctx.camp["n_col"], ctx.camp["fmt"])
+    for k, (seed, (faults, fsr)) in enumerate(zip(seeds.values(), maps)):
+        macfault.save_fault_map(ctx.keep(f"faultmap_run{k}.yaml"), config, faults,
+                                fsr=fsr, seed=seed)
     ctx.emit("deactivate", "deactivate", rows)
     return manifest
 
 
 def _fault_train(ctx):
-    camp = ctx.camp
-    accuracy, baseline, manifest, trials = _faulty_arrays(ctx, camp["seeds"])
-    rows = []
-    for seed, state, fsr in trials:
-        state.active = macfault.deactivate(state, fsr)
-        acc_before = accuracy(ctx.model, state, seed)
-        retrained = macfault.fault_aware_train(
-            ctx.model, state, ctx.train, epochs=camp["retrain_epochs"],
-            lr=camp["retrain_lr"], seed=seed,
-        )
-        acc_after = accuracy(retrained, state, seed)
-        # a model that scores nothing fault-free loses no defined share
-        loss_before, loss_after = (
-            (baseline - acc) / baseline if baseline else float("nan")
-            for acc in (acc_before, acc_after))
-        reduction = ((loss_before - loss_after) / loss_before
-                     if loss_before > 0 else float("nan"))
-        rows.append((seed, baseline, acc_before, acc_after, loss_before,
-                     loss_after, reduction))
+    manifest, _, (_, rows) = _fsr_campaign(ctx, "seeds", macfault.retrain_campaign,
+                                           train=ctx.train)
     ctx.emit("fault_train", "fault_train", rows)
     return manifest
 
@@ -418,7 +367,7 @@ _ARRAY = {"fmt": ("int8", one_of("int8", "bfloat16")), "n_row": (128, integer(1)
 
 KINDS = {
     "train": Experiment(_train, {}, history=True),
-    # a DRAM campaign section holds exactly the campaign's keyword arguments
+    # a campaign section is its call's keyword arguments, less an FSR kind's seed count
     "dram-bitpos": Experiment(_campaign("bitpos", "dram", lambda ctx, seed: (
         dramfault.bitpos_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp))), {
         "counts": ([40, 250], list_of(integer(0))),
@@ -434,7 +383,8 @@ KINDS = {
         "grid_width": (16, integer(10)),  # at least the output layer's 10 neurons
         "eval_samples": (None, optional(integer(1))),
     }, check=_dram_errors),
-    "mac-sweep": Experiment(_campaign("sweep", "sweep", _sweep_rows), {
+    "mac-sweep": Experiment(_campaign("sweep", "sweep", lambda ctx, seed: (
+        macfault.lsb_sensitivity_sweep(ctx.model, ctx.test, seed=seed, **ctx.camp))), {
         "k_values": ([2, 3, 4], list_of(integer(1))),
         "fr_grid": ([0.0, 5.0, 10.0], list_of(PERCENT)),
         "runs": (10, integer(1)),

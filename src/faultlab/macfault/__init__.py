@@ -3,7 +3,9 @@
 Covers fault signatures (stuck-bit masks and a carry flag per faulty PE, in
 a ``FaultMap``) and criticality classification, seeded fault maps, the
 FSR-driven PE deactivation protocol, faulty inference on the array,
-LSB-sensitivity sweeps, fault-aware training, and analytic MAC counts.
+fault-aware training, and analytic MAC counts. Its three campaigns, the
+LSB-sensitivity sweep, FSR deactivation and fault-aware retraining, are one
+library call each (``sweeps``).
 """
 
 from .faults import (
@@ -38,7 +40,7 @@ from .counts import (
     lenet5_descriptor,
     mac_count,
 )
-from .sweeps import SweepRow, lsb_sensitivity_sweep
+from .sweeps import deactivation_campaign, lsb_sensitivity_sweep, retrain_campaign
 from .training import fault_aware_train
 from .mapfile import save_fault_map
 
@@ -62,12 +64,14 @@ __all__ = [
     "apply_fault_to_products",
     "build_fsr",
     "deactivate",
+    "deactivation_campaign",
     "fault_aware_train",
     "faulty_mac",
     "lenet5_descriptor",
     "lsb_sensitivity_sweep",
     "mac_count",
     "per_column_fault_count",
+    "retrain_campaign",
     "run_array",
     "save_fault_map",
     "seed_fault_map",

@@ -76,6 +76,20 @@ def test_traced_run_counts_match_returned_maps(tmp_path, monkeypatch, kind):
         int(mask.size - mask.sum()) for mask in masks)
     assert len(masks) == {"mac-sweep": 0, "deactivate": 2, "fault-train": 1}[kind]
     assert _count(tracer, "macfault.array.faulty_matmul.L0", "corrupted_products") > 0
+    # the sweep runs the array once per map; an FSR campaign builds each run's
+    # FSR and runs the array twice per run, around deactivation or retraining
+    calls = {name: sum(s.name == f"macfault.{name}" for s in tracer.spans)
+             for name in ("array.run_array", "array.build_fsr",
+                          "training.fault_aware_train")}
+    runs = len(maps)
+    assert calls == {
+        "mac-sweep": {"array.run_array": runs, "array.build_fsr": 0,
+                      "training.fault_aware_train": 0},
+        "deactivate": {"array.run_array": 2 * runs, "array.build_fsr": runs,
+                       "training.fault_aware_train": 0},
+        "fault-train": {"array.run_array": 2 * runs, "array.build_fsr": runs,
+                        "training.fault_aware_train": runs},
+    }[kind]
 
 
 def _traced_run(tmp_path, doc):

@@ -208,6 +208,27 @@ def test_validate_names_wrong_workload_field(workload, field):
     assert len(errors) == 1 and errors[0].startswith(field), errors
 
 
+def test_validate_names_generator_fields_beside_a_workload_file(tmp_path):
+    # neither the neuron count nor the synapse bound it sets is read from a file
+    save_workload(tmp_path / "workload.yaml", random_workload(4, 6, seed=0))
+    doc = {"experiment": "neuro-map", "workload": {"path": "workload.yaml"}}
+    for given in ({"neurons": 500}, {"synapses": 5000}, {"seed": 3, "max_activation": 9.0}):
+        _, errors = validate({**doc, "workload": {**doc["workload"], **given}},
+                             base_dir=tmp_path)
+        assert errors == [f"workload.{key}: not read with workload.path" for key in given]
+    assert validate(doc, base_dir=tmp_path)[1] == []
+
+
+def test_validate_names_synthetic_fields_beside_an_idx_dataset(tmp_path, rng):
+    dataset = _idx_dataset(tmp_path / "data", rng, 8)
+    doc = {"experiment": "train", "model": {"layers": [64, 8, 10]}}
+    _, errors = validate({**doc, "dataset": {**dataset, "train": 50, "classes": 3,
+                                             "size": 8}}, base_dir=tmp_path)
+    assert errors == [f"dataset.{key}: not read with dataset.kind idx"
+                      for key in ("train", "classes", "size")]
+    assert validate({**doc, "dataset": dataset}, base_dir=tmp_path)[1] == []
+
+
 def test_validate_accepts_largest_drawable_max_activation():
     top = 2.0**63 - 1024  # the float just below 2**63
     cfg, errors = validate({"experiment": "neuro-map",
@@ -472,6 +493,23 @@ def test_run_names_the_cluster_that_overflows_its_crossbar(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "run failed: cluster 0: 10 synapses exceed the 3x3 crossbar's 9 cells: "
         "raise campaign.crossbar_n or lower campaign.capacity\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, fr_max_non_crit, count", [
+    ("deactivate", 0.05, "runs"), ("fault-train", 0.02, "seeds"),
+])
+def test_run_names_the_fields_of_an_infeasible_deactivation(tmp_path, capsys, experiment,
+                                                            fr_max_non_crit, count):
+    # every PE of a 2x2 array is faulty at fr 100, so deactivation leaves none active
+    path = _write_config(tmp_path, {
+        "experiment": experiment, "seed": 1, "model": {"layers": [64, 8, 10]},
+        "dataset": {"train": 40, "test": 20, "size": 8}, "train": {"epochs": 1},
+        "campaign": {"fr": 100.0, "n_row": 2, "n_col": 2, count: 1}})
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"run failed: constraints disable every PE (fr_max_non_crit={fr_max_non_crit}, "
+        "all PEs faulty): lower campaign.fr or raise campaign.fr_max_non_crit\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -160,6 +160,6 @@ def test_sweep_rows_deterministic(small_mlp, blob_test):
 def test_sweep_bf16_runs(small_mlp, blob_test):
     rows = lsb_sensitivity_sweep(
         small_mlp, blob_test, k_values=[3, 5], fr_grid=[10.0], runs=2,
-        config=ArrayConfig(fmt="bfloat16"), eval_samples=200,
+        fmt="bfloat16", eval_samples=200,
     )
     assert set(cells(map(astuple, rows), (1, 2), 5)) == {(3, 10.0), (5, 10.0)}
