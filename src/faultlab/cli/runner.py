@@ -19,6 +19,7 @@ CSVs. A failed run removes its outputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -276,6 +277,31 @@ def _crossbar_errors(crossbar: neurorel.CrossbarConfig, field: str) -> list:
     return []
 
 
+def _neuro_map_errors(config) -> list:
+    """The endurance model must calibrate on the crossbar, and each tile's aging
+    lifetime, which the fitness divides by, must compute to a positive float:
+    a large voltage underflows it, a tiny one or a low temperature overflows."""
+    camp = config["campaign"]
+    errors = _crossbar_errors(neurorel.CrossbarConfig(n=camp["crossbar_n"]), "crossbar_n")
+    for k, tile in enumerate(neurorel.TileSpec(**t) for t in camp["tiles"]):
+        with contextlib.suppress(ArithmeticError):
+            if tile.lifetime() > 0:
+                continue
+        errors.append(f"campaign.tiles[{k}]: the aging lifetime at {tile.voltage:g} V "
+                      f"and {tile.temperature:g} K is not a positive float")
+    return errors
+
+
+def _all_faulty_errors(config) -> list:
+    """An ``fr`` that makes every PE faulty leaves deactivation no PE to keep
+    under an ``fr_max_non_crit`` below 1."""
+    fr, n_row, cap = (config["campaign"][k] for k in ("fr", "n_row", "fr_max_non_crit"))
+    if cap == 1 or macfault.per_column_fault_count(fr, n_row) < n_row:
+        return []
+    return [f"campaign.fr: {fr:g} faults every PE of a {n_row}-row array, and "
+            f"deactivation under campaign.fr_max_non_crit {cap:g} would disable them all"]
+
+
 def _fsr_campaign(ctx, count: str, campaign, **data):
     """(manifest entries, seeds, result) of an FSR campaign call on the run seeds
     named run0, run1, ..., as many as the campaign field ``count`` asks for. A
@@ -401,7 +427,7 @@ KINDS = {
         "carry_fraction": (0.5, FRACTION),
         "runs": (5, integer(1)),
         **_ARRAY,
-    }),
+    }, check=_all_faulty_errors),
     "fault-train": Experiment(_fault_train, {
         "fr": (7.5, PERCENT),
         "fr_max_non_crit": (0.02, FRACTION),
@@ -411,7 +437,7 @@ KINDS = {
         "retrain_epochs": (8, integer(0)),
         "retrain_lr": (0.15, POSITIVE),
         **_ARRAY,
-    }, needs_train=True),
+    }, needs_train=True, check=_all_faulty_errors),
     "endurance-map": Experiment(_endurance_map, {
         "n": (128, integer(2)),
         "r_seg": (25.0, POSITIVE),
@@ -433,6 +459,5 @@ KINDS = {
         "iterations": (50, integer(1)),
         "comm_weight": (0.0, number(0)),
         "baseline_seeds": (10, integer(1)),
-    }, sections=("workload",), check=lambda config: _crossbar_errors(
-        neurorel.CrossbarConfig(n=config["campaign"]["crossbar_n"]), "crossbar_n")),
+    }, sections=("workload",), check=_neuro_map_errors),
 }

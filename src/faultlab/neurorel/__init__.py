@@ -1,15 +1,15 @@
 """Neuromorphic reliability suite.
 
-MTTF aging models for the crossbar periphery, PCM self-heating and
-endurance maps, workload-graph partitioning, endurance-aware synapse
-placement, and binary-PSO cluster-to-tile mapping.
+MTTF aging models and tile stress points for the crossbar periphery, PCM
+self-heating and endurance maps, workload-graph partitioning,
+endurance-aware synapse placement, and binary-PSO cluster-to-tile mapping.
 """
 
 from .aging import (
     K_BOLTZMANN_EV,
     BtiParams,
-    StressProfile,
     TddbParams,
+    TileSpec,
     aging_fitness,
     mttf_bti,
     mttf_tddb,
@@ -25,7 +25,7 @@ from .workload import SnnWorkloadGraph, load_workload, random_workload, save_wor
 from .partition import cut_cost, kl_partition
 from .placement import CrossbarOverflow, effective_lifetime, place_synapses
 from .pso import PsoConfig, pso_assign
-from .mapping import TileMapping, TileSpec, map_workload, random_baseline_fitness
+from .mapping import TileMapping, map_workload, random_baseline_fitness
 
 __all__ = [
     "BtiParams",
@@ -36,7 +36,6 @@ __all__ = [
     "K_BOLTZMANN_EV",
     "PsoConfig",
     "SnnWorkloadGraph",
-    "StressProfile",
     "TddbParams",
     "TileMapping",
     "TileSpec",

@@ -1,10 +1,12 @@
-"""CMOS aging lifetime models and spike-train utilities.
+"""CMOS aging lifetime models for the crossbar periphery.
 
-Two mean-time-to-failure laws cover the crossbar periphery: gate-oxide
-breakdown MTTF = A * exp(-gamma * sqrt(V)), and threshold-drift MTTF
+Two mean-time-to-failure laws cover the periphery: gate-oxide breakdown
+MTTF = A * exp(-gamma * sqrt(V)), and threshold-drift MTTF
 = (A / V^gamma) * exp(Ea / (kB * T)). The two laws use separate
 parameter types on purpose: their A and gamma constants share symbols
-but not meanings.
+but not meanings. A tile's stress point is a ``TileSpec``; its lifetime
+is the shorter of the two under the default parameters, and the series
+aging fitness sums each tile's duty over that lifetime.
 """
 
 from __future__ import annotations
@@ -38,23 +40,6 @@ class BtiParams:
             raise ValueError("A must be positive")
 
 
-@dataclass(frozen=True)
-class StressProfile:
-    """Overdrive voltage (V_GS - V_th), temperature, and stressed-time share."""
-
-    v: float
-    t: float = 298.0
-    duty: float = 1.0
-
-    def __post_init__(self):
-        if self.v < 0:
-            raise ValueError("overdrive voltage must be non-negative")
-        if self.t <= 0:
-            raise ValueError("temperature must be positive")
-        if not 0.0 <= self.duty <= 1.0:
-            raise ValueError("duty must be in [0, 1]")
-
-
 def mttf_tddb(v: float, params: TddbParams) -> float:
     """Gate-oxide breakdown lifetime: A * exp(-gamma * sqrt(V))."""
     if v < 0:
@@ -73,16 +58,28 @@ def mttf_bti(v: float, t: float, params: BtiParams) -> float:
     return params.a / (v**params.gamma) * math.exp(params.ea / (K_BOLTZMANN_EV * t))
 
 
-def aging_fitness(stresses, tddb: TddbParams, bti: BtiParams) -> float:
-    """Series-system failure-rate aggregate over tile stress profiles.
+@dataclass(frozen=True)
+class TileSpec:
+    """One tile's peripheral stress point (active CP voltage, temperature)."""
 
-    Each tile contributes duty / min(MTTF_tddb, MTTF_bti); lower is
-    better. Unstressed tiles (duty 0) contribute nothing.
+    voltage: float
+    temperature: float = 298.0
+
+    def lifetime(self) -> float:
+        """The shorter of the default TDDB and BTI lifetimes at this point."""
+        return min(mttf_tddb(self.voltage, TddbParams()),
+                   mttf_bti(self.voltage, self.temperature, BtiParams()))
+
+
+def aging_fitness(duties, lifetimes) -> float:
+    """Series-system failure-rate aggregate over tiles, lower is better.
+
+    Each tile contributes its duty (the share of the workload's activation
+    it handles) over its lifetime, added in tile order; tiles with duty 0
+    contribute nothing.
     """
     total = 0.0
-    for s in stresses:
-        if s.duty == 0.0:
-            continue
-        life = min(mttf_tddb(s.v, tddb), mttf_bti(s.v, s.t, bti))
-        total += s.duty / life
+    for duty, life in zip(duties, lifetimes):
+        if duty != 0.0:
+            total += duty / life
     return total

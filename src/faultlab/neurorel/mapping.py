@@ -3,9 +3,8 @@
 A synapse is owned by its post-neuron's cluster (weights live at the
 post side of a crossbar). Tile duty is the fraction of total workload
 activation its clusters handle; the PSO minimizes the series aging
-fitness of the per-tile stress profiles under the default TDDB and BTI
-laws, optionally plus a weighted communication term (activation crossing
-between different tiles).
+fitness of the tile duties over the tile lifetimes, optionally plus a
+weighted communication term (activation crossing between different tiles).
 """
 
 from __future__ import annotations
@@ -15,20 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .aging import BtiParams, StressProfile, TddbParams, aging_fitness
+from .aging import aging_fitness
 from .crossbar import EnduranceMap
 from .placement import CrossbarOverflow, effective_lifetime, place_synapses
 from .partition import cut_cost, endpoint_clusters, kl_partition
 from .pso import PsoConfig, pso_assign
 from .workload import SnnWorkloadGraph, running_sum
-
-
-@dataclass(frozen=True)
-class TileSpec:
-    """One tile's peripheral stress point (active CP voltage, temperature)."""
-
-    voltage: float
-    temperature: float = 298.0
 
 
 @dataclass
@@ -62,11 +53,13 @@ def mapping_fitness(graph: SnnWorkloadGraph, clusters, loads, tiles,
                     comm_weight: float = 0.0):
     """Fitness callable over cluster->tile assignments (lower is better).
 
-    The endpoint clusters and activations of the inter-cluster synapses are
-    gathered once; each call sums, in synapse order, the activations of
-    those whose clusters sit on different tiles.
+    Each tile's lifetime, and the endpoint clusters and activations of the
+    inter-cluster synapses, are computed once. Each call turns the assignment
+    into tile duties and adds up each tile's duty over its lifetime, in tile
+    order; with a ``comm_weight``, it adds that weight times the share of the
+    activation, summed in synapse order, whose clusters sit on different tiles.
     """
-    tddb, bti, act = TddbParams(), BtiParams(), None
+    lifetimes, act = [t.lifetime() for t in tiles], None
     if comm_weight > 0:
         src, dst = endpoint_clusters(graph, clusters)
         inter = src != dst
@@ -74,12 +67,7 @@ def mapping_fitness(graph: SnnWorkloadGraph, clusters, loads, tiles,
         total = running_sum(graph.activation) or 1.0
 
     def fitness(assignment):
-        duties = tile_duties(loads, assignment, len(tiles))
-        stresses = [
-            StressProfile(v=t.voltage, t=t.temperature, duty=float(d))
-            for t, d in zip(tiles, duties)
-        ]
-        value = aging_fitness(stresses, tddb, bti)
+        value = aging_fitness(tile_duties(loads, assignment, len(tiles)).tolist(), lifetimes)
         if act is not None:
             assignment = np.asarray(assignment)
             crossing = act[assignment[src] != assignment[dst]]

@@ -7,16 +7,51 @@ pair from Python lists. The weight matrix, cut cost, cluster loads,
 placement and lifetime looped over one synapse object at a time; here they
 loop over ``(src, dst, weight, activation)`` tuples. Their sums run left
 to right from 0, as ``sum`` does on Python 3.11. ``pso_assign`` held each
-position twice, as a bit pattern and as a slot assignment. The array
-versions must reproduce all of these bit for bit.
+position twice, as a bit pattern and as a slot assignment. The fitness
+built a validated ``StressProfile`` per tile and computed each tile's
+lifetimes again on every call. The array versions must reproduce all of
+these bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from faultlab.neurorel.aging import StressProfile, aging_fitness
+from faultlab.neurorel.aging import BtiParams, TddbParams, mttf_bti, mttf_tddb
 from faultlab.neurorel.pso import PsoConfig
+
+
+@dataclass(frozen=True)
+class StressProfile:
+    """Overdrive voltage (V_GS - V_th), temperature, and stressed-time share."""
+
+    v: float
+    t: float = 298.0
+    duty: float = 1.0
+
+    def __post_init__(self):
+        if self.v < 0:
+            raise ValueError("overdrive voltage must be non-negative")
+        if self.t <= 0:
+            raise ValueError("temperature must be positive")
+        if not 0.0 <= self.duty <= 1.0:
+            raise ValueError("duty must be in [0, 1]")
+
+
+def aging_fitness(stresses, tddb: TddbParams, bti: BtiParams) -> float:
+    """Series-system failure-rate aggregate over tile stress profiles.
+
+    Each tile contributes duty / min(MTTF_tddb, MTTF_bti); lower is
+    better. Unstressed tiles (duty 0) contribute nothing.
+    """
+    total = 0.0
+    for s in stresses:
+        if s.duty == 0.0:
+            continue
+        life = min(mttf_tddb(s.v, tddb), mttf_bti(s.v, s.t, bti))
+        total += s.duty / life
+    return total
 
 
 def synapses(graph) -> list:

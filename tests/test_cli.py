@@ -1,5 +1,6 @@
 """CLI tests: validation, determinism, cleanup, reporting, exit codes."""
 
+import csv
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from faultlab.cli.main import main
 from faultlab.cli.report import ReportError, report
 from faultlab.cli.runner import KINDS, run
 from faultlab.netcore import init_lenet5, init_mlp, save_model
-from faultlab.neurorel import SnnWorkloadGraph, random_workload, save_workload
+from faultlab.neurorel import SnnWorkloadGraph, TileSpec, random_workload, save_workload
 from faultlab.seeds import derive_seed
 from faultlab.yamlio import render
 
@@ -158,6 +159,20 @@ class _Sections(dict):
     ("deactivate", {"fmt": "bfloat16", "lsb_bits": 8},
      "campaign.lsb_bits: 8 is above the 7-bit bfloat16 product"),
     ("fault-train", {"lsb_bits": 17}, "campaign.lsb_bits: 17 is above the 16-bit int8 product"),
+    # a tile's aging lifetime that underflows to 0 or overflows
+    ("neuro-map", {"tiles": [{"voltage": 100000.0}]},
+     "campaign.tiles[0]: the aging lifetime at 100000 V and 298 K is not a positive float"),
+    ("neuro-map", {"tiles": [{"voltage": 3.0}, {"voltage": 1.0e-300}]},
+     "campaign.tiles[1]: the aging lifetime at 1e-300 V and 298 K is not a positive float"),
+    ("neuro-map", {"tiles": [{"voltage": 3.0, "temperature": 0.001}]},
+     "campaign.tiles[0]: the aging lifetime at 3 V and 0.001 K is not a positive float"),
+    # an fr that faults every PE, which deactivation would then disable
+    ("deactivate", {"fr": 50, "n_row": 1},
+     "campaign.fr: 50 faults every PE of a 1-row array, and deactivation under "
+     "campaign.fr_max_non_crit 0.05 would disable them all"),
+    ("fault-train", {"fr": 99.7, "fr_max_non_crit": 0.5},
+     "campaign.fr: 99.7 faults every PE of a 128-row array, and deactivation under "
+     "campaign.fr_max_non_crit 0.5 would disable them all"),
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
     sections = (campaign if isinstance(campaign, _Sections)
@@ -501,16 +516,56 @@ def test_run_names_the_cluster_that_overflows_its_crossbar(tmp_path, capsys):
 ])
 def test_run_names_the_fields_of_an_infeasible_deactivation(tmp_path, capsys, experiment,
                                                             fr_max_non_crit, count):
-    # every PE of a 2x2 array is faulty at fr 100, so deactivation leaves none active
+    # every PE of a 2x2 array is faulty at fr 100, so deactivation leaves none
+    # active; validate names it before the run builds or trains anything
     path = _write_config(tmp_path, {
         "experiment": experiment, "seed": 1, "model": {"layers": [64, 8, 10]},
         "dataset": {"train": 40, "test": 20, "size": 8}, "train": {"epochs": 1},
         "campaign": {"fr": 100.0, "n_row": 2, "n_col": 2, count: 1}})
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid: campaign.fr: 100 faults every PE of a 2-row array, and deactivation "
+        f"under campaign.fr_max_non_crit {fr_max_non_crit:g} would disable them all\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, campaign", [
+    ("deactivate", {"runs": 1, "critical_fraction": 1.0}),
+    ("fault-train", {"seeds": 1, "lsb_bits": 16}),
+])
+def test_run_names_the_fields_of_a_deactivation_of_only_critical_pes(tmp_path, capsys,
+                                                                      experiment, campaign):
+    # at fr_max_non_crit 1 only the seeded map tells whether deactivation leaves a
+    # PE active: here every PE is faulty and critical, so the run names the fields
+    path = _write_config(tmp_path, {
+        "experiment": experiment, "seed": 1, "model": {"layers": [64, 8, 10]},
+        "dataset": {"train": 40, "test": 20, "size": 8}, "train": {"epochs": 1},
+        "campaign": {"fr": 100.0, "n_row": 2, "n_col": 2, "fr_max_non_crit": 1.0,
+                     **campaign}})
     assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        f"run failed: constraints disable every PE (fr_max_non_crit={fr_max_non_crit}, "
-        "all PEs faulty): lower campaign.fr or raise campaign.fr_max_non_crit\n")
+        "run failed: constraints disable every PE (fr_max_non_crit=1.0, all PEs faulty): "
+        "lower campaign.fr or raise campaign.fr_max_non_crit\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_maps_fractional_activations_onto_one_tile(tmp_path):
+    # the in-order sum of these cluster loads is one ulp above their pairwise
+    # total, so the one tile's duty is 1 + 2**-52; the fitness takes it as it is
+    rng = np.random.default_rng(4)
+    src, rest = np.divmod(rng.choice(200 * 199, 1500, replace=False), 199)
+    save_workload(tmp_path / "workload.yaml", SnnWorkloadGraph(
+        neurons=range(200), src=src, dst=rest + (rest >= src), weight=np.ones(1500),
+        activation=rng.random(1500) * 100))
+    path = _write_config(tmp_path, {
+        "experiment": "neuro-map", "workload": {"path": "workload.yaml"},
+        "campaign": {"tiles": [{"voltage": 3.0}], "particles": 3, "iterations": 3,
+                     "baseline_seeds": 2}})
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    summary = dict(csv.reader((tmp_path / "out" / "summary.csv").open()))
+    life = TileSpec(3.0).lifetime()
+    assert float(summary["aging_fitness"]) == float(summary["random_baseline_fitness"])
+    assert float(summary["aging_fitness"]) == pytest.approx(1 / life, rel=1e-9)
 
 
 def test_run_names_workload_whose_activations_overflow(tmp_path, capsys):

@@ -8,8 +8,8 @@ import pytest
 from faultlab.neurorel import (
     K_BOLTZMANN_EV,
     BtiParams,
-    StressProfile,
     TddbParams,
+    TileSpec,
     aging_fitness,
     mttf_bti,
     mttf_tddb,
@@ -71,28 +71,24 @@ def test_mttf_input_validation():
 
 
 def test_aging_fitness_zero_without_stress():
-    tddb, bti = TddbParams(), BtiParams()
-    stresses = [StressProfile(v=3.0, duty=0.0) for _ in range(4)]
-    assert aging_fitness(stresses, tddb, bti) == 0.0
+    # a tile without duty is skipped, so even a zero lifetime adds nothing
+    life = TileSpec(3.0).lifetime()
+    assert aging_fitness([0.0] * 4, [life, life, life, 0.0]) == 0.0
 
 
 def test_aging_fitness_linear_in_duty():
-    tddb, bti = TddbParams(), BtiParams()
-    single = [StressProfile(v=2.5, t=320.0, duty=0.3)]
-    double = [StressProfile(v=2.5, t=320.0, duty=0.6)]
-    assert aging_fitness(double, tddb, bti) == pytest.approx(
-        2 * aging_fitness(single, tddb, bti)
+    lifetimes = [TileSpec(2.5, 320.0).lifetime()]
+    assert aging_fitness([0.6], lifetimes) == pytest.approx(
+        2 * aging_fitness([0.3], lifetimes)
     )
 
 
 def test_aging_fitness_spread_not_worse_than_concentrated():
     # hand evaluation: identical tiles, duty 1 on one vs 0.5 on each gives
     # the same sum, so spreading can never exceed concentrating
-    tddb, bti = TddbParams(), BtiParams()
-    life = min(mttf_tddb(3.0, tddb), mttf_bti(3.0, 298.0, bti))
-    concentrated = aging_fitness([StressProfile(v=3.0, duty=1.0),
-                                  StressProfile(v=3.0, duty=0.0)], tddb, bti)
-    spread = aging_fitness([StressProfile(v=3.0, duty=0.5),
-                            StressProfile(v=3.0, duty=0.5)], tddb, bti)
+    life = min(mttf_tddb(3.0, TddbParams()), mttf_bti(3.0, 298.0, BtiParams()))
+    lifetimes = [TileSpec(3.0).lifetime()] * 2
+    concentrated = aging_fitness([1.0, 0.0], lifetimes)
+    spread = aging_fitness([0.5, 0.5], lifetimes)
     assert concentrated == pytest.approx(1.0 / life)
     assert spread <= concentrated + 1e-15

@@ -1,6 +1,7 @@
 """Binary PSO and end-to-end mapping tests."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from faultlab.neurorel import (
     random_baseline_fitness,
     random_workload,
 )
+from faultlab.neurorel import aging
 from faultlab.neurorel.mapping import (
     cluster_loads,
     mapping_fitness,
@@ -109,6 +111,40 @@ def test_tile_duties_sum_to_one():
     duties = tile_duties(loads, np.zeros(len(clusters), dtype=int), 3)
     assert duties.sum() == pytest.approx(1.0)
     assert duties[0] == pytest.approx(1.0)
+
+
+def test_fitness_takes_a_tile_duty_one_ulp_above_one():
+    # bincount adds the 14 fractional cluster loads in order, the total is a
+    # pairwise sum, so the tile holding every cluster gets a duty of 1 + 2**-52
+    g = random_workload(30, 120, seed=1)
+    g = replace(g, activation=np.random.default_rng(1).random(120) * 100)
+    clusters = kl_partition(g, capacity=3, seed=0)
+    loads = cluster_loads(g, clusters)
+    everything_on_one = np.zeros(len(clusters), dtype=int)
+    fitness = mapping_fitness(g, clusters, loads, [TileSpec(3.0)])
+    duty = tile_duties(loads, everything_on_one, 1)[0]
+    assert duty == 1 + 2**-52
+    assert fitness(everything_on_one) == duty / TileSpec(3.0).lifetime()
+
+
+def test_fitness_computes_each_tile_lifetime_once_per_build(monkeypatch):
+    calls, mttf_bti = [], aging.mttf_bti
+
+    def counted_mttf_bti(v, t, params):
+        calls.append((v, t))
+        return mttf_bti(v, t, params)
+
+    monkeypatch.setattr(aging, "mttf_bti", counted_mttf_bti)
+    g = random_workload(24, 100, seed=2)
+    clusters = kl_partition(g, capacity=6, seed=0)
+    tiles = [TileSpec(3.0), TileSpec(1.8), TileSpec(3.0, 340.0), TileSpec(1.8, 340.0)]
+    for comm_weight in (0.0, 0.5):
+        calls.clear()
+        fitness = _fitness_for(g, clusters, tiles, comm_weight)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            fitness(rng.integers(0, len(tiles), size=len(clusters)))
+        assert calls == [(3.0, 298.0), (1.8, 298.0), (3.0, 340.0), (1.8, 340.0)]
 
 
 def test_map_workload_end_to_end():
