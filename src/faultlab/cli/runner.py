@@ -305,14 +305,20 @@ def _all_faulty_errors(config) -> list:
 def _fsr_campaign(ctx, count: str, campaign, **data):
     """(manifest entries, seeds, result) of an FSR campaign call on the run seeds
     named run0, run1, ..., as many as the campaign field ``count`` asks for. A
-    deactivation that leaves no PE active fails naming the fields behind it."""
+    deactivation that leaves no PE active fails naming the fields behind it:
+    ``validate`` rejects an all-faulty ``fr`` under a cap below 1, so every PE
+    is faulty and critical, by a critical draw or a stuck bit above the
+    tolerated LSBs."""
     camp = dict(ctx.camp)
     seeds = {f"run{k}": ctx.seed(k) for k in range(camp.pop(count))}
     try:
         result = campaign(ctx.model, ctx.test, seeds=list(seeds.values()), **data, **camp)
     except macfault.DeactivationInfeasible as err:
-        raise ValueError(f"{err}: lower campaign.fr or raise "
-                         "campaign.fr_max_non_crit") from None
+        above = camp["lsb_bits"] - macfault.NON_CRITICAL_LSBS[camp["fmt"]]
+        fields = [k for k, v in (("critical_fraction", camp.get("critical_fraction", 0)),
+                                 ("lsb_bits", above)) if v > 0]
+        raise ValueError(f"{err}: lower campaign.fr or campaign."
+                         + " or campaign.".join(fields)) from None
     return {"derived_seeds": seeds, "baseline_accuracy": result[0]}, seeds, result
 
 

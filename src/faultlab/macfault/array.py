@@ -20,10 +20,15 @@ The adjacency part is a minimum vertex cover of a graph whose vertices
 are map indices, solved exactly per connected component by branch and
 bound (components beyond a size cap fall back to max-degree greedy).
 
-Faulty inference adds, per output column, the difference between the
-faulty and the exact products of every fault site (a weight hosted by an
-active faulty PE) onto the exact matmul of the pruned weights. Each layer
-keeps its sites in flat arrays sorted by column, built once per factory.
+The array owns the faulty matmul's arithmetic in each format, for
+inference (``run_array``) and for fault-aware retraining alike: both see
+one faulty array. Its error is the faulty accumulator minus the exact
+matmul: per output column, the faulty-minus-exact products of every fault
+site (a weight hosted by an active faulty PE), less the products of the
+weights on deactivated PEs, which are pruned. Inference adds the error
+onto the exact matmul; training adds it, in value units, onto its float
+preactivation. Each layer keeps its sites in flat arrays sorted by
+column, built once per factory.
 
 int8 sites use a residue-class table, which is exact: let m - 1 be the
 highest stuck bit among a layer's sites. A site's fault rewrites only
@@ -57,7 +62,7 @@ import numpy as np
 
 from ..netcore.data import LabeledDataset
 from ..netcore.inference import exact_int_matmul, model_input, quant_forward
-from ..quantnum import int8_scale, quantize_int8
+from ..quantnum import bf16_round_array, int8_scale, quantize_int8
 from .faults import (
     NON_CRITICAL_LSBS,
     PRODUCT_WIDTH,
@@ -365,7 +370,6 @@ class _Group:
 class _LayerPlan:
     """Where one weight matrix meets the array: pruning and fault sites."""
 
-    mask: np.ndarray  # weights hosted by active PEs
     disabled: np.ndarray  # flat indices of weights on deactivated PEs
     ii: np.ndarray  # every fault site, sorted by column
     jj: np.ndarray
@@ -431,7 +435,7 @@ def _layer_plan(shape, state: ArrayState) -> _LayerPlan:
     offsets = np.arange(0, n_flat, len(first),
                         dtype=np.int32 if n_flat < 2**31 else np.int64)
     return _LayerPlan(
-        mask=mask, disabled=np.flatnonzero(~mask), ii=ii[by_col], jj=jj[by_col],
+        disabled=np.flatnonzero(~mask), ii=ii[by_col], jj=jj[by_col],
         and_mask=~faults.stuck0[site_pe], or_mask=faults.stuck1[site_pe],
         carry=carry[site_pe], starts=starts, cols=run_cols,
         lut=lut.ravel().astype(np.uint8), reps=values[first], offsets=offsets,
@@ -464,10 +468,11 @@ def _delta_table(plan: _LayerPlan, w_sites, mode: str):
 def _int8_correction(plan: _LayerPlan, aq, w_sites, mode: str, rng):
     """Sum of (faulty - exact) products per output column, shape (fan_out, N).
 
-    ``w_sites`` holds the int8 weight of every site of ``plan`` in its order.
+    ``w_sites`` holds the int8 weight of every site of ``plan`` in its order,
+    in any integer dtype: the delta table multiplies it in int64.
     """
     n = aq.shape[0]
-    corr = np.zeros((plan.mask.shape[1], n), dtype=np.int64)
+    corr = np.zeros((len(plan.carry_bias), n), dtype=np.int64)
     if not len(plan.ii):
         return corr
     table = _delta_table(plan, w_sites, mode)
@@ -498,29 +503,48 @@ def faulty_matmul_factory(state: ArrayState, weight_shapes, mode: str, rng,
                           error_only: bool = False):
     """Matmul callback for quant_forward that routes through faulty PEs.
 
-    With ``error_only`` (int8 only) the callback takes float weights ``w``
-    and returns ``(err, scale)``: ``scale`` is ``quantize_int8(w).scale``
-    and ``err`` is the array's accumulator minus the exact
-    ``aq @ quantize_int8(w).raw``. Only the weights at fault sites and on
-    deactivated PEs are quantized.
+    The array owns each format's arithmetic. int8 has one kernel: the
+    array's accumulator minus the exact ``aq @ wq``, from the int8
+    activations, the int8 weights at the fault sites and those on
+    deactivated PEs. The callback ``matmul(idx, aq, wq)`` takes the format's
+    operands (int8 raw or bfloat16-rounded floats) and returns the faulty
+    accumulator; int8 adds the kernel to the exact matmul.
+
+    With ``error_only`` the callback ``error(idx, a, w)`` takes float
+    activations ``a`` and float weights ``w`` and returns the array's error
+    in value units, which fault-aware training adds to ``a @ w``. int8
+    quantizes ``a``, and only the site and deactivated weights at
+    ``int8_scale(w)``, and scales the kernel by both scales; bfloat16
+    rounds both operands and returns ``matmul - ab @ wb``.
     """
     fmt = state.config.fmt
     if mode not in (SIM, WORST):
         raise ValueError(f"mode must be '{SIM}' or '{WORST}'")
-    if error_only and fmt != "int8":
-        raise ValueError("error_only needs the int8 format")
     plans = [_layer_plan(shape, state) for shape in weight_shapes]
-    # error_only: the weights on deactivated PEs, refilled on each call
-    w_offs = [np.zeros(shape) for shape in weight_shapes] if error_only else None
+    # the int8 weights on deactivated PEs, refilled on each call
+    w_offs = [np.zeros(shape, dtype=np.int8) for shape in weight_shapes]
+
+    def int8_error(idx, aq, w_sites, w_off):
+        """The array's accumulator minus the exact ``aq @ wq``, as a new
+        float64 array, from the int8 weights at the sites and on deactivated
+        PEs. Every term is an integer below 2^53, so every sum is exact."""
+        plan = plans[idx]
+        err = _int8_correction(plan, aq, w_sites, mode, rng).T.astype(np.float64)
+        if len(plan.disabled):
+            np.put(w_offs[idx], plan.disabled, w_off)
+            err -= exact_int_matmul(aq, w_offs[idx])
+        return err
 
     def matmul(idx, aq, wq):
         plan = plans[idx]
-        w_eff = np.where(plan.mask, wq, 0) if len(plan.disabled) else wq
         if fmt == "int8":
-            w_sites = wq[plan.ii, plan.jj].astype(np.int64)
-            corr = _int8_correction(plan, aq, w_sites, mode, rng)
-            return exact_int_matmul(aq, w_eff) + corr.T
-        acc = aq @ w_eff
+            # the error first, so that its temporaries are freed before the exact matmul
+            acc = int8_error(idx, aq, wq[plan.ii, plan.jj], wq.take(plan.disabled))
+            acc += exact_int_matmul(aq, wq)
+            return acc
+        w_on = wq.copy()
+        w_on.flat[plan.disabled] = 0
+        acc = aq @ w_on
         for g in plan.groups:
             products = aq[:, g.ii] * wq[g.ii, g.jj]
             faulty = apply_fault_to_products(products, *g.fault, fmt, mode, rng)
@@ -528,16 +552,15 @@ def faulty_matmul_factory(state: ArrayState, weight_shapes, mode: str, rng,
             acc[:, g.cols] += np.add.reduceat(contrib[:, g.order], g.starts, axis=1)
         return acc
 
-    def error(idx, aq, w):
+    def error(idx, a, w):
         plan = plans[idx]
-        scale = int8_scale(w)
-        w_sites = quantize_int8(w[plan.ii, plan.jj], scale).raw.astype(np.int64)
-        err = _int8_correction(plan, aq, w_sites, mode, rng).T.astype(np.float64)
-        if len(plan.disabled):
-            off = quantize_int8(w.take(plan.disabled), scale).raw
-            np.put(w_offs[idx], plan.disabled, off)
-            err -= exact_int_matmul(aq, w_offs[idx])
-        return err, scale
+        if fmt == "int8":
+            q, scale = quantize_int8(a), int8_scale(w)
+            w_sites, w_off = (quantize_int8(v, scale).raw
+                              for v in (w[plan.ii, plan.jj], w.take(plan.disabled)))
+            return int8_error(idx, q.raw, w_sites, w_off) * (q.scale * scale)
+        ab, wb = (bf16_round_array(v).astype(np.float64) for v in (a, w))
+        return matmul(idx, ab, wb) - ab @ wb
 
     return error if error_only else matmul
 

@@ -536,7 +536,9 @@ def test_run_names_the_fields_of_an_infeasible_deactivation(tmp_path, capsys, ex
 def test_run_names_the_fields_of_a_deactivation_of_only_critical_pes(tmp_path, capsys,
                                                                       experiment, campaign):
     # at fr_max_non_crit 1 only the seeded map tells whether deactivation leaves a
-    # PE active: here every PE is faulty and critical, so the run names the fields
+    # PE active: here every PE is faulty and critical, so the run names campaign.fr
+    # and the field that made the PEs critical
+    field = "critical_fraction" if experiment == "deactivate" else "lsb_bits"
     path = _write_config(tmp_path, {
         "experiment": experiment, "seed": 1, "model": {"layers": [64, 8, 10]},
         "dataset": {"train": 40, "test": 20, "size": 8}, "train": {"epochs": 1},
@@ -545,7 +547,7 @@ def test_run_names_the_fields_of_a_deactivation_of_only_critical_pes(tmp_path, c
     assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         "run failed: constraints disable every PE (fr_max_non_crit=1.0, all PEs faulty): "
-        "lower campaign.fr or raise campaign.fr_max_non_crit\n")
+        f"lower campaign.fr or campaign.{field}\n")
     assert not (tmp_path / "out").exists()
 
 

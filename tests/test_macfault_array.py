@@ -461,6 +461,35 @@ def test_faulty_matmul_matches_frozen_per_signature_path(rng, fmt, mode):
     assert np.array_equal(logits[0], logits[1])
 
 
+@pytest.mark.parametrize("fmt, mode", [("int8", "sim"), ("int8", "worst"),
+                                       ("bfloat16", "sim")])
+def test_error_callback_is_the_inference_matmul_minus_the_exact_one(rng, fmt, mode):
+    # one kernel, two callers: training's value-unit error equals inference's
+    # faulty accumulator less the exact one, bit for bit, carry draws included
+    from faultlab.macfault.array import faulty_matmul_factory
+    from faultlab.netcore.inference import exact_int_matmul
+    from faultlab.quantnum import bf16_round_array, quantize_int8
+
+    cfg = ArrayConfig(n_row=16, n_col=12, fmt=fmt)
+    mix = SignatureMix(critical_fraction=0.2, lsb_bits=3, carry_fraction=0.5)
+    state = ArrayState(config=cfg, faults=seed_fault_map(cfg, 25, mix, seed=8))
+    state.active[5, :4] = False
+    shapes = [(40, 24), (24, 10)]
+    error, matmul = (faulty_matmul_factory(state, shapes, mode, np.random.default_rng(3),
+                                           error_only=only) for only in (True, False))
+    for idx, shape in enumerate(shapes):
+        a = rng.uniform(-1, 1, size=(50, shape[0]))
+        w = rng.normal(size=shape)
+        if fmt == "int8":
+            q, wq = quantize_int8(a), quantize_int8(w)
+            want = ((matmul(idx, q.raw, wq.raw) - exact_int_matmul(q.raw, wq.raw))
+                    * (q.scale * wq.scale))
+        else:
+            ab, wb = (bf16_round_array(v).astype(np.float64) for v in (a, w))
+            want = matmul(idx, ab, wb) - ab @ wb
+        assert np.array_equal(error(idx, a, w), want)
+
+
 @pytest.mark.parametrize("top", [3, 16])
 @pytest.mark.parametrize("mode", ["sim", "worst"])
 def test_delta_table_matches_apply_fault_to_products(rng, mode, top):
