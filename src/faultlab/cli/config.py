@@ -27,7 +27,7 @@ from ..macfault import PRODUCT_WIDTH
 from ..netcore.data import synthetic_blobs
 from ..netcore.network import DEFAULT_LAYERS, fit_error
 from ..yamlio import BOOL, PATH, POSITIVE, check_mapping, integer, list_of, number, one_of
-from .runner import KINDS, build_network, eval_samples_errors
+from .runner import KINDS, eval_samples_errors, network_shapes
 
 _TOP = {"seed": integer(), "output_dir": PATH}
 
@@ -177,11 +177,11 @@ def _check_model_fits(model: dict, size: int, classes: int, errors) -> None:
     """The network a run builds for the synthetic images must take them and
     score every class."""
     try:
-        network = build_network(model, size)
+        side, shapes = network_shapes(model, size)
     except ValueError as err:  # only a LeNet-5 can fail to chain
         errors.append(f"dataset.size: no LeNet-5 takes {size}x{size} images: {err}")
         return
-    reason = fit_error(network, "synthetic", (size, size), classes - 1)
+    reason = fit_error(side, shapes, "synthetic", (size, size), classes - 1)
     if reason:
         errors.append(f"model.layers: {reason}")
 
@@ -232,6 +232,6 @@ def load_config(path):
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
-    except (OSError, yaml.YAMLError) as err:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as err:
         return None, [f"config: cannot read {path}: {err}"]
     return validate(raw, base_dir=path.parent)

@@ -34,13 +34,14 @@ class ReportError(RuntimeError):
 
 
 def _read_csv(path: Path):
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ReportError(f"{path.name}: empty CSV") from None
-        return header, list(reader)
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raise ReportError(f"{path.name}: {err}") from None
+    if not rows:
+        raise ReportError(f"{path.name}: empty CSV")
+    return rows[0], rows[1:]
 
 
 def _classify(path: Path, header):
@@ -67,11 +68,15 @@ def cell_stats(values):
 def cells(rows, key_idx, value_idx):
     """{key: cell_stats of its values}, sorted by key, where a row's key is the
     tuple of its ``key_idx`` entries and its value is ``float(row[value_idx])``.
-    A value that is "" (a NaN the runner wrote) is skipped, a zero is not."""
+    A value that is "" (a NaN the runner wrote) is skipped, a zero is not, and
+    a non-finite one is a ValueError."""
     groups = defaultdict(list)
     for row in rows:
         if row[value_idx] != "":
-            groups[tuple(row[k] for k in key_idx)].append(float(row[value_idx]))
+            value = float(row[value_idx])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {row[value_idx]!r}")
+            groups[tuple(row[k] for k in key_idx)].append(value)
     return {k: cell_stats(v) for k, v in sorted(groups.items())}
 
 

@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -42,7 +42,7 @@ from ..netcore import (
     synthetic_blobs,
     train_sgd,
 )
-from ..netcore.network import fit_error
+from ..netcore.network import fit_error, lenet5_stages, mlp_stages, weight_shapes
 from ..seeds import derive_seed
 from ..yamlio import (
     FRACTION,
@@ -141,6 +141,15 @@ def build_network(model: dict, input_hw: int, seed: int = 0):
     return init_mlp(model["layers"], seed=seed)
 
 
+def network_shapes(model: dict, input_hw: int):
+    """(input_hw, weight shapes) of the network ``build_network`` builds, from
+    its stage list, drawing no weight; input_hw is None for an MLP. A LeNet-5
+    whose stages do not chain raises ValueError."""
+    if model["kind"] == "lenet5":
+        return input_hw, weight_shapes(lenet5_stages(input_hw))
+    return None, weight_shapes(mlp_stages(model["layers"]))
+
+
 def _build_model(ctx: RunContext):
     """(model, per-epoch history): loaded from its checkpoint, or trained; a
     kind without ``history`` trains unscored."""
@@ -148,16 +157,17 @@ def _build_model(ctx: RunContext):
     model = (load_model(mc["checkpoint"]) if mc["checkpoint"] else
              build_network(mc, ctx.train.images.shape[1], seed=ctx.seed("init")))
     # the network must take the images and labels, which only the run knows
+    shapes = [w.shape for w in model.weights]
     for split, data in (("training", ctx.train), ("test", ctx.test)):
         if data is None:
             continue
-        reason = fit_error(model, split, data.images.shape[1:],
+        reason = fit_error(model.input_hw, shapes, split, data.images.shape[1:],
                            int(data.labels.max(initial=-1)))
         if reason:
             raise ValueError(reason)
     # the campaign must fit the test set and the weights, as validate's rules say
     errors = (eval_samples_errors(ctx.camp, len(ctx.test))
-              + dram_size_errors(ctx.camp, [w.shape for w in model.weights]))
+              + dram_size_errors(ctx.camp, shapes))
     if errors:
         raise ValueError("; ".join(errors))
     if mc["checkpoint"]:
@@ -223,10 +233,10 @@ def _train(ctx):
 
 def _campaign(stem: str, schema: str, rows_of):
     """Run function of a campaign that one library call makes: ``rows_of(ctx,
-    seed)`` returns its row records, whose fields are the schema's columns."""
+    seed)`` returns its rows, tuples in the schema's column order."""
     def run_campaign(ctx):
         seed = ctx.seed("campaign")
-        ctx.emit(stem, schema, map(astuple, rows_of(ctx, seed)))
+        ctx.emit(stem, schema, rows_of(ctx, seed))
         return {"derived_seeds": {"campaign": seed}}
     return run_campaign
 
@@ -260,7 +270,7 @@ def _dram_errors(config) -> list:
     model, ds, camp = config["model"], config["dataset"], config["campaign"]
     if model["checkpoint"] or (model["kind"] == "lenet5" and ds["kind"] == "idx"):
         return []
-    shapes = [w.shape for w in build_network(model, ds["size"]).weights]
+    shapes = network_shapes(model, ds["size"])[1]
     errors = dram_size_errors(camp, shapes)
     if "grid_width" in camp and shapes[-1][1] != 10:
         errors.append("model.layers: the column campaign needs 10 outputs")

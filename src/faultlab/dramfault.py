@@ -19,8 +19,6 @@ that layer, and none for a padding column, which changes no weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .netcore.data import LabeledDataset
@@ -69,17 +67,6 @@ def _int8_predictions(model, x: np.ndarray, weights_q, baseline=None) -> np.ndar
     return np.argmax(logits, axis=1)
 
 
-@dataclass(frozen=True)
-class CampaignRow:
-    campaign: str
-    bit_pos: int
-    column: int | None
-    fault_count: int
-    run_seed: int
-    accuracy: float
-    drop_pp: float
-
-
 def bitpos_campaign(
     model,
     dataset: LabeledDataset,
@@ -93,8 +80,9 @@ def bitpos_campaign(
 
     Injects ``count`` faults into every layer's weights (independent draws per
     layer) and evaluates int8 accuracy, in ``runs`` seeded runs per pair.
-    Returns the rows, one per run; ``cli.report.cells`` gives each pair's
-    mean drop.
+    Returns the rows, one per run, each a tuple in the column order of
+    ``cli.report.SCHEMAS["dram"]`` (its ``column`` None); ``cli.report.cells``
+    gives each pair's mean drop.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -114,8 +102,8 @@ def bitpos_campaign(
                           for l, wq in enumerate(baseline_wq)]
                 acc = float(np.mean(_int8_predictions(model, x, faulty, record)
                                     == data.labels))
-                rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
-                                        acc, (baseline - acc) * 100.0))
+                rows.append(("bitpos", bit_pos, None, count, run_seed, acc,
+                             (baseline - acc) * 100.0))
     return rows
 
 
@@ -134,8 +122,9 @@ def column_campaign(
     For each of ``grid_width`` columns, flips ``faults_per_column`` cells in
     that column only and measures the accuracy drop, in ``runs`` seeded runs;
     padding columns (index >= class count) leave the model untouched. Returns
-    (rows, recall_drops): one row per run, and per column the mean per-class
-    recall drop array over runs, which no row holds.
+    (rows, recall_drops): one row per run, a tuple in the column order of
+    ``cli.report.SCHEMAS["dram"]``, and per column the mean per-class recall
+    drop array over runs, which no row holds.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -162,8 +151,8 @@ def column_campaign(
             faulty = baseline_wq[:-1] + [mutated]
             pred = _int8_predictions(model, x, faulty, record)
             acc = float(np.mean(pred == data.labels))
-            rows.append(CampaignRow("column", bit_pos, column, faults_per_column,
-                                    run_seed, acc, (baseline - acc) * 100.0))
+            rows.append(("column", bit_pos, column, faults_per_column, run_seed, acc,
+                         (baseline - acc) * 100.0))
             per_run_recall.append(baseline_recall
                                   - _recall_from(pred, data.labels, n_classes))
         recall_drops[column] = np.mean(per_run_recall, axis=0)

@@ -13,8 +13,6 @@ sees the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..netcore.data import LabeledDataset
 from ..netcore.inference import evaluate
 from ..seeds import derived_seed
@@ -23,24 +21,15 @@ from .array import (ArrayConfig, ArrayState, SignatureMix, build_fsr, deactivate
 from .training import fault_aware_train
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    fmt: str
-    k: int
-    fr: float
-    seed: int
-    accuracy: float
-    drop_pp: float
-
-
 def lsb_sensitivity_sweep(model, dataset: LabeledDataset, k_values, fr_grid, runs: int = 10,
                           fmt: str = "int8", n_row: int = 128, n_col: int = 128,
                           seed: int = 0, mode: str = "sim", carry_fraction: float = 0.0,
                           stuck_one_bias: float = 0.5, eval_samples: int | None = None):
     """Seed faults confined to cone bits < K and run the array on each map.
 
-    Returns one ``SweepRow`` per (k, fr, run), in that nesting order; its
-    ``drop_pp`` is the accuracy drop against the fault-free baseline in
+    Returns one row per (k, fr, run), in that nesting order: a tuple in the
+    column order of ``cli.report.SCHEMAS["sweep"]``, (format, k, fr, run
+    seed, accuracy, drop), the drop against the fault-free baseline in
     percentage points.
     """
     config = ArrayConfig(n_row=n_row, n_col=n_col, fmt=fmt)
@@ -57,8 +46,7 @@ def lsb_sensitivity_sweep(model, dataset: LabeledDataset, k_values, fr_grid, run
                 faults = seed_fault_map(config, fr, mix, seed=run_seed)
                 state = ArrayState(config=config, faults=faults)
                 acc = run_array(model, state, data, mode=mode, seed=run_seed)
-                rows.append(SweepRow(config.fmt, k, fr, run_seed, acc,
-                                     (baseline - acc) * 100.0))
+                rows.append((config.fmt, k, fr, run_seed, acc, (baseline - acc) * 100.0))
     return rows
 
 

@@ -8,9 +8,10 @@ linear operator drives dense and conv layers alike. Every weighted stage
 but the final dense one is followed by a ReLU. Feature maps are
 channels-last (N, H, W, C).
 
-A network is its list of stages: ``init_mlp`` and ``init_lenet5`` write
-theirs out and ``he_uniform`` draws the weights of any list that chains.
-``fit_error`` is the one rule for whether a network takes a dataset's
+A network is its list of stages: ``mlp_stages`` and ``lenet5_stages`` write
+them out, ``init_mlp`` and ``init_lenet5`` draw their weights through
+``he_uniform``, which takes any list that chains. ``fit_error`` is the one
+rule for whether a network, or the weight shapes of one, takes a dataset's
 images and scores every label in it.
 """
 
@@ -142,14 +143,28 @@ def init_mlp(layer_sizes=DEFAULT_LAYERS, seed: int = 0) -> Network:
     return he_uniform(None, mlp_stages(layer_sizes), seed)
 
 
-def init_lenet5(input_hw: int = 28, seed: int = 0) -> Network:
-    """LeNet-5 topology: conv5x6, pool, conv5x16, pool, 120-84-10 dense."""
+def lenet5_stages(input_hw: int) -> list:
+    """LeNet-5 topology on input_hw x input_hw images: conv5x6, pool, conv5x16,
+    pool, 120-84-10 dense. A ValueError names the first stage that does not
+    chain."""
     side = ((input_hw - 4) // 2 - 4) // 2  # the map side the second pool gives
-    return he_uniform(input_hw, [
+    stages = [
         ConvStage(0, 5, 1, 6), PoolStage(2), ConvStage(1, 5, 6, 16), PoolStage(2),
         FlattenStage(), DenseStage(2, side * side * 16, 120, final=False),
         DenseStage(3, 120, 84, final=False), DenseStage(4, 84, 10, final=True),
-    ], seed)
+    ]
+    _check_chain(input_hw, stages)
+    return stages
+
+
+def init_lenet5(input_hw: int = 28, seed: int = 0) -> Network:
+    """The LeNet-5 of ``lenet5_stages``."""
+    return he_uniform(input_hw, lenet5_stages(input_hw), seed)
+
+
+def weight_shapes(stages) -> list:
+    """The (fan-in, fan-out) matmul shape of each weighted stage, in order."""
+    return [s.weight_shape for s in stages if isinstance(s, (ConvStage, DenseStage))]
 
 
 def he_uniform(input_hw, stages, seed: int) -> Network:
@@ -157,17 +172,18 @@ def he_uniform(input_hw, stages, seed: int) -> Network:
     drawn in stage order and zero biases."""
     _check_chain(input_hw, stages)  # a bad chain can declare a fan-in of 0
     rng = np.random.default_rng(seed)
-    shapes = [s.weight_shape for s in stages if isinstance(s, (ConvStage, DenseStage))]
+    shapes = weight_shapes(stages)
     weights = [rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in),
                            size=(fan_in, fan_out)) for fan_in, fan_out in shapes]
     return Network(input_hw, stages, weights, [np.zeros(fan_out) for _, fan_out in shapes])
 
 
-def fit_error(model: Network, split: str, image_shape, top_label: int) -> str | None:
-    """Why ``model`` cannot take a split's images of ``image_shape`` (h, w)
-    labelled up to ``top_label``, or None when it can."""
-    (h, w), side = image_shape, model.input_hw
-    fan_in, outputs = model.weights[0].shape[0], model.weights[-1].shape[1]
+def fit_error(side: int | None, shapes, split: str, image_shape,
+              top_label: int) -> str | None:
+    """Why a network built for ``side`` (its ``input_hw``) with weights of
+    ``shapes`` cannot take a split's images of ``image_shape`` (h, w) labelled
+    up to ``top_label``, or None when it can."""
+    (h, w), fan_in, outputs = image_shape, shapes[0][0], shapes[-1][1]
     if side is None and fan_in != h * w:
         return (f"the MLP takes {fan_in} inputs, but the {split} images are "
                 f"{h}x{w} = {h * w} pixels")

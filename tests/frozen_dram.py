@@ -8,7 +8,7 @@ instead; they must return these rows and recall drops exactly.
 
 import numpy as np
 
-from faultlab.dramfault import CampaignRow, inject
+from faultlab.dramfault import inject
 from faultlab.netcore.inference import model_input, quant_forward, quantize_weights
 from faultlab.quantnum import SIGN_BIT
 from faultlab.seeds import derived_seed
@@ -40,8 +40,8 @@ def bitpos_campaign(model, dataset, counts, bit_positions=(7, 6, 5), runs=10, se
                 faulty = [inject(wq, bit_pos, count, seed=derived_seed(run_seed, l))[0]
                           for l, wq in enumerate(baseline_wq)]
                 acc = float(np.mean(_predictions(model, x, faulty) == data.labels))
-                rows.append(CampaignRow("bitpos", bit_pos, None, count, run_seed,
-                                        acc, (baseline - acc) * 100.0))
+                rows.append(("bitpos", bit_pos, None, count, run_seed, acc,
+                             (baseline - acc) * 100.0))
     return rows
 
 
@@ -63,8 +63,8 @@ def column_campaign(model, dataset, faults_per_column=20, bit_pos=SIGN_BIT, runs
                                 target=column)
             pred = _predictions(model, x, baseline_wq[:-1] + [mutated])
             acc = float(np.mean(pred == data.labels))
-            rows.append(CampaignRow("column", bit_pos, column, faults_per_column,
-                                    run_seed, acc, (baseline - acc) * 100.0))
+            rows.append(("column", bit_pos, column, faults_per_column, run_seed, acc,
+                         (baseline - acc) * 100.0))
             per_run_recall.append(baseline_recall - _recall(pred, data.labels, n_classes))
         recall_drops[column] = np.mean(per_run_recall, axis=0)
     return rows, recall_drops

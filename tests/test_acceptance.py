@@ -11,7 +11,6 @@ import functools
 import itertools
 import os
 import time
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +170,7 @@ def test_c2_sign_bit_severity_twins(twin_a, twin_b):
         model_a, test_a, counts=[250, 1000], bit_positions=(7, 6, 5), runs=10,
         seed=5,
     )
-    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 3), 6).items()}
+    table = {key: mean for key, (mean, _) in cells(rows, (1, 3), 6).items()}
     assert 0.5 <= table[(7, 250)] <= 5.0
     for count in (250, 1000):
         assert table[(7, count)] >= table[(6, count)] >= table[(5, count)]
@@ -180,7 +179,7 @@ def test_c2_sign_bit_severity_twins(twin_a, twin_b):
     rows = dramfault.bitpos_campaign(
         model_b, test_b, counts=[40], bit_positions=(7,), runs=20, seed=5,
     )
-    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 3), 6).items()}
+    table = {key: mean for key, (mean, _) in cells(rows, (1, 3), 6).items()}
     assert 0.5 <= table[(7, 40)] <= 5.0
 
 
@@ -192,7 +191,7 @@ def test_c2_sign_bit_severity_mnist_real():
         model, test, counts=[250], bit_positions=(7, 6, 5), runs=10, seed=5,
         eval_samples=4000,
     )
-    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 3), 6).items()}
+    table = {key: mean for key, (mean, _) in cells(rows, (1, 3), 6).items()}
     assert 0.5 <= table[(7, 250)] <= 5.0
     assert table[(7, 250)] >= table[(6, 250)] >= table[(5, 250)]
 
@@ -205,7 +204,7 @@ def test_c2_sign_bit_severity_fashion_real():
         model, test, counts=[40], bit_positions=(7,), runs=10, seed=5,
         eval_samples=4000,
     )
-    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 3), 6).items()}
+    table = {key: mean for key, (mean, _) in cells(rows, (1, 3), 6).items()}
     assert 0.5 <= table[(7, 40)] <= 5.0
 
 
@@ -219,7 +218,7 @@ def test_c3_column_locality(twin_b):
         model, test, faults_per_column=20, bit_pos=7, runs=20, seed=7,
         grid_width=16,
     )
-    drops = {col: mean for (col,), (mean, _) in cells(map(astuple, rows), (2,), 6).items()}
+    drops = {col: mean for (col,), (mean, _) in cells(rows, (2,), 6).items()}
     for col in range(10):
         assert drops[col] > 0.0, f"column {col} drop {drops[col]}"
     for col in range(10, 16):

@@ -17,11 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import faultlab
+from faultlab import dramfault, macfault
 from faultlab.cli.config import load_config, validate
 from faultlab.cli.main import main
-from faultlab.cli.report import ReportError, report
+from faultlab.cli.report import SCHEMAS, ReportError, report
 from faultlab.cli.runner import KINDS, run
-from faultlab.netcore import init_lenet5, init_mlp, save_model
+from faultlab.netcore import init_lenet5, init_mlp, network, save_model
 from faultlab.neurorel import SnnWorkloadGraph, TileSpec, random_workload, save_workload
 from faultlab.seeds import derive_seed
 from faultlab.yamlio import render
@@ -52,6 +53,31 @@ def test_validate_fills_defaults(tmp_path):
     assert cfg["campaign"]["runs"] == 10
     assert cfg["model"]["layers"] == [784, 256, 256, 256, 10]
     assert cfg["dataset"]["kind"] == "synthetic"
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "dram-bitpos"},
+    {"experiment": "dram-column", "model": {"kind": "lenet5"}},
+    # 2**40 weights in the first layer: drawing them would take 8 TiB
+    {"experiment": "dram-bitpos", "model": {"layers": [2**40, 10]},
+     "dataset": {"size": 2**20}},
+], ids=["default-mlp", "lenet5", "huge-mlp"])
+def test_validate_checks_the_network_on_its_stage_shapes(monkeypatch, doc):
+    def draw(*args):
+        raise AssertionError("validate drew the weights of a network")
+
+    monkeypatch.setattr(network, "he_uniform", draw)
+    assert validate(doc)[1] == []
+
+
+def test_config_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"experiment: train\nseed: \xff\xfe\n")
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid: config: cannot read {path}: ")
+        assert err.count("\n") == 1
 
 
 def test_validate_lists_every_offence():
@@ -779,14 +805,26 @@ ENDURANCE_HEADER = "row,col,path_segments,temperature_k,endurance_cycles\n"
     ("bitpos.csv", DRAM_HEADER + "bitpos,7\n", "line 2: 2 cells, expected 7"),
     ("history.csv", "epoch,accuracy\n1,abc\n", "'abc'"),
     ("bitpos.csv", DRAM_HEADER + "bitpos,7,,x,1,0.5,abc\n", "'abc'"),
+    ("bitpos.csv", DRAM_HEADER + "bitpos,7,,40,1,0.5,nan\nbitpos,7,,40,2,0.5,inf\n",
+     "non-finite value 'nan'"),
+    ("history.csv", "1,\xff", "can't decode byte 0xff"),
+    ("history.csv", "epoch,accuracy\n1," + "0" * 2**17 + "1\n", "field larger than"),
 ], ids=["endurance-cell", "endurance-partial-map", "dram-short-row",
-        "history-cell", "dram-drop-cell"])
+        "history-cell", "dram-drop-cell", "dram-non-finite-drop", "history-not-utf8",
+        "history-field-above-csv-limit"])
 def test_report_names_the_file_of_a_bad_csv(tmp_path, capsys, name, text, message):
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_bytes(text.encode("latin-1"))  # "\xff" is the byte 0xff
     assert main(["report", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"report failed: {name}: ")
     assert message in err
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_report_names_a_csv_it_cannot_open(tmp_path, capsys):
+    (tmp_path / "history.csv").mkdir()
+    assert main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("report failed: history.csv: ")
 
 
 def test_report_without_charts_reads_every_endurance_cell(tmp_path, capsys):
@@ -813,6 +851,33 @@ def test_report_of_an_all_idle_mapping(tmp_path):
         "0,1,0,0,0,1e6,\n0,1,1,0,1,1e6,\n")
     assert report(tmp_path).splitlines() == ["== mapping.csv (mapping, 2 rows)",
                                              "   2 synapses mapped, all idle"]
+
+
+# the campaign calls of the schema test, on 8x8 int8 arrays
+_ROW_ARRAY = {"fmt": "int8", "n_row": 8, "n_col": 8, "eval_samples": 100}
+_ROW_FSR = {"seeds": [5, 6], "fr": 10.0, "lsb_bits": 2, "carry_fraction": 0.5,
+            **_ROW_ARRAY}
+
+
+@pytest.mark.parametrize("schema, campaign", [
+    ("dram", lambda model, test, train: dramfault.bitpos_campaign(
+        model, test, counts=[5], bit_positions=(7, 6), runs=2, eval_samples=100)),
+    ("dram", lambda model, test, train: dramfault.column_campaign(
+        model, test, faults_per_column=5, runs=1, grid_width=12, eval_samples=100)[0]),
+    ("sweep", lambda model, test, train: macfault.lsb_sensitivity_sweep(
+        model, test, k_values=[2], fr_grid=[10.0], runs=2, **_ROW_ARRAY)),
+    ("deactivate", lambda model, test, train: macfault.deactivation_campaign(
+        model, test, fr_max_non_crit=0.05, critical_fraction=0.1, **_ROW_FSR)[1]),
+    ("fault_train", lambda model, test, train: macfault.retrain_campaign(
+        model, test, train, fr_max_non_crit=0.02, retrain_epochs=1, retrain_lr=0.15,
+        **_ROW_FSR)[1]),
+], ids=["bitpos", "column", "sweep", "deactivate", "fault-train"])
+def test_campaign_rows_are_tuples_of_their_schema(small_mlp, blob_train, blob_test,
+                                                  schema, campaign):
+    rows = campaign(small_mlp, blob_test, blob_train.subset(200))
+    assert rows
+    width = len(SCHEMAS[schema].header)
+    assert all(isinstance(row, tuple) and len(row) == width for row in rows)
 
 
 def test_deactivate_experiment_end_to_end(tmp_path):

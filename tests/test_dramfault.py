@@ -1,7 +1,6 @@
 """Bit-flip injection into stored int8 weights, and the DRAM campaigns."""
 
 from collections import Counter
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -129,8 +128,8 @@ def test_bitpos_campaign_zero_count_zero_drop(small_mlp, blob_test):
         small_mlp, blob_test, counts=[0], bit_positions=(7,), runs=3, seed=1,
         eval_samples=400,
     )
-    assert cells(map(astuple, rows), (1, 3), 6) == {(7, 0): (0.0, 0.0)}
-    assert all(r.drop_pp == 0.0 for r in rows)
+    assert cells(rows, (1, 3), 6) == {(7, 0): (0.0, 0.0)}
+    assert all(r[6] == 0.0 for r in rows)
 
 
 def test_bitpos_campaign_row_counts(small_mlp, blob_test):
@@ -139,8 +138,7 @@ def test_bitpos_campaign_row_counts(small_mlp, blob_test):
         eval_samples=400,
     )
     assert len(rows) == 2 * 2 * 4
-    assert set(cells(map(astuple, rows), (1, 3), 6)) == {(7, 10), (7, 50), (6, 10),
-                                                        (6, 50)}
+    assert set(cells(rows, (1, 3), 6)) == {(7, 10), (7, 50), (6, 10), (6, 50)}
 
 
 def test_column_campaign_requires_ten_class_output(blob_test):
@@ -158,9 +156,9 @@ def test_column_campaign_padding_columns_exact_zero(small_mlp, blob_test):
     rows, recall_drops = df.column_campaign(
         small_mlp, blob_test, runs=2, seed=3, grid_width=12, eval_samples=300,
     )
-    padding = [r for r in rows if r.column >= 10]
+    padding = [r for r in rows if r[2] >= 10]
     assert len(padding) == 2 * 2
-    assert all(r.drop_pp == 0.0 for r in padding)
+    assert all(r[6] == 0.0 for r in padding)
     for col in range(10, 12):
         assert np.array_equal(recall_drops[col], np.zeros(10))
 
@@ -244,4 +242,4 @@ def test_campaign_equals_frozen_per_trial_forward(small_mlp, blob_test, model, c
         assert got_recall.keys() == want_recall.keys()
         assert all(np.array_equal(got_recall[c], want_recall[c]) for c in want_recall)
     assert got == want
-    assert any(row.drop_pp != 0.0 for row in got)  # the flips reach the predictions
+    assert any(row[6] != 0.0 for row in got)  # the flips reach the predictions

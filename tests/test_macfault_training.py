@@ -1,6 +1,5 @@
 """Fault-aware training and LSB-sensitivity sweep behavior."""
 
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -132,7 +131,7 @@ def test_fault_aware_training_recovers_lenet_class_cnn(blob_train, blob_test):
 def test_sweep_zero_rate_zero_drop(small_mlp, blob_test):
     rows = lsb_sensitivity_sweep(small_mlp, blob_test, k_values=[2], fr_grid=[0.0],
                                  runs=2, eval_samples=300)
-    assert cells(map(astuple, rows), (1, 2), 5) == {(2, 0.0): (0.0, 0.0)}
+    assert cells(rows, (1, 2), 5) == {(2, 0.0): (0.0, 0.0)}
 
 
 def test_sweep_monotone_in_k_and_fr(small_mlp, blob_test):
@@ -143,7 +142,7 @@ def test_sweep_monotone_in_k_and_fr(small_mlp, blob_test):
         runs=8, mode="worst", carry_fraction=0.5, stuck_one_bias=1.0,
         eval_samples=1000,
     )
-    table = {key: mean for key, (mean, _) in cells(map(astuple, rows), (1, 2), 5).items()}
+    table = {key: mean for key, (mean, _) in cells(rows, (1, 2), 5).items()}
     for fr in (5.0, 10.0):
         assert table[(2, fr)] <= table[(11, fr)] <= table[(13, fr)]
     for k in (11, 13):
@@ -162,4 +161,4 @@ def test_sweep_bf16_runs(small_mlp, blob_test):
         small_mlp, blob_test, k_values=[3, 5], fr_grid=[10.0], runs=2,
         fmt="bfloat16", eval_samples=200,
     )
-    assert set(cells(map(astuple, rows), (1, 2), 5)) == {(3, 10.0), (5, 10.0)}
+    assert set(cells(rows, (1, 2), 5)) == {(3, 10.0), (5, 10.0)}
