@@ -7,10 +7,11 @@ of the experiment table (``runner.KINDS``), which also lists the optional
 sections the kind reads. ``validate`` fills every default and returns every
 offence at once: a section the kind does not read, a field that breaks its
 rule, a synthetic-data field beside an IDX dataset or a generator field
-beside a workload file, a fresh network that cannot take the synthetic
-images (the rule a run applies to every dataset it builds), an evaluation
-subset larger than the synthetic test set, a bit count beyond the array
-format's product width.
+beside a workload file, a bit count beyond the array format's product width,
+and what ``runner.network_errors``, the one rule between a network, its data
+and its campaign, finds on the facts a config fixes: a fresh network that
+cannot take the synthetic images, an evaluation subset larger than the
+synthetic test set, DRAM faults beyond the weights.
 The rules (``integer``, ``one_of``, ...) and the canonical text
 (``render``) are ``yamlio``'s, shared by file readers.
 """
@@ -25,9 +26,9 @@ import yaml
 
 from ..macfault import PRODUCT_WIDTH
 from ..netcore.data import synthetic_blobs
-from ..netcore.network import DEFAULT_LAYERS, fit_error
+from ..netcore.network import DEFAULT_LAYERS
 from ..yamlio import BOOL, PATH, POSITIVE, check_mapping, integer, list_of, number, one_of
-from .runner import KINDS, eval_samples_errors, network_shapes
+from .runner import KINDS, network_errors, network_shapes
 
 _TOP = {"seed": integer(), "output_dir": PATH}
 
@@ -146,16 +147,13 @@ def validate(raw: dict, base_dir: Path | None = None):
     if "tiles" in cfg["campaign"]:
         _check_tiles(cfg["campaign"]["tiles"], errors)
     if camp_ok:
-        test = (ds["test"] if "model" in experiment.sections and ds_ok
-                and ds["kind"] == "synthetic" else None)
-        _check_campaign_sizes(cfg["campaign"], test, errors)
+        _check_campaign_sizes(cfg["campaign"], errors)
     cfg["report"], _ = _section("report", SECTIONS["report"], raw, errors)
 
-    if ("model" in experiment.sections and model_ok and ds_ok and ds["kind"] == "synthetic"
-            and cfg["model"]["checkpoint"] is None):
-        _check_model_fits(cfg["model"], ds["size"], ds["classes"], errors)
+    if "model" in experiment.sections:
+        _check_network(cfg, model_ok, ds_ok, camp_ok, errors)
     if not errors and experiment.check:
-        errors = experiment.check(cfg)
+        errors = experiment.check(cfg["campaign"])
     return (cfg if not errors else None), errors
 
 
@@ -173,25 +171,27 @@ def _unread(section: str, given: dict, setting: str, errors) -> None:
                   for key in _UNREAD[setting] if key in given)
 
 
-def _check_model_fits(model: dict, size: int, classes: int, errors) -> None:
-    """The network a run builds for the synthetic images must take them and
-    score every class."""
-    try:
-        side, shapes = network_shapes(model, size)
-    except ValueError as err:  # only a LeNet-5 can fail to chain
-        errors.append(f"dataset.size: no LeNet-5 takes {size}x{size} images: {err}")
-        return
-    reason = fit_error(side, shapes, "synthetic", (size, size), classes - 1)
-    if reason:
-        errors.append(f"model.layers: {reason}")
+def _check_network(cfg: dict, model_ok: bool, ds_ok: bool, camp_ok: bool, errors):
+    """``runner.network_errors`` on the facts a config fixes: the stage shapes
+    of a fresh network (an MLP's always, a LeNet-5's on synthetic images), the
+    synthetic split and ``dataset.test``."""
+    model, ds, size = cfg["model"], cfg["dataset"], cfg["dataset"]["size"]
+    synthetic = ds_ok and ds["kind"] == "synthetic"
+    side = shapes = None
+    if model_ok and model["checkpoint"] is None and (model["kind"] == "mlp" or synthetic):
+        try:
+            side, shapes = network_shapes(model, size)
+        except ValueError as err:  # only a LeNet-5 can fail to chain
+            errors.append(f"dataset.size: no LeNet-5 takes {size}x{size} images: {err}")
+    fits, camp_errors = network_errors(
+        cfg["campaign"] if camp_ok else {}, side, shapes,
+        [("synthetic", (size, size), ds["classes"] - 1)] if synthetic else None,
+        ds["test"] if synthetic else None)
+    errors += [f"model.layers: {reason}" for reason in fits] + camp_errors
 
 
-def _check_campaign_sizes(camp: dict, test: int | None, errors) -> None:
-    """No evaluation subset beyond the synthetic test set of ``test`` samples
-    (an IDX set's size is known in the run, which checks it there), and no
-    bit count beyond the array format's product width."""
-    if test is not None:
-        errors.extend(eval_samples_errors(camp, test))
+def _check_campaign_sizes(camp: dict, errors) -> None:
+    """No bit count beyond the array format's product width."""
     if "fmt" not in camp:
         return
     fmt = camp["fmt"]

@@ -65,11 +65,20 @@ def cell_stats(values):
     return mean, math.sqrt(var)
 
 
+def _by_value(text: str):
+    """Sort key of a key entry: finite numbers by value, then the rest as text."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    return (0, value, text) if math.isfinite(value) else (1, 0.0, text)
+
+
 def cells(rows, key_idx, value_idx):
-    """{key: cell_stats of its values}, sorted by key, where a row's key is the
-    tuple of its ``key_idx`` entries and its value is ``float(row[value_idx])``.
-    A value that is "" (a NaN the runner wrote) is skipped, a zero is not, and
-    a non-finite one is a ValueError."""
+    """{key: cell_stats of its values}, sorted by key entries' values, where a
+    row's key is the tuple of its ``key_idx`` entries and its value is
+    ``float(row[value_idx])``. A value that is "" (a NaN the runner wrote) is
+    skipped, a zero is not, and a non-finite one is a ValueError."""
     groups = defaultdict(list)
     for row in rows:
         if row[value_idx] != "":
@@ -77,7 +86,8 @@ def cells(rows, key_idx, value_idx):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value {row[value_idx]!r}")
             groups[tuple(row[k] for k in key_idx)].append(value)
-    return {k: cell_stats(v) for k, v in sorted(groups.items())}
+    return {k: cell_stats(groups[k])
+            for k in sorted(groups, key=lambda key: [_by_value(e) for e in key])}
 
 
 def report(directory, write_svg: bool = True) -> str:

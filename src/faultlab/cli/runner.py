@@ -6,8 +6,10 @@ fields, and its run function. ``config.validate`` reads the kinds and sections
 from it; ``run`` builds their set-up into a ``RunContext`` and calls the run
 function, which writes each CSV and its chart through ``RunContext.emit``
 under a schema of ``report.SCHEMAS``. Adding a kind means adding one record.
-A field bounded by data that only the run loads, an IDX test set's size or a
-checkpoint's weights, is checked by ``run`` with the rule ``validate`` uses.
+``network_errors`` is the one rule between a network, its data and its
+campaign: ``validate`` applies it to the facts a config fixes, and ``run`` to
+the model and datasets it loads, so a field bounded by an IDX test set's size
+or a checkpoint's weights fails in the run in ``validate``'s words.
 
 Each campaign kind's run function makes one ``dramfault`` or ``macfault``
 campaign call, whose keyword arguments are its section's fields, and writes
@@ -79,7 +81,7 @@ class Experiment:
     sections: tuple = ("model", "dataset", "train")
     needs_train: bool = False  # build the training set even from a checkpoint
     history: bool = False  # score the test set after each epoch of training
-    check: Callable | None = None  # (valid config) -> errors relating its fields
+    check: Callable | None = None  # (valid campaign) -> errors relating its fields
 
 
 @dataclass
@@ -150,26 +152,47 @@ def network_shapes(model: dict, input_hw: int):
     return None, weight_shapes(mlp_stages(model["layers"]))
 
 
+def network_errors(camp: dict, side, shapes, splits, test):
+    """(fit reasons, campaign-field errors) of the one rule between a network
+    and its data: a network built for ``side`` (its ``input_hw``) with weights
+    of ``shapes`` must take each of ``splits``, (name, image shape, top label),
+    and a column campaign needs its 10 outputs; the evaluation subset of
+    campaign ``camp`` must fit the ``test`` samples of the test set, and its
+    DRAM faults the weights. A fact not known is None, a campaign not valid is
+    {}, and each rule runs only on the facts it reads."""
+    fits = ([r for split in splits if (r := fit_error(side, shapes, *split))]
+            if shapes and splits else [])
+    errors = []
+    if test is not None and (n := camp.get("eval_samples") or 0) > test:
+        errors.append(f"campaign.eval_samples: {n} is above the {test} samples of "
+                      "dataset.test")
+    if shapes:
+        cells, rows = min(r * c for r, c in shapes), shapes[-1][0]
+        if max(camp.get("counts", [0])) > cells:
+            errors.append(f"campaign.counts: more faults than the {cells} weights of "
+                          "the smallest layer")
+        if camp.get("faults_per_column", 0) > rows:
+            errors.append(f"campaign.faults_per_column: more faults than the {rows} "
+                          "weights of an output column")
+        if "grid_width" in camp and shapes[-1][1] != 10:
+            fits.append("the column campaign needs 10 outputs")
+    return fits, errors
+
+
 def _build_model(ctx: RunContext):
     """(model, per-epoch history): loaded from its checkpoint, or trained; a
-    kind without ``history`` trains unscored."""
+    kind without ``history`` trains unscored. The network must take the data
+    and fit the campaign, by ``network_errors`` on what only the run knows."""
     mc = ctx.config["model"]
     model = (load_model(mc["checkpoint"]) if mc["checkpoint"] else
              build_network(mc, ctx.train.images.shape[1], seed=ctx.seed("init")))
-    # the network must take the images and labels, which only the run knows
-    shapes = [w.shape for w in model.weights]
-    for split, data in (("training", ctx.train), ("test", ctx.test)):
-        if data is None:
-            continue
-        reason = fit_error(model.input_hw, shapes, split, data.images.shape[1:],
-                           int(data.labels.max(initial=-1)))
-        if reason:
-            raise ValueError(reason)
-    # the campaign must fit the test set and the weights, as validate's rules say
-    errors = (eval_samples_errors(ctx.camp, len(ctx.test))
-              + dram_size_errors(ctx.camp, shapes))
-    if errors:
-        raise ValueError("; ".join(errors))
+    splits = [(split, data.images.shape[1:], int(data.labels.max(initial=-1)))
+              for split, data in (("training", ctx.train), ("test", ctx.test))
+              if data is not None]
+    fits, errors = network_errors(ctx.camp, model.input_hw,
+                                  [w.shape for w in model.weights], splits, len(ctx.test))
+    if fits or errors:
+        raise ValueError(fits[0] if fits else "; ".join(errors))
     if mc["checkpoint"]:
         return model, []
     tc = ctx.config["train"]
@@ -241,42 +264,6 @@ def _campaign(stem: str, schema: str, rows_of):
     return run_campaign
 
 
-def eval_samples_errors(camp: dict, test: int) -> list:
-    """No evaluation subset beyond the ``test`` samples of the test set."""
-    n = camp.get("eval_samples")
-    if n is not None and n > test:
-        return [f"campaign.eval_samples: {n} is above the {test} samples of "
-                "dataset.test"]
-    return []
-
-
-def dram_size_errors(camp: dict, shapes) -> list:
-    """The DRAM faults must fit weights of these (rows, columns) shapes."""
-    errors = []
-    cells = min(rows * cols for rows, cols in shapes)
-    if max(camp.get("counts", [0])) > cells:
-        errors.append(f"campaign.counts: more faults than the {cells} weights of "
-                      "the smallest layer")
-    rows = shapes[-1][0]
-    if camp.get("faults_per_column", 0) > rows:
-        errors.append(f"campaign.faults_per_column: more faults than the {rows} "
-                      "weights of an output column")
-    return errors
-
-
-def _dram_errors(config) -> list:
-    """The DRAM faults must fit the weights of the network the run builds; those
-    of a checkpoint, or of a LeNet-5 on IDX images, are checked in the run."""
-    model, ds, camp = config["model"], config["dataset"], config["campaign"]
-    if model["checkpoint"] or (model["kind"] == "lenet5" and ds["kind"] == "idx"):
-        return []
-    shapes = network_shapes(model, ds["size"])[1]
-    errors = dram_size_errors(camp, shapes)
-    if "grid_width" in camp and shapes[-1][1] != 10:
-        errors.append("model.layers: the column campaign needs 10 outputs")
-    return errors
-
-
 def _crossbar_errors(crossbar: neurorel.CrossbarConfig, field: str) -> list:
     """The endurance model must calibrate its corner endurances on the crossbar."""
     try:
@@ -287,11 +274,10 @@ def _crossbar_errors(crossbar: neurorel.CrossbarConfig, field: str) -> list:
     return []
 
 
-def _neuro_map_errors(config) -> list:
+def _neuro_map_errors(camp) -> list:
     """The endurance model must calibrate on the crossbar, and each tile's aging
     lifetime, which the fitness divides by, must compute to a positive float:
     a large voltage underflows it, a tiny one or a low temperature overflows."""
-    camp = config["campaign"]
     errors = _crossbar_errors(neurorel.CrossbarConfig(n=camp["crossbar_n"]), "crossbar_n")
     for k, tile in enumerate(neurorel.TileSpec(**t) for t in camp["tiles"]):
         with contextlib.suppress(ArithmeticError):
@@ -302,10 +288,10 @@ def _neuro_map_errors(config) -> list:
     return errors
 
 
-def _all_faulty_errors(config) -> list:
+def _all_faulty_errors(camp) -> list:
     """An ``fr`` that makes every PE faulty leaves deactivation no PE to keep
     under an ``fr_max_non_crit`` below 1."""
-    fr, n_row, cap = (config["campaign"][k] for k in ("fr", "n_row", "fr_max_non_crit"))
+    fr, n_row, cap = (camp[k] for k in ("fr", "n_row", "fr_max_non_crit"))
     if cap == 1 or macfault.per_column_fault_count(fr, n_row) < n_row:
         return []
     return [f"campaign.fr: {fr:g} faults every PE of a {n_row}-row array, and "
@@ -416,7 +402,7 @@ KINDS = {
         "bit_positions": ([7, 6, 5], list_of(integer(0, 7))),
         "runs": (10, integer(1)),
         "eval_samples": (None, optional(integer(1))),
-    }, check=_dram_errors),
+    }),
     "dram-column": Experiment(_campaign("column", "dram", lambda ctx, seed: (
         dramfault.column_campaign(ctx.model, ctx.test, seed=seed, **ctx.camp)[0])), {
         "faults_per_column": (20, integer(0)),
@@ -424,7 +410,7 @@ KINDS = {
         "runs": (10, integer(1)),
         "grid_width": (16, integer(10)),  # at least the output layer's 10 neurons
         "eval_samples": (None, optional(integer(1))),
-    }, check=_dram_errors),
+    }),
     "mac-sweep": Experiment(_campaign("sweep", "sweep", lambda ctx, seed: (
         macfault.lsb_sensitivity_sweep(ctx.model, ctx.test, seed=seed, **ctx.camp))), {
         "k_values": ([2, 3, 4], list_of(integer(1))),
@@ -462,8 +448,7 @@ KINDS = {
         "t_amb": (298.0, number(0, neurorel.crossbar.T_HOT, open_lo=True,
                                 open_hi=True)),
     }, sections=(),
-        check=lambda config: _crossbar_errors(
-            neurorel.CrossbarConfig(**config["campaign"]), "n")),
+        check=lambda camp: _crossbar_errors(neurorel.CrossbarConfig(**camp), "n")),
     "neuro-map": Experiment(_neuro_map, {
         "capacity": (10, integer(1)),
         "crossbar_n": (16, integer(2)),

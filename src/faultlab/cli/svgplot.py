@@ -42,14 +42,17 @@ def _svg(width: int, height: int, title: str, title_y: int, body: list) -> str:
 
 
 def line_chart(series: dict, title: str, xlabel: str, ylabel: str) -> str:
-    """Polyline chart; ``series`` maps label -> [(x, y), ...]."""
+    """Polyline chart; ``series`` maps label -> [(x, y), ...] of finite points."""
     width, height = LINE_WIDTH, LINE_HEIGHT
     left, right, top, bottom = 64, 20, 36, 52
     pw, ph = width - left - right, height - top - bottom
-    xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts]
-    if not xs:
+    points = [p for pts in series.values() for p in pts]
+    if not points:
         raise ValueError("no data points to chart")
+    for x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite point ({x}, {y})")
+    xs, ys = zip(*points)
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -58,6 +61,8 @@ def line_chart(series: dict, title: str, xlabel: str, ylabel: str) -> str:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not math.isfinite(x_hi - x_lo + y_hi - y_lo):
+        raise ValueError("the points span more than a float holds")
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * pw
@@ -118,12 +123,15 @@ def _heat_color(frac: float) -> str:
 
 
 def heatmap(matrix, title: str, log_scale: bool = True) -> str:
-    """Cell-per-rect heat map; log-scale color for wide-range data."""
+    """Cell-per-rect heat map of finite values; log-scale color for wide-range data."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if rows == 0 or cols == 0:
         raise ValueError("empty matrix")
     values = [float(v) for row in matrix for v in row]
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v}")
     if log_scale:
         if min(values) <= 0:
             raise ValueError("log-scale heat map needs positive values")

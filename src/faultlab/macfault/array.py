@@ -57,6 +57,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,8 +113,9 @@ class SignatureMix:
             raise ValueError("lsb_bits must be >= 1")
 
 def per_column_fault_count(fr_percent: float, n_row: int) -> int:
-    """round(0.01 * FR * N_Row), halves rounded up."""
-    return int(math.floor(0.01 * fr_percent * n_row + 0.5))
+    """round(0.01 * FR * N_Row), halves rounded up, in exact arithmetic on the
+    FR's shortest decimal text (14.5% of 100 rows is 15, not 14)."""
+    return math.floor(Fraction(repr(float(fr_percent))) * n_row / 100 + Fraction(1, 2))
 
 
 def _sample_signatures(rows, cols, mix: SignatureMix, rng, fmt: str) -> FaultMap:

@@ -81,9 +81,18 @@ def save_workload(path, graph: SnnWorkloadGraph):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _no_unknown_keys(mapping: dict, known, prefix: str) -> None:
+    """ValueError "<prefix><key>: unknown key" for the first key not ``known``."""
+    for key in mapping:
+        if key not in known:
+            raise ValueError(f"{prefix}{key}: unknown key")
+
+
 def load_workload(path) -> SnnWorkloadGraph:
-    """Read a workload file; a malformed entry raises ValueError naming it."""
+    """Read a workload file; a malformed entry or a key the format does not
+    hold raises ValueError naming it."""
     doc = read_document(path, FORMAT_TAG)
+    _no_unknown_keys(doc, ("format", "neurons", "synapses"), f"{path}: ")
     neurons = require(doc.get("neurons"), list_of(_ID, min_len=1), f"{path}: neurons")
     entries = doc.get("synapses", [])
     if not isinstance(entries, list):
@@ -93,6 +102,7 @@ def load_workload(path) -> SnnWorkloadGraph:
         where = f"{path}: synapses[{i}]"
         if not isinstance(s, dict):
             raise ValueError(f"{where}: expected a mapping of {', '.join(_SYNAPSE_RULES)}")
+        _no_unknown_keys(s, _SYNAPSE_RULES, f"{where}.")
         with naming(where):  # a missing key, or an int too large for a float
             for key, rule in _SYNAPSE_RULES.items():
                 value = require(s[key], rule, key)

@@ -20,7 +20,7 @@ import faultlab
 from faultlab import dramfault, macfault
 from faultlab.cli.config import load_config, validate
 from faultlab.cli.main import main
-from faultlab.cli.report import SCHEMAS, ReportError, report
+from faultlab.cli.report import SCHEMAS, ReportError, cells, report
 from faultlab.cli.runner import KINDS, run
 from faultlab.netcore import init_lenet5, init_mlp, network, save_model
 from faultlab.neurorel import SnnWorkloadGraph, TileSpec, random_workload, save_workload
@@ -199,6 +199,11 @@ class _Sections(dict):
     ("fault-train", {"fr": 99.7, "fr_max_non_crit": 0.5},
      "campaign.fr: 99.7 faults every PE of a 128-row array, and deactivation under "
      "campaign.fr_max_non_crit 0.5 would disable them all"),
+    # the DRAM faults must fit the weights whatever else the config gets wrong
+    ("dram-bitpos", _Sections(seed="x", model={"layers": [784, 12, 10]},
+                              campaign={"counts": [400]}),
+     ("seed: must be an integer",
+      "campaign.counts: more faults than the 120 weights of the smallest layer")),
 ])
 def test_validate_names_wrongly_typed_campaign_field(experiment, campaign, field):
     sections = (campaign if isinstance(campaign, _Sections)
@@ -661,6 +666,20 @@ def test_run_names_dram_field_too_large_for_checkpoint(tmp_path, capsys, experim
     assert not (tmp_path / "out").exists()
 
 
+def test_run_names_a_column_campaign_on_a_checkpoint_without_10_outputs(tmp_path, capsys):
+    # its 5 outputs score the 5 classes, but a column campaign needs 10; the run
+    # names it in validate's words before the campaign starts
+    save_model(init_mlp((144, 32, 5), seed=0), tmp_path / "model.npz")
+    path = _write_config(tmp_path, {
+        "experiment": "dram-column", "seed": 1, "model": {"checkpoint": "model.npz"},
+        "dataset": {"test": 20, "size": 12, "classes": 5},
+        "campaign": {"faults_per_column": 3, "runs": 1}})
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "run failed: the column campaign needs 10 outputs\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment", ["dram-bitpos", "dram-column", "mac-sweep",
                                         "deactivate", "fault-train"])
 def test_run_names_eval_samples_above_idx_test_set(tmp_path, capsys, rng, experiment):
@@ -741,6 +760,26 @@ def test_closed_stdout_exits_without_traceback(tmp_path, command):
     assert b"Traceback" not in proc.stderr and not proc.stderr
 
 
+def test_cli_and_libraries_import_no_scipy():
+    # importing scipy.sparse alone raises a process's peak memory by over 10 MB,
+    # so faultlab imports scipy only where a call needs it, never at import or
+    # in validate
+    code = (
+        "import sys\n"
+        "import faultlab.cli.main\n"
+        "from faultlab import dramfault, macfault, neurorel\n"
+        "from faultlab.cli.config import validate\n"
+        "from faultlab.cli.runner import KINDS\n"
+        "for kind in KINDS:\n"
+        "    assert validate({'experiment': kind})[1] == [], kind\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(faultlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_report_summarizes_dram_csv(tmp_path):
     cfg, _ = validate(BITPOS_DOC)
     run(cfg, output_override=tmp_path / "out")
@@ -797,6 +836,7 @@ def test_report_names_offending_column(tmp_path):
 
 DRAM_HEADER = "campaign,bit_pos,column,fault_count,run_seed,accuracy,drop_pp\n"
 ENDURANCE_HEADER = "row,col,path_segments,temperature_k,endurance_cycles\n"
+SWEEP_HEADER = "format,k,fr,seed,accuracy,drop_pp\n"
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -809,9 +849,18 @@ ENDURANCE_HEADER = "row,col,path_segments,temperature_k,endurance_cycles\n"
      "non-finite value 'nan'"),
     ("history.csv", "1,\xff", "can't decode byte 0xff"),
     ("history.csv", "epoch,accuracy\n1," + "0" * 2**17 + "1\n", "field larger than"),
+    # a chart has no point or cell to draw at nan or inf
+    *[("sweep.csv", SWEEP_HEADER + f"int8,2,{fr},1,0.5,1.0\nint8,2,5,1,0.5,2.0\n",
+       "non-finite point") for fr in ("nan", "inf", "1e400")],
+    ("sweep.csv", SWEEP_HEADER + "int8,2,-1e308,1,0.5,1.0\nint8,2,1e308,1,0.5,2.0\n",
+     "the points span more than a float holds"),
+    ("endurance.csv", ENDURANCE_HEADER + "0,0,0,300,nan\n", "non-finite value nan"),
+    ("endurance.csv", ENDURANCE_HEADER + "0,0,0,inf,1e6\n", "non-finite value inf"),
 ], ids=["endurance-cell", "endurance-partial-map", "dram-short-row",
         "history-cell", "dram-drop-cell", "dram-non-finite-drop", "history-not-utf8",
-        "history-field-above-csv-limit"])
+        "history-field-above-csv-limit", "sweep-fr-nan", "sweep-fr-inf",
+        "sweep-fr-above-float", "sweep-fr-span-above-float", "endurance-nan",
+        "temperature-inf"])
 def test_report_names_the_file_of_a_bad_csv(tmp_path, capsys, name, text, message):
     (tmp_path / name).write_bytes(text.encode("latin-1"))  # "\xff" is the byte 0xff
     assert main(["report", str(tmp_path)]) == 2
@@ -819,6 +868,22 @@ def test_report_names_the_file_of_a_bad_csv(tmp_path, capsys, name, text, messag
     assert err.startswith(f"report failed: {name}: ")
     assert message in err
     assert not list(tmp_path.glob("*.svg"))
+
+
+def test_report_lists_cells_by_value(tmp_path):
+    # numbers by value, then text: column 2 before column 10, K=2 before K=10
+    (tmp_path / "column.csv").write_text(DRAM_HEADER + "".join(
+        f"column,7,{c},20,1,0.5,{c}\n" for c in range(12)))
+    (tmp_path / "sweep.csv").write_text(SWEEP_HEADER + "".join(
+        f"int8,{k},{fr},1,0.5,1.0\n" for k in (2, 10) for fr in ("2.5", "10.0", "5.0")))
+    lines = report(tmp_path, write_svg=False).splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "== column.csv (dram, 12 rows)",
+        *[f"   column bit 7 column {c}" for c in range(12)],
+        "== sweep.csv (sweep, 6 rows)",
+        *[f"   int8 K={k} FR={fr}%" for k in (2, 10) for fr in ("2.5", "5.0", "10.0")]]
+    keys = list(cells([(k, "1") for k in ("b", "10", "a", "2.5", "nan", "-1")], (0,), 1))
+    assert keys == [("-1",), ("2.5",), ("10",), ("a",), ("b",), ("nan",)]
 
 
 def test_report_names_a_csv_it_cannot_open(tmp_path, capsys):
@@ -986,13 +1051,15 @@ GOLDEN_DIGESTS = {
         "manifest": "6ee6e7abc337177f88e95eb1151780794d00a9e7b6e70f51ef8bb88eb58e3272",
         "column.csv": "0c4bff1b1fdbf155495f6fb35b0a37db6645782efdedbecf0e693bd07ed5d754",
         "column.svg": "dfd1910688c2acc65527d765e419c76c01498c5c12e9a6d56b0573eb955a83c9",
-        "report": "eeb5b4ba051a660f6a56f3e6146873bf5a6a0d41b1159e5bbebb3c478ae2ce69",
+        # report lists the cells by value, column 10 after column 9
+        "report": "a7b00d02dcc58c78e314f8627a5b2178a7e44783d4e7a510d78272756c41020f",
     },
     "mac-sweep": {
         "manifest": "39861fa7568e23758f85a3473af6d542195838763f260a2d80fbcfe4b7b85bf0",
         "sweep.csv": "f9194b88d24a399c45a2b0bcb76e82616ee79203808926498778797fa789cca8",
         "sweep.svg": "02c38fe2d3c55706c7498467bc62e1dc346fd01661ebc6ec8bae30d8e9da47c2",
-        "report": "0b10431481e43b7c3fda3f3b01839dfb58e424661067a2bafab3e4372e3ee807",
+        # report lists the cells by value, K=12 after K=8
+        "report": "23e9bda20f43905026d802216b2efdf9eb575a54e97fcc5a6eeea2f12b8708a5",
     },
     "mac-sweep:bf16-sim": {
         "manifest": "fbaad9ef3176436803a4647011bf93a0907b88173fbd6e45a3ed7549a51dc08c",

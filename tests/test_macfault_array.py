@@ -50,6 +50,15 @@ def test_per_column_fault_count_rounding():
     assert per_column_fault_count(0.5, 100) == 1  # round half up: 0.5 -> 1
 
 
+@pytest.mark.parametrize("fr, n_row, count", [
+    (14.5, 100, 15), (29, 50, 15), (58, 25, 15), (2.8, 125, 4), (2.5, 128, 3),
+])
+def test_per_column_fault_count_rounds_exact_halves_up(fr, n_row, count):
+    # at the first four, 0.01 * fr * n_row is a float just below the exact half;
+    # the last is the bench's count at FR 2.5 (3.2 faults)
+    assert per_column_fault_count(fr, n_row) == count
+
+
 def test_seed_fault_map_counts_and_determinism():
     cfg = ArrayConfig(n_row=32, n_col=16)
     mix = SignatureMix(critical_fraction=0.3, carry_fraction=0.4)

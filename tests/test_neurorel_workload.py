@@ -128,6 +128,22 @@ def test_load_rejects_document_without_neuron_list(tmp_path):
         load_workload(_write(tmp_path, "format: faultlab-workload/1\nsynapses: []\n"))
 
 
+@pytest.mark.parametrize("text, message", [
+    (GOOD.replace("synapses:", "synapse:") + "- {src: 0, dst: 1, weight: 0.5, activation: 2}\n",
+     "synapse: unknown key"),
+    (GOOD + "- {src: 0, dst: 1, weight: 0.5, activation: 2, delay: 1}\n",
+     "synapses[0].delay: unknown key"),
+    (GOOD + "- {src: 0, dst: 1, weight: 0.5, activations: 2}\n",
+     "synapses[0].activations: unknown key"),
+], ids=["top-level", "extra-synapse-key", "misspelt-synapse-key"])
+def test_load_names_an_unknown_key(tmp_path, text, message):
+    # a misspelt key would otherwise load as a graph without what it names
+    path = _write(tmp_path, text)
+    with pytest.raises(ValueError) as err:
+        load_workload(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 ID = f"must be an integer in [{-2**63}, {2**63 - 1}]"
 NEURON_LIST = f"neurons: need a list of at least 1, each of which {ID}"
 
